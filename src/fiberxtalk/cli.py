@@ -27,6 +27,7 @@ from .analysis import run_otdr_analysis, detect_spectral_lines
 from .errors import InputError, ParameterError, XtalkError
 from .plant import load_topology
 from .simulate import (
+    PULSES_PER_CHUNK,
     Detector,
     LeakLine,
     PulsedSource,
@@ -121,6 +122,17 @@ def parse_grid_nm(text: str, flag: str) -> list[float]:
     return grid
 
 
+def parse_band(text: str, flag: str) -> "str | tuple[float, float]":
+    """A band preset name, or 'min,max' in nm."""
+    if "," not in text:
+        return text
+    try:
+        lo, hi = (float(part) for part in text.split(","))
+    except ValueError:
+        raise InputError(f"{flag}: expected a preset or 'min,max' in nm, got {text!r}") from None
+    return (lo, hi)
+
+
 def parse_window_ps(text: str, flag: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -149,7 +161,7 @@ def _dataclass_from(doc: dict, cls, what: str):
         raise InputError(f"{what}: unknown key(s) {unknown}; expected {sorted(fields)}")
     try:
         return cls(**doc)
-    except ParameterError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what}: {exc}") from None
 
 
@@ -445,9 +457,9 @@ def cmd_switch_plan(args) -> int:
     if args.classical_band or args.quantum_band:
         bands = {}
         if args.classical_band:
-            bands["classical"] = args.classical_band
+            bands["classical"] = parse_band(args.classical_band, "--classical-band")
         if args.quantum_band:
-            bands["quantum"] = args.quantum_band
+            bands["quantum"] = parse_band(args.quantum_band, "--quantum-band")
     solver = brute_force_assignment if args.oracle else optimize_assignment
     assignment = solver(model, args.classical, args.quantum, bands)
     doc = {
@@ -510,7 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--duration", required=True, help="acquisition time (s, ms, ... )")
     sim.add_argument("--seed", required=True, type=int)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--jobs", type=int, default=1, help="worker bound; outputs do not depend on it")
+    sim.add_argument(
+        "--jobs", type=int, default=1,
+        help=f"threads simulating blocks of {PULSES_PER_CHUNK} pulses; outputs do not depend on it",
+    )
     sim.add_argument("--max-tags", dest="max_tags", type=int, default=50_000_000)
     sim.add_argument("--lax", action="store_true", help="ignore unknown topology keys")
     sim.set_defaults(func=cmd_simulate)
@@ -581,11 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for band_attr in ("classical_band", "quantum_band"):
-        value = getattr(args, band_attr, None)
-        if value and "," in value:
-            parts = value.split(",")
-            setattr(args, band_attr, (float(parts[0]), float(parts[1])))
     try:
         return int(args.func(args) or 0)
     except XtalkError as exc:

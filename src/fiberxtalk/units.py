@@ -46,6 +46,8 @@ CONSTANTS = PhysicsConstants()
 
 
 def _require_finite(value: float, name: str) -> float:
+    if type(value) is str:  # float() would parse it; JSON text is not a number
+        raise ParameterError(f"{name} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")

@@ -138,6 +138,35 @@ class TestSimulateAnalyze:
         assert err["error"] == "E_RESOURCE"
 
 
+@pytest.mark.parametrize("kind,doc", [
+    ("source", {"avg_power_w": "x"}),
+    ("source", {"avg_power_w": 1e-6, "rep_rate_hz": [1000]}),
+    ("detector", {"efficiency": "high"}),
+    ("detector", {"dark_rate_hz": None}),
+    ("filter", {"fwhm_nm": "0.8"}),
+    ("lines", [{"wavelength_nm": "1310", "rate_photons_per_s": 1.0}]),
+    ("lines", [{"wavelength_nm": 1310.0, "rate_photons_per_s": {}}]),
+])
+def test_non_numeric_field_is_input_error(tmp_path, plant_files, capsys, kind, doc):
+    topo, source, detector = plant_files
+    bad = write_json(tmp_path / f"bad_{kind}.json", doc)
+    if kind in ("source", "detector"):
+        files = {"source": source, "detector": detector, kind: bad}
+        argv = ["simulate", "--topology", str(topo), "--source", str(files["source"]),
+                "--detector", str(files["detector"]), "--duration", "1s", "--seed", "1",
+                "--out", str(tmp_path / "x.xtt1")]
+    else:
+        lines = bad if kind == "lines" else write_json(tmp_path / "lines.json", [])
+        argv = ["scan", "--lines", str(lines), "--grid", "1300:1310:1", "--dwell", "1s",
+                "--seed", "1", "--out", str(tmp_path / "s.csv")]
+        if kind == "filter":
+            argv += ["--filter", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "E_INPUT"
+
+
 class TestScan:
     def test_scan_and_analyze_four_lines(self, tmp_path, capsys):
         lines = write_json(
@@ -237,6 +266,28 @@ class TestSwitchCommands:
         plan = json.loads(plan_path.read_text())
         assert plan["classical"][0]["wavelength_nm"] == 1260.0
         assert plan["quantum"][0]["wavelength_nm"] == 1530.0
+
+    @pytest.mark.parametrize("band", ["1500,abc", "1500,1550,1600", ","])
+    def test_malformed_band_is_input_error(self, tmp_path, capsys, band):
+        code = main([
+            "switch", "plan", "--classical", "1", "--quantum", "1",
+            "--classical-band", band, "--out", str(tmp_path / "plan.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "E_INPUT"
+
+    def test_plan_with_numeric_band(self, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        assert main([
+            "switch", "plan", "--classical", "1", "--quantum", "1",
+            "--classical-band", "1300,1320", "--quantum-band", "1540,1560",
+            "--out", str(plan_path),
+        ]) == 0
+        plan = json.loads(plan_path.read_text())
+        assert 1300.0 <= plan["classical"][0]["wavelength_nm"] <= 1320.0
+        assert 1540.0 <= plan["quantum"][0]["wavelength_nm"] <= 1560.0
 
 
 class TestUnitSuffixes:

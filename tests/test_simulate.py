@@ -1,12 +1,15 @@
 """Monte Carlo engine: analytic rates, determinism, and counting statistics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import fiberxtalk as fx
 from fiberxtalk.errors import ParameterError, ResourceError
 from fiberxtalk.plant import CrosstalkPoint
-from fiberxtalk.simulate import expected_scan_rate, point_mu_optical
+from fiberxtalk.simulate import PULSES_PER_CHUNK, _apply_dead_time, expected_scan_rate, point_mu_optical
 
 from conftest import E_PHOTON_1550_J, connector_doc, lossless_topology, power_for_mu_det, topology_doc
 
@@ -68,12 +71,18 @@ class TestDeterminism:
         assert not np.array_equal(a.times_ps, b.times_ps)
 
     def test_jobs_do_not_change_the_stream(self, three_point_topology):
-        src = fx.PulsedSource(avg_power_w=1e-7)
-        det = fx.Detector()
-        serial = fx.simulate_otdr_tags(three_point_topology, src, det, 3.0, seed=9, jobs=1)
-        threaded = fx.simulate_otdr_tags(three_point_topology, src, det, 3.0, seed=9, jobs=4)
-        assert np.array_equal(serial.times_ps, threaded.times_ps)
-        assert np.array_equal(serial.channels, threaded.channels)
+        # one chunk at 1 kHz; 200k pulses at 100 kHz span four chunks, with a
+        # dead time of five periods sweeping across the chunk edges
+        runs = [
+            (fx.PulsedSource(avg_power_w=1e-7), fx.Detector(), 3.0),
+            (fx.PulsedSource(avg_power_w=1e-5, rep_rate_hz=1e5), fx.Detector(dead_time_ps=50_000_000), 2.0),
+        ]
+        for src, det, duration in runs:
+            serial = fx.simulate_otdr_tags(three_point_topology, src, det, duration, seed=9, jobs=1)
+            threaded = fx.simulate_otdr_tags(three_point_topology, src, det, duration, seed=9, jobs=4)
+            assert np.array_equal(serial.times_ps, threaded.times_ps)
+            assert np.array_equal(serial.channels, threaded.channels)
+        assert serial.metadata["n_pulses"] >= 3 * PULSES_PER_CHUNK
 
 
 class TestStreamInvariants:
@@ -99,6 +108,35 @@ class TestStreamInvariants:
         src = fx.PulsedSource(avg_power_w=1e-9)
         stream = fx.simulate_otdr_tags(topo, src, fx.Detector(dark_rate_hz=0.0), 2.0, seed=3)
         assert stream.detector_times_ps.size == 0
+
+    @pytest.mark.parametrize("rep_rate_hz,dead_time_ps,duration", [
+        (1000.0, 50_000, 5.0),
+        (1e5, 50_000_000, 1.5),
+        (1e5, 0, 0.5),
+    ])
+    def test_metadata_accounts_for_every_candidate(self, rep_rate_hz, dead_time_ps, duration):
+        # ~10 detected photons per pulse from a point at 0 m put some of the
+        # first pulse's photons before time 0
+        topo = lossless_topology([connector_doc("c0", 0.0, coupling_db=-90.0), connector_doc("c", 300.0)])
+        src = fx.PulsedSource(avg_power_w=power_for_mu_det(1.0, -100.0, rep_rate_hz=rep_rate_hz),
+                              rep_rate_hz=rep_rate_hz)
+        det = fx.Detector(dead_time_ps=dead_time_ps, dark_rate_hz=1e4)
+        stream = fx.simulate_otdr_tags(topo, src, det, duration, seed=4)
+        meta = stream.metadata
+        assert meta["n_detector_tags"] == stream.detector_times_ps.size
+        assert meta["pulses_per_chunk"] == PULSES_PER_CHUNK
+        assert meta["generator"] != "philox"
+        points = meta["points"]
+        candidates = sum(p["photons_after_efficiency"] for p in points) + meta["n_darks"]
+        assert candidates - meta["dropped_negative_time"] - meta["dropped_dead_time"] == meta["n_detector_tags"]
+        assert meta["n_darks"] > 0 and meta["dropped_negative_time"] > 0
+        # a zero dead time still merges equal stamps, which it counts as dead-time losses
+        assert meta["dropped_dead_time"] > 0
+        for p in points:
+            lam = p["mu_optical_per_pulse"] * meta["n_pulses"]
+            assert abs(p["photons_arrived"] - lam) <= 5.0 * math.sqrt(lam)
+            kept = det.efficiency * p["photons_arrived"]
+            assert abs(p["photons_after_efficiency"] - kept) <= 5.0 * math.sqrt(kept)
 
     def test_resource_cap(self, three_point_topology):
         src = fx.PulsedSource(avg_power_w=1e-6)
@@ -155,7 +193,7 @@ class TestCountingStatistics:
 
     def test_default_example_with_dead_time_losses(self):
         # 1 uW / -100 dB / 60 s: raw rate 663/s but multiple photons per pulse
-        # collapse under the 50 us dead time; compare against the saturating
+        # collapse under the 50 ns dead time; compare against the saturating
         # oracle N*(1-exp(-mu)) plus dark counts corrected for blocked time
         topo = lossless_topology([connector_doc("c", 100.0)])
         src = fx.PulsedSource(avg_power_w=1e-6)
@@ -171,6 +209,29 @@ class TestCountingStatistics:
         assert abs(got - expected) <= 5.0 * np.sqrt(expected)
         naive = fx.expected_peak_rate(topo, src, det, fx.crosstalk_points(topo)[0]) * 60.0
         assert got < naive  # dead-time losses are visible at this occupancy
+
+
+def sequential_dead_time(times, dead_time_ps):
+    """Reference non-paralyzable sweep: keep a tag when the detector is live again."""
+    kept = []
+    for t in times:
+        if not kept or t - kept[-1] >= max(dead_time_ps, 1):
+            kept.append(t)
+    return kept
+
+
+class TestDeadTimeSweep:
+    @given(
+        period=st.integers(1, 1000),
+        tags=st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 1.0, exclude_max=True)), max_size=120),
+        dead_periods=st.floats(0.0, 6.0),
+    )
+    def test_matches_sequential_sweep(self, period, tags, dead_periods):
+        times = np.sort(np.array([pulse * period + int(phase * period) for pulse, phase in tags],
+                                 dtype=np.int64))
+        dead = int(dead_periods * period)
+        got = _apply_dead_time(times, dead)
+        assert got.tolist() == sequential_dead_time(times.tolist(), dead)
 
 
 class TestSpectralScan:
@@ -203,6 +264,28 @@ class TestSpectralScan:
         a = fx.simulate_spectral_scan([], fx.TunableFilter(), det, grid, 1.0, seed=21)
         b = fx.simulate_spectral_scan([], fx.TunableFilter(), det, grid, 1.0, seed=21)
         assert np.array_equal(a.counts, b.counts)
+
+    def test_counts_match_per_point_oracle(self):
+        # each point draws one Poisson count from a fresh Philox([seed, index])
+        # generator, its mean summed line by line in this order
+        det = fx.Detector(dark_rate_hz=37.0, efficiency=0.7)
+        filt = fx.TunableFilter(fwhm_nm=0.37, insertion_loss_db=2.7)
+        lines = [fx.LeakLine(wavelength_nm=nm, rate_photons_per_s=r)
+                 for nm, r in ((1271.3, 3e4), (1290.05, 470.0), (1291.0, 2e6))]
+        grid = np.arange(1265.0, 1295.0, 0.02)
+        dwell, seed = 0.5, 2**64 - 3
+        sigma = filt.fwhm_nm / 2.355
+        peak = 10.0 ** (-filt.insertion_loss_db / 10.0)
+        want = []
+        for i, center in enumerate(grid):
+            rate = det.dark_rate_hz
+            for line in lines:
+                offset = line.wavelength_nm - float(center)
+                rate += line.rate_photons_per_s * (peak * math.exp(-0.5 * (offset / sigma) ** 2)) * det.efficiency
+            key = np.array([seed, i], dtype=np.uint64)
+            want.append(np.random.Generator(np.random.Philox(key=key)).poisson(rate * dwell))
+        scan = fx.simulate_spectral_scan(lines, filt, det, grid, dwell, seed=seed)
+        assert scan.counts.tolist() == want
 
     def test_rejects_bad_grid(self):
         det = fx.Detector()
