@@ -11,7 +11,6 @@ from .units import (
     O_BAND_NM,
     LossDb,
     OpticalPower,
-    PhysicsConstants,
     Wavelength,
     dbm_to_watts,
     fiber_loss_db,

@@ -17,9 +17,8 @@ import numpy as np
 from .errors import DataError, ParameterError
 from .plant import Topology, distance_for_delay_ps, path_loss_db
 from .simulate import Detector, PulsedSource, SpectralScan, TagStream
-from .units import time_to_distance_m
+from .units import _GAUSSIAN_FWHM_TO_SIGMA, time_to_distance_m
 
-_GAUSSIAN_FWHM_TO_SIGMA = 1.0 / 2.355
 _DB_PER_NEPER = 10.0 / math.log(10.0)
 
 DEFAULT_BIN_WIDTH_PS = 100
@@ -61,9 +60,6 @@ class Histogram:
     @property
     def n_bins(self) -> int:
         return int(self.counts.size)
-
-    def bin_starts_ps(self) -> np.ndarray:
-        return np.arange(self.n_bins, dtype=np.int64) * self.bin_width_ps
 
 
 @dataclass(frozen=True)
@@ -282,7 +278,9 @@ def detect_peaks(
         centers = np.arange(start, end + 1, dtype=float) + 0.5
         centroid = float((centers * weights).sum() / amplitude)
         variance = float(((centers - centroid) ** 2 * weights).sum() / amplitude)
-        fwhm_bins = max(2.355 * math.sqrt(max(variance, 0.0)), 1.0)
+        # 1 / _GAUSSIAN_FWHM_TO_SIGMA rounds back to exactly 2.355; dividing by
+        # the constant instead would move the last bit of some widths.
+        fwhm_bins = max(1.0 / _GAUSSIAN_FWHM_TO_SIGMA * math.sqrt(max(variance, 0.0)), 1.0)
         peak_offset = int(np.argmax(seg))  # argmax returns the leftmost maximum
         peaks.append(
             Peak(

@@ -5,7 +5,9 @@ each output file is accompanied by a ``<file>.manifest.json`` recording the
 full parameter snapshot and SHA-256 digests of inputs and outputs.
 
 Exit codes: 0 ok, 2 input error, 3 data error, 4 parameter error, 5 resource
-error. Failures print a one-line machine-readable JSON object on stderr.
+error. Failures print a one-line machine-readable JSON object on stderr. A
+fault in any input file or document exits 2 (``E_INPUT``); an out-of-domain
+flag exits 4.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import run_otdr_analysis, detect_spectral_lines
-from .errors import InputError, ParameterError, XtalkError
+from .errors import InputError, ParameterError, XtalkError, read_json
 from .plant import load_topology
 from .simulate import (
     PULSES_PER_CHUNK,
@@ -98,13 +100,6 @@ def parse_wavelength_nm(text: str, flag: str) -> float:
     return value
 
 
-def parse_db(text: str, flag: str) -> float:
-    value, unit = _split_quantity(text, flag)
-    if unit.lower() not in ("", "db"):
-        raise ParameterError(f"{flag}: unknown unit {unit!r} in {text!r}")
-    return value
-
-
 def parse_grid_nm(text: str, flag: str) -> list[float]:
     """Parse 'start:stop:step' (inclusive endpoints, nm)."""
     parts = text.split(":")
@@ -142,23 +137,13 @@ def parse_window_ps(text: str, flag: str) -> tuple[int, int]:
     return (int(round(lo)), int(round(hi)))
 
 
-def _load_json_file(path: "str | Path", what: str):
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"{what} file not found: {path}")
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from None
-
-
 def _dataclass_from(doc: dict, cls, what: str):
     if not isinstance(doc, dict):
         raise InputError(f"{what}: expected a JSON object")
-    fields = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = sorted(set(doc) - fields)
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(doc) - names)
     if unknown:
-        raise InputError(f"{what}: unknown key(s) {unknown}; expected {sorted(fields)}")
+        raise InputError(f"{what}: unknown key(s) {unknown}; expected {sorted(names)}")
     try:
         return cls(**doc)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -203,19 +188,12 @@ def _write_manifests(
         Path(str(out) + ".manifest.json").write_text(text)
 
 
-def _source_from_args(args, metadata: dict | None = None) -> PulsedSource | None:
-    if getattr(args, "source", None):
-        return _dataclass_from(_load_json_file(args.source, "source"), PulsedSource, "source")
-    if metadata and isinstance(metadata.get("source"), dict):
-        return _dataclass_from(metadata["source"], PulsedSource, "source metadata")
-    return None
-
-
-def _detector_from_args(args, metadata: dict | None = None) -> Detector | None:
-    if getattr(args, "detector", None):
-        return _dataclass_from(_load_json_file(args.detector, "detector"), Detector, "detector")
-    if metadata and isinstance(metadata.get("detector"), dict):
-        return _dataclass_from(metadata["detector"], Detector, "detector metadata")
+def _from_args(args, name: str, cls, metadata: dict | None = None):
+    """``cls`` built from the ``--<name>`` JSON file, else from ``metadata[name]``, else None."""
+    if getattr(args, name, None):
+        return _dataclass_from(read_json(getattr(args, name), name), cls, name)
+    if metadata and isinstance(metadata.get(name), dict):
+        return _dataclass_from(metadata[name], cls, f"{name} metadata")
     return None
 
 
@@ -225,10 +203,10 @@ def _detector_from_args(args, metadata: dict | None = None) -> Detector | None:
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     topology = load_topology(args.topology, lax=args.lax)
-    source = _source_from_args(args)
+    source = _from_args(args, "source", PulsedSource)
     if source is None:
         raise InputError("--source is required (JSON file with at least avg_power_w)")
-    detector = _detector_from_args(args) or Detector()
+    detector = _from_args(args, "detector", Detector) or Detector()
     duration_s = parse_duration_s(args.duration, "--duration")
     stream = simulate_otdr_tags(
         topology, source, detector, duration_s, args.seed,
@@ -264,8 +242,8 @@ def cmd_analyze(args) -> int:
     topology = load_topology(args.topology, lax=args.lax)
     bin_width = parse_bin_ps(args.bin, "--bin")
     window = parse_window_ps(args.window, "--window") if args.window else None
-    source = _source_from_args(args, tags.metadata)
-    detector = _detector_from_args(args, tags.metadata)
+    source = _from_args(args, "source", PulsedSource, tags.metadata)
+    detector = _from_args(args, "detector", Detector, tags.metadata)
     report = run_otdr_analysis(
         tags,
         topology,
@@ -303,14 +281,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_scan(args) -> int:
     started = time.perf_counter()
-    lines_doc = _load_json_file(args.lines, "lines")
+    lines_doc = read_json(args.lines, "lines")
     if not isinstance(lines_doc, list):
         raise InputError("lines: expected a JSON array of {wavelength_nm, rate_photons_per_s}")
     lines = [_dataclass_from(entry, LeakLine, f"lines[{i}]") for i, entry in enumerate(lines_doc)]
-    filt = TunableFilter()
-    if args.filter:
-        filt = _dataclass_from(_load_json_file(args.filter, "filter"), TunableFilter, "filter")
-    detector = _detector_from_args(args) or Detector()
+    filt = _from_args(args, "filter", TunableFilter) or TunableFilter()
+    detector = _from_args(args, "detector", Detector) or Detector()
     grid = parse_grid_nm(args.grid, "--grid")
     for nm in grid:
         try:
@@ -365,32 +341,33 @@ def cmd_scan_analyze(args) -> int:
     return 0
 
 
+_MODEL_FLAGS = (
+    ("n_in", "n_in"),
+    ("n_out", "n_out"),
+    ("c0", "c0_db"),
+    ("beta_in", "beta_in_db_per_port"),
+    ("beta_out", "beta_out_db_per_port"),
+    ("lambda_ref", "reference_nm"),
+    ("slope", "slope_db_per_nm"),
+    ("floor", "floor_db"),
+)
+
+
 def _model_from_args(args) -> SwitchModel:
-    kwargs = {}
-    if args.model:
-        doc = _load_json_file(args.model, "switch model")
-        if not isinstance(doc, dict):
-            raise InputError("switch model: expected a JSON object")
-        kwargs.update(doc)
+    """The ``--model`` document, then the model flags and ``--table`` on top.
+
+    A fault in the document is an input error; a flag that puts the model out
+    of its domain is a parameter error.
+    """
+    doc = read_json(args.model, "switch model") if args.model else {}
+    if isinstance(doc, dict) and "table" in doc:
+        raise InputError("switch model: a measured table comes only from --table")
+    overrides = {
+        key: getattr(args, flag) for flag, key in _MODEL_FLAGS if getattr(args, flag) is not None
+    }
     if args.table:
-        kwargs["table"] = load_measured_table(args.table)
-    for flag, key in (
-        ("n_in", "n_in"),
-        ("n_out", "n_out"),
-        ("c0", "c0_db"),
-        ("beta_in", "beta_in_db_per_port"),
-        ("beta_out", "beta_out_db_per_port"),
-        ("lambda_ref", "reference_nm"),
-        ("slope", "slope_db_per_nm"),
-        ("floor", "floor_db"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            kwargs[key] = value
-    try:
-        return SwitchModel(**kwargs)
-    except TypeError as exc:
-        raise InputError(f"switch model: {exc}") from None
+        overrides["table"] = load_measured_table(args.table)
+    return replace(_dataclass_from(doc, SwitchModel, "switch model"), **overrides)
 
 
 def cmd_switch_sweep_config(args) -> int:

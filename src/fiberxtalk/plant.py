@@ -10,7 +10,6 @@ injection end ("near" end).
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
@@ -18,16 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, read_json
 from .units import (
     C_M_PER_S,
     DEFAULT_ATTENUATION_TABLE,
     DEFAULT_GROUP_INDEX,
+    require_number,
     validate_wavelength_nm,
 )
 
 SUPPORTED_LANE_COUNTS = (8, 12, 24, 48)
-DEFAULT_LANE_PITCH_MM = 0.25
 DEFAULT_BASE_COUPLING_DB = -100.0
 DEFAULT_PITCH_ROLLOFF_DB_PER_LANE = 15.0
 DEFAULT_INSERTION_LOSS_DB = 0.3
@@ -67,7 +66,6 @@ class MpoConnector:
     position_m: float
     lanes: Mapping[str, int] = field(default_factory=dict)
     lane_count: int = 12
-    lane_pitch_mm: float = DEFAULT_LANE_PITCH_MM
     base_coupling_db: float = DEFAULT_BASE_COUPLING_DB
     pitch_rolloff_db_per_lane: float = DEFAULT_PITCH_ROLLOFF_DB_PER_LANE
     wavelength_slope_db_per_nm: float = 0.0
@@ -99,7 +97,6 @@ class Topology:
     aggressor_fiber_id: str = "aggressor"
     victim_fiber_id: str = "victim"
     detector_end: str = "near"
-    switch: Mapping | None = None
 
     @property
     def total_length_m(self) -> float:
@@ -274,33 +271,17 @@ def _check_keys(obj: Mapping, allowed: set[str], path: str, lax: bool) -> None:
         raise InputError(f"{path}: unknown key(s) {unknown}; pass lax=True to ignore")
 
 
-def _get(obj: Mapping, key: str, path: str, required: bool = True, default=None):
+def _get(obj: Mapping, key: str, path: str):
     if key not in obj:
-        if required:
-            raise InputError(f"{path}: missing required key {key!r}")
-        return default
+        raise InputError(f"{path}: missing required key {key!r}")
     return obj[key]
-
-
-def _number(value, path: str, *, minimum=None, strict_min=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise InputError(f"{path}: must be finite, got {value!r}")
-    if minimum is not None:
-        if strict_min and not value > minimum:
-            raise InputError(f"{path}: must be > {minimum}, got {value}")
-        if not strict_min and not value >= minimum:
-            raise InputError(f"{path}: must be >= {minimum}, got {value}")
-    return value
 
 
 def _parse_attenuation(value, path: str) -> tuple[tuple[float, float], ...]:
     if value is None:
         return DEFAULT_ATTENUATION_TABLE
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return ((1550.0, _number(value, path, minimum=0.0)),)
+        return ((1550.0, require_number(value, path, minimum=0.0)),)
     if not isinstance(value, list) or not value:
         raise InputError(f"{path}: expected a number or a non-empty [nm, dB/km] list")
     table = []
@@ -309,8 +290,8 @@ def _parse_attenuation(value, path: str) -> tuple[tuple[float, float], ...]:
         epath = f"{path}[{i}]"
         if not isinstance(entry, list) or len(entry) != 2:
             raise InputError(f"{epath}: expected an [nm, dB/km] pair")
-        nm = _number(entry[0], f"{epath}[0]", minimum=0.0, strict_min=True)
-        alpha = _number(entry[1], f"{epath}[1]", minimum=0.0)
+        nm = require_number(entry[0], f"{epath}[0]", minimum=0.0, strict=True)
+        alpha = require_number(entry[1], f"{epath}[1]", minimum=0.0)
         if nm <= last_nm:
             raise InputError(f"{epath}: wavelengths must be strictly increasing")
         last_nm = nm
@@ -327,9 +308,9 @@ def _parse_span(obj, path: str, lax: bool) -> FiberSpan:
         raise InputError(f"{path}.id: expected a non-empty string")
     return FiberSpan(
         id=span_id,
-        length_m=_number(_get(obj, "length_m", path), f"{path}.length_m", minimum=0.0, strict_min=True),
+        length_m=require_number(_get(obj, "length_m", path), f"{path}.length_m", minimum=0.0, strict=True),
         attenuation=_parse_attenuation(obj.get("attenuation_db_per_km"), f"{path}.attenuation_db_per_km"),
-        group_index=_number(obj.get("group_index", DEFAULT_GROUP_INDEX), f"{path}.group_index", minimum=1.0, strict_min=True),
+        group_index=require_number(obj.get("group_index", DEFAULT_GROUP_INDEX), f"{path}.group_index", minimum=1.0, strict=True),
     )
 
 
@@ -340,7 +321,7 @@ def _parse_connector(obj, path: str, lax: bool, total_length_m: float) -> MpoCon
     conn_id = _get(obj, "id", path)
     if not isinstance(conn_id, str) or not conn_id:
         raise InputError(f"{path}.id: expected a non-empty string")
-    position = _number(_get(obj, "position_m", path), f"{path}.position_m", minimum=0.0)
+    position = require_number(_get(obj, "position_m", path), f"{path}.position_m", minimum=0.0)
     if position > total_length_m:
         raise InputError(
             f"{path}: connector {conn_id!r} at {position} m lies beyond the "
@@ -364,20 +345,21 @@ def _parse_connector(obj, path: str, lax: bool, total_length_m: float) -> MpoCon
         if lane in lanes.values():
             raise InputError(f"{lpath}: lane {lane} assigned to more than one fiber")
         lanes[str(fiber)] = lane
-    base = _number(obj.get("base_coupling_db", DEFAULT_BASE_COUPLING_DB), f"{path}.base_coupling_db")
+    base = require_number(obj.get("base_coupling_db", DEFAULT_BASE_COUPLING_DB), f"{path}.base_coupling_db")
     if base > 0.0:
         raise InputError(f"{path}.base_coupling_db: coupling must be <= 0 dB, got {base}")
+    if "lane_pitch_mm" in obj:  # accepted and checked, but no model reads it
+        require_number(obj["lane_pitch_mm"], f"{path}.lane_pitch_mm", minimum=0.0, strict=True)
     return MpoConnector(
         id=conn_id,
         position_m=position,
         lanes=lanes,
         lane_count=lane_count,
-        lane_pitch_mm=_number(obj.get("lane_pitch_mm", DEFAULT_LANE_PITCH_MM), f"{path}.lane_pitch_mm", minimum=0.0, strict_min=True),
         base_coupling_db=base,
-        pitch_rolloff_db_per_lane=_number(obj.get("pitch_rolloff_db_per_lane", DEFAULT_PITCH_ROLLOFF_DB_PER_LANE), f"{path}.pitch_rolloff_db_per_lane", minimum=0.0),
-        wavelength_slope_db_per_nm=_number(obj.get("wavelength_slope_db_per_nm", 0.0), f"{path}.wavelength_slope_db_per_nm"),
-        reference_nm=validate_wavelength_nm(_number(obj.get("reference_nm", 1550.0), f"{path}.reference_nm")),
-        insertion_loss_db=_number(obj.get("insertion_loss_db", DEFAULT_INSERTION_LOSS_DB), f"{path}.insertion_loss_db", minimum=0.0),
+        pitch_rolloff_db_per_lane=require_number(obj.get("pitch_rolloff_db_per_lane", DEFAULT_PITCH_ROLLOFF_DB_PER_LANE), f"{path}.pitch_rolloff_db_per_lane", minimum=0.0),
+        wavelength_slope_db_per_nm=require_number(obj.get("wavelength_slope_db_per_nm", 0.0), f"{path}.wavelength_slope_db_per_nm"),
+        reference_nm=validate_wavelength_nm(require_number(obj.get("reference_nm", 1550.0), f"{path}.reference_nm")),
+        insertion_loss_db=require_number(obj.get("insertion_loss_db", DEFAULT_INSERTION_LOSS_DB), f"{path}.insertion_loss_db", minimum=0.0),
     )
 
 
@@ -399,18 +381,17 @@ def load_topology(source: "str | Path | Mapping", *, lax: bool = False) -> Topol
 
     ``source`` may be a mapping already parsed from JSON, or a path to a JSON
     file. Unknown keys are rejected unless ``lax`` is set. All invariants are
-    checked here so the rest of the package can trust the object.
+    checked here so the rest of the package can trust the object; any fault,
+    an out-of-range value included, is an :class:`InputError`.
     """
-    if isinstance(source, Mapping):
-        doc = source
-    else:
-        path = Path(source)
-        if not path.is_file():
-            raise InputError(f"topology file not found: {path}")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from None
+    doc = source if isinstance(source, Mapping) else read_json(source, "topology")
+    try:
+        return _parse_topology(doc, lax)
+    except ParameterError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _parse_topology(doc, lax: bool) -> Topology:
     if not isinstance(doc, Mapping):
         raise InputError("topology document: expected a JSON object at top level")
     _check_keys(doc, _TOP_KEYS, "topology", lax)
@@ -460,8 +441,8 @@ def load_topology(source: "str | Path | Mapping", *, lax: bool = False) -> Topol
         )
     del probe_end  # positions are defined from the probe-injection (near) end
 
-    switch = doc.get("switch")
-    if switch is not None and not isinstance(switch, Mapping):
+    # Accepted and checked, but nothing reads it: switch models come from their own files.
+    if doc.get("switch") is not None and not isinstance(doc["switch"], Mapping):
         raise InputError("topology.switch: expected an object")
 
     # Lanes may only reference the probe/victim strands or other named strands;
@@ -473,5 +454,4 @@ def load_topology(source: "str | Path | Mapping", *, lax: bool = False) -> Topol
         aggressor_fiber_id=probe_fiber,
         victim_fiber_id=victim_fiber,
         detector_end=victim_end,
-        switch=dict(switch) if switch is not None else None,
     )

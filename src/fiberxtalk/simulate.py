@@ -25,7 +25,12 @@ from .plant import (
     delay_ps_for_distance,
     path_loss_db,
 )
-from .units import photon_energy_joules, validate_wavelength_nm
+from .units import (
+    _GAUSSIAN_FWHM_TO_SIGMA,
+    photon_energy_joules,
+    require_number,
+    validate_wavelength_nm,
+)
 
 TRIGGER_CHANNEL = 0
 DETECTOR_CHANNEL = 1
@@ -33,8 +38,7 @@ DETECTOR_CHANNEL = 1
 MAX_SEED = 2**64 - 1
 DEFAULT_MAX_TAGS = 50_000_000
 PULSES_PER_CHUNK = 65_536
-
-_GAUSSIAN_FWHM_TO_SIGMA = 1.0 / 2.355
+MAX_POISSON_MEAN = 1e18  # numpy refuses Poisson means above ~9.2e18
 
 
 @dataclass(frozen=True)
@@ -47,13 +51,10 @@ class PulsedSource:
     wavelength_nm: float = 1550.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.avg_power_w) and self.avg_power_w > 0.0):
-            raise ParameterError(f"average power must be > 0 W, got {self.avg_power_w}")
-        if not (math.isfinite(self.rep_rate_hz) and self.rep_rate_hz > 0.0):
-            raise ParameterError(f"repetition rate must be > 0 Hz, got {self.rep_rate_hz}")
+        require_number(self.avg_power_w, "avg_power_w", minimum=0.0, strict=True)
+        require_number(self.rep_rate_hz, "rep_rate_hz", minimum=0.0, strict=True)
         validate_wavelength_nm(self.wavelength_nm)
-        if not (math.isfinite(self.pulse_width_ps) and self.pulse_width_ps > 0.0):
-            raise ParameterError(f"pulse width must be > 0 ps, got {self.pulse_width_ps}")
+        require_number(self.pulse_width_ps, "pulse_width_ps", minimum=0.0, strict=True)
         if self.pulse_width_ps >= self.period_ps:
             raise ParameterError(
                 f"pulse width {self.pulse_width_ps} ps must be shorter than the "
@@ -79,12 +80,10 @@ class Detector:
     dead_time_ps: int = 50_000
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
+        if require_number(self.efficiency, "efficiency", minimum=0.0) > 1.0:
             raise ParameterError(f"efficiency must be in [0, 1], got {self.efficiency}")
-        if not (math.isfinite(self.dark_rate_hz) and self.dark_rate_hz >= 0.0):
-            raise ParameterError(f"dark rate must be >= 0 Hz, got {self.dark_rate_hz}")
-        if not (math.isfinite(self.jitter_sigma_ps) and self.jitter_sigma_ps >= 0.0):
-            raise ParameterError(f"jitter sigma must be >= 0 ps, got {self.jitter_sigma_ps}")
+        require_number(self.dark_rate_hz, "dark_rate_hz", minimum=0.0)
+        require_number(self.jitter_sigma_ps, "jitter_sigma_ps", minimum=0.0)
         if not (isinstance(self.dead_time_ps, int) and self.dead_time_ps >= 0):
             raise ParameterError(f"dead time must be an integer >= 0 ps, got {self.dead_time_ps}")
 
@@ -98,10 +97,8 @@ class TunableFilter:
     center_nm: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.fwhm_nm) and self.fwhm_nm > 0.0):
-            raise ParameterError(f"filter FWHM must be > 0 nm, got {self.fwhm_nm}")
-        if not (math.isfinite(self.insertion_loss_db) and self.insertion_loss_db >= 0.0):
-            raise ParameterError(f"insertion loss must be >= 0 dB, got {self.insertion_loss_db}")
+        require_number(self.fwhm_nm, "fwhm_nm", minimum=0.0, strict=True)
+        require_number(self.insertion_loss_db, "insertion_loss_db", minimum=0.0)
         if self.center_nm is not None:
             validate_wavelength_nm(self.center_nm)
 
@@ -115,8 +112,7 @@ class LeakLine:
 
     def __post_init__(self):
         validate_wavelength_nm(self.wavelength_nm)
-        if not (math.isfinite(self.rate_photons_per_s) and self.rate_photons_per_s >= 0.0):
-            raise ParameterError(f"leak rate must be >= 0 /s, got {self.rate_photons_per_s}")
+        require_number(self.rate_photons_per_s, "rate_photons_per_s", minimum=0.0)
 
 
 @dataclass
@@ -149,16 +145,6 @@ class TagStream:
     @property
     def detector_times_ps(self) -> np.ndarray:
         return self.times_ps[self.channels == DETECTOR_CHANNEL]
-
-    def validate(self, dead_time_ps: int | None = None) -> None:
-        """Raise if per-channel monotonicity or the dead-time gap is violated."""
-        for name, times in (("trigger", self.trigger_times_ps), ("detector", self.detector_times_ps)):
-            if times.size > 1 and not (np.diff(times) > 0).all():
-                raise DataError(f"{name} timestamps are not strictly increasing")
-        if dead_time_ps:
-            det = self.detector_times_ps
-            if det.size > 1 and int(np.diff(det).min()) < dead_time_ps:
-                raise DataError(f"detector tags violate the {dead_time_ps} ps dead time")
 
 
 def _validate_seed(seed: int) -> int:
@@ -304,8 +290,7 @@ def simulate_otdr_tags(
     ``dropped_dead_time``, equals ``n_detector_tags``.
     """
     _validate_seed(seed)
-    if not (math.isfinite(duration_s) and duration_s > 0.0):
-        raise ParameterError(f"duration must be > 0 s, got {duration_s}")
+    require_number(duration_s, "duration_s", minimum=0.0, strict=True)
     if not (isinstance(jobs, int) and jobs >= 1):
         raise ParameterError(f"jobs must be an integer >= 1, got {jobs!r}")
 
@@ -324,7 +309,7 @@ def simulate_otdr_tags(
 
     expected_detector = n_pulses * (float(mus.sum()) * detector.efficiency + dark_mu)
     expected_total = n_pulses + expected_detector
-    if expected_total > max_tags:
+    if not expected_total <= max_tags:  # also catches a NaN from inf * 0 in the rates
         raise ResourceError(
             f"expected ~{expected_total:.3g} tags exceeds the cap of {max_tags}; "
             "shorten the run or raise max_tags"
@@ -412,6 +397,7 @@ class SpectralScan:
             raise DataError("wavelength grid and counts must have the same length")
         if (self.counts < 0).any():
             raise DataError("scan counts must be non-negative")
+        self.dwell_s = require_number(self.dwell_s, "dwell_s", minimum=0.0, strict=True)
 
 
 def expected_scan_rate(
@@ -444,8 +430,7 @@ def simulate_spectral_scan(
     scan is deterministic and independent of evaluation order.
     """
     _validate_seed(seed)
-    if not (math.isfinite(dwell_s) and dwell_s > 0.0):
-        raise ParameterError(f"dwell must be > 0 s, got {dwell_s}")
+    require_number(dwell_s, "dwell_s", minimum=0.0, strict=True)
     grid = np.asarray(grid_nm, dtype=float)
     if grid.size == 0:
         raise ParameterError("wavelength grid must not be empty")
@@ -460,6 +445,8 @@ def simulate_spectral_scan(
     counts = np.empty(grid.size, dtype=np.int64)
     for i, center in enumerate(grid):
         lam = expected_scan_rate(lines, filt, detector, float(center)) * dwell_s
+        if not lam <= MAX_POISSON_MEAN:
+            raise ParameterError(f"expected {lam:.3g} counts at {center} nm; the limit is {MAX_POISSON_MEAN:.0e}")
         counts[i] = _substream(seed, i).poisson(lam)
 
     metadata = {

@@ -9,15 +9,14 @@ measured table can replace it entirely.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, InputError, ParameterError, ResourceError
-from .units import C_BAND_NM, O_BAND_NM, validate_wavelength_nm
+from .errors import DataError, ParameterError, ResourceError, csv_rows
+from .units import C_BAND_NM, O_BAND_NM, require_number, validate_wavelength_nm
 
 DEFAULT_SLOPE_DB_PER_NM = 10.0 / 300.0
 DEFAULT_STATE_LIMIT = 1_000_000
@@ -47,14 +46,14 @@ class SwitchModel:
             raise ParameterError(f"n_in must be an integer >= 1, got {self.n_in!r}")
         if not (isinstance(self.n_out, int) and self.n_out >= 1):
             raise ParameterError(f"n_out must be an integer >= 1, got {self.n_out!r}")
-        if not (self.floor_db <= self.c0_db <= 0.0):
+        if not require_number(self.floor_db, "floor_db") <= require_number(self.c0_db, "c0_db") <= 0.0:
             raise ParameterError(
                 f"c0 must satisfy floor <= c0 <= 0 dB, got c0={self.c0_db}, floor={self.floor_db}"
             )
-        if self.beta_in_db_per_port < 0.0 or self.beta_out_db_per_port < 0.0:
-            raise ParameterError("per-port rolloff betas must be >= 0 dB")
-        if not math.isfinite(self.slope_db_per_nm):
-            raise ParameterError(f"wavelength slope must be finite, got {self.slope_db_per_nm}")
+        require_number(self.beta_in_db_per_port, "beta_in_db_per_port", minimum=0.0)
+        require_number(self.beta_out_db_per_port, "beta_out_db_per_port", minimum=0.0)
+        require_number(self.reference_nm, "reference_nm")
+        require_number(self.slope_db_per_nm, "slope_db_per_nm")
 
     @property
     def mode(self) -> str:
@@ -172,6 +171,10 @@ def switch_xtalk_db(
         - model.beta_out_db_per_port * (abs(a_out - v_out) - 1)
         + model.slope_db_per_nm * (nm - model.reference_nm)
     )
+    if value > 0.0:
+        raise ParameterError(
+            f"the model gives {value:.4g} dB of crosstalk at {nm} nm; a passive switch leaks at most 0 dB"
+        )
     return max(value, model.floor_db)
 
 
@@ -180,17 +183,9 @@ def load_measured_table(path: "str | Path") -> dict[tuple[int, int, int, int], l
 
     Columns: ``a_in,a_out,v_in,v_out,lambda_nm,xtalk_db``.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"measured table not found: {path}")
-    expected = ["a_in", "a_out", "v_in", "v_out", "lambda_nm", "xtalk_db"]
     table: dict[tuple[int, int, int, int], list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected:
-            raise DataError(f"{path}: expected header {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
+    with csv_rows(path, ["a_in", "a_out", "v_in", "v_out", "lambda_nm", "xtalk_db"]) as rows:
+        for lineno, row in rows:
             if not row:
                 continue
             try:
@@ -198,6 +193,8 @@ def load_measured_table(path: "str | Path") -> dict[tuple[int, int, int, int], l
                 entry = (float(row[4]), float(row[5]))
             except (ValueError, IndexError):
                 raise DataError(f"{path}:{lineno}: malformed row {row!r}") from None
+            if not entry[1] <= 0.0:
+                raise DataError(f"{path}:{lineno}: crosstalk must be <= 0 dB, got {row[5]!r}")
             table.setdefault(key, []).append(entry)
     return table
 

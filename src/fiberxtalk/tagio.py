@@ -8,14 +8,14 @@ trigger and 1 the detector. A JSON metadata sidecar lives at
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, InputError
+from .errors import DataError, InputError, ParameterError, csv_rows, read_json
 from .simulate import SpectralScan, TagStream
+from .units import require_number
 
 XTT1_MAGIC = b"XTT1\x00\x00\x00\x01"
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
@@ -37,10 +37,10 @@ def read_metadata(path: "str | Path") -> dict | None:
     side = metadata_path(path)
     if not side.is_file():
         return None
-    try:
-        return json.loads(side.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{side}: invalid JSON metadata: {exc}") from None
+    metadata = read_json(side, "metadata")
+    if not isinstance(metadata, dict):
+        raise InputError(f"{side}: expected a JSON object")
+    return metadata
 
 
 def write_tags_xtt1(path: "str | Path", stream: TagStream, *, sidecar: bool = True) -> Path:
@@ -98,17 +98,10 @@ def write_tags_csv(path: "str | Path", stream: TagStream, *, sidecar: bool = Tru
 
 
 def read_tags_csv(path: "str | Path") -> TagStream:
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"tag file not found: {path}")
     channels: list[int] = []
     times: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["channel", "time_ps"]:
-            raise DataError(f"{path}: expected header 'channel,time_ps'")
-        for lineno, row in enumerate(reader, start=2):
+    with csv_rows(path, ["channel", "time_ps"]) as rows:
+        for lineno, row in rows:
             if not row:
                 continue
             try:
@@ -141,32 +134,24 @@ def read_tags(path: "str | Path") -> TagStream:
     return read_tags_csv(path)
 
 
-def write_scan_csv(path: "str | Path", scan: SpectralScan, *, sidecar: bool = True) -> Path:
+def write_scan_csv(path: "str | Path", scan: SpectralScan) -> Path:
     """Spectral scan as CSV ``lambda_nm,counts`` with a JSON sidecar for dwell etc."""
     path = Path(path)
     with open(path, "w", newline="") as fh:
         fh.write("lambda_nm,counts\n")
         for nm, n in zip(scan.wavelengths_nm.tolist(), scan.counts.tolist()):
             fh.write(f"{nm:.6f},{n}\n")
-    if sidecar:
-        meta = dict(scan.metadata)
-        meta.setdefault("dwell_s", scan.dwell_s)
-        write_metadata(path, meta)
+    meta = dict(scan.metadata)
+    meta.setdefault("dwell_s", scan.dwell_s)
+    write_metadata(path, meta)
     return path
 
 
 def read_scan_csv(path: "str | Path", *, dwell_s: float | None = None) -> SpectralScan:
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"scan file not found: {path}")
     wavelengths: list[float] = []
     counts: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["lambda_nm", "counts"]:
-            raise DataError(f"{path}: expected header 'lambda_nm,counts'")
-        for lineno, row in enumerate(reader, start=2):
+    with csv_rows(path, ["lambda_nm", "counts"]) as rows:
+        for lineno, row in rows:
             if not row:
                 continue
             try:
@@ -176,32 +161,30 @@ def read_scan_csv(path: "str | Path", *, dwell_s: float | None = None) -> Spectr
                 raise DataError(f"{path}:{lineno}: expected 'lambda_nm,counts'") from None
     metadata = read_metadata(path) or {}
     if dwell_s is None:
-        dwell_s = metadata.get("dwell_s")
-    if dwell_s is None:
-        raise InputError(
-            f"{path}: dwell time unknown; provide it explicitly or keep the "
-            f"{metadata_path(path).name} sidecar"
-        )
+        try:
+            dwell_s = require_number(metadata.get("dwell_s"), "dwell_s", minimum=0.0, strict=True)
+        except ParameterError as exc:
+            raise InputError(
+                f"{path}: dwell time unknown ({exc}); provide it explicitly or keep a "
+                f"{metadata_path(path).name} sidecar that has it"
+            ) from None
     return SpectralScan(
         wavelengths_nm=np.array(wavelengths),
         counts=np.array(counts, dtype=np.int64),
-        dwell_s=float(dwell_s),
+        dwell_s=dwell_s,
         metadata=metadata,
     )
 
 
-def write_histogram_csv(path: "str | Path", histogram, *, nonzero_only: bool = True) -> Path:
+def write_histogram_csv(path: "str | Path", histogram) -> Path:
     """Histogram as CSV ``bin_start_ps,counts``.
 
     Folded OTDR histograms routinely span 10^7 bins that are almost all zero,
-    so only occupied bins are written by default; absent bins are zero.
+    so only occupied bins are written; absent bins are zero.
     """
     path = Path(path)
     counts = histogram.counts
-    if nonzero_only:
-        idx = np.flatnonzero(counts)
-    else:
-        idx = np.arange(counts.size)
+    idx = np.flatnonzero(counts)
     with open(path, "w", newline="") as fh:
         fh.write("bin_start_ps,counts\n")
         bw = histogram.bin_width_ps

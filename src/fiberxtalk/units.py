@@ -8,6 +8,7 @@ picoseconds (integer on the wire), distances in meters.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -29,34 +30,38 @@ C_BAND_NM = (1530.0, 1565.0)
 DEFAULT_ATTENUATION_TABLE = ((1310.0, 0.35), (1550.0, 0.20))
 
 
-@dataclass(frozen=True)
-class PhysicsConstants:
-    """Immutable bundle of the physical constants the conversions rely on."""
-
-    c_m_per_s: float = C_M_PER_S
-    h_joule_s: float = H_JOULE_S
-    group_index: float = DEFAULT_GROUP_INDEX
-
-    def __post_init__(self):
-        if not self.group_index > 1.0:
-            raise ParameterError(f"group index must exceed 1, got {self.group_index}")
+# Gaussian sigma per unit of full width at half maximum, 1 / (2 sqrt(2 ln 2)).
+_GAUSSIAN_FWHM_TO_SIGMA = 1.0 / 2.355
 
 
-CONSTANTS = PhysicsConstants()
+def require_number(value, name: str, *, minimum: float | None = None, strict: bool = False) -> float:
+    """Return ``value`` as a finite float, or raise :class:`ParameterError`.
 
-
-def _require_finite(value: float, name: str) -> float:
-    if type(value) is str:  # float() would parse it; JSON text is not a number
-        raise ParameterError(f"{name} must be a number, got {value!r}")
-    value = float(value)
+    Booleans, strings, ``None`` and containers are rejected even where
+    ``float()`` would accept them. With ``minimum`` the value must be at least
+    ``minimum``, or above it when ``strict``.
+    """
+    # Plain floats skip the type tests: wavelengths are checked ~10^5 times
+    # per switch plan.
+    if value.__class__ is not float:
+        if value.__class__ is not int and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)
+        ):
+            raise ParameterError(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ParameterError(f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
+    if minimum is not None and not (value > minimum if strict else value >= minimum):
+        raise ParameterError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
     return value
 
 
 def validate_wavelength_nm(nm: float) -> float:
     """Check a wavelength against the validated operating range and return it."""
-    nm = _require_finite(nm, "wavelength_nm")
+    nm = require_number(nm, "wavelength_nm")
     if not WAVELENGTH_MIN_NM <= nm <= WAVELENGTH_MAX_NM:
         raise ParameterError(
             f"wavelength {nm} nm outside validated range "
@@ -92,7 +97,7 @@ class OpticalPower:
     value_dbm: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value_dbm", _require_finite(self.value_dbm, "value_dbm"))
+        object.__setattr__(self, "value_dbm", require_number(self.value_dbm, "value_dbm"))
 
     @property
     def watts(self) -> float:
@@ -110,7 +115,7 @@ class LossDb:
     db: float
 
     def __post_init__(self):
-        object.__setattr__(self, "db", _require_finite(self.db, "db"))
+        object.__setattr__(self, "db", require_number(self.db, "db"))
 
     def __add__(self, other: "LossDb") -> "LossDb":
         return LossDb(self.db + other.db)
@@ -118,31 +123,25 @@ class LossDb:
 
 def dbm_to_watts(value_dbm: float) -> float:
     """Convert dBm to watts: 1e-3 * 10^(dBm/10)."""
-    value_dbm = _require_finite(value_dbm, "value_dbm")
+    value_dbm = require_number(value_dbm, "value_dbm")
     return 1e-3 * 10.0 ** (value_dbm / 10.0)
 
 
 def watts_to_dbm(watts: float) -> float:
     """Convert watts to dBm; the power must be strictly positive."""
-    watts = _require_finite(watts, "watts")
-    if watts <= 0.0:
-        raise ParameterError(f"power must be > 0 W to express in dBm, got {watts}")
+    watts = require_number(watts, "watts", minimum=0.0, strict=True)
     return 10.0 * math.log10(watts / 1e-3)
 
 
 def photon_energy_joules(wavelength_nm: float) -> float:
     """Energy of a single photon, h*c/lambda. Accepts any positive wavelength."""
-    wavelength_nm = _require_finite(wavelength_nm, "wavelength_nm")
-    if wavelength_nm <= 0.0:
-        raise ParameterError(f"wavelength must be > 0 nm, got {wavelength_nm}")
+    wavelength_nm = require_number(wavelength_nm, "wavelength_nm", minimum=0.0, strict=True)
     return HC_JOULE_M / (wavelength_nm * 1e-9)
 
 
 def photon_rate_per_s(power_w: float, wavelength: "Wavelength | float") -> float:
     """Photon flux p*lambda/(h*c) for power in watts at the given wavelength."""
-    power_w = _require_finite(power_w, "power_w")
-    if power_w < 0.0:
-        raise ParameterError(f"power must be >= 0 W, got {power_w}")
+    power_w = require_number(power_w, "power_w", minimum=0.0)
     nm = _as_nm(wavelength)
     return power_w * (nm * 1e-9) / HC_JOULE_M
 
@@ -156,21 +155,15 @@ def required_isolation_db(
     efficiency is deliberately excluded (the budget is set at the fiber, not
     at the detector).
     """
-    max_rate_per_s = _require_finite(max_rate_per_s, "max_rate_per_s")
-    if max_rate_per_s <= 0.0:
-        raise ParameterError(f"max photon rate must be > 0, got {max_rate_per_s}")
+    max_rate_per_s = require_number(max_rate_per_s, "max_rate_per_s", minimum=0.0, strict=True)
     source_rate = photon_rate_per_s(dbm_to_watts(power_dbm), wavelength)
     return 10.0 * math.log10(source_rate / max_rate_per_s)
 
 
 def fiber_loss_db(length_m: float, alpha_db_per_km: float) -> float:
     """Span attenuation alpha * length, with length in m and alpha in dB/km."""
-    length_m = _require_finite(length_m, "length_m")
-    alpha_db_per_km = _require_finite(alpha_db_per_km, "alpha_db_per_km")
-    if length_m < 0.0:
-        raise ParameterError(f"length must be >= 0 m, got {length_m}")
-    if alpha_db_per_km < 0.0:
-        raise ParameterError(f"attenuation must be >= 0 dB/km, got {alpha_db_per_km}")
+    length_m = require_number(length_m, "length_m", minimum=0.0)
+    alpha_db_per_km = require_number(alpha_db_per_km, "alpha_db_per_km", minimum=0.0)
     return alpha_db_per_km * length_m / 1000.0
 
 
@@ -184,27 +177,8 @@ def time_to_distance_m(
     With ``round_trip`` the probe travels out on one fiber and back on the
     adjacent one to a co-located detector, so the distance is halved.
     """
-    delta_t_ps = _require_finite(delta_t_ps, "delta_t_ps")
-    if delta_t_ps < 0.0:
-        raise ParameterError(f"time of flight must be >= 0 ps, got {delta_t_ps}")
-    group_index = _require_finite(group_index, "group_index")
-    if not group_index > 1.0:
-        raise ParameterError(f"group index must exceed 1, got {group_index}")
+    delta_t_ps = require_number(delta_t_ps, "delta_t_ps", minimum=0.0)
+    group_index = require_number(group_index, "group_index", minimum=1.0, strict=True)
     k = 2.0 if round_trip else 1.0
     return C_M_PER_S * (delta_t_ps * 1e-12) / (k * group_index)
 
-
-def distance_to_delay_ps(
-    distance_m: float,
-    group_index: float = DEFAULT_GROUP_INDEX,
-    round_trip: bool = True,
-) -> float:
-    """Inverse of :func:`time_to_distance_m`."""
-    distance_m = _require_finite(distance_m, "distance_m")
-    if distance_m < 0.0:
-        raise ParameterError(f"distance must be >= 0 m, got {distance_m}")
-    group_index = _require_finite(group_index, "group_index")
-    if not group_index > 1.0:
-        raise ParameterError(f"group index must exceed 1, got {group_index}")
-    k = 2.0 if round_trip else 1.0
-    return distance_m * k * group_index / C_M_PER_S * 1e12

@@ -1,9 +1,12 @@
 """Command-line front end: files in, files out, exit codes, manifests."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fiberxtalk as fx
 from fiberxtalk.cli import main
@@ -146,6 +149,10 @@ class TestSimulateAnalyze:
     ("filter", {"fwhm_nm": "0.8"}),
     ("lines", [{"wavelength_nm": "1310", "rate_photons_per_s": 1.0}]),
     ("lines", [{"wavelength_nm": 1310.0, "rate_photons_per_s": {}}]),
+    ("detector", {"efficiency": True}),
+    ("model", {"reference_nm": "abc"}),
+    ("model", {"c0_db": None}),
+    ("model", {"table": 5}),
 ])
 def test_non_numeric_field_is_input_error(tmp_path, plant_files, capsys, kind, doc):
     topo, source, detector = plant_files
@@ -155,6 +162,9 @@ def test_non_numeric_field_is_input_error(tmp_path, plant_files, capsys, kind, d
         argv = ["simulate", "--topology", str(topo), "--source", str(files["source"]),
                 "--detector", str(files["detector"]), "--duration", "1s", "--seed", "1",
                 "--out", str(tmp_path / "x.xtt1")]
+    elif kind == "model":
+        argv = ["switch", "plan", "--model", str(bad), "--n-in", "2", "--n-out", "2",
+                "--classical", "1", "--quantum", "1", "--out", str(tmp_path / "plan.json")]
     else:
         lines = bad if kind == "lines" else write_json(tmp_path / "lines.json", [])
         argv = ["scan", "--lines", str(lines), "--grid", "1300:1310:1", "--dwell", "1s",
@@ -302,3 +312,109 @@ class TestUnitSuffixes:
                 "--out", str(out),
             ]) == 0
         assert sha256(out_a) == sha256(out_b)
+
+
+# --- malformed inputs never escape the exit-code contract -------------------------
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.lists(st.integers(-1, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+def mutated(doc):
+    """``doc`` itself, ``doc`` with one key set to junk, added or dropped, or junk."""
+    keys = sorted(doc)
+    return st.one_of(
+        st.just(doc),
+        st.builds(lambda k, v: {**doc, k: v}, st.sampled_from(keys + ["bogus"]), JUNK),
+        st.sampled_from(keys).map(lambda k: {key: v for key, v in doc.items() if key != k}),
+        JUNK,
+    )
+
+
+def mutated_topology():
+    doc = topology_doc([connector_doc("mpoA", 150.0)])
+    return st.one_of(
+        mutated(doc),
+        mutated(doc["spans"][0]).map(lambda span: {**doc, "spans": [span]}),
+        mutated(doc["connectors"][0]).map(lambda conn: {**doc, "connectors": [conn]}),
+    )
+
+
+SOURCE = {"avg_power_w": power_for_mu_det(0.2, -100.0), "rep_rate_hz": 1000.0,
+          "pulse_width_ps": 100.0, "wavelength_nm": 1550.0}
+DETECTOR = {"efficiency": 0.85, "dark_rate_hz": 100.0, "jitter_sigma_ps": 50.0, "dead_time_ps": 50000}
+TIMES = st.sampled_from(["10ms", "1ms", "10", "0", "-1ms", "1e999", "nan", "abc", "", "3 ms", "10 parsecs"])
+FLOATS = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+
+
+def simulate_case():
+    files = st.fixed_dictionaries({
+        "topo.json": mutated_topology(), "source.json": mutated(SOURCE), "detector.json": mutated(DETECTOR),
+    })
+    seeds = st.sampled_from(["1", "-1", str(2**64)])
+    # --max-tags bounds the work of any duration or rate the documents ask for
+    return st.tuples(files, TIMES, seeds, st.sampled_from(["1", "2", "0"])).map(lambda case: (case[0], [
+        "simulate", "--topology", "topo.json", "--source", "source.json", "--detector", "detector.json",
+        f"--duration={case[1]}", f"--seed={case[2]}", f"--jobs={case[3]}", "--max-tags=10000", "--out", "run.xtt1"]))
+
+
+def scan_case():
+    line = {"wavelength_nm": 1310.0, "rate_photons_per_s": 1e3}
+    files = st.fixed_dictionaries({
+        "lines.json": st.one_of(mutated(line).map(lambda entry: [entry]), JUNK),
+        "filter.json": mutated({"fwhm_nm": 0.8, "insertion_loss_db": 3.0, "center_nm": None}),
+    })
+    grids = st.sampled_from(["1300:1310:1", "1310:1300:1", "900:950:10", "1300:1310", "a:b:c", "1300:1310:0"])
+    return st.tuples(files, grids, TIMES).map(lambda case: (case[0], [
+        "scan", "--lines", "lines.json", "--filter", "filter.json",
+        f"--grid={case[1]}", f"--dwell={case[2]}", "--seed=1", "--out", "s.csv"]))
+
+
+def scan_analyze_case():
+    return st.tuples(mutated({"dwell_s": 1.0}), st.one_of(st.just([]), TIMES.map(lambda t: [f"--dwell={t}"]))).map(
+        lambda case: ({"s.csv.meta.json": case[0]}, ["scan-analyze", "--scan", "s.csv", "--out", "r.json", *case[1]]))
+
+
+def plan_case():
+    small = st.integers(-1, 3).map(str)
+    flags = st.lists(st.one_of(
+        st.tuples(st.sampled_from(["--n-in", "--n-out", "--classical", "--quantum"]), small),
+        st.tuples(st.sampled_from(["--c0", "--floor", "--lambda-ref", "--slope", "--beta-in"]), FLOATS),
+        st.tuples(st.sampled_from(["--classical-band", "--quantum-band"]),
+                  st.sampled_from(["O", "C", "X", "1300,1320", "1300,abc", "900,950", "1320,1300"])),
+    ), max_size=3)
+    # Port counts come from the small flags only: the planner's cost grows with them.
+    model = mutated({"c0_db": -50.0, "reference_nm": 1310.0, "floor_db": -120.0, "slope_db_per_nm": 0.03})
+    return st.tuples(model, flags).map(lambda case: (
+        {"model.json": case[0]},
+        ["switch", "plan", "--model", "model.json", "--n-in=2", "--n-out=2", "--classical=1", "--quantum=1",
+         *(f"{flag}={value}" for flag, value in case[1]), "--out", "plan.json"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "s.csv").write_text("lambda_nm,counts\n" + "".join(
+        f"{1300 + 0.5 * i},{500 if i == 10 else 3}\n" for i in range(21)))
+    return directory
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.one_of(simulate_case(), scan_case(), scan_analyze_case(), plan_case()))
+def test_malformed_inputs_follow_exit_contract(fuzz_dir, case):
+    files, argv = case
+    for name, doc in files.items():
+        (fuzz_dir / name).write_text(json.dumps(doc))
+    argv = [str(fuzz_dir / arg) if arg.endswith((".json", ".csv", ".xtt1")) else arg for arg in argv]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    lines = stderr.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1 and json.loads(lines[0])["error"].startswith("E_")
+    else:
+        assert lines == []

@@ -72,6 +72,23 @@ class TestLoadTopology:
         with pytest.raises(InputError, match=r"connectors\[0\].lane_count"):
             fx.load_topology(doc)
 
+    @pytest.mark.parametrize("connector_extra,top_extra", [
+        ({"reference_nm": 900.0}, {}),
+        ({"lane_pitch_mm": 0.0}, {}),
+        ({"base_coupling_db": True}, {}),
+        ({}, {"switch": 5}),
+    ])
+    def test_any_fault_is_input_error(self, connector_extra, top_extra):
+        doc = topology_doc([connector_doc("mpo1", 10.0, **connector_extra)])
+        doc.update(top_extra)
+        with pytest.raises(InputError):
+            fx.load_topology(doc)
+
+    def test_unread_keys_still_accepted(self):
+        doc = topology_doc([connector_doc("mpo1", 10.0, lane_pitch_mm=0.5)])
+        doc["switch"] = {"n_in": 8}
+        assert fx.load_topology(doc).connectors[0].id == "mpo1"
+
     def test_lane_collision_rejected(self):
         bad = connector_doc("mpo1", 10.0)
         bad["lanes"] = {"agg": 5, "vic": 5}

@@ -99,7 +99,8 @@ class TestStreamInvariants:
         src = fx.PulsedSource(avg_power_w=power_for_mu_det(0.8, -100.0))
         det = fx.Detector(dead_time_ps=50_000)
         stream = fx.simulate_otdr_tags(topo, src, det, 5.0, seed=7)
-        stream.validate(det.dead_time_ps)
+        for times in (stream.trigger_times_ps, stream.detector_times_ps):
+            assert (np.diff(times) > 0).all()
         gaps = np.diff(stream.detector_times_ps)
         assert gaps.size > 0 and int(gaps.min()) >= det.dead_time_ps
 
@@ -309,6 +310,15 @@ class TestModelValidation:
             fx.Detector(dark_rate_hz=-1.0)
         with pytest.raises(ParameterError):
             fx.Detector(dead_time_ps=-5)
+
+    def test_unrepresentable_rates_rejected(self):
+        # infinite photons per pulse times a zero transmission makes a NaN mean
+        topo = fx.load_topology(topology_doc([connector_doc("c", 1e305)], length_m=1e306))
+        with pytest.raises(ResourceError):
+            fx.simulate_otdr_tags(topo, fx.PulsedSource(avg_power_w=1e300), fx.Detector(), 0.01, seed=1)
+        with pytest.raises(ParameterError, match="counts at"):
+            fx.simulate_spectral_scan([fx.LeakLine(1310.0, 2.0**70)], fx.TunableFilter(), fx.Detector(),
+                                      [1310.0], 10.0, seed=1)
 
     def test_filter_and_line_validation(self):
         with pytest.raises(ParameterError):

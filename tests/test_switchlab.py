@@ -106,6 +106,13 @@ class TestMeasuredMode:
         table = load_measured_table(path)
         assert table[(1, 10, 2, 9)] == [(1310.0, -48.0), (1550.0, -40.0)]
 
+    @pytest.mark.parametrize("value", ["5000.0", "nan"])
+    def test_csv_loader_rejects_crosstalk_above_0_db(self, tmp_path, value):
+        path = tmp_path / "table.csv"
+        path.write_text(f"a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\n1,10,2,9,1310.0,{value}\n")
+        with pytest.raises(DataError, match=":2: crosstalk"):
+            load_measured_table(path)
+
 
 class TestSweeps:
     def test_config_sweep_structure_and_maximum(self):
@@ -116,6 +123,12 @@ class TestSweeps:
         assert first.xtalk_db == pytest.approx(-50.0)
         rest = [p.xtalk_db for p in points[1:]]
         assert all(x < first.xtalk_db for x in rest)
+
+    def test_crosstalk_above_0_db_rejected(self):
+        model = fx.SwitchModel(c0_db=-10.0)  # the default 1/30 dB/nm slope passes 0 dB at 1610 nm
+        assert fx.switch_xtalk_db(model, (1, 10), (2, 9), 1600.0) < 0.0
+        with pytest.raises(ParameterError, match="at most 0 dB"):
+            fx.switch_xtalk_db(model, (1, 10), (2, 9), 1700.0)
 
     def test_degenerate_betas_flatten_the_table(self):
         model = fx.SwitchModel(beta_in_db_per_port=0.0, beta_out_db_per_port=0.0)
