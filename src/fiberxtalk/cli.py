@@ -6,8 +6,8 @@ full parameter snapshot and SHA-256 digests of inputs and outputs.
 
 Exit codes: 0 ok, 2 input error, 3 data error, 4 parameter error, 5 resource
 error. Failures print a one-line machine-readable JSON object on stderr. A
-fault in any input file or document exits 2 (``E_INPUT``); an out-of-domain
-flag exits 4.
+fault in any input file or document, or a flag argparse cannot read, exits 2
+(``E_INPUT``); an out-of-domain flag exits 4.
 """
 
 from __future__ import annotations
@@ -484,8 +484,15 @@ def _add_switch_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--floor", type=float)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an input error instead of usage text."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xtalk",
         description="Simulate and analyze inter-fiber crosstalk at the single-photon level.",
     )
@@ -571,9 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return int(args.func(args) or 0)
     except XtalkError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)

@@ -4,7 +4,9 @@ Ports are labeled the way the physical device is: inputs 1..n_in, outputs
 n_in+1..n_in+n_out (so the default 8x8 switch has inputs 1-8 and outputs
 9-16). The parametric model decays with port-index separation on the input
 and output planes independently and rises linearly with wavelength; a
-measured table can replace it entirely.
+measured table can replace it entirely. The planner is one exact pruned
+search; a plan or sweep whose work exceeds ``PLAN_WORK_LIMIT`` raises
+``ResourceError`` (exit 5).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .units import C_BAND_NM, O_BAND_NM, require_number, validate_wavelength_nm
 
 DEFAULT_SLOPE_DB_PER_NM = 10.0 / 300.0
 DEFAULT_STATE_LIMIT = 1_000_000
+PLAN_WORK_LIMIT = 4_000_000
 
 BAND_PRESETS: dict[str, tuple[float, float]] = {"O": O_BAND_NM, "C": C_BAND_NM}
 
@@ -225,6 +228,8 @@ def sweep_configs(
     and the victim output paired with every other input (ascending), so with
     defaults the first entry is the adjacent-on-both-planes configuration.
     """
+    if (model.n_in - 1) * (model.n_out - 1) > PLAN_WORK_LIMIT:
+        raise ResourceError(f"a {model.n_in}x{model.n_out} sweep has over {PLAN_WORK_LIMIT} configurations")
     if victim_out is None:
         victim_out = model.n_in + 1
     nm = model.reference_nm if wavelength_nm is None else wavelength_nm
@@ -376,7 +381,7 @@ def _check_feasible(model: SwitchModel, k_classical: int, k_quantum: int) -> Non
 def assignment_search_space(
     model: SwitchModel, k_classical: int, k_quantum: int, bands=None
 ) -> int:
-    """Number of distinct assignments the exhaustive searches enumerate."""
+    """Number of distinct assignments; ``brute_force_assignment`` enumerates them all."""
     _check_feasible(model, k_classical, k_quantum)
     lam_c = len(_wavelength_candidates(model, bands, "classical"))
     states = (
@@ -437,175 +442,98 @@ def brute_force_assignment(
     )
 
 
-def _exhaustive_dfs(
-    model: SwitchModel,
-    k_classical: int,
-    k_quantum: int,
-    lam_c: tuple[float, ...],
-    lam_q: float,
-) -> Assignment:
-    """Depth-first exhaustive search with objective-bound pruning.
+class _Optimal(Exception):
+    """The incumbent reached the lower bound of every assignment."""
 
-    Classical channels are placed first (ascending inputs, deduplicating the
-    within-class symmetry), then quantum channels; once all classical channels
-    are fixed, each quantum placement's leakage is final, so a running maximum
-    strictly above the incumbent objective can be pruned. Ties are never
-    pruned, preserving the exact tie-breaking order.
+
+def _db(linear: float) -> float:
+    return 10.0 * math.log10(linear) if linear > 0.0 else -math.inf
+
+
+def _leak_rows(model: SwitchModel, lam_c: tuple[float, ...]) -> list[list]:
+    """``rows[a]``: ``(b, wavelength, row)`` in port order for each classical path ``a -> b``.
+
+    Ports are 0-based. ``row[v * n_out + w]`` is the linear leakage into victim
+    ``v -> w``, infinite where the victim shares a port; equal dB values share
+    one float. Prune 4: a carrier whose row is nowhere below a lower carrier's
+    row on the same path is dropped, as the lower one comes first in port order.
     """
-    inputs = list(model.input_ports)
-    outputs = list(model.output_ports)
-    best: dict = {"key": None, "value": None}
+    n_in, n_out = model.n_in, model.n_out
+    linear: dict[float, float] = {}
+    rows: list[list] = [[] for _ in range(n_in)]
+    for a, b, lam in itertools.product(range(n_in), range(n_out), lam_c):
+        row = [math.inf] * (n_in * n_out)
+        for v, w in itertools.product(range(n_in), range(n_out)):
+            if v != a and w != b:
+                db = switch_xtalk_db(model, (a + 1, n_in + 1 + b), (v + 1, n_in + 1 + w), lam)
+                row[v * n_out + w] = linear.setdefault(db, 10.0 ** (db / 10.0))
+        if not any(all(x <= y for x, y in zip(low, row)) for c, _, low in rows[a] if c == b):
+            rows[a].append((b, lam, row))
+    return rows
 
-    def place_quantum(classical, quantum, used_in, used_out, running_max):
-        if best["key"] is not None and running_max > best["key"][0]:
-            return
-        if len(quantum) == k_quantum:
-            key = _assignment_key(model, classical, quantum)
-            if best["key"] is None or key < best["key"]:
-                best["key"] = key
-                best["value"] = (tuple(classical), tuple(quantum))
-            return
-        min_in = quantum[-1].input if quantum else 0
-        for q_in in inputs:
-            if q_in in used_in or q_in <= min_in:
-                continue
-            for q_out in outputs:
-                if q_out in used_out:
+
+def _search(model: SwitchModel, k_classical: int, k_quantum: int, lam_c: tuple[float, ...]):
+    """(worst dB, classical, quantum) of the best assignment, with 0-based ports."""
+    n_in, n_out = model.n_in, model.n_out
+    entries = n_in * n_out * len(lam_c) * (n_in - 1) * (n_out - 1)
+    if entries > PLAN_WORK_LIMIT:
+        raise ResourceError(f"a leak table of {entries} entries exceeds the plan budget of {PLAN_WORK_LIMIT}")
+    rows = _leak_rows(model, lam_c)
+    least = min(min(row) for per_input in rows for _, _, row in per_input)
+    leak_floor = total_floor = 0.0
+    for _ in range(k_classical):
+        leak_floor += least
+    for _ in range(k_quantum):
+        total_floor += leak_floor
+    bound = (_db(leak_floor), _db(total_floor))
+    best: list = [math.inf, math.inf, None]  # worst dB, total dB, leaf
+    nodes = itertools.count(1)
+
+    def visit() -> None:
+        if next(nodes) > PLAN_WORK_LIMIT:
+            raise ResourceError(f"the plan search exceeded its budget of {PLAN_WORK_LIMIT} nodes")
+
+    def place_quantum(leak, start, used_out, worst, total, classical, quantum):
+        for v in range(start, n_in):
+            for w in range(n_out):
+                linear = leak[v * n_out + w]
+                if linear == math.inf or w in used_out:
                     continue
-                placement = ChannelPlacement(q_in, q_out, lam_q)
-                linear = 0.0
-                for c in classical:
-                    xdb = switch_xtalk_db(model, (c.input, c.output), (q_in, q_out), c.wavelength_nm)
-                    linear += 10.0 ** (xdb / 10.0)
-                leak_db = 10.0 * math.log10(linear) if linear > 0.0 else -math.inf
-                place_quantum(
-                    classical,
-                    quantum + [placement],
-                    used_in | {q_in},
-                    used_out | {q_out},
-                    max(running_max, leak_db),
-                )
-
-    def place_classical(classical, used_in, used_out):
-        if len(classical) == k_classical:
-            place_quantum(classical, [], used_in, used_out, -math.inf)
-            return
-        min_in = classical[-1].input if classical else 0
-        for c_in in inputs:
-            if c_in in used_in or c_in <= min_in:
-                continue
-            for c_out in outputs:
-                if c_out in used_out:
+                db = _db(linear)
+                if db > best[0]:  # prune 1
                     continue
-                for lam in lam_c:
-                    place_classical(
-                        classical + [ChannelPlacement(c_in, c_out, lam)],
-                        used_in | {c_in},
-                        used_out | {c_out},
-                    )
+                visit()
+                placed = quantum + ((v, w),)
+                if len(placed) < k_quantum:
+                    place_quantum(leak, v + 1, used_out | {w}, max(worst, db), total + linear, classical, placed)
+                    continue
+                key = (max(worst, db), _db(total + linear))
+                if key < (best[0], best[1]):
+                    best[:] = [*key, (classical, placed)]
+                    if key == bound:  # prune 3
+                        raise _Optimal
 
-    place_classical([], set(), set())
-    assert best["value"] is not None and best["key"] is not None
-    classical, quantum = best["value"]
-    return Assignment(
-        classical=classical, quantum=quantum, objective_db=best["key"][0], method="exhaustive"
-    )
+    def place_classical(start, leak, used_out, classical):
+        for a in range(start, n_in):
+            for b, lam, row in rows[a]:
+                if b in used_out:
+                    continue
+                visit()
+                summed = [x + y for x, y in zip(leak, row)]
+                least_per_input = sorted(min(summed[v:v + n_out]) for v in range(0, len(summed), n_out))
+                if _db(least_per_input[k_quantum - 1]) > best[0]:  # prune 2
+                    continue
+                placed = classical + ((a, b, lam),)
+                if len(placed) < k_classical:
+                    place_classical(a + 1, summed, used_out | {b}, placed)
+                else:
+                    place_quantum(summed, 0, frozenset(), -math.inf, 0.0, placed, ())
 
-
-def _local_search(
-    model: SwitchModel,
-    k_classical: int,
-    k_quantum: int,
-    lam_c: tuple[float, ...],
-    lam_q: float,
-) -> Assignment:
-    """Greedy spread start plus best-improvement 2-swap descent."""
-    inputs = list(model.input_ports)
-    outputs = list(model.output_ports)
-    # Start maximally separated: classical on the low ports, quantum on the high.
-    best_lam = min(lam_c, key=lambda l: model.slope_db_per_nm * l)
-    classical = [
-        ChannelPlacement(inputs[i], outputs[i], best_lam) for i in range(k_classical)
-    ]
-    quantum = [
-        ChannelPlacement(inputs[-1 - i], outputs[-1 - i], lam_q) for i in range(k_quantum)
-    ]
-
-    def key_of(c, q):
-        return _assignment_key(model, c, q)
-
-    current = key_of(classical, quantum)
-    improved = True
-    rounds = 0
-    while improved and rounds < 1000:
-        improved = False
-        rounds += 1
-        channels = [("c", i) for i in range(len(classical))] + [
-            ("q", i) for i in range(len(quantum))
-        ]
-        used_in = {p.input for p in classical} | {p.input for p in quantum}
-        used_out = {p.output for p in classical} | {p.output for p in quantum}
-        best_move = None
-        best_key = current
-
-        def consider(new_classical, new_quantum):
-            nonlocal best_move, best_key
-            key = key_of(new_classical, new_quantum)
-            if key < best_key:
-                best_key = key
-                best_move = (list(new_classical), list(new_quantum))
-
-        for kind, i in channels:
-            group = classical if kind == "c" else quantum
-            placement = group[i]
-            for new_in in inputs:  # move input
-                if new_in != placement.input and new_in not in used_in:
-                    trial = group.copy()
-                    trial[i] = ChannelPlacement(new_in, placement.output, placement.wavelength_nm)
-                    consider(trial if kind == "c" else classical, trial if kind == "q" else quantum)
-            for new_out in outputs:  # move output
-                if new_out != placement.output and new_out not in used_out:
-                    trial = group.copy()
-                    trial[i] = ChannelPlacement(placement.input, new_out, placement.wavelength_nm)
-                    consider(trial if kind == "c" else classical, trial if kind == "q" else quantum)
-            if kind == "c" and len(lam_c) > 1:  # flip carrier wavelength
-                for lam in lam_c:
-                    if lam != placement.wavelength_nm:
-                        trial = classical.copy()
-                        trial[i] = ChannelPlacement(placement.input, placement.output, lam)
-                        consider(trial, quantum)
-        for (ka, ia), (kb, ib) in itertools.combinations(channels, 2):  # 2-swaps
-            ga = classical if ka == "c" else quantum
-            gb = classical if kb == "c" else quantum
-            pa, pb = ga[ia], gb[ib]
-            for swap_inputs in (True, False):
-                na = ChannelPlacement(
-                    pb.input if swap_inputs else pa.input,
-                    pa.output if swap_inputs else pb.output,
-                    pa.wavelength_nm,
-                )
-                nb = ChannelPlacement(
-                    pa.input if swap_inputs else pb.input,
-                    pb.output if swap_inputs else pa.output,
-                    pb.wavelength_nm,
-                )
-                new_c, new_q = classical.copy(), quantum.copy()
-                (new_c if ka == "c" else new_q)[ia] = na
-                (new_c if kb == "c" else new_q)[ib] = nb
-                consider(new_c, new_q)
-        if best_move is not None:
-            classical, quantum = best_move
-            current = best_key
-            improved = True
-
-    classical.sort(key=lambda p: (p.input, p.output, p.wavelength_nm))
-    quantum.sort(key=lambda p: (p.input, p.output, p.wavelength_nm))
-    return Assignment(
-        classical=tuple(classical),
-        quantum=tuple(quantum),
-        objective_db=current[0],
-        method="local-search",
-    )
+    try:
+        place_classical(0, [0.0] * (n_in * n_out), frozenset(), ())
+    except _Optimal:
+        pass
+    return best[0], *best[2]
 
 
 def optimize_assignment(
@@ -613,22 +541,39 @@ def optimize_assignment(
     k_classical: int,
     k_quantum: int,
     bands=None,
-    *,
-    state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> Assignment:
     """Minimize the worst-case aggregated leakage into any quantum channel.
 
-    Exhaustive (with pruning) when the search space fits within
-    ``state_limit`` states; otherwise a deterministic greedy start followed by
-    2-swap local search. Ties break by total leakage, then lexicographic port
-    order.
+    One exact depth-first search over a leak table built once. Channels are
+    placed classical first, each by ascending input, then output, then carrier,
+    so leaves arrive in the oracle's tie-break order and replace the incumbent
+    only when (worst, total) is strictly smaller. Sums run in the order of
+    ``_leakage_objective``, so the objective matches ``brute_force_assignment``
+    bit for bit. Adding a non-negative float never lowers a rounded sum and
+    ``log10`` is monotone, so a partial sum bounds its completions and these
+    prunes are exact: (1) a quantum path leaking more than the incumbent's
+    worst; (2) a classical prefix under which the k_quantum-th smallest, over
+    free inputs, least leakage into a free output exceeds it; (3) all the rest
+    once the incumbent equals the bound where every entry is the table's least;
+    (4) dominated carriers (see ``_leak_rows``). Beyond ``PLAN_WORK_LIMIT``
+    table entries or search nodes it raises ``ResourceError`` (exit 5).
     """
-    states = assignment_search_space(model, k_classical, k_quantum, bands)
+    _check_feasible(model, k_classical, k_quantum)
     lam_c = _wavelength_candidates(model, bands, "classical")
     lam_q = _wavelength_candidates(model, bands, "quantum")[0]
-    if states <= state_limit:
-        return _exhaustive_dfs(model, k_classical, k_quantum, lam_c, lam_q)
-    return _local_search(model, k_classical, k_quantum, lam_c, lam_q)
+    if k_classical and k_quantum:
+        worst, classical, quantum = _search(model, k_classical, k_quantum, lam_c)
+    else:  # nothing leaks, so every assignment ties and the first in port order wins
+        worst = -math.inf
+        classical = [(a, a, lam_c[0]) for a in range(k_classical)]
+        quantum = [(v, v) for v in range(k_classical, k_classical + k_quantum)]
+    ins, outs = model.input_ports, model.output_ports
+    return Assignment(
+        classical=tuple(ChannelPlacement(ins[a], outs[b], lam) for a, b, lam in classical),
+        quantum=tuple(ChannelPlacement(ins[v], outs[w], lam_q) for v, w in quantum),
+        objective_db=worst,
+        method="exhaustive",
+    )
 
 
 def assignment_to_config(assignment: Assignment) -> SwitchConfig:

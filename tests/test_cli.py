@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +178,25 @@ def test_non_numeric_field_is_input_error(tmp_path, plant_files, capsys, kind, d
     assert json.loads(err[0])["error"] == "E_INPUT"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--topology", "t.json", "--source", "s.json", "--duration", "1s", "--seed", "1.5", "--out", "x"],
+    ["switch", "plan", "--n-in", "abc", "--classical", "1", "--quantum", "1", "--out", "x"],
+    ["switch", "plan", "--classical", "1", "--out", "x"],
+])
+def test_unreadable_command_line_is_input_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "E_INPUT"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["switch", "plan", "--help"])
+    assert exit_.value.code == 0
+    assert "--classical" in capsys.readouterr().out
+
+
 class TestScan:
     def test_scan_and_analyze_four_lines(self, tmp_path, capsys):
         lines = write_json(
@@ -288,6 +308,16 @@ class TestSwitchCommands:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "E_INPUT"
 
+    @pytest.mark.parametrize("command", [["plan", "--classical", "1", "--quantum", "1"], ["sweep-config"]])
+    def test_port_count_beyond_budget_is_resource_error(self, tmp_path, capsys, command):
+        started = time.perf_counter()
+        code = main(["switch", *command, "--n-in", "1000000", "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - started < 1.0
+        assert code == 5
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "E_RESOURCE"
+
     def test_plan_with_numeric_band(self, tmp_path):
         plan_path = tmp_path / "plan.json"
         assert main([
@@ -379,14 +409,13 @@ def scan_analyze_case():
 
 
 def plan_case():
-    small = st.integers(-1, 3).map(str)
+    small = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["1.5", "abc", "1000000", str(2**70)]))
     flags = st.lists(st.one_of(
         st.tuples(st.sampled_from(["--n-in", "--n-out", "--classical", "--quantum"]), small),
         st.tuples(st.sampled_from(["--c0", "--floor", "--lambda-ref", "--slope", "--beta-in"]), FLOATS),
         st.tuples(st.sampled_from(["--classical-band", "--quantum-band"]),
                   st.sampled_from(["O", "C", "X", "1300,1320", "1300,abc", "900,950", "1320,1300"])),
     ), max_size=3)
-    # Port counts come from the small flags only: the planner's cost grows with them.
     model = mutated({"c0_db": -50.0, "reference_nm": 1310.0, "floor_db": -120.0, "slope_db_per_nm": 0.03})
     return st.tuples(model, flags).map(lambda case: (
         {"model.json": case[0]},

@@ -1,5 +1,6 @@
 """Switch crosstalk model, sweeps, and assignment planning."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fiberxtalk as fx
 from fiberxtalk.errors import DataError, ParameterError, ResourceError
+from fiberxtalk import switchlab
 from fiberxtalk.switchlab import (
     ChannelPlacement,
     ConfigSweepPoint,
@@ -179,6 +181,33 @@ def random_model(rng):
     )
 
 
+def hard_model(rng):
+    """A small model with many exact ties: placements that mirror each other,
+    steep betas that reach the floor, or a measured table of whole-dB values
+    at one or two wavelengths."""
+    n_in, n_out = (int(n) for n in rng.integers(3, 5, size=2))
+    kind = rng.random()
+    if kind < 0.66:
+        steep = kind >= 0.33
+        return fx.SwitchModel(
+            n_in=n_in,
+            n_out=n_out,
+            c0_db=float(rng.uniform(-60.0, -40.0)),
+            beta_in_db_per_port=float(rng.uniform(10.0, 40.0) if steep else rng.uniform(0.0, 8.0)),
+            beta_out_db_per_port=float(rng.uniform(10.0, 40.0) if steep else rng.uniform(0.0, 8.0)),
+            slope_db_per_nm=float(rng.choice([0.0, rng.uniform(-0.05, 0.05)])),
+            floor_db=float(rng.uniform(-90.0, -60.0)) if steep else -120.0,
+        )
+    ins = range(1, n_in + 1)
+    outs = range(n_in + 1, n_in + n_out + 1)
+    table = {}
+    for a_in, a_out, v_in, v_out in itertools.product(ins, outs, ins, outs):
+        if a_in != v_in and a_out != v_out:
+            lams = (1300.0, 1550.0)[: int(rng.integers(1, 3))]
+            table[a_in, a_out, v_in, v_out] = [(lam, float(rng.integers(-60, -40))) for lam in lams]
+    return fx.SwitchModel(n_in=n_in, n_out=n_out, table=table)
+
+
 class TestAssignment:
     def test_default_single_pair_spreads_ports(self):
         assignment = fx.optimize_assignment(fx.SwitchModel(), 1, 1)
@@ -231,6 +260,22 @@ class TestAssignment:
             assert fast.classical == slow.classical
             assert fast.quantum == slow.quantum
 
+    def test_optimizer_matches_oracle_on_hard_models(self):
+        rng = np.random.default_rng(3)
+        # The custom band puts non-dominated carriers at both ends.
+        bands = (None, {"classical": "O", "quantum": "C"}, {"classical": (1300.0, 1550.0)})
+        for _ in range(80):
+            model = hard_model(rng)
+            n = min(model.n_in, model.n_out)
+            k_c = int(rng.integers(1, n))
+            k_q = int(rng.integers(1, n - k_c + 1))
+            band = bands[int(rng.integers(len(bands)))]
+            fast = fx.optimize_assignment(model, k_c, k_q, band)
+            slow = fx.brute_force_assignment(model, k_c, k_q, band)
+            assert fast.objective_db == slow.objective_db
+            assert fast.classical == slow.classical
+            assert fast.quantum == slow.quantum
+
     def test_band_choice_follows_the_slope(self):
         model = fx.SwitchModel()  # slope > 0
         o_classical = fx.optimize_assignment(
@@ -243,12 +288,20 @@ class TestAssignment:
         gap = (1530.0 - 1260.0) * model.slope_db_per_nm
         assert swapped.objective_db - o_classical.objective_db == pytest.approx(gap, abs=1e-9)
 
-    def test_local_search_path_on_small_instance(self):
-        model = fx.SwitchModel()
-        forced_local = fx.optimize_assignment(model, 1, 1, state_limit=0)
-        assert forced_local.method == "local-search"
-        oracle = fx.brute_force_assignment(model, 1, 1)
-        assert forced_local.objective_db == oracle.objective_db
+    def test_large_switch_stops_at_the_floor_bound(self):
+        # 4.8e8 assignments, beyond the oracle: every classical-quantum pair
+        # can sit at the -120 dB floor, so each quantum channel gets 2e-12.
+        assignment = fx.optimize_assignment(fx.SwitchModel(n_in=16, n_out=16), 2, 2)
+        assert assignment.method == "exhaustive"
+        assert assignment.objective_db == 10.0 * math.log10(2e-12)
+
+    def test_work_budget_exceeded_is_resource_error(self, monkeypatch):
+        monkeypatch.setattr(switchlab, "PLAN_WORK_LIMIT", 1000)
+        with pytest.raises(ResourceError, match="leak table of 3136 entries"):
+            fx.optimize_assignment(fx.SwitchModel(), 2, 2)
+        monkeypatch.setattr(switchlab, "PLAN_WORK_LIMIT", 5000)
+        with pytest.raises(ResourceError, match="5000 nodes"):
+            fx.optimize_assignment(fx.SwitchModel(), 7, 1)
 
     def test_oracle_refuses_large_spaces(self):
         with pytest.raises(ResourceError):
