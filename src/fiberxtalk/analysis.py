@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, ResourceError
 from .plant import Topology, distance_for_delay_ps, path_loss_db
 from .simulate import Detector, PulsedSource, SpectralScan, TagStream
 from .units import _GAUSSIAN_FWHM_TO_SIGMA, time_to_distance_m
@@ -25,6 +25,7 @@ DEFAULT_BIN_WIDTH_PS = 100
 DEFAULT_K_SIGMA = 5.0
 DEFAULT_MIN_SEPARATION_BINS = 3
 PERIOD_JITTER_WARN_PPM = 1.0
+MAX_FOLD_BINS = 100_000_000  # 800 MB of int64 counts
 
 
 @dataclass
@@ -138,6 +139,7 @@ def fold_histogram(
     width must divide the period exactly, otherwise a nearby divisor is
     suggested. Tags before the first trigger, beyond one period after their
     trigger, or outside the optional delay window are dropped and counted.
+    A period of more than ``MAX_FOLD_BINS`` bins is a :class:`ResourceError`.
     """
     if not (isinstance(bin_width_ps, int) and bin_width_ps >= 1):
         raise ParameterError(f"bin width must be an integer >= 1 ps, got {bin_width_ps!r}")
@@ -166,6 +168,8 @@ def fold_histogram(
             max_delay = bin_width_ps
         period = ((max_delay + bin_width_ps - 1) // bin_width_ps) * bin_width_ps
 
+    if period > MAX_FOLD_BINS * bin_width_ps:
+        raise ResourceError(f"a {period} ps period needs over {MAX_FOLD_BINS} histogram bins of {bin_width_ps} ps")
     if period % bin_width_ps:
         suggestion = suggest_bin_width(period, bin_width_ps)
         raise ParameterError(
@@ -196,7 +200,7 @@ def fold_histogram(
             diagnostics.dropped_outside_window = int(delays.size - int(inside.sum()))
             delays = delays[inside]
         if delays.size:
-            counts = np.bincount(delays // bin_width_ps, minlength=n_bins).astype(np.int64)
+            counts = np.bincount(delays // bin_width_ps, minlength=n_bins).astype(np.int64, copy=False)
 
     return Histogram(
         counts=counts,

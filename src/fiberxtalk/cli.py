@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import run_otdr_analysis, detect_spectral_lines
-from .errors import InputError, ParameterError, XtalkError, read_json
+from .errors import InputError, ParameterError, ResourceError, XtalkError, read_json
 from .plant import load_topology
 from .simulate import (
     PULSES_PER_CHUNK,
@@ -47,9 +47,10 @@ from .switchlab import (
     sweep_wavelength,
 )
 from . import tagio
-from .units import validate_wavelength_nm
+from .units import require_number, validate_wavelength_nm
 
 MANIFEST_SCHEMA_VERSION = 1
+MAX_GRID_POINTS = 1_000_000  # the benchmark's spectral scan has 3601
 
 _QUANTITY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Zµ]*)\s*$")
 _TIME_UNITS_PS = {
@@ -101,16 +102,17 @@ def parse_wavelength_nm(text: str, flag: str) -> float:
 
 
 def parse_grid_nm(text: str, flag: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive endpoints, nm)."""
+    """Parse 'start:stop:step' (inclusive endpoints, nm) of at most ``MAX_GRID_POINTS`` points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ParameterError(f"{flag}: expected 'start:stop:step', got {text!r}")
-    start = parse_wavelength_nm(parts[0], flag)
-    stop = parse_wavelength_nm(parts[1], flag)
-    step = parse_wavelength_nm(parts[2], flag)
+    start, stop, step = (require_number(parse_wavelength_nm(part, flag), flag) for part in parts)
     if step <= 0 or stop < start:
         raise ParameterError(f"{flag}: need start <= stop and step > 0, got {text!r}")
-    n = int(round((stop - start) / step))
+    steps = (stop - start) / step
+    if steps > MAX_GRID_POINTS - 1:
+        raise ResourceError(f"{flag}: {text!r} has over {MAX_GRID_POINTS} points")
+    n = int(round(steps))
     grid = [start + i * step for i in range(n + 1)]
     if grid[-1] > stop + 1e-9:
         grid.pop()

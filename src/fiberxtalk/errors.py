@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
-from contextlib import contextmanager
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 
 class XtalkError(Exception):
@@ -66,23 +68,42 @@ def read_json(path: "str | Path", what: str):
         raise InputError(f"{path}: invalid JSON: {exc}") from None
 
 
-@contextmanager
-def csv_rows(path: "str | Path", header: "list[str]"):
-    """Open a CSV file whose first row must be ``header`` and yield its numbered rows.
+def read_csv_columns(path: "str | Path", header: "list[str]", dtypes: list) -> "list[np.ndarray]":
+    """Read a CSV file whose first row is ``header`` into one array per column.
 
-    The rows come as ``enumerate(csv.reader, start=2)``, so each carries its
-    line number. A missing file is an :class:`InputError`; a wrong header, or
-    text that does not decode or parse as CSV, is a :class:`DataError`.
+    The body is parsed by one ``np.loadtxt`` call into a structured array of
+    ``dtypes``, on the grammar the :mod:`fiberxtalk.tagio` docstring states. A
+    missing file is an :class:`InputError`. A wrong header, bad UTF-8, a
+    missing column, or a field that does not parse or overflows is a
+    :class:`DataError`, naming numpy's row and column for a field.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"file not found: {path}")
-    with open(path, newline="") as fh:
-        try:
-            reader = csv.reader(fh)
-            first = next(reader, None)
-            if first is None or [h.strip() for h in first] != header:
-                raise DataError(f"{path}: expected header '{','.join(header)}'")
-            yield enumerate(reader, start=2)
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise DataError(f"{path}: not a readable CSV file: {exc}") from None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            first = next(csv.reader(fh), None)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable CSV file: {exc}") from None
+    if first is None or [h.strip() for h in first] != header:
+        raise DataError(f"{path}: expected header '{','.join(header)}'")
+    dtype = np.dtype(list(zip(header, dtypes)))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a header-only file
+            # older numpy reads an integer field such as 1.5 through a float, warning that it is deprecated
+            warnings.simplefilter("error", DeprecationWarning)
+            body = np.loadtxt(
+                path, dtype=dtype, delimiter=",", skiprows=1, usecols=tuple(range(len(header))),
+                comments=None, quotechar='"', ndmin=1, encoding="utf-8",
+            )
+    except (ValueError, DeprecationWarning) as exc:  # ValueError covers bad UTF-8 and unparsable fields
+        raise DataError(f"{path}: not a readable CSV file: {exc}") from None
+    return [np.ascontiguousarray(body[name]) for name in header]
+
+
+def reject_rows(path: "str | Path", bad: np.ndarray, message: str, values: np.ndarray) -> None:
+    """Raise :class:`DataError` naming the first data row (from 1) where ``bad`` holds."""
+    if bad.any():
+        row = int(bad.argmax())
+        raise DataError(f"{path}: data row {row + 1}: {message}, got {values[row].item()!r}")

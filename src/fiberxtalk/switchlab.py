@@ -17,7 +17,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, ParameterError, ResourceError, csv_rows
+from .errors import DataError, ParameterError, ResourceError, read_csv_columns, reject_rows
 from .units import C_BAND_NM, O_BAND_NM, require_number, validate_wavelength_nm
 
 DEFAULT_SLOPE_DB_PER_NM = 10.0 / 300.0
@@ -186,19 +186,13 @@ def load_measured_table(path: "str | Path") -> dict[tuple[int, int, int, int], l
 
     Columns: ``a_in,a_out,v_in,v_out,lambda_nm,xtalk_db``.
     """
+    *ports, nm, db = read_csv_columns(
+        path, ["a_in", "a_out", "v_in", "v_out", "lambda_nm", "xtalk_db"], ["i8"] * 4 + ["f8"] * 2
+    )
+    reject_rows(path, ~(db <= 0.0), "crosstalk must be <= 0 dB", db)
     table: dict[tuple[int, int, int, int], list[tuple[float, float]]] = {}
-    with csv_rows(path, ["a_in", "a_out", "v_in", "v_out", "lambda_nm", "xtalk_db"]) as rows:
-        for lineno, row in rows:
-            if not row:
-                continue
-            try:
-                key = (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
-                entry = (float(row[4]), float(row[5]))
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: malformed row {row!r}") from None
-            if not entry[1] <= 0.0:
-                raise DataError(f"{path}:{lineno}: crosstalk must be <= 0 dB, got {row[5]!r}")
-            table.setdefault(key, []).append(entry)
+    for key, entry in zip(zip(*(column.tolist() for column in ports)), zip(nm.tolist(), db.tolist())):
+        table.setdefault(key, []).append(entry)
     return table
 
 

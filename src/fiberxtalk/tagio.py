@@ -4,6 +4,15 @@ XTT1 layout: 8-byte magic ``XTT1\\x00\\x00\\x00\\x01`` followed by packed
 little-endian 9-byte records of (u8 channel, u64 time_ps), channel 0 being the
 trigger and 1 the detector. A JSON metadata sidecar lives at
 ``<path>.meta.json``.
+
+CSV files (tags ``channel,time_ps``, scans ``lambda_nm,counts``) are UTF-8: a
+header row, exact up to spaces around each name, then comma-separated rows of
+integers (an optional sign and ASCII digits) and floats (what ``float()``
+reads, in ASCII). Blank lines, CRLF, ``"``-quoted fields, spaces around
+fields and extra trailing columns are accepted; ``#`` starts no comment, a
+row of only spaces is an error, and underscored digits such as ``5_0``, which
+``int()`` used to accept, are rejected. Channels must be 0 or 1 and times
+0..2^63-1 ps; any fault is a :class:`DataError` that names the file and row.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, InputError, ParameterError, csv_rows, read_json
+from .errors import DataError, InputError, ParameterError, read_csv_columns, read_json, reject_rows
 from .simulate import SpectralScan, TagStream
 from .units import require_number
 
@@ -98,28 +107,11 @@ def write_tags_csv(path: "str | Path", stream: TagStream, *, sidecar: bool = Tru
 
 
 def read_tags_csv(path: "str | Path") -> TagStream:
-    channels: list[int] = []
-    times: list[int] = []
-    with csv_rows(path, ["channel", "time_ps"]) as rows:
-        for lineno, row in rows:
-            if not row:
-                continue
-            try:
-                ch, t = int(row[0]), int(row[1])
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: expected 'channel,time_ps' integers") from None
-            if ch not in (0, 1):
-                raise DataError(f"{path}:{lineno}: channel must be 0 or 1, got {ch}")
-            if t < 0:
-                raise DataError(f"{path}:{lineno}: time must be >= 0 ps, got {t}")
-            channels.append(ch)
-            times.append(t)
+    channels, times = read_csv_columns(path, ["channel", "time_ps"], ["i8", "i8"])
+    reject_rows(path, (channels != 0) & (channels != 1), "channel must be 0 or 1", channels)
+    reject_rows(path, times < 0, "time must be >= 0 ps", times)
     metadata = read_metadata(path) or {}
-    return TagStream(
-        channels=np.array(channels, dtype=np.uint8),
-        times_ps=np.array(times, dtype=np.int64),
-        metadata=metadata,
-    )
+    return TagStream(channels=channels.astype(np.uint8), times_ps=times, metadata=metadata)
 
 
 def read_tags(path: "str | Path") -> TagStream:
@@ -148,17 +140,7 @@ def write_scan_csv(path: "str | Path", scan: SpectralScan) -> Path:
 
 
 def read_scan_csv(path: "str | Path", *, dwell_s: float | None = None) -> SpectralScan:
-    wavelengths: list[float] = []
-    counts: list[int] = []
-    with csv_rows(path, ["lambda_nm", "counts"]) as rows:
-        for lineno, row in rows:
-            if not row:
-                continue
-            try:
-                wavelengths.append(float(row[0]))
-                counts.append(int(row[1]))
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: expected 'lambda_nm,counts'") from None
+    wavelengths, counts = read_csv_columns(path, ["lambda_nm", "counts"], ["f8", "i8"])
     metadata = read_metadata(path) or {}
     if dwell_s is None:
         try:
@@ -168,12 +150,7 @@ def read_scan_csv(path: "str | Path", *, dwell_s: float | None = None) -> Spectr
                 f"{path}: dwell time unknown ({exc}); provide it explicitly or keep a "
                 f"{metadata_path(path).name} sidecar that has it"
             ) from None
-    return SpectralScan(
-        wavelengths_nm=np.array(wavelengths),
-        counts=np.array(counts, dtype=np.int64),
-        dwell_s=dwell_s,
-        metadata=metadata,
-    )
+    return SpectralScan(wavelengths_nm=wavelengths, counts=counts, dwell_s=dwell_s, metadata=metadata)
 
 
 def write_histogram_csv(path: "str | Path", histogram) -> Path:
@@ -185,9 +162,8 @@ def write_histogram_csv(path: "str | Path", histogram) -> Path:
     path = Path(path)
     counts = histogram.counts
     idx = np.flatnonzero(counts)
+    bw = histogram.bin_width_ps
+    rows = "".join(f"{i * bw},{n}\n" for i, n in zip(idx.tolist(), counts[idx].tolist()))
     with open(path, "w", newline="") as fh:
-        fh.write("bin_start_ps,counts\n")
-        bw = histogram.bin_width_ps
-        for i in idx.tolist():
-            fh.write(f"{i * bw},{counts[i]}\n")
+        fh.write("bin_start_ps,counts\n" + rows)
     return path

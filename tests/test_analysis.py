@@ -13,7 +13,7 @@ from fiberxtalk.analysis import (
     fold_histogram,
     suggest_bin_width,
 )
-from fiberxtalk.errors import DataError, ParameterError
+from fiberxtalk.errors import DataError, ParameterError, ResourceError
 
 from conftest import connector_doc, lossless_topology, power_for_mu_det, topology_doc
 
@@ -58,6 +58,15 @@ class TestFoldHistogram:
             fold_histogram(stream, bin_width_ps=300)
         assert err.value.code == "E_BIN_WIDTH"
         assert "320" in str(err.value)  # nearest divisor of 1e9 to 300
+
+    @pytest.mark.parametrize("triggers, detectors", [
+        ([0, 9 * 10**18], [5]),  # 9e16 bins of 100 ps
+        ([0], [2**63 - 1]),  # one trigger: the period spans the last tag
+        ([0, (analysis.MAX_FOLD_BINS + 1) * 100], []),
+    ])
+    def test_period_beyond_bin_cap_is_resource_error(self, triggers, detectors):
+        with pytest.raises(ResourceError, match="histogram bins"):
+            fold_histogram(stream_from(triggers, detectors), bin_width_ps=100)
 
     def test_suggest_bin_width(self):
         assert suggest_bin_width(PERIOD, 300) == 320

@@ -7,7 +7,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fiberxtalk as fx
 from fiberxtalk.cli import main
@@ -241,6 +241,27 @@ class TestScan:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "E_INPUT"
 
+    @pytest.mark.parametrize("command", [
+        ["scan", "--lines", "lines.json", "--dwell", "1s", "--seed", "2"],
+        ["switch", "sweep-wavelength"],
+    ])
+    def test_grid_beyond_point_cap_is_resource_error(self, tmp_path, capsys, command):
+        write_json(tmp_path / "lines.json", [])
+        argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in command]
+        started = time.perf_counter()
+        code = main([*argv, "--grid", "1260:1560:1e-9", "--out", str(tmp_path / "out.csv")])
+        assert time.perf_counter() - started < 1.0
+        assert code == 5
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "E_RESOURCE"
+
+    @pytest.mark.parametrize("grid", ["-1e999:1300:1", "1300:1e999:1", "1300:1310:1e999"])
+    def test_infinite_grid_value_is_parameter_error(self, tmp_path, capsys, grid):
+        code = main(["switch", "sweep-wavelength", f"--grid={grid}", "--out", str(tmp_path / "out.csv")])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "E_PARAM"
+
 
 class TestSwitchCommands:
     def test_sweep_config_first_row_is_maximal(self, tmp_path):
@@ -403,9 +424,65 @@ def scan_case():
         f"--grid={case[1]}", f"--dwell={case[2]}", "--seed=1", "--out", "s.csv"]))
 
 
+CSV_FIELDS = st.sampled_from([
+    b"0", b"1", b"2", b"-1", b" 1 ", b'"1"', b"1.5", b"-40", b"5_0", b"nan", b"inf", b"", b" ", b"#1", b"abc",
+    str(2**63 - 1).encode(), str(2**63).encode(), b"1" + b"0" * 23, b"\xff", b"\x00", b'"',
+])
+
+
+def junk_row(good_rows):
+    """A good row with one field replaced by junk or junk appended, or a row of junk fields."""
+    def mutate(row, index, field):
+        fields = row.split(b",")
+        fields[index:index + 1] = [field]
+        return b",".join(fields)
+
+    n_fields = good_rows[0].count(b",") + 1
+    mutated_row = st.builds(mutate, st.sampled_from(good_rows), st.integers(0, n_fields), CSV_FIELDS)
+    return st.one_of(mutated_row, mutated_row, mutated_row, st.lists(CSV_FIELDS, min_size=1, max_size=7).map(b",".join))
+
+
+def csv_body(header, good_rows):
+    """A CSV file: mostly ``header``, ``good_rows`` or none, then one to four junk rows."""
+    headers = st.sampled_from([header, header, header, b"x,y"])
+    return st.tuples(headers, st.booleans(), st.lists(junk_row(good_rows), min_size=1, max_size=4)).map(
+        lambda case: b"\n".join([case[0], *(good_rows if case[1] else []), *case[2]]) + b"\n")
+
+
+SCAN_ROWS = [f"{1300 + 0.5 * i},{500 if i == 10 else 3}".encode() for i in range(21)]
+
+
+SCAN_ANALYZE_ARGV = ["scan-analyze", "--scan", "s.csv", "--out", "r.json"]
+
+
 def scan_analyze_case():
-    return st.tuples(mutated({"dwell_s": 1.0}), st.one_of(st.just([]), TIMES.map(lambda t: [f"--dwell={t}"]))).map(
-        lambda case: ({"s.csv.meta.json": case[0]}, ["scan-analyze", "--scan", "s.csv", "--out", "r.json", *case[1]]))
+    return st.tuples(
+        csv_body(b"lambda_nm,counts", SCAN_ROWS), mutated({"dwell_s": 1.0}),
+        st.one_of(st.just([]), TIMES.map(lambda t: [f"--dwell={t}"])),
+    ).map(lambda case: ({"s.csv": case[0], "s.csv.meta.json": case[1]}, [*SCAN_ANALYZE_ARGV, *case[2]]))
+
+
+# 20 triggers at 1 MHz, each followed by a detector tag 500 ps later
+TAG_ROWS = [row for k in range(20) for row in (f"0,{k * 10**6}".encode(), f"1,{k * 10**6 + 500}".encode())]
+
+
+ANALYZE_TOPOLOGY = topology_doc([connector_doc("mpoA", 150.0)])
+ANALYZE_ARGV = ["analyze", "--tags", "tags.csv", "--topology", "topo.json", "--out", "report.json", "--hist", "hist.csv"]
+
+
+def analyze_case():
+    return csv_body(b"channel,time_ps", TAG_ROWS).map(
+        lambda body: ({"tags.csv": body, "topo.json": ANALYZE_TOPOLOGY}, ANALYZE_ARGV))
+
+
+# a measured entry for every (aggressor, victim) path pair of a 2x2 switch, at two wavelengths
+TABLE_ROWS = [f"{a},{b},{3 - a},{7 - b},{nm},-40".encode() for a in (1, 2) for b in (3, 4) for nm in (1310, 1550)]
+
+
+def table_plan_case():
+    return csv_body(b"a_in,a_out,v_in,v_out,lambda_nm,xtalk_db", TABLE_ROWS).map(lambda body: ({"table.csv": body}, [
+        "switch", "plan", "--table", "table.csv", "--n-in=2", "--n-out=2", "--classical=1", "--quantum=1",
+        "--out", "plan.json"]))
 
 
 def plan_case():
@@ -425,18 +502,23 @@ def plan_case():
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("fuzz")
-    (directory / "s.csv").write_text("lambda_nm,counts\n" + "".join(
-        f"{1300 + 0.5 * i},{500 if i == 10 else 3}\n" for i in range(21)))
-    return directory
+    return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=st.one_of(simulate_case(), scan_case(), scan_analyze_case(), plan_case()))
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(
+    simulate_case(), scan_case(), scan_analyze_case(), plan_case(), analyze_case(), table_plan_case()))
+# int64 overflows in a tag time and a scan count, which once escaped as OverflowError tracebacks
+@example(case=({"tags.csv": b"channel,time_ps\n0,%d\n" % 2**63, "topo.json": ANALYZE_TOPOLOGY}, ANALYZE_ARGV))
+@example(case=({"s.csv": b"lambda_nm,counts\n1300,%d\n" % 2**63, "s.csv.meta.json": {"dwell_s": 1.0}},
+               SCAN_ANALYZE_ARGV))
 def test_malformed_inputs_follow_exit_contract(fuzz_dir, case):
     files, argv = case
     for name, doc in files.items():
-        (fuzz_dir / name).write_text(json.dumps(doc))
+        if isinstance(doc, bytes):
+            (fuzz_dir / name).write_bytes(doc)
+        else:
+            (fuzz_dir / name).write_text(json.dumps(doc))
     argv = [str(fuzz_dir / arg) if arg.endswith((".json", ".csv", ".xtt1")) else arg for arg in argv]
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):

@@ -108,11 +108,34 @@ class TestMeasuredMode:
         table = load_measured_table(path)
         assert table[(1, 10, 2, 9)] == [(1310.0, -48.0), (1550.0, -40.0)]
 
+    def test_csv_loader_accepted_forms(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(
+            b"a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\r\n"
+            b"1,10,2,9,1310.0,-48.0\r\n\r\n"
+            b'"1", 10 ,2,9,1550,-40.25,extra\r\n'
+            b"3,11,4,12,1.31e3,-inf\r\n"
+        )
+        table = load_measured_table(path)
+        assert table == {(1, 10, 2, 9): [(1310.0, -48.0), (1550.0, -40.25)], (3, 11, 4, 12): [(1310.0, float("-inf"))]}
+        assert all(type(port) is int for key in table for port in key)
+        assert all(type(x) is float for entries in table.values() for entry in entries for x in entry)
+
+    @pytest.mark.parametrize("row", [
+        "1,10,2,9,1310.0", "1,10,2,9.5,1310.0,-48.0", "1,10,2,9,1_310,-48.0",
+        "1,10,2,9223372036854775808,1310.0,-48.0", "1,10,2,9,1310.0,abc",
+    ], ids=["missing-column", "float-port", "underscore", "int64-overflow", "junk-xtalk"])
+    def test_csv_loader_rejects_malformed_rows(self, tmp_path, row):
+        path = tmp_path / "table.csv"
+        path.write_text(f"a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\n1,10,2,9,1310.0,-48.0\n{row}\n")
+        with pytest.raises(DataError, match="not a readable CSV file"):
+            load_measured_table(path)
+
     @pytest.mark.parametrize("value", ["5000.0", "nan"])
     def test_csv_loader_rejects_crosstalk_above_0_db(self, tmp_path, value):
         path = tmp_path / "table.csv"
         path.write_text(f"a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\n1,10,2,9,1310.0,{value}\n")
-        with pytest.raises(DataError, match=":2: crosstalk"):
+        with pytest.raises(DataError, match="data row 1: crosstalk"):
             load_measured_table(path)
 
 

@@ -1,11 +1,19 @@
 """Tag, scan, and histogram file formats."""
 
+import contextlib
+import io
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 import fiberxtalk as fx
 from fiberxtalk import tagio
+from fiberxtalk.cli import main
 from fiberxtalk.errors import DataError, InputError
+
+from conftest import power_for_mu_det
 
 
 def small_stream():
@@ -72,6 +80,67 @@ class TestCsv:
         with pytest.raises(DataError, match="header"):
             tagio.read_tags_csv(path)
 
+    # Inputs the CSV reader has always accepted, with the arrays it returns.
+    @pytest.mark.parametrize("text, channels, times", [
+        (b"channel,time_ps\n0,5\n\n1,7\n\n", [0, 1], [5, 7]),
+        (b"channel,time_ps\r\n0,5\r\n1,7\r\n", [0, 1], [5, 7]),
+        (b'"channel","time_ps"\n"0","5"\n1,"7"\n', [0, 1], [5, 7]),
+        (b" channel , time_ps \n 0 , 5 \n\t1,7 \n", [0, 1], [5, 7]),
+        (b"channel,time_ps\n0,5,x\n1,7,3,\n", [0, 1], [5, 7]),
+        (b"channel,time_ps\n", [], []),
+        (b"channel,time_ps", [], []),
+        (b"channel,time_ps\n0,+5\n1,9223372036854775807\n", [0, 1], [5, 2**63 - 1]),
+    ], ids=["blank-lines", "crlf", "quoted", "spaces", "extra-columns", "header-only",
+            "header-only-no-newline", "int64-max"])
+    def test_accepted_forms(self, tmp_path, text, channels, times):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a header-only file reads as empty without a warning
+            stream = tagio.read_tags_csv(path)
+        assert stream.channels.dtype == np.uint8 and stream.times_ps.dtype == np.int64
+        assert stream.channels.tolist() == channels
+        assert stream.times_ps.tolist() == times
+
+    @pytest.mark.parametrize("body, message", [
+        (b"0\n", "column"),
+        (b"0,1.5\n", "1.5"),
+        (b"# a comment\n0,1\n", "#"),
+        (b"0,nan\n", "nan"),
+        (b"0,1\n   \n", "row 1"),
+        (b"0,1\xff\n", "decode"),
+        (b"0,5_0\n", "5_0"),
+        (b"0,1\n2,3\n", "data row 2: channel must be 0 or 1, got 2"),
+        (b"0,1\n1,-4\n", "data row 2: time must be >= 0 ps, got -4"),
+        (b"0,9223372036854775808\n", "9223372036854775808"),
+        (b"0,100000000000000000000000\n", "100000000000000000000000"),
+    ], ids=["missing-column", "float", "comment", "nan", "whitespace-line", "bad-utf8", "underscore",
+            "channel-2", "negative-time", "int64-overflow", "1e23"])
+    def test_rejected_forms_exit_3(self, tmp_path, body, message):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(b"channel,time_ps\n" + body)
+        with pytest.raises(DataError, match=message):
+            tagio.read_tags_csv(path)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["analyze", "--tags", str(path), "--topology", str(tmp_path / "topo.json"),
+                         "--out", str(tmp_path / "report.json")])
+        assert code == 3
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "E_DATA"
+
+    def test_same_stream_as_xtt1(self, tmp_path, three_point_topology):
+        source = fx.PulsedSource(avg_power_w=power_for_mu_det(0.2, -100.0), rep_rate_hz=1000.0)
+        stream = fx.simulate_otdr_tags(three_point_topology, source, fx.Detector(), 2.0, seed=5)
+        xtt = tagio.read_tags_xtt1(tagio.write_tags_xtt1(tmp_path / "tags.xtt1", stream))
+        csv = tagio.read_tags_csv(tagio.write_tags_csv(tmp_path / "tags.csv", stream))
+        for back in (xtt, csv):
+            assert back.channels.dtype == np.uint8 and back.times_ps.dtype == np.int64
+        assert stream.n_records > 2000
+        assert np.array_equal(csv.channels, xtt.channels)
+        assert np.array_equal(csv.times_ps, xtt.times_ps)
+        assert csv.metadata == xtt.metadata
+
     def test_sniffing_dispatch(self, tmp_path):
         stream = small_stream()
         xtt = tagio.write_tags_xtt1(tmp_path / "a.bin", stream, sidecar=False)
@@ -101,6 +170,22 @@ class TestScanCsv:
         with pytest.raises(InputError, match="dwell"):
             tagio.read_scan_csv(path)
         assert tagio.read_scan_csv(path, dwell_s=1.5).dwell_s == 1.5
+
+
+    def test_floats_match_python_float(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = np.concatenate([rng.uniform(1260.0, 1620.0, 500), 10.0 ** rng.uniform(-30, 30, 500)])
+        texts = [f(v) for v in values.tolist() for f in (repr, "{:.6f}".format, "{:.17g}".format, "{:e}".format)]
+        path = tmp_path / "scan.csv"
+        path.write_text("lambda_nm,counts\n" + "".join(f"{t},1\n" for t in texts))
+        scan = tagio.read_scan_csv(path, dwell_s=1.0)
+        assert scan.wavelengths_nm.tolist() == [float(t) for t in texts]
+
+    def test_unparsable_count_rejected(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text("lambda_nm,counts\n1270.0,5\n1271.0,abc\n")
+        with pytest.raises(DataError, match="abc"):
+            tagio.read_scan_csv(path, dwell_s=1.0)
 
 
 class TestHistogramCsv:
