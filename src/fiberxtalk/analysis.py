@@ -5,10 +5,20 @@ relative to the most recent trigger are folded into a fixed-period histogram,
 peaks are picked against a robust median baseline, converted to distances via
 the plant's group-index profile, and inverted into coupling levels using the
 recorded source/detector parameters.
+
+A folded histogram is sparse: one period at 1 kHz and 100 ps bins is 10^7
+bins, of which a capture occupies a few percent, so :class:`Histogram` keeps
+only the occupied bins (ascending indices and their counts) plus ``n_bins``.
+The median baseline is exact from the number of empty bins and the occupied
+counts, and peak detection scans the occupied bins only: an empty bin is
+below any threshold above a non-negative level. Results equal those of the
+dense form, which :meth:`Histogram.dense` builds for tests and small
+histograms.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +35,7 @@ DEFAULT_BIN_WIDTH_PS = 100
 DEFAULT_K_SIGMA = 5.0
 DEFAULT_MIN_SEPARATION_BINS = 3
 PERIOD_JITTER_WARN_PPM = 1.0
-MAX_FOLD_BINS = 100_000_000  # 800 MB of int64 counts
+MAX_FOLD_BINS = 100_000_000  # Histogram.dense() of that many bins takes 800 MB
 
 
 @dataclass
@@ -49,18 +59,27 @@ class FoldDiagnostics:
 
 @dataclass
 class Histogram:
-    """Folded delay histogram with integer counts over one trigger period."""
+    """Folded delay histogram over one trigger period, holding its occupied bins.
 
+    ``bins`` are the ascending int64 indices of the bins with counts, and
+    ``counts`` their int64 counts, each >= 1; every other of the ``n_bins``
+    bins is empty.
+    """
+
+    bins: np.ndarray
     counts: np.ndarray
+    n_bins: int
     bin_width_ps: int
     period_ps: int
     total_triggers: int
     live_time_s: float
     diagnostics: FoldDiagnostics = field(default_factory=FoldDiagnostics)
 
-    @property
-    def n_bins(self) -> int:
-        return int(self.counts.size)
+    def dense(self) -> np.ndarray:
+        """All ``n_bins`` counts as one int64 array."""
+        out = np.zeros(self.n_bins, dtype=np.int64)
+        out[self.bins] = self.counts
+        return out
 
 
 @dataclass(frozen=True)
@@ -109,22 +128,20 @@ class SpectralLine:
 
 
 def suggest_bin_width(period_ps: int, requested_ps: int) -> int:
-    """Nearest divisor of the period to the requested bin width (ties go small)."""
-    below = None
-    for cand in range(min(requested_ps, period_ps), 0, -1):
-        if period_ps % cand == 0:
-            below = cand
-            break
-    above = None
-    for cand in range(requested_ps + 1, period_ps + 1):
-        if period_ps % cand == 0:
-            above = cand
-            break
-    if below is None:
-        return above if above is not None else period_ps
-    if above is None or requested_ps - below <= above - requested_ps:
+    """Divisor of the period nearest to a requested width >= 1 ps (ties go small).
+
+    1 always divides, so no divisor of 2 * requested or more can win: trial
+    division up to min(sqrt(period), 2 * requested) finds every one that can,
+    each small divisor d together with period // d.
+    """
+    limit = min(math.isqrt(period_ps), 2 * requested_ps)
+    small = [d for d in range(1, limit + 1) if period_ps % d == 0]
+    divisors = sorted({*small, *(period_ps // d for d in small)})
+    i = bisect.bisect_right(divisors, requested_ps)
+    below = divisors[i - 1]
+    if i == len(divisors) or requested_ps - below <= divisors[i] - requested_ps:
         return below
-    return above
+    return divisors[i]
 
 
 def fold_histogram(
@@ -186,7 +203,7 @@ def fold_histogram(
     else:
         lo = hi = None
 
-    counts = np.zeros(n_bins, dtype=np.int64)
+    bins = counts = np.zeros(0, dtype=np.int64)
     if det.size:
         idx = np.searchsorted(trig, det, side="right") - 1
         before = idx < 0
@@ -200,10 +217,13 @@ def fold_histogram(
             diagnostics.dropped_outside_window = int(delays.size - int(inside.sum()))
             delays = delays[inside]
         if delays.size:
-            counts = np.bincount(delays // bin_width_ps, minlength=n_bins).astype(np.int64, copy=False)
+            bins, counts = np.unique(delays // bin_width_ps, return_counts=True)
+            counts = counts.astype(np.int64, copy=False)
 
     return Histogram(
+        bins=bins,
         counts=counts,
+        n_bins=n_bins,
         bin_width_ps=bin_width_ps,
         period_ps=period,
         total_triggers=int(trig.size),
@@ -212,23 +232,36 @@ def fold_histogram(
     )
 
 
+def _histogram_median(histogram: Histogram) -> float:
+    """``np.median(histogram.dense())`` without the dense array.
+
+    Sorted, the bins are ``n_bins - counts.size`` zeros followed by the sorted
+    occupied counts; the median is the mean of the one or two middle values.
+    """
+    n = histogram.n_bins
+    zeros = n - histogram.counts.size
+    middle = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
+    ranks = [k - zeros for k in middle if k >= zeros]
+    occupied = np.partition(histogram.counts, ranks) if ranks else histogram.counts
+    values = np.array([occupied[k - zeros] if k >= zeros else 0 for k in middle], dtype=np.int64)
+    return float(np.mean(values))
+
+
 def estimate_baseline(histogram_or_counts) -> BaselineEstimate:
     """Median background level with a sqrt-of-median Poisson noise scale."""
     if isinstance(histogram_or_counts, Histogram):
-        counts = histogram_or_counts.counts
+        n_bins, median = histogram_or_counts.n_bins, _histogram_median
     else:
-        counts = np.asarray(histogram_or_counts)
-    if counts.size < 16:
-        raise ParameterError(
-            f"baseline estimation needs >= 16 bins, got {counts.size}"
-        )
-    level = float(np.median(counts))
+        histogram_or_counts = np.asarray(histogram_or_counts)
+        n_bins, median = histogram_or_counts.size, np.median
+    if n_bins < 16:
+        raise ParameterError(f"baseline estimation needs >= 16 bins, got {n_bins}")
+    level = float(median(histogram_or_counts))
     return BaselineEstimate(level=level, noise_scale=max(math.sqrt(max(level, 0.0)), 1.0))
 
 
-def _runs_above(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Inclusive (start, end) index pairs of contiguous True runs."""
-    hits = np.flatnonzero(mask)
+def _runs(hits: np.ndarray) -> list[tuple[int, int]]:
+    """Inclusive (start, end) pairs of the runs of consecutive ascending indices."""
     if hits.size == 0:
         return []
     breaks = np.flatnonzero(np.diff(hits) > 1)
@@ -238,7 +271,7 @@ def _runs_above(mask: np.ndarray) -> list[tuple[int, int]]:
 
 
 def detect_peaks(
-    series: np.ndarray,
+    series: "Histogram | np.ndarray",
     baseline: BaselineEstimate,
     k_sigma: float = DEFAULT_K_SIGMA,
     min_separation_bins: int = DEFAULT_MIN_SEPARATION_BINS,
@@ -246,11 +279,13 @@ def detect_peaks(
 ) -> list[Peak]:
     """Find excursions of ``series`` above baseline + k_sigma * noise.
 
-    Contiguous above-threshold runs become candidate peaks; runs separated by
-    fewer than ``min_separation_bins`` below-threshold bins are merged. The
-    nominal peak bin is the leftmost maximum of the region, the centroid is
-    amplitude-weighted over the region, and the FWHM comes from the weighted
-    second moment (floored at one bin).
+    ``series`` is a :class:`Histogram` or a dense array, whose every index is
+    occupied. Contiguous above-threshold runs become candidate peaks; runs
+    separated by fewer than ``min_separation_bins`` below-threshold bins are
+    merged. The nominal peak bin is the leftmost maximum of the region, the
+    centroid is amplitude-weighted over the region, and the FWHM comes from
+    the weighted second moment (floored at one bin). A histogram's empty bins
+    never cross the threshold, so it must exceed 0.
     """
     if not k_sigma > 0.0:
         raise ParameterError(f"k_sigma must be > 0, got {k_sigma}")
@@ -258,9 +293,15 @@ def detect_peaks(
         raise ParameterError(
             f"min_separation_bins must be an integer >= 0, got {min_separation_bins!r}"
         )
-    series = np.asarray(series)
     threshold = baseline.level + k_sigma * baseline.noise_scale
-    runs = _runs_above(series >= threshold)
+    if isinstance(series, Histogram):
+        if not threshold > 0.0:
+            raise ParameterError(f"a histogram needs a peak threshold > 0 counts, got {threshold}")
+        bins, values = series.bins, series.counts
+    else:
+        values = np.asarray(series)
+        bins = np.arange(values.size)
+    runs = _runs(bins[values >= threshold])
     if not runs:
         return []
 
@@ -274,7 +315,11 @@ def detect_peaks(
 
     peaks: list[Peak] = []
     for start, end in merged:
-        seg = series[start : end + 1].astype(float)
+        # the region rebuilt densely, so its sums run over the same elements in
+        # the same order whatever form the series came in
+        lo, hi = np.searchsorted(bins, [start, end + 1])
+        seg = np.zeros(end + 1 - start)
+        seg[bins[lo:hi] - start] = values[lo:hi]
         weights = np.maximum(seg - baseline.level, 0.0)
         amplitude = float(weights.sum())
         if amplitude <= 0.0:
@@ -474,9 +519,7 @@ def run_otdr_analysis(
     """Fold, detect, localize, and (when source/detector are known) estimate coupling."""
     histogram = fold_histogram(tags, bin_width_ps, window_ps)
     baseline = estimate_baseline(histogram)
-    peaks = detect_peaks(
-        histogram.counts, baseline, k_sigma, min_separation_bins, bin_width_ps
-    )
+    peaks = detect_peaks(histogram, baseline, k_sigma, min_separation_bins, bin_width_ps)
     notes: list[str] = []
     if histogram.diagnostics.irregular_period:
         notes.append(

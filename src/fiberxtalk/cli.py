@@ -6,8 +6,9 @@ full parameter snapshot and SHA-256 digests of inputs and outputs.
 
 Exit codes: 0 ok, 2 input error, 3 data error, 4 parameter error, 5 resource
 error. Failures print a one-line machine-readable JSON object on stderr. A
-fault in any input file or document, or a flag argparse cannot read, exits 2
-(``E_INPUT``); an out-of-domain flag exits 4.
+fault in any input file or document, or a flag that argparse or
+:func:`parse_band` cannot read, exits 2 (``E_INPUT``); a flag that reads but
+lies outside its domain exits 4 (``E_PARAM``).
 """
 
 from __future__ import annotations
@@ -291,10 +292,7 @@ def cmd_scan(args) -> int:
     detector = _from_args(args, "detector", Detector) or Detector()
     grid = parse_grid_nm(args.grid, "--grid")
     for nm in grid:
-        try:
-            validate_wavelength_nm(nm)
-        except ParameterError as exc:
-            raise InputError(f"--grid: {exc}") from None
+        validate_wavelength_nm(nm)
     dwell_s = parse_duration_s(args.dwell, "--dwell")
     scan = simulate_spectral_scan(lines, filt, detector, grid, dwell_s, args.seed)
     out = Path(args.out)

@@ -154,16 +154,14 @@ def read_scan_csv(path: "str | Path", *, dwell_s: float | None = None) -> Spectr
 
 
 def write_histogram_csv(path: "str | Path", histogram) -> Path:
-    """Histogram as CSV ``bin_start_ps,counts``.
+    """Histogram as CSV ``bin_start_ps,counts``: one row per occupied bin.
 
-    Folded OTDR histograms routinely span 10^7 bins that are almost all zero,
-    so only occupied bins are written; absent bins are zero.
+    Rows come straight from the sparse histogram's ``bins`` and ``counts``, in
+    ascending order; absent bins are zero.
     """
     path = Path(path)
-    counts = histogram.counts
-    idx = np.flatnonzero(counts)
-    bw = histogram.bin_width_ps
-    rows = "".join(f"{i * bw},{n}\n" for i, n in zip(idx.tolist(), counts[idx].tolist()))
+    starts = histogram.bins * histogram.bin_width_ps
+    rows = "".join(f"{b},{n}\n" for b, n in zip(starts.tolist(), histogram.counts.tolist()))
     with open(path, "w", newline="") as fh:
         fh.write("bin_start_ps,counts\n" + rows)
     return path

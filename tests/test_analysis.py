@@ -1,7 +1,11 @@
 """Folding, baseline, peak detection, localization, and coupling inversion."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fiberxtalk as fx
 from fiberxtalk import analysis
@@ -37,7 +41,7 @@ class TestFoldHistogram:
         stream = stream_from([0, PERIOD], [12_345])
         hist = fold_histogram(stream, bin_width_ps=100)
         assert hist.period_ps == PERIOD
-        assert hist.counts[123] == 1
+        assert hist.dense()[123] == 1
         assert int(hist.counts.sum()) == 1
 
     def test_empty_detector_channel(self):
@@ -73,12 +77,30 @@ class TestFoldHistogram:
         assert suggest_bin_width(PERIOD, 100) == 100
         assert suggest_bin_width(10, 7) == 5  # tie 5 vs 10 resolved small
 
+    def test_suggest_bin_width_matches_a_scan_of_every_width(self):
+        # the rule of a scan over every width 1..period: the nearest divisor,
+        # ties to the smaller (argmin returns the first of equal distances)
+        widths = np.arange(1, 201)
+        for period in range(1, 3001):
+            cand = np.arange(1, period + 1)
+            divisors = cand[period % cand == 0]
+            want = divisors[np.argmin(np.abs(divisors[None, :] - widths[:, None]), axis=1)]
+            assert [suggest_bin_width(period, int(w)) for w in widths] == want.tolist(), period
+
+    def test_bin_width_error_on_a_large_prime_period_is_fast(self):
+        stream = stream_from([0, 10**8 + 7], [5])  # 10^8 + 7 is prime
+        started = time.perf_counter()
+        with pytest.raises(ParameterError, match="nearest divisor is 1 ps") as err:
+            fold_histogram(stream, bin_width_ps=100)
+        assert time.perf_counter() - started < 1.0
+        assert err.value.code == "E_BIN_WIDTH"
+
     def test_tags_before_first_trigger_are_dropped_and_counted(self):
         stream = stream_from([1000, 1000 + PERIOD], [5, 999, 1100])
         hist = fold_histogram(stream, bin_width_ps=100)
         assert hist.diagnostics.dropped_before_first_trigger == 2
         assert int(hist.counts.sum()) == 1
-        assert hist.counts[1] == 1  # delay 100 ps
+        assert hist.dense()[1] == 1  # delay 100 ps
 
     def test_count_conservation_is_exact(self):
         rng = np.random.default_rng(0)
@@ -97,6 +119,7 @@ class TestFoldHistogram:
         shifted = stream_from(triggers + 31_415_926, detectors + 31_415_926)
         a = fold_histogram(stream, bin_width_ps=100)
         b = fold_histogram(shifted, bin_width_ps=100)
+        assert np.array_equal(a.bins, b.bins)
         assert np.array_equal(a.counts, b.counts)
 
     def test_window_filters_and_counts(self):
@@ -115,7 +138,7 @@ class TestFoldHistogram:
     def test_single_trigger_stream(self):
         stream = stream_from([0], [12_345])
         hist = fold_histogram(stream, bin_width_ps=100)
-        assert hist.counts[123] == 1
+        assert hist.dense()[123] == 1
 
 
 class TestBaseline:
@@ -137,6 +160,89 @@ class TestBaseline:
     def test_requires_16_bins(self):
         with pytest.raises(ParameterError):
             estimate_baseline(np.zeros(15))
+
+
+def sparse_from(dense, bin_width_ps=100):
+    dense = np.asarray(dense, dtype=np.int64)
+    bins = np.flatnonzero(dense)
+    return analysis.Histogram(
+        bins=bins, counts=dense[bins], n_bins=dense.size, bin_width_ps=bin_width_ps,
+        period_ps=dense.size * bin_width_ps, total_triggers=1, live_time_s=1e-12 * dense.size * bin_width_ps,
+    )
+
+
+@st.composite
+def dense_counts(draw):
+    """Random counts: a share of bins occupied by background, plus a few tall bins."""
+    n_bins = draw(st.integers(16, 120))
+    occupied = draw(st.sampled_from([0.0, 0.1, 0.4, 0.6, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.where(rng.random(n_bins) < occupied, rng.integers(1, 6, n_bins), 0)
+    for pos in draw(st.lists(st.integers(0, n_bins - 1), max_size=6)):
+        counts[pos] = draw(st.integers(1, 80))
+    return counts.tolist()
+
+
+def gapped(gaps, height=40, edge=5):
+    """Tall single bins separated by runs of ``gaps`` empty bins."""
+    counts = [0] * edge + [height]
+    for gap in gaps:
+        counts += [0] * gap + [height]
+    return counts + [0] * edge
+
+
+class TestSparseMatchesDense:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=dense_counts(),
+        k_sigma=st.sampled_from([1e-3, 0.5, 2.0, 5.0]),
+        min_separation=st.integers(0, 5),
+    )
+    @example(counts=[0] * 16, k_sigma=5.0, min_separation=3)
+    @example(counts=[0] * 17, k_sigma=5.0, min_separation=3)
+    @example(counts=list(range(1, 18)), k_sigma=5.0, min_separation=3)  # fully occupied, odd
+    @example(counts=list(range(1, 19)), k_sigma=1e-3, min_separation=3)  # fully occupied, even
+    @example(counts=[3] * 15 + [0] * 5 + [40] + [0] * 3, k_sigma=1.0, min_separation=3)  # level 3
+    @example(counts=[3] * 11 + [0] * 12 + [40], k_sigma=0.1, min_separation=1)  # level (0 + 3) / 2
+    @example(counts=[50] + [0] * 30 + [50], k_sigma=5.0, min_separation=3)  # peaks at both ends
+    @example(counts=[50, 50] + [0] * 30 + [9, 50], k_sigma=5.0, min_separation=0)
+    @example(counts=gapped([2, 3, 4]), k_sigma=5.0, min_separation=3)
+    @example(counts=gapped([0, 1, 2, 3]), k_sigma=5.0, min_separation=1)
+    @example(counts=gapped([4, 5, 6, 5]) + [1] * 30, k_sigma=2.0, min_separation=5)
+    @example(counts=[1, 0] * 20, k_sigma=1e-3, min_separation=1)  # every occupied bin crosses
+    def test_baseline_and_peaks(self, counts, k_sigma, min_separation):
+        hist = sparse_from(counts)
+        dense = hist.dense()
+        assert dense.tolist() == counts
+        base = estimate_baseline(hist)
+        assert np.float64(base.level).tobytes() == np.float64(np.median(dense)).tobytes()
+        assert base == estimate_baseline(dense)
+        assert detect_peaks(hist, base, k_sigma, min_separation, 7) == detect_peaks(
+            dense, base, k_sigma, min_separation, 7
+        )
+
+    def test_histogram_needs_a_positive_threshold(self):
+        with pytest.raises(ParameterError, match="threshold"):
+            detect_peaks(sparse_from([0] * 16), BaselineEstimate(level=-5.0, noise_scale=1.0))
+
+    def test_analysis_of_a_long_period_never_builds_it_densely(self):
+        # seven triggers 1 ms apart fold into a period of 10^7 bins of 100 ps,
+        # whose dense counts alone would take 80 MB
+        topo = lossless_topology([connector_doc("c", 800.0)])
+        triggers = np.arange(7, dtype=np.int64) * PERIOD
+        stream = stream_from(triggers, np.concatenate([triggers + 12_345, [500_000, 7]]))
+        tracemalloc.start()
+        try:
+            report = fx.run_otdr_analysis(stream, topo)
+            doc = report.to_dict()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert doc["histogram"]["n_bins"] == 10_000_000
+        assert doc["histogram"]["total_counts"] == 9
+        assert report.baseline.level == 0.0
+        assert [p.bin_index for p in report.peaks] == [123]
 
 
 def gaussian_series(n_bins, centers, amplitudes, sigma_bins, baseline, rng=None):
@@ -284,7 +390,8 @@ class TestCouplingEstimate:
             significance_sigma=100.0, fwhm_ps=150.0,
         )
         hist = analysis.Histogram(
-            counts=np.zeros(10_000_000, dtype=np.int64), bin_width_ps=100,
+            bins=np.zeros(0, dtype=np.int64), counts=np.zeros(0, dtype=np.int64),
+            n_bins=10_000_000, bin_width_ps=100,
             period_ps=PERIOD, total_triggers=60_000, live_time_s=60.0,
         )
         return peak, hist, topo, src, det

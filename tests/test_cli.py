@@ -231,15 +231,15 @@ class TestScan:
         assert main(["scan-analyze", "--scan", str(scan_path), "--out", str(report_path)]) == 0
         assert json.loads(report_path.read_text())["lines"] == []
 
-    def test_grid_outside_validated_range_is_input_error(self, tmp_path, capsys):
+    def test_grid_outside_validated_range_is_parameter_error(self, tmp_path, capsys):
         lines = write_json(tmp_path / "lines.json", [])
         code = main([
             "scan", "--lines", str(lines), "--grid", "900:950:10",
             "--dwell", "1s", "--seed", "2", "--out", str(tmp_path / "s.csv"),
         ])
-        assert code == 2
+        assert code == 4
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "E_INPUT"
+        assert err["error"] == "E_PARAM"
 
     @pytest.mark.parametrize("command", [
         ["scan", "--lines", "lines.json", "--dwell", "1s", "--seed", "2"],
