@@ -9,15 +9,6 @@ from .units import (
     DEFAULT_GROUP_INDEX,
     H_JOULE_S,
     O_BAND_NM,
-    LossDb,
-    OpticalPower,
-    Wavelength,
-    dbm_to_watts,
-    fiber_loss_db,
-    photon_rate_per_s,
-    required_isolation_db,
-    time_to_distance_m,
-    watts_to_dbm,
 )
 from .plant import (
     CrosstalkPoint,

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DataError, ParameterError, ResourceError
 from .plant import Topology, distance_for_delay_ps, path_loss_db
 from .simulate import Detector, PulsedSource, SpectralScan, TagStream
-from .units import _GAUSSIAN_FWHM_TO_SIGMA, time_to_distance_m
+from .units import _GAUSSIAN_FWHM_TO_SIGMA, C_M_PER_S
 
 _DB_PER_NEPER = 10.0 / math.log(10.0)
 
@@ -349,9 +349,8 @@ def _peak_location(peak: Peak, topology: Topology):
     """Distance, its uncertainty, and the matched connector (or None) for a peak."""
     distance = distance_for_delay_ps(topology, peak.delay_ps)
     sigma_t_ps = peak.fwhm_ps * _GAUSSIAN_FWHM_TO_SIGMA
-    uncertainty = time_to_distance_m(
-        sigma_t_ps, topology.group_index_at(distance), round_trip=True
-    )
+    # Round trip: out on the aggressor fiber and back on the victim.
+    uncertainty = C_M_PER_S * (sigma_t_ps * 1e-12) / (2.0 * topology.group_index_at(distance))
     matched = None
     if topology.connectors:
         nearest = min(topology.connectors, key=lambda c: abs(c.position_m - distance))
@@ -534,13 +533,7 @@ def run_otdr_analysis(
             for peak, loc in zip(peaks, located):
                 est = estimate_coupling_db(peak, histogram, topology, source, detector)
                 enriched.append(
-                    LocatedCrosstalk(
-                        distance_m=loc.distance_m,
-                        distance_uncertainty_m=loc.distance_uncertainty_m,
-                        coupling_db=est.coupling_db,
-                        coupling_uncertainty_db=est.uncertainty_db,
-                        matched_element=loc.matched_element,
-                    )
+                    replace(loc, coupling_db=est.coupling_db, coupling_uncertainty_db=est.uncertainty_db)
                 )
             located = enriched
         else:

@@ -80,7 +80,7 @@ def parse_time_ps(text: str, flag: str, default_unit: str = "ps") -> float:
     unit = unit or default_unit
     if unit not in _TIME_UNITS_PS:
         raise ParameterError(f"{flag}: unknown time unit {unit!r} in {text!r}")
-    return value * _TIME_UNITS_PS[unit]
+    return require_number(value * _TIME_UNITS_PS[unit], flag)
 
 
 def parse_duration_s(text: str, flag: str) -> float:

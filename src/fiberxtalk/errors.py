@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -75,7 +76,8 @@ def read_csv_columns(path: "str | Path", header: "list[str]", dtypes: list) -> "
     ``dtypes``, on the grammar the :mod:`fiberxtalk.tagio` docstring states. A
     missing file is an :class:`InputError`. A wrong header, bad UTF-8, a
     missing column, or a field that does not parse or overflows is a
-    :class:`DataError`, naming numpy's row and column for a field.
+    :class:`DataError`; a fault in a field or a short row names its data row
+    as :func:`reject_rows` counts them.
     """
     path = Path(path)
     if not path.is_file():
@@ -98,8 +100,25 @@ def read_csv_columns(path: "str | Path", header: "list[str]", dtypes: list) -> "
                 comments=None, quotechar='"', ndmin=1, encoding="utf-8",
             )
     except (ValueError, DeprecationWarning) as exc:  # ValueError covers bad UTF-8 and unparsable fields
-        raise DataError(f"{path}: not a readable CSV file: {exc}") from None
+        raise DataError(f"{path}: not a readable CSV file: {_data_row_message(str(exc))}") from None
     return [np.ascontiguousarray(body[name]) for name in header]
+
+
+# numpy's loadtxt counts the non-blank rows after the header, as reject_rows
+# does, but from 0 for a field that does not parse and from 1 for a short row.
+_NUMPY_ROW_FAULTS = (
+    (re.compile(r"(could not convert string .* to \w+) at row (\d+), (column \d+)\.", re.S), 1, " at "),
+    (re.compile(r"(invalid column index \d+) at row (\d+) (with \d+ columns)"), 0, " "),
+)
+
+
+def _data_row_message(message: str) -> str:
+    """numpy's fault message, its row restated as reject_rows' "data row N"; other messages unchanged."""
+    for pattern, offset, join in _NUMPY_ROW_FAULTS:
+        match = pattern.fullmatch(message)
+        if match:
+            return f"data row {int(match[2]) + offset}: {match[1]}{join}{match[3]}"
+    return message
 
 
 def reject_rows(path: "str | Path", bad: np.ndarray, message: str, values: np.ndarray) -> None:

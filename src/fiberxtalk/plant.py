@@ -80,7 +80,6 @@ class CrosstalkPoint:
     position_m: float
     coupling: float | Callable[[float], float]
     source_element: str | None = None
-    lane_separation: int | None = None
 
     def coupling_db(self, wavelength_nm: float) -> float:
         if callable(self.coupling):
@@ -167,7 +166,6 @@ def crosstalk_points(topology: Topology) -> tuple[CrosstalkPoint, ...]:
                     position_m=conn.position_m,
                     coupling=coupling,
                     source_element=conn.id,
-                    lane_separation=abs(lane_a - lane_v),
                 )
             )
     return tuple(points)

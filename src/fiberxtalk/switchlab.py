@@ -59,10 +59,6 @@ class SwitchModel:
         require_number(self.slope_db_per_nm, "slope_db_per_nm")
 
     @property
-    def mode(self) -> str:
-        return "measured" if self.table is not None else "parametric"
-
-    @property
     def input_ports(self) -> range:
         return range(1, self.n_in + 1)
 
@@ -568,9 +564,3 @@ def optimize_assignment(
         objective_db=worst,
         method="exhaustive",
     )
-
-
-def assignment_to_config(assignment: Assignment) -> SwitchConfig:
-    """The cross-connect configuration realizing an assignment."""
-    pairs = [(p.input, p.output) for p in assignment.classical + assignment.quantum]
-    return SwitchConfig(connections=tuple(pairs))

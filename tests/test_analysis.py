@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fiberxtalk as fx
-from fiberxtalk import analysis
+from fiberxtalk import analysis, plant
 from fiberxtalk.analysis import (
     BaselineEstimate,
     Peak,
@@ -337,6 +337,27 @@ class TestLocalize:
         located = fx.localize([peak], three_point_topology)
         assert located[0].distance_m == pytest.approx(1021.0914782016348, rel=1e-9)
         assert located[0].distance_uncertainty_m > 0
+
+    @pytest.mark.parametrize(
+        "indices, distance_m, index",
+        [((1.468,), 1021.0, 1.468), ((1.45, 1.49), 500.0, 1.45), ((1.45, 1.49), 1500.0, 1.49)],
+        ids=["uniform", "mixed-first-span", "mixed-second-span"],
+    )
+    def test_distance_uncertainty_is_round_trip_sigma(self, indices, distance_m, index):
+        doc = topology_doc()
+        doc["spans"] = [
+            {"id": f"s{i}", "length_m": 1000.0 if len(indices) > 1 else 5000.0, "group_index": n}
+            for i, n in enumerate(indices)
+        ]
+        topo = fx.load_topology(doc)
+        peak = Peak(
+            bin_index=0, centroid_bins=0.0, delay_ps=plant.delay_ps_for_distance(topo, distance_m),
+            amplitude_counts=100.0, background_counts=0.0,
+            significance_sigma=50.0, fwhm_ps=150.0,
+        )
+        # oracle: sigma_t * c / (2 n), with the Gaussian sigma = FWHM / 2.355
+        expected = (150.0 / 2.355) * 299792458.0 * 1e-12 / (2.0 * index)
+        assert fx.localize([peak], topo)[0].distance_uncertainty_m == pytest.approx(expected, rel=1e-12)
 
     def test_zero_delay_is_the_injection_point(self, three_point_topology):
         peak = Peak(

@@ -364,6 +364,21 @@ class TestUnitSuffixes:
             ]) == 0
         assert sha256(out_a) == sha256(out_b)
 
+    @pytest.mark.parametrize("flag, value", [("--bin", "1e999"), ("--window", "0:1e999"), ("--duration", "1e999")])
+    def test_infinite_time_is_parameter_error(self, tmp_path, plant_files, capsys, flag, value):
+        topo, source, detector = plant_files
+        if flag == "--duration":
+            argv = ["simulate", "--source", str(source), "--detector", str(detector), "--seed", "1",
+                    "--out", str(tmp_path / "x.xtt1")]
+        else:
+            tags = tmp_path / "tags.csv"
+            tags.write_bytes(b"\n".join([b"channel,time_ps", *TAG_ROWS]) + b"\n")
+            argv = ["analyze", "--tags", str(tags), "--out", str(tmp_path / "r.json")]
+        assert main([*argv, "--topology", str(topo), f"{flag}={value}"]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "E_PARAM", "message": f"{flag} must be finite, got inf"}
+
 
 # --- malformed inputs never escape the exit-code contract -------------------------
 
@@ -471,8 +486,10 @@ ANALYZE_ARGV = ["analyze", "--tags", "tags.csv", "--topology", "topo.json", "--o
 
 
 def analyze_case():
-    return csv_body(b"channel,time_ps", TAG_ROWS).map(
-        lambda body: ({"tags.csv": body, "topo.json": ANALYZE_TOPOLOGY}, ANALYZE_ARGV))
+    bins = st.one_of(st.just([]), TIMES.map(lambda t: [f"--bin={t}"]))
+    windows = st.one_of(st.just([]), st.tuples(TIMES, TIMES).map(lambda w: [f"--window={w[0]}:{w[1]}"]))
+    return st.tuples(csv_body(b"channel,time_ps", TAG_ROWS), bins, windows).map(lambda case: (
+        {"tags.csv": case[0], "topo.json": ANALYZE_TOPOLOGY}, [*ANALYZE_ARGV, *case[1], *case[2]]))
 
 
 # a measured entry for every (aggressor, victim) path pair of a 2x2 switch, at two wavelengths
@@ -512,6 +529,9 @@ def fuzz_dir(tmp_path_factory):
 @example(case=({"tags.csv": b"channel,time_ps\n0,%d\n" % 2**63, "topo.json": ANALYZE_TOPOLOGY}, ANALYZE_ARGV))
 @example(case=({"s.csv": b"lambda_nm,counts\n1300,%d\n" % 2**63, "s.csv.meta.json": {"dwell_s": 1.0}},
                SCAN_ANALYZE_ARGV))
+# an infinite bin width, which once escaped as an OverflowError traceback
+@example(case=({"tags.csv": b"\n".join([b"channel,time_ps", *TAG_ROWS]) + b"\n", "topo.json": ANALYZE_TOPOLOGY},
+               [*ANALYZE_ARGV, "--bin=1e999"]))
 def test_malformed_inputs_follow_exit_contract(fuzz_dir, case):
     files, argv = case
     for name, doc in files.items():

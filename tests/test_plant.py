@@ -236,15 +236,12 @@ class TestAttenuationTable:
 
 class TestDelayDistanceMap:
     def test_uniform_plant_matches_closed_form(self, three_point_topology):
-        from fiberxtalk.units import time_to_distance_m
-
         delay = plant.delay_ps_for_distance(three_point_topology, 1021.0)
         assert plant.distance_for_delay_ps(three_point_topology, delay) == pytest.approx(
             1021.0, abs=1e-9
         )
-        assert time_to_distance_m(delay, 1.468, round_trip=True) == pytest.approx(
-            1021.0, abs=1e-9
-        )
+        C = 299792458.0  # oracle: round-trip closed form at the uniform group index
+        assert C * delay * 1e-12 / (2 * 1.468) == pytest.approx(1021.0, abs=1e-9)
 
     def test_mixed_index_round_trip(self):
         doc = {

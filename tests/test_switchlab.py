@@ -14,7 +14,6 @@ from fiberxtalk.switchlab import (
     ChannelPlacement,
     ConfigSweepPoint,
     assignment_search_space,
-    assignment_to_config,
     load_measured_table,
 )
 
@@ -343,8 +342,8 @@ class TestAssignment:
 
     def test_assignment_config_is_valid(self):
         assignment = fx.optimize_assignment(fx.SwitchModel(), 2, 2)
-        config = assignment_to_config(assignment)
-        config.validate(fx.SwitchModel())
+        pairs = [(p.input, p.output) for p in assignment.classical + assignment.quantum]
+        fx.SwitchConfig(connections=tuple(pairs)).validate(fx.SwitchModel())
 
 
 class TestSwitchConfig:

@@ -107,7 +107,7 @@ class TestCsv:
         (b"0,1.5\n", "1.5"),
         (b"# a comment\n0,1\n", "#"),
         (b"0,nan\n", "nan"),
-        (b"0,1\n   \n", "row 1"),
+        (b"0,1\n   \n", "data row 2"),
         (b"0,1\xff\n", "decode"),
         (b"0,5_0\n", "5_0"),
         (b"0,1\n2,3\n", "data row 2: channel must be 0 or 1, got 2"),
@@ -128,6 +128,22 @@ class TestCsv:
         assert code == 3
         lines = stderr.getvalue().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "E_DATA"
+
+    @pytest.mark.parametrize("body, row", [
+        (b"0,x\n", 1),
+        (b"0,1\n1,2\n0,x\n", 3),
+        (b"\n\n0,x\n", 1),
+        (b"0\n", 1),
+        (b"0,1\n1,2\n0\n", 3),
+        (b"\n\n0\n", 1),
+        (b"\n\n2,1\n", 1),
+    ], ids=["field-first", "field-third", "field-after-blanks", "short-first", "short-third", "short-after-blanks",
+            "channel-after-blanks"])
+    def test_faults_name_the_data_row(self, tmp_path, body, row):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(b"channel,time_ps\n" + body)
+        with pytest.raises(DataError, match=rf": data row {row}: "):
+            tagio.read_tags_csv(path)
 
     def test_same_stream_as_xtt1(self, tmp_path, three_point_topology):
         source = fx.PulsedSource(avg_power_w=power_for_mu_det(0.2, -100.0), rep_rate_hz=1000.0)
