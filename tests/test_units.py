@@ -1,9 +1,24 @@
-"""Photon energy and the validated wavelength range."""
+"""Photon energy, the validated wavelength range and the delay-to-distance map."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fiberxtalk import units
-from fiberxtalk.errors import ParameterError
+from fiberxtalk import load_topology, plant, units
+from fiberxtalk.errors import InputError, ParameterError
+
+# Independent oracle constant (not taken from the library).
+C = 299792458.0
+
+
+def uniform_plant(group_index=1.468):
+    return load_topology(
+        {
+            "spans": [{"id": "s1", "length_m": 3000.0, "group_index": group_index}],
+            "connectors": [],
+            "probe": {"fiber": "agg", "end": "near"},
+            "victim": {"fiber": "vic", "end": "near"},
+        }
+    )
 
 
 class TestPhotonRate:
@@ -26,3 +41,40 @@ class TestWavelengthRange:
     def test_rejects_non_numbers(self, value):
         with pytest.raises(ParameterError):
             units.validate_wavelength_nm(value)
+
+
+class TestTimeToDistance:
+    """``plant.distance_for_delay_ps`` on a uniform plant against closed-form oracles."""
+
+    def test_zero(self):
+        assert plant.distance_for_delay_ps(uniform_plant(), 0.0) == 0.0
+
+    def test_round_trip_example(self):
+        expected = C * 1e7 * 1e-12 / (2 * 1.468)  # oracle arithmetic
+        got = plant.distance_for_delay_ps(uniform_plant(), 1e7)
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(1021.1, abs=0.05)
+
+    def test_one_way_doubles_round_trip(self):
+        # the map reads delays as round trips: the one-way distance light covers is twice it
+        rt = plant.distance_for_delay_ps(uniform_plant(), 1e7)
+        ow = C * 1e7 * 1e-12 / 1.468  # oracle: one-way closed form
+        assert ow == pytest.approx(2 * rt, rel=1e-12)
+        assert ow == pytest.approx(2042.2, abs=0.1)
+
+    @given(
+        st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
+        st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+    )
+    def test_linearity(self, scale, delta_t):
+        topo = uniform_plant()
+        direct = plant.distance_for_delay_ps(topo, scale * delta_t)
+        scaled = scale * plant.distance_for_delay_ps(topo, delta_t)
+        assert direct == pytest.approx(scaled, rel=1e-9, abs=1e-12)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ParameterError):
+            plant.distance_for_delay_ps(uniform_plant(), -1.0)
+        # a topology document states the group index, and the loader reports faults as input faults
+        with pytest.raises(InputError, match="group_index"):
+            uniform_plant(group_index=1.0)
