@@ -14,6 +14,7 @@ lies outside its domain exits 4 (``E_PARAM``).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -491,7 +492,13 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves the parser unchanged and fills a fresh namespace on every
+    call, so in-process ``main`` calls share nothing through it.
+    """
     parser = _Parser(
         prog="xtalk",
         description="Simulate and analyze inter-fiber crosstalk at the single-photon level.",

@@ -4,9 +4,12 @@ Ports are labeled the way the physical device is: inputs 1..n_in, outputs
 n_in+1..n_in+n_out (so the default 8x8 switch has inputs 1-8 and outputs
 9-16). The parametric model decays with port-index separation on the input
 and output planes independently and rises linearly with wavelength; a
-measured table can replace it entirely. The planner is one exact pruned
-search; a plan or sweep whose work exceeds ``PLAN_WORK_LIMIT`` raises
-``ResourceError`` (exit 5).
+measured table can replace it entirely. The parametric model depends only on
+the two port separations and the wavelength, so the planner evaluates it once
+per (input separation, output separation, carrier) and gathers its leak table
+from those values; a measured table is interpolated once per path pair and
+carrier. The planner is one exact pruned search over that table; a plan or
+sweep whose work exceeds ``PLAN_WORK_LIMIT`` raises ``ResourceError`` (exit 5).
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError, ParameterError, ResourceError, read_csv_columns, reject_rows
 from .units import C_BAND_NM, O_BAND_NM, require_number, validate_wavelength_nm
@@ -126,7 +131,8 @@ def _validate_path(model: SwitchModel, path: PathPair, name: str) -> PathPair:
     return (int(i), int(o))
 
 
-def _measured_lookup(model: SwitchModel, key: tuple[int, int, int, int], nm: float) -> float:
+def _measured_points(model: SwitchModel, key: tuple[int, int, int, int]) -> tuple[list[float], list[float]]:
+    """The measured (wavelengths, dB values) of one path pair, sorted by wavelength."""
     assert model.table is not None
     entries = model.table.get(key)
     if not entries:
@@ -134,8 +140,11 @@ def _measured_lookup(model: SwitchModel, key: tuple[int, int, int, int], nm: flo
             f"no measured crosstalk for paths {key[0]}->{key[1]} / {key[2]}->{key[3]}"
         )
     pts = sorted((float(l), float(v)) for l, v in entries)
-    lams = [p[0] for p in pts]
-    vals = [p[1] for p in pts]
+    return [p[0] for p in pts], [p[1] for p in pts]
+
+
+def _interpolate(lams: list[float], vals: list[float], nm: float) -> float:
+    """Linear interpolation in dB, clamped to the end points."""
     if nm <= lams[0]:
         return vals[0]
     if nm >= lams[-1]:
@@ -146,6 +155,21 @@ def _measured_lookup(model: SwitchModel, key: tuple[int, int, int, int], nm: flo
             frac = (nm - left) / (right - left)
             return vals[j - 1] + frac * (vals[j] - vals[j - 1])
     return vals[-1]
+
+
+def _parametric_db(model: SwitchModel, gap_in: int, gap_out: int, nm: float) -> float:
+    """Parametric crosstalk between paths ``gap_in`` inputs and ``gap_out`` outputs apart."""
+    value = (
+        model.c0_db
+        - model.beta_in_db_per_port * (gap_in - 1)
+        - model.beta_out_db_per_port * (gap_out - 1)
+        + model.slope_db_per_nm * (nm - model.reference_nm)
+    )
+    if value > 0.0:
+        raise ParameterError(
+            f"the model gives {value:.4g} dB of crosstalk at {nm} nm; a passive switch leaks at most 0 dB"
+        )
+    return max(value, model.floor_db)
 
 
 def switch_xtalk_db(
@@ -163,18 +187,8 @@ def switch_xtalk_db(
         )
     nm = validate_wavelength_nm(wavelength_nm)
     if model.table is not None:
-        return _measured_lookup(model, (a_in, a_out, v_in, v_out), nm)
-    value = (
-        model.c0_db
-        - model.beta_in_db_per_port * (abs(a_in - v_in) - 1)
-        - model.beta_out_db_per_port * (abs(a_out - v_out) - 1)
-        + model.slope_db_per_nm * (nm - model.reference_nm)
-    )
-    if value > 0.0:
-        raise ParameterError(
-            f"the model gives {value:.4g} dB of crosstalk at {nm} nm; a passive switch leaks at most 0 dB"
-        )
-    return max(value, model.floor_db)
+        return _interpolate(*_measured_points(model, (a_in, a_out, v_in, v_out)), nm)
+    return _parametric_db(model, abs(a_in - v_in), abs(a_out - v_out), nm)
 
 
 def load_measured_table(path: "str | Path") -> dict[tuple[int, int, int, int], list[tuple[float, float]]]:
@@ -444,21 +458,45 @@ def _leak_rows(model: SwitchModel, lam_c: tuple[float, ...]) -> list[list]:
     """``rows[a]``: ``(b, wavelength, row)`` in port order for each classical path ``a -> b``.
 
     Ports are 0-based. ``row[v * n_out + w]`` is the linear leakage into victim
-    ``v -> w``, infinite where the victim shares a port; equal dB values share
-    one float. Prune 4: a carrier whose row is nowhere below a lower carrier's
-    row on the same path is dropped, as the lower one comes first in port order.
+    ``v -> w``, infinite where the victim shares a port: ``10 ** (x / 10)`` of
+    ``switch_xtalk_db``'s ``x``, bit for bit, without calling it. The
+    parametric model depends only on ``|a - v|``, ``|b - w|`` and the carrier,
+    so it is evaluated once per (separation, separation, carrier), at most
+    ``n_in * n_out * len(lam_c)`` times, and the rows are gathered from that
+    small table; a measured table is interpolated once per path pair and
+    carrier. The first fault in port order raises the error the per-pair call
+    would. Prune 4: a carrier whose row is nowhere below a lower carrier's row
+    on the same path is dropped, as the lower one comes first in port order.
     """
-    n_in, n_out = model.n_in, model.n_out
-    linear: dict[float, float] = {}
-    rows: list[list] = [[] for _ in range(n_in)]
-    for a, b, lam in itertools.product(range(n_in), range(n_out), lam_c):
-        row = [math.inf] * (n_in * n_out)
-        for v, w in itertools.product(range(n_in), range(n_out)):
+    n_in, n_out, n_lam = model.n_in, model.n_out, len(lam_c)
+    # Only the reference wavelength can be out of range, and it is the one carrier.
+    lams = [validate_wavelength_nm(lam) for lam in lam_c]
+    # Object arrays, so that equal entries share one float.
+    if model.table is None:
+        # by_gap[l, |a - v|, |b - w|], where a gap of 0 shares a port. The first
+        # aggressor's victims meet every gap, in this order.
+        by_gap = np.full((n_lam, n_in, n_out), math.inf, dtype=object)
+        for (l, nm), g_in, g_out in itertools.product(enumerate(lams), range(1, n_in), range(1, n_out)):
+            by_gap[l, g_in, g_out] = 10.0 ** (_parametric_db(model, g_in, g_out, nm) / 10.0)
+        gap_in = np.abs(np.subtract.outer(np.arange(n_in), np.arange(n_in)))
+        gap_out = np.abs(np.subtract.outer(np.arange(n_out), np.arange(n_out)))
+        leak = by_gap[
+            np.arange(n_lam)[None, None, :, None, None],
+            gap_in[:, None, None, :, None],
+            gap_out[None, :, None, None, :],
+        ]
+    else:
+        leak = np.full((n_in, n_out, n_lam, n_in, n_out), math.inf, dtype=object)
+        for a, b, v, w in itertools.product(range(n_in), range(n_out), range(n_in), range(n_out)):
             if v != a and w != b:
-                db = switch_xtalk_db(model, (a + 1, n_in + 1 + b), (v + 1, n_in + 1 + w), lam)
-                row[v * n_out + w] = linear.setdefault(db, 10.0 ** (db / 10.0))
+                points = _measured_points(model, (a + 1, n_in + 1 + b, v + 1, n_in + 1 + w))
+                for l, nm in enumerate(lams):
+                    leak[a, b, l, v, w] = 10.0 ** (_interpolate(*points, nm) / 10.0)
+    rows: list[list] = [[] for _ in range(n_in)]
+    paths = itertools.product(range(n_in), range(n_out), range(n_lam))
+    for (a, b, l), row in zip(paths, leak.reshape(-1, n_in * n_out).tolist()):
         if not any(all(x <= y for x, y in zip(low, row)) for c, _, low in rows[a] if c == b):
-            rows[a].append((b, lam, row))
+            rows[a].append((b, lam_c[l], row))
     return rows
 
 
@@ -534,7 +572,9 @@ def optimize_assignment(
 ) -> Assignment:
     """Minimize the worst-case aggregated leakage into any quantum channel.
 
-    One exact depth-first search over a leak table built once. Channels are
+    One exact depth-first search over a leak table built once, in closed form
+    from one value per port separation and carrier (see ``_leak_rows``); it
+    never calls ``switch_xtalk_db``, which the oracle uses. Channels are
     placed classical first, each by ascending input, then output, then carrier,
     so leaves arrive in the oracle's tie-break order and replace the incumbent
     only when (worst, total) is strictly smaller. Sums run in the order of

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fiberxtalk as fx
+from fiberxtalk import cli
 from fiberxtalk.cli import main
 
 from conftest import connector_doc, power_for_mu_det, topology_doc
@@ -195,6 +196,39 @@ def test_help_still_exits_0(capsys):
         main(["switch", "plan", "--help"])
     assert exit_.value.code == 0
     assert "--classical" in capsys.readouterr().out
+
+
+def test_in_process_calls_share_no_state(tmp_path, plant_files, capsys):
+    """The parser is built once per process, yet no flag of one call reaches the next."""
+    topo, source, detector = plant_files
+    tags = tmp_path / "run.xtt1"
+    assert main([
+        "simulate", "--topology", str(topo), "--source", str(source),
+        "--detector", str(detector), "--duration", "1s", "--seed", "3", "--out", str(tags),
+    ]) == 0
+    analyze = ["analyze", "--tags", str(tags), "--topology", str(topo), "--out", str(tmp_path / "r.json")]
+    windows = []
+    for argv in (analyze + ["--window", "0:60us"], analyze):
+        assert main(argv) == 0
+        windows.append(json.loads((tmp_path / "r.json.manifest.json").read_text())["parameters"]["window_ps"])
+    assert windows == [[0, 60_000_000], None]
+
+    plan = tmp_path / "plan.json"
+    methods = []
+    for flags in (["--oracle"], []):
+        assert main([
+            "switch", "plan", "--n-in", "4", "--n-out", "4", "--classical", "1", "--quantum", "1",
+            *flags, "--out", str(plan),
+        ]) == 0
+        methods.append(json.loads(plan.read_text())["method"])
+    assert methods == ["brute-force", "exhaustive"]
+
+    capsys.readouterr()
+    assert main(["switch", "plan", "--classical", "1", "--out", str(plan)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "E_INPUT"
+    assert cli.build_parser() is cli.build_parser()
 
 
 class TestScan:

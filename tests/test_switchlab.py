@@ -346,6 +346,106 @@ class TestAssignment:
         fx.SwitchConfig(connections=tuple(pairs)).validate(fx.SwitchModel())
 
 
+def measured_model(n=5):
+    """A measured table at one or two carriers, whole-dB values and some ``-inf`` entries."""
+    rng = np.random.default_rng(11)
+    ins, outs = range(1, n + 1), range(n + 1, 2 * n + 1)
+    table = {}
+    for a_in, a_out, v_in, v_out in itertools.product(ins, outs, ins, outs):
+        if a_in != v_in and a_out != v_out:
+            lams = (1550.0, 1300.0)[: int(rng.integers(1, 3))]
+            table[a_in, a_out, v_in, v_out] = [
+                (lam, -math.inf if rng.random() < 0.1 else float(rng.integers(-70, -40))) for lam in lams
+            ]
+    return fx.SwitchModel(n_in=n, n_out=n, table=table)
+
+
+def first_fault(model, lam_c):
+    """The error of the first failing ``switch_xtalk_db`` call in the planner's port order."""
+    n_in, n_out = model.n_in, model.n_out
+    for a, b, lam, v, w in itertools.product(range(n_in), range(n_out), lam_c, range(n_in), range(n_out)):
+        if v != a and w != b:
+            try:
+                fx.switch_xtalk_db(model, (a + 1, n_in + 1 + b), (v + 1, n_in + 1 + w), lam)
+            except (DataError, ParameterError) as exc:
+                return exc
+    raise AssertionError("no call fails")
+
+
+class TestLeakTable:
+    @pytest.mark.parametrize("model,lam_c", [
+        (DEFAULT, (1310.0,)),
+        (fx.SwitchModel(n_in=16, n_out=16), fx.C_BAND_NM),
+        (fx.SwitchModel(beta_in_db_per_port=20.0, beta_out_db_per_port=15.0, floor_db=-90.0), fx.O_BAND_NM),
+        (fx.SwitchModel(beta_in_db_per_port=0.0, beta_out_db_per_port=0.0), fx.O_BAND_NM),
+        (fx.SwitchModel(n_in=3, n_out=5, slope_db_per_nm=-0.02), (1300.0, 1550.0)),
+        (measured_model(), (1300.0, 1550.0)),
+        (measured_model(), (1400.0,)),
+    ], ids=["default", "16x16-C", "steep-floor", "flat-betas", "3x5-negative-slope", "measured", "measured-between"])
+    def test_rows_equal_per_entry_model(self, model, lam_c):
+        """Every entry is ``10 ** (switch_xtalk_db / 10)`` bit for bit, and prune 4 keeps the same carriers."""
+        n_in, n_out = model.n_in, model.n_out
+        want = [[] for _ in range(n_in)]
+        for a, b, lam in itertools.product(range(n_in), range(n_out), lam_c):
+            row = [math.inf] * (n_in * n_out)
+            for v, w in itertools.product(range(n_in), range(n_out)):
+                if v != a and w != b:
+                    db = fx.switch_xtalk_db(model, (a + 1, n_in + 1 + b), (v + 1, n_in + 1 + w), lam)
+                    row[v * n_out + w] = 10.0 ** (db / 10.0)
+            if not any(c == b and all(x <= y for x, y in zip(low, row)) for c, _, low in want[a]):
+                want[a].append((b, lam, row))
+        got = switchlab._leak_rows(model, tuple(lam_c))
+        assert [[(b, lam) for b, lam, _ in per_input] for per_input in got] == [
+            [(b, lam) for b, lam, _ in per_input] for per_input in want
+        ]
+        for per_got, per_want in zip(got, want):
+            for (_, _, row), (_, _, expected) in zip(per_got, per_want):
+                assert all(type(x) is float for x in row)
+                assert [x.hex() for x in row] == [x.hex() for x in expected]
+
+    @pytest.mark.parametrize("model,lam_c", [
+        # 1530 nm stays below 0 dB at the closest paths and 1565 nm does not.
+        (fx.SwitchModel(c0_db=-10.0, beta_in_db_per_port=0.5, slope_db_per_nm=10.0 / 240.0), fx.C_BAND_NM),
+        (fx.SwitchModel(reference_nm=900.0), (900.0,)),
+        # Three keys missing; 2->8 / 4->7 comes first in port order.
+        (fx.SwitchModel(n_in=5, n_out=5, table={
+            k: v for k, v in measured_model().table.items() if k not in {(3, 6, 1, 7), (2, 8, 5, 6), (2, 8, 4, 7)}
+        }), (1300.0, 1550.0)),
+    ], ids=["above-0-dB", "reference-out-of-range", "missing-key"])
+    def test_first_fault_in_port_order(self, model, lam_c):
+        want = first_fault(model, lam_c)
+        with pytest.raises(type(want)) as err:
+            switchlab._leak_rows(model, tuple(lam_c))
+        assert str(err.value) == str(want)
+        with pytest.raises(type(want)) as err:
+            fx.optimize_assignment(model, 2, 2, {"classical": lam_c} if len(lam_c) == 2 else None)
+        assert str(err.value) == str(want)
+
+    def test_plans_never_call_the_per_entry_model(self, monkeypatch):
+        # brute_force_assignment takes ~20 s on 8x8 (2, 2); this is its plan.
+        default_oracle = fx.Assignment(
+            classical=(ChannelPlacement(1, 10, 1310.0), ChannelPlacement(2, 9, 1310.0)),
+            quantum=(ChannelPlacement(7, 16, 1310.0), ChannelPlacement(8, 15, 1310.0)),
+            objective_db=10.0 * math.log10(2e-10),
+            method="brute-force",
+        )
+        table = measured_model()
+        table_oracle = fx.brute_force_assignment(table, 2, 2, {"classical": (1300.0, 1550.0)})
+
+        def refuse(*args):
+            raise AssertionError("switch_xtalk_db called while planning")
+
+        monkeypatch.setattr(switchlab, "switch_xtalk_db", refuse)
+        for model, bands, oracle in ((DEFAULT, None, default_oracle),
+                                     (table, {"classical": (1300.0, 1550.0)}, table_oracle)):
+            plan = fx.optimize_assignment(model, 2, 2, bands)
+            assert (plan.classical, plan.quantum, plan.objective_db) == (
+                oracle.classical, oracle.quantum, oracle.objective_db
+            )
+        large = fx.optimize_assignment(fx.SwitchModel(n_in=16, n_out=16), 2, 2)
+        assert large.objective_db == 10.0 * math.log10(2e-12)
+
+
 class TestSwitchConfig:
     def test_duplicate_port_rejected_with_config_code(self):
         with pytest.raises(ParameterError) as err:
