@@ -3,10 +3,11 @@
 Randomness comes from the Philox counter-based generator (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11). An OTDR run is cut
 into fixed blocks of ``PULSES_PER_CHUNK`` pulses and each block draws from its
-own ``[seed, chunk]`` key; a spectral scan keys each grid point by
-``[seed, index]``. Output therefore depends only on the seed and the chunk
-size, not on how the chunks are spread over workers, which is what makes
-``--jobs`` safe and repeated runs byte-identical.
+own ``[seed, chunk]`` key; each grid point of a spectral scan still draws
+from its own ``[seed, index]`` key, through one generator that is re-keyed
+per point. Output therefore depends only on the seed and the chunk size, not
+on how the chunks are spread over workers, which is what makes ``--jobs``
+safe and repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .plant import (
 )
 from .units import (
     _GAUSSIAN_FWHM_TO_SIGMA,
+    WAVELENGTH_MAX_NM,
+    WAVELENGTH_MIN_NM,
     photon_energy_joules,
     require_number,
     validate_wavelength_nm,
@@ -39,6 +42,8 @@ MAX_SEED = 2**64 - 1
 DEFAULT_MAX_TAGS = 50_000_000
 PULSES_PER_CHUNK = 65_536
 MAX_POISSON_MEAN = 1e18  # numpy refuses Poisson means above ~9.2e18
+# math.exp(-0.5 * z ** 2) is exactly 0.0 beyond this |z| (exp(-746) underflows to 0).
+_EXP_ZERO_Z = math.sqrt(2 * 746.0)
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,8 @@ class TunableFilter:
 
     def __post_init__(self):
         require_number(self.fwhm_nm, "fwhm_nm", minimum=0.0, strict=True)
+        if self.fwhm_nm * _GAUSSIAN_FWHM_TO_SIGMA == 0.0:
+            raise ParameterError(f"fwhm_nm {self.fwhm_nm!r} is too narrow: its sigma underflows to 0")
         require_number(self.insertion_loss_db, "insertion_loss_db", minimum=0.0)
         if self.center_nm is not None:
             validate_wavelength_nm(self.center_nm)
@@ -400,6 +407,34 @@ class SpectralScan:
         self.dwell_s = require_number(self.dwell_s, "dwell_s", minimum=0.0, strict=True)
 
 
+def _scan_rates(
+    lines: "list[LeakLine] | tuple[LeakLine, ...]",
+    filt: TunableFilter,
+    detector: Detector,
+    centers_nm: np.ndarray,
+) -> np.ndarray:
+    """Analytic count rate with the filter parked at each of ``centers_nm``.
+
+    Bit for bit the scalar sum: the dark rate plus, line by line in list
+    order, ``rate * (peak * math.exp(-0.5 * z ** 2)) * efficiency`` with
+    ``z`` the line's offset in filter sigmas. A term is skipped only beyond
+    ``_EXP_ZERO_Z``, where it is exactly +0.0. The kept terms use Python
+    floats, as ``np.exp`` and numpy's ``z ** 2`` differ in the last bit on
+    some inputs.
+    """
+    sigma = filt.fwhm_nm * _GAUSSIAN_FWHM_TO_SIGMA
+    peak = 10.0 ** (-filt.insertion_loss_db / 10.0)
+    rates = np.full(centers_nm.shape, float(detector.dark_rate_hz))
+    # Rates may overflow to inf, as the scalar sum would; the caller rejects them.
+    with np.errstate(over="ignore"):
+        for line in lines:
+            z = (line.wavelength_nm - centers_nm) / sigma
+            near = np.flatnonzero(np.abs(z) <= _EXP_ZERO_Z)
+            rate, efficiency = line.rate_photons_per_s, detector.efficiency
+            rates[near] += [rate * (peak * math.exp(-0.5 * x ** 2)) * efficiency for x in z[near].tolist()]
+    return rates
+
+
 def expected_scan_rate(
     lines: "list[LeakLine] | tuple[LeakLine, ...]",
     filt: TunableFilter,
@@ -407,13 +442,7 @@ def expected_scan_rate(
     center_nm: float,
 ) -> float:
     """Analytic count rate with the filter parked at ``center_nm``."""
-    sigma = filt.fwhm_nm * _GAUSSIAN_FWHM_TO_SIGMA
-    peak = 10.0 ** (-filt.insertion_loss_db / 10.0)
-    rate = detector.dark_rate_hz
-    for line in lines:
-        transmission = peak * math.exp(-0.5 * ((line.wavelength_nm - center_nm) / sigma) ** 2)
-        rate += line.rate_photons_per_s * transmission * detector.efficiency
-    return rate
+    return float(_scan_rates(lines, filt, detector, np.array([center_nm], dtype=float))[0])
 
 
 def simulate_spectral_scan(
@@ -426,28 +455,45 @@ def simulate_spectral_scan(
 ) -> SpectralScan:
     """Simulate a wavelength scan of leaked classical light plus dark counts.
 
-    Each grid point draws from its own ``[seed, index]`` substream, so the
-    scan is deterministic and independent of evaluation order.
+    Each grid point draws one Poisson count from the Philox stream keyed
+    ``[seed, index]``, so the scan is deterministic and independent of
+    evaluation order. One generator is re-keyed per point through the public
+    ``state`` setter, to the state a fresh ``Philox(key=[seed, index])`` has:
+    building a new bit generator per point costs more than its draw.
     """
     _validate_seed(seed)
     require_number(dwell_s, "dwell_s", minimum=0.0, strict=True)
     grid = np.asarray(grid_nm, dtype=float)
     if grid.size == 0:
         raise ParameterError("wavelength grid must not be empty")
-    if grid.size > 1 and not (np.diff(grid) > 0).all():
-        raise ParameterError("wavelength grid must be strictly increasing")
-    for nm in grid:
-        validate_wavelength_nm(float(nm))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is not > 0
+        if not (np.diff(grid) > 0).all():
+            raise ParameterError("wavelength grid must be strictly increasing")
+    # The negated test sends NaN and inf to the check as well.
+    outside = np.flatnonzero(~((WAVELENGTH_MIN_NM <= grid) & (grid <= WAVELENGTH_MAX_NM)))
+    if outside.size:
+        validate_wavelength_nm(float(grid[outside[0]]))
     for line in lines:
         if not isinstance(line, LeakLine):
             raise ParameterError(f"expected LeakLine entries, got {type(line).__name__}")
 
+    with np.errstate(over="ignore"):
+        means = _scan_rates(lines, filt, detector, grid) * dwell_s
+    over = np.flatnonzero(~(means <= MAX_POISSON_MEAN))
+    if over.size:
+        first = over[0]
+        raise ParameterError(
+            f"expected {float(means[first]):.3g} counts at {grid[first]} nm; the limit is {MAX_POISSON_MEAN:.0e}"
+        )
+    rng = _substream(seed, 0)
+    # A fresh stream's state: counter 0, buffer empty (buffer_pos 4), no spare uint32.
+    state = rng.bit_generator.state
+    key = state["state"]["key"]
     counts = np.empty(grid.size, dtype=np.int64)
-    for i, center in enumerate(grid):
-        lam = expected_scan_rate(lines, filt, detector, float(center)) * dwell_s
-        if not lam <= MAX_POISSON_MEAN:
-            raise ParameterError(f"expected {lam:.3g} counts at {center} nm; the limit is {MAX_POISSON_MEAN:.0e}")
-        counts[i] = _substream(seed, i).poisson(lam)
+    for i, mean in enumerate(means.tolist()):
+        key[1] = i
+        rng.bit_generator.state = state
+        counts[i] = rng.poisson(mean)
 
     metadata = {
         "schema_version": 1,

@@ -144,7 +144,11 @@ def _measured_points(model: SwitchModel, key: tuple[int, int, int, int]) -> tupl
 
 
 def _interpolate(lams: list[float], vals: list[float], nm: float) -> float:
-    """Linear interpolation in dB, clamped to the end points."""
+    """Linear interpolation in dB, clamped to the end points.
+
+    Strictly between a ``-inf`` point and any other point the value is
+    ``-inf``, the limit of the dB-linear formula, which itself gives NaN there.
+    """
     if nm <= lams[0]:
         return vals[0]
     if nm >= lams[-1]:
@@ -152,6 +156,8 @@ def _interpolate(lams: list[float], vals: list[float], nm: float) -> float:
     for j in range(1, len(lams)):
         if nm <= lams[j]:
             left, right = lams[j - 1], lams[j]
+            if -math.inf in (vals[j - 1], vals[j]):
+                return vals[j] if nm == right else -math.inf
             frac = (nm - left) / (right - left)
             return vals[j - 1] + frac * (vals[j] - vals[j - 1])
     return vals[-1]

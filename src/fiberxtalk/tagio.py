@@ -129,10 +129,9 @@ def read_tags(path: "str | Path") -> TagStream:
 def write_scan_csv(path: "str | Path", scan: SpectralScan) -> Path:
     """Spectral scan as CSV ``lambda_nm,counts`` with a JSON sidecar for dwell etc."""
     path = Path(path)
+    rows = "".join(f"{nm:.6f},{n}\n" for nm, n in zip(scan.wavelengths_nm.tolist(), scan.counts.tolist()))
     with open(path, "w", newline="") as fh:
-        fh.write("lambda_nm,counts\n")
-        for nm, n in zip(scan.wavelengths_nm.tolist(), scan.counts.tolist()):
-            fh.write(f"{nm:.6f},{n}\n")
+        fh.write("lambda_nm,counts\n" + rows)
     meta = dict(scan.metadata)
     meta.setdefault("dwell_s", scan.dwell_s)
     write_metadata(path, meta)

@@ -4,12 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fiberxtalk as fx
 from fiberxtalk.errors import ParameterError, ResourceError
 from fiberxtalk.plant import CrosstalkPoint
-from fiberxtalk.simulate import PULSES_PER_CHUNK, _apply_dead_time, expected_scan_rate, point_mu_optical
+from fiberxtalk.simulate import (
+    MAX_POISSON_MEAN,
+    PULSES_PER_CHUNK,
+    _apply_dead_time,
+    _scan_rates,
+    expected_scan_rate,
+    point_mu_optical,
+)
+from fiberxtalk.units import _GAUSSIAN_FWHM_TO_SIGMA, validate_wavelength_nm
 
 from conftest import E_PHOTON_1550_J, connector_doc, lossless_topology, power_for_mu_det, topology_doc
 
@@ -235,6 +243,54 @@ class TestDeadTimeSweep:
         assert got.tolist() == sequential_dead_time(times.tolist(), dead)
 
 
+def per_point_scan(lines, filt, det, grid, dwell, seed):
+    """The scan as a loop over points: ``(rates, counts)``, or the first point's error.
+
+    Each rate is summed line by line in Python floats and each count drawn
+    from a fresh ``Philox([seed, i])``, as the scan was before it was
+    vectorized.
+    """
+    for nm in grid:
+        validate_wavelength_nm(float(nm))
+    sigma = filt.fwhm_nm * _GAUSSIAN_FWHM_TO_SIGMA
+    peak = 10.0 ** (-filt.insertion_loss_db / 10.0)
+    rates, counts = [], []
+    for i, center in enumerate(np.asarray(grid, dtype=float)):
+        rate = det.dark_rate_hz
+        for line in lines:
+            transmission = peak * math.exp(-0.5 * ((line.wavelength_nm - float(center)) / sigma) ** 2)
+            rate += line.rate_photons_per_s * transmission * det.efficiency
+        lam = rate * dwell
+        if not lam <= MAX_POISSON_MEAN:
+            raise ParameterError(f"expected {lam:.3g} counts at {center} nm; the limit is {MAX_POISSON_MEAN:.0e}")
+        rates.append(float(rate))
+        key = np.array([seed, i], dtype=np.uint64)
+        counts.append(int(np.random.Generator(np.random.Philox(key=key)).poisson(lam)))
+    return rates, counts
+
+
+def number(lo, hi):
+    """A JSON number: an integer or a float in ``[lo, hi]``."""
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)), st.floats(lo, hi))
+
+
+@st.composite
+def scan_cases(draw):
+    start = draw(number(1000.0, 1999.0))
+    step = draw(st.floats(0.01, 2.0))
+    grid = [start + i * step for i in range(draw(st.integers(1, 24)))]  # may run past 2000 nm
+    wavelengths = st.one_of(
+        number(1000.0, 2000.0),  # mostly far outside the grid
+        st.floats(-3.0, 3.0).map(lambda offset: min(max(start + offset, 1000.0), 2000.0)),
+    )
+    rates = st.one_of(number(0.0, 1e6), st.floats(0.0, 1e300))
+    lines = draw(st.lists(st.builds(fx.LeakLine, wavelengths, rates), max_size=6))
+    filt = fx.TunableFilter(fwhm_nm=draw(number(0.01, 20.0)), insertion_loss_db=draw(number(0.0, 30.0)))
+    det = fx.Detector(efficiency=draw(number(0.0, 1.0)), dark_rate_hz=draw(st.one_of(st.just(0), number(0.0, 1e6))))
+    dwell = draw(st.one_of(st.integers(1, 10), st.floats(1e-3, 100.0)))
+    return lines, filt, det, grid, dwell, draw(st.integers(0, 2**64 - 1))
+
+
 class TestSpectralScan:
     def test_dark_only_scan(self):
         det = fx.Detector(dark_rate_hz=100.0)
@@ -297,6 +353,81 @@ class TestSpectralScan:
         with pytest.raises(ParameterError):
             fx.simulate_spectral_scan([], fx.TunableFilter(), det, [900.0, 1300.0], 1.0, seed=1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=scan_cases())
+    # Here numpy's z * z and Python's z ** 2 differ in the last bit, and so does the rate.
+    @example(case=([fx.LeakLine(1310.071, 470.0)], fx.TunableFilter(), fx.Detector(dark_rate_hz=0.0),
+                   [1300.0 + 73 * 0.1], 1.0, 7))
+    def test_matches_the_per_point_loop(self, case):
+        lines, filt, det, grid, dwell, seed = case
+        try:
+            rates, counts = per_point_scan(*case)
+        except ParameterError as exc:
+            with pytest.raises(ParameterError) as err:
+                fx.simulate_spectral_scan(*case)
+            assert str(err.value) == str(exc)
+            return
+        scan = fx.simulate_spectral_scan(*case)
+        assert scan.counts.tolist() == counts
+        got = _scan_rates(lines, filt, det, np.asarray(grid, dtype=float)).tolist()
+        assert [r.hex() for r in got] == [r.hex() for r in rates]
+        assert expected_scan_rate(lines, filt, det, grid[-1]).hex() == rates[-1].hex()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_rekeyed_stream_equals_a_fresh_philox(self, seed):
+        # Means from 0.3 to ~1e9 counts take both of numpy's Poisson samplers,
+        # which read different numbers of uniforms from the stream.
+        line, filt, det = fx.LeakLine(1310.0, 2e9), fx.TunableFilter(fwhm_nm=2.0), fx.Detector(dark_rate_hz=0.3)
+        grid = np.arange(1300.0, 1320.0, 0.25)
+        scan = fx.simulate_spectral_scan([line], filt, det, grid, 1.0, seed=seed)
+        want = [
+            np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+            .poisson(expected_scan_rate([line], filt, det, center))
+            for i, center in enumerate(grid.tolist())
+        ]
+        assert scan.counts.tolist() == want
+
+    def test_mean_over_the_limit_names_the_first_point(self):
+        # 1310.0, 1310.5 and 1311.0 nm are over the limit; 1309.5 nm is not.
+        line, filt, det = fx.LeakLine(1310.5, 1e19), fx.TunableFilter(), fx.Detector()
+        grid = np.arange(1308.0, 1313.0, 0.5)
+        over = [expected_scan_rate([line], filt, det, nm) > MAX_POISSON_MEAN for nm in grid.tolist()]
+        assert over == [False] * 4 + [True] * 3 + [False] * 3
+        with pytest.raises(ParameterError) as err:
+            fx.simulate_spectral_scan([line], filt, det, grid, 1.0, seed=1)
+        mean = expected_scan_rate([line], filt, det, 1310.0)
+        assert str(err.value) == f"expected {mean:.3g} counts at 1310.0 nm; the limit is 1e+18"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_repeated_inf_is_not_increasing(self):
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            fx.simulate_spectral_scan([], fx.TunableFilter(), fx.Detector(), [1300.0, math.inf, math.inf], 1.0, seed=1)
+
+    @pytest.mark.parametrize("grid,bad", [
+        ([math.nan], math.nan), ([math.inf], math.inf), ([1300.0, math.inf], math.inf),
+        ([999.0, 1300.0], 999.0), ([1300.0, 2000.5, 2100.0], 2000.5),
+    ])
+    def test_grid_check_names_the_first_bad_point(self, grid, bad):
+        with pytest.raises(ParameterError) as want:
+            validate_wavelength_nm(bad)
+        with pytest.raises(ParameterError) as err:
+            fx.simulate_spectral_scan([], fx.TunableFilter(), fx.Detector(), grid, 1.0, seed=1)
+        assert str(err.value) == str(want.value)
+
+    def test_one_scan_builds_one_bit_generator(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        grid = np.arange(1300.0, 1310.0, 0.1)
+        scan = fx.simulate_spectral_scan([fx.LeakLine(1305.0, 1e4)], fx.TunableFilter(), fx.Detector(), grid, 1.0, seed=3)
+        assert scan.counts.size == grid.size
+        assert len(built) == 1
+
 
 class TestModelValidation:
     def test_pulse_width_must_fit_period(self):
@@ -319,6 +450,14 @@ class TestModelValidation:
         with pytest.raises(ParameterError, match="counts at"):
             fx.simulate_spectral_scan([fx.LeakLine(1310.0, 2.0**70)], fx.TunableFilter(), fx.Detector(),
                                       [1310.0], 10.0, seed=1)
+
+    def test_very_narrow_filter(self):
+        # z ** 2 overflows a float 1 nm from this filter; the line adds exactly nothing there.
+        line, filt, det = fx.LeakLine(1310.0, 1e6), fx.TunableFilter(fwhm_nm=1e-200), fx.Detector()
+        assert expected_scan_rate([line], filt, det, 1311.0) == det.dark_rate_hz
+        assert expected_scan_rate([line], filt, det, 1310.0) == det.dark_rate_hz + 1e6 * 10.0 ** -0.3 * det.efficiency
+        with pytest.raises(ParameterError, match="sigma underflows"):
+            fx.TunableFilter(fwhm_nm=5e-324)
 
     def test_filter_and_line_validation(self):
         with pytest.raises(ParameterError):

@@ -92,6 +92,37 @@ class TestMeasuredMode:
         model = self.table_model()
         assert fx.switch_xtalk_db(model, (1, 11), (2, 9), 1500.0) == -60.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("vals", [(-math.inf, -40.0), (-40.0, -math.inf), (-math.inf, -math.inf)])
+    def test_minus_inf_point_holds_strictly_between(self, vals):
+        lams = [1300.0, 1550.0]
+        assert switchlab._interpolate(lams, list(vals), 1300.0) == vals[0]
+        assert switchlab._interpolate(lams, list(vals), 1550.0) == vals[1]
+        for nm in (1300.5, 1400.0, 1549.5):
+            assert switchlab._interpolate(lams, list(vals), nm) == -math.inf
+        model = fx.SwitchModel(table={(1, 10, 2, 9): list(zip(lams, vals))})
+        assert fx.switch_xtalk_db(model, (1, 10), (2, 9), 1400.0) == -math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_minus_inf_entry_leaks_nothing_but_keeps_the_other_leaks(self):
+        # At 1400 nm path 1->4 leaks nothing into 2->5 and every other path -50 dB.
+        # A NaN there once made the whole sum read as -inf dB.
+        ins, outs = (1, 2, 3), (4, 5, 6)
+        table = {
+            (a_in, a_out, v_in, v_out): [(1400.0, -50.0)]
+            for a_in, a_out, v_in, v_out in itertools.product(ins, outs, ins, outs)
+            if a_in != v_in and a_out != v_out
+        }
+        table[1, 4, 2, 5] = [(1300.0, -math.inf), (1550.0, -40.0)]
+        model = fx.SwitchModel(n_in=3, n_out=3, reference_nm=1400.0, table=table)
+        oracle = fx.brute_force_assignment(model, 2, 1)
+        plan = fx.optimize_assignment(model, 2, 1)
+        assert (plan.classical, plan.quantum, plan.objective_db) == (
+            oracle.classical, oracle.quantum, oracle.objective_db
+        )
+        assert oracle.objective_db == -50.0
+        assert oracle.quantum == (ChannelPlacement(2, 5, 1400.0),)
+
     def test_missing_pair_is_a_data_error(self):
         model = self.table_model()
         with pytest.raises(DataError, match="no measured crosstalk"):
