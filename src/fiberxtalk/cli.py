@@ -1,14 +1,17 @@
 """Batch command-line front end: simulate, analyze, scan, and switch tooling.
 
-Every command is deterministic given its flags and an explicit ``--seed``;
-each output file is accompanied by a ``<file>.manifest.json`` recording the
-full parameter snapshot and SHA-256 digests of inputs and outputs.
+Every command is deterministic given its flags and an explicit ``--seed``.
+A command writes its outputs and returns a :class:`_Run` record; :func:`main`
+then writes, beside each output, a ``<file>.manifest.json`` recording the full
+parameter snapshot and SHA-256 digests of inputs and outputs, and prints the
+one summary line ``wrote <first output> (...)``.
 
 Exit codes: 0 ok, 2 input error, 3 data error, 4 parameter error, 5 resource
 error. Failures print a one-line machine-readable JSON object on stderr. A
-fault in any input file or document, or a flag that argparse or
-:func:`parse_band` cannot read, exits 2 (``E_INPUT``); a flag that reads but
-lies outside its domain exits 4 (``E_PARAM``).
+fault in any input file or document, a flag that argparse or
+:func:`parse_band` cannot read, or a path that cannot be read or written (an
+output into a missing directory, say) exits 2 (``E_INPUT``); a flag that reads
+but lies outside its domain exits 4 (``E_PARAM``).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -163,34 +166,37 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifests(
-    command: str,
-    parameters: dict,
-    seed: int | None,
-    inputs: dict[str, Path],
-    outputs: list[Path],
-    started: float,
-) -> None:
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What a command wrote: its manifest record and the summary after ``wrote <first output>``."""
+
+    parameters: dict
+    inputs: dict[str, Path]
+    outputs: list[Path]
+    summary: str
+    seed: int | None = None
+
+
+def _write_manifests(command: str, run: _Run, started: float) -> None:
     doc = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "kind": "run-manifest",
         "tool": "fiberxtalk",
         "version": __version__,
         "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "inputs": {
-            label: {"path": str(p), "sha256": _sha256(p)} for label, p in inputs.items()
-        },
-        "outputs": {
-            str(p): {"sha256": _sha256(p)} for p in outputs
-        },
+        "parameters": run.parameters,
+        "seed": run.seed,
+        "inputs": {label: {"path": str(p), "sha256": _sha256(p)} for label, p in run.inputs.items()},
+        "outputs": {str(p): {"sha256": _sha256(p)} for p in run.outputs},
         "duration_s": time.perf_counter() - started,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    for out in outputs:
-        Path(str(out) + ".manifest.json").write_text(text)
+    for out in run.outputs:
+        _write_json(Path(str(out) + ".manifest.json"), doc)
 
 
 def _from_args(args, name: str, cls, metadata: dict | None = None):
@@ -205,8 +211,7 @@ def _from_args(args, name: str, cls, metadata: dict | None = None):
 # --- commands --------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    started = time.perf_counter()
+def cmd_simulate(args) -> _Run:
     topology = load_topology(args.topology, lax=args.lax)
     source = _from_args(args, "source", PulsedSource)
     if source is None:
@@ -219,8 +224,7 @@ def cmd_simulate(args) -> int:
     )
     out = Path(args.out)
     tagio.write_tags_xtt1(out, stream)
-    _write_manifests(
-        "simulate",
+    return _Run(
         {
             "topology": str(args.topology),
             "source": asdict(source),
@@ -229,20 +233,14 @@ def cmd_simulate(args) -> int:
             "jobs": args.jobs,
             "max_tags": args.max_tags,
         },
-        args.seed,
         {"topology": Path(args.topology), "source": Path(args.source)},
         [out],
-        started,
+        f"{stream.metadata['n_triggers']} triggers, {stream.metadata['n_detector_tags']} detector tags",
+        args.seed,
     )
-    print(
-        f"wrote {out} ({stream.metadata['n_triggers']} triggers, "
-        f"{stream.metadata['n_detector_tags']} detector tags)"
-    )
-    return 0
 
 
-def cmd_analyze(args) -> int:
-    started = time.perf_counter()
+def cmd_analyze(args) -> _Run:
     tags = tagio.read_tags(args.tags)
     topology = load_topology(args.topology, lax=args.lax)
     bin_width = parse_bin_ps(args.bin, "--bin")
@@ -267,25 +265,18 @@ def cmd_analyze(args) -> int:
         "min_separation_bins": args.min_separation,
         "window_ps": list(window) if window else None,
     }
-    outputs = []
-    out = Path(args.out)
-    out.write_text(json.dumps(report.to_dict(parameters), indent=2, sort_keys=True) + "\n")
-    outputs.append(out)
+    outputs = [Path(args.out)]
+    _write_json(outputs[0], report.to_dict(parameters))
     if args.hist:
-        hist_path = Path(args.hist)
-        tagio.write_histogram_csv(hist_path, report.histogram)
-        outputs.append(hist_path)
-    _write_manifests(
-        "analyze", parameters, None,
-        {"tags": Path(args.tags), "topology": Path(args.topology)},
-        outputs, started,
+        outputs.append(Path(args.hist))
+        tagio.write_histogram_csv(outputs[1], report.histogram)
+    return _Run(
+        parameters, {"tags": Path(args.tags), "topology": Path(args.topology)}, outputs,
+        f"{len(report.peaks)} peak(s)",
     )
-    print(f"wrote {out} ({len(report.peaks)} peak(s))")
-    return 0
 
 
-def cmd_scan(args) -> int:
-    started = time.perf_counter()
+def cmd_scan(args) -> _Run:
     lines_doc = read_json(args.lines, "lines")
     if not isinstance(lines_doc, list):
         raise InputError("lines: expected a JSON array of {wavelength_nm, rate_photons_per_s}")
@@ -297,8 +288,7 @@ def cmd_scan(args) -> int:
     scan = simulate_spectral_scan(lines, filt, detector, grid, dwell_s, args.seed)
     out = Path(args.out)
     tagio.write_scan_csv(out, scan)
-    _write_manifests(
-        "scan",
+    return _Run(
         {
             "lines": str(args.lines),
             "filter": asdict(filt),
@@ -306,22 +296,20 @@ def cmd_scan(args) -> int:
             "grid_nm": [grid[0], grid[-1], len(grid)],
             "dwell_s": dwell_s,
         },
-        args.seed,
         {"lines": Path(args.lines)},
         [out],
-        started,
+        f"{len(grid)} wavelength points",
+        args.seed,
     )
-    print(f"wrote {out} ({len(grid)} wavelength points)")
-    return 0
 
 
-def cmd_scan_analyze(args) -> int:
-    started = time.perf_counter()
+def cmd_scan_analyze(args) -> _Run:
     dwell_s = parse_duration_s(args.dwell, "--dwell") if args.dwell else None
     scan = tagio.read_scan_csv(args.scan, dwell_s=dwell_s)
     lines = detect_spectral_lines(scan, k_sigma=args.k_sigma)
     parameters = {"scan": str(args.scan), "k_sigma": args.k_sigma, "dwell_s": scan.dwell_s}
-    doc = {
+    out = Path(args.out)
+    _write_json(out, {
         "schema_version": 1,
         "kind": "scan-analysis",
         "parameters": parameters,
@@ -333,12 +321,8 @@ def cmd_scan_analyze(args) -> int:
             }
             for line in lines
         ],
-    }
-    out = Path(args.out)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_manifests("scan-analyze", parameters, None, {"scan": Path(args.scan)}, [out], started)
-    print(f"wrote {out} ({len(lines)} line(s))")
-    return 0
+    })
+    return _Run(parameters, {"scan": Path(args.scan)}, [out], f"{len(lines)} line(s)")
 
 
 _MODEL_FLAGS = (
@@ -353,11 +337,12 @@ _MODEL_FLAGS = (
 )
 
 
-def _model_from_args(args) -> SwitchModel:
+def _model_from_args(args) -> tuple[SwitchModel, dict, dict[str, Path]]:
     """The ``--model`` document, then the model flags and ``--table`` on top.
 
-    A fault in the document is an input error; a flag that puts the model out
-    of its domain is a parameter error.
+    Returns the model, its manifest record and the manifest inputs. A fault in
+    the document is an input error; a flag that puts the model out of its
+    domain is a parameter error.
     """
     doc = read_json(args.model, "switch model") if args.model else {}
     if isinstance(doc, dict) and "table" in doc:
@@ -367,12 +352,21 @@ def _model_from_args(args) -> SwitchModel:
     }
     if args.table:
         overrides["table"] = load_measured_table(args.table)
-    return replace(_dataclass_from(doc, SwitchModel, "switch model"), **overrides)
+    model = replace(_dataclass_from(doc, SwitchModel, "switch model"), **overrides)
+    if args.table:
+        return model, {"mode": "measured"}, {"table": Path(args.table)}
+    return model, asdict(model), {}
 
 
-def cmd_switch_sweep_config(args) -> int:
-    started = time.perf_counter()
-    model = _model_from_args(args)
+def _one_connection(text: str, flag: str) -> tuple[int, int]:
+    connections = SwitchConfig.parse(text).connections
+    if len(connections) != 1:
+        raise ParameterError(f"{flag}: expected one 'in:out', got {text!r}", code="E_CONFIG")
+    return connections[0]
+
+
+def cmd_switch_sweep_config(args) -> _Run:
+    model, record, inputs = _model_from_args(args)
     nm = parse_wavelength_nm(args.wavelength, "--wavelength") if args.wavelength else None
     points = sweep_configs(model, args.classical_in, args.victim_out, nm)
     out = Path(args.out)
@@ -380,28 +374,16 @@ def cmd_switch_sweep_config(args) -> int:
         fh.write("config,xtalk_db\n")
         for point in points:
             fh.write(f"\"{point.label}\",{point.xtalk_db:.6f}\n")
-    _write_manifests(
-        "switch sweep-config",
-        {
-            "model": asdict(model) if model.table is None else {"mode": "measured"},
-            "classical_in": args.classical_in,
-            "victim_out": args.victim_out,
-            "wavelength_nm": nm,
-        },
-        None,
-        {"table": Path(args.table)} if args.table else {},
-        [out],
-        started,
+    return _Run(
+        {"model": record, "classical_in": args.classical_in, "victim_out": args.victim_out, "wavelength_nm": nm},
+        inputs, [out], f"{len(points)} configurations",
     )
-    print(f"wrote {out} ({len(points)} configurations)")
-    return 0
 
 
-def cmd_switch_sweep_wavelength(args) -> int:
-    started = time.perf_counter()
-    model = _model_from_args(args)
-    aggressor = SwitchConfig.parse(args.aggressor).connections[0]
-    victim = SwitchConfig.parse(args.victim).connections[0]
+def cmd_switch_sweep_wavelength(args) -> _Run:
+    model, record, inputs = _model_from_args(args)
+    aggressor = _one_connection(args.aggressor, "--aggressor")
+    victim = _one_connection(args.victim, "--victim")
     SwitchConfig(connections=(aggressor, victim)).validate(model)
     grid = parse_grid_nm(args.grid, "--grid")
     curve = sweep_wavelength(model, aggressor, victim, grid)
@@ -410,62 +392,34 @@ def cmd_switch_sweep_wavelength(args) -> int:
         fh.write("lambda_nm,xtalk_db\n")
         for nm, db in curve:
             fh.write(f"{nm:.6f},{db:.6f}\n")
-    _write_manifests(
-        "switch sweep-wavelength",
-        {
-            "model": asdict(model) if model.table is None else {"mode": "measured"},
-            "aggressor": list(aggressor),
-            "victim": list(victim),
-            "grid_nm": [grid[0], grid[-1], len(grid)],
-        },
-        None,
-        {"table": Path(args.table)} if args.table else {},
-        [out],
-        started,
+    return _Run(
+        {"model": record, "aggressor": list(aggressor), "victim": list(victim),
+         "grid_nm": [grid[0], grid[-1], len(grid)]},
+        inputs, [out], f"{len(curve)} wavelength points",
     )
-    print(f"wrote {out} ({len(curve)} wavelength points)")
-    return 0
 
 
-def cmd_switch_plan(args) -> int:
-    started = time.perf_counter()
-    model = _model_from_args(args)
-    bands = None
-    if args.classical_band or args.quantum_band:
-        bands = {}
-        if args.classical_band:
-            bands["classical"] = parse_band(args.classical_band, "--classical-band")
-        if args.quantum_band:
-            bands["quantum"] = parse_band(args.quantum_band, "--quantum-band")
+def cmd_switch_plan(args) -> _Run:
+    model, record, inputs = _model_from_args(args)
+    wanted = {"classical": args.classical_band, "quantum": args.quantum_band}
+    bands = {kind: parse_band(text, f"--{kind}-band") for kind, text in wanted.items() if text} or None
     solver = brute_force_assignment if args.oracle else optimize_assignment
     assignment = solver(model, args.classical, args.quantum, bands)
-    doc = {
+    out = Path(args.out)
+    _write_json(out, {
         "schema_version": 1,
         "kind": "switch-assignment",
         "objective_db": assignment.objective_db,
         "method": assignment.method,
         "classical": [asdict(p) for p in assignment.classical],
         "quantum": [asdict(p) for p in assignment.quantum],
-    }
-    out = Path(args.out)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_manifests(
-        "switch plan",
-        {
-            "model": asdict(model) if model.table is None else {"mode": "measured"},
-            "k_classical": args.classical,
-            "k_quantum": args.quantum,
-            "bands": bands,
-            "oracle": bool(args.oracle),
-        },
-        None,
-        {"table": Path(args.table)} if args.table else {},
-        [out],
-        started,
-    )
+    })
     objective = "-inf" if assignment.objective_db == float("-inf") else f"{assignment.objective_db:.2f} dB"
-    print(f"wrote {out} (objective {objective}, {assignment.method})")
-    return 0
+    return _Run(
+        {"model": record, "k_classical": args.classical, "k_quantum": args.quantum, "bands": bands,
+         "oracle": bool(args.oracle)},
+        inputs, [out], f"objective {objective}, {assignment.method}",
+    )
 
 
 # --- parser ----------------------------------------------------------------------
@@ -586,10 +540,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return int(args.func(args) or 0)
-    except XtalkError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return exc.exit_code
+        started = time.perf_counter()
+        run = args.func(args)
+        command = " ".join(filter(None, (args.command, getattr(args, "switch_command", None))))
+        _write_manifests(command, run, started)
+    except (XtalkError, OSError) as exc:
+        # an OSError is a path the system refused to read or write; its message names the path
+        error = exc if isinstance(exc, XtalkError) else InputError(str(exc))
+        print(json.dumps({"error": error.code, "message": str(error)}), file=sys.stderr)
+        return error.exit_code
+    print(f"wrote {run.outputs[0]} ({run.summary})")
+    return 0
 
 
 if __name__ == "__main__":

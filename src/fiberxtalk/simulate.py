@@ -300,6 +300,8 @@ def simulate_otdr_tags(
     require_number(duration_s, "duration_s", minimum=0.0, strict=True)
     if not (isinstance(jobs, int) and jobs >= 1):
         raise ParameterError(f"jobs must be an integer >= 1, got {jobs!r}")
+    if not (isinstance(max_tags, int) and max_tags >= 1):
+        raise ParameterError(f"max_tags must be an integer >= 1, got {max_tags!r}")
 
     points = crosstalk_points(topology)
     period = source.period_ps

@@ -142,6 +142,19 @@ class TestSimulateAnalyze:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "E_RESOURCE"
 
+    @pytest.mark.parametrize("max_tags", ["-1", "0"])
+    def test_max_tags_below_one_is_parameter_error(self, tmp_path, plant_files, capsys, max_tags):
+        topo, source, detector = plant_files
+        code = main([
+            "simulate", "--topology", str(topo), "--source", str(source),
+            "--detector", str(detector), "--duration", "1s", "--seed", "3",
+            f"--max-tags={max_tags}", "--out", str(tmp_path / "x.xtt1"),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "E_PARAM", "message": f"max_tags must be an integer >= 1, got {max_tags}"}
+
 
 @pytest.mark.parametrize("kind,doc", [
     ("source", {"avg_power_w": "x"}),
@@ -341,6 +354,17 @@ class TestSwitchCommands:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "E_CONFIG"
 
+    @pytest.mark.parametrize("flag, value", [("--aggressor", "1:10,2:11"), ("--victim", "2:9,3:12")])
+    def test_path_flag_takes_exactly_one_connection(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        code = main(["switch", "sweep-wavelength", f"{flag}={value}", "--grid", "1260:1560:50", "--out", str(out)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "E_CONFIG", "message": f"{flag}: expected one 'in:out', got {value!r}"}
+
     def test_plan_with_bands(self, tmp_path):
         plan_path = tmp_path / "plan.json"
         assert main([
@@ -412,6 +436,78 @@ class TestUnitSuffixes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert json.loads(err[0]) == {"error": "E_PARAM", "message": f"{flag} must be finite, got inf"}
+
+
+# --- every output has its manifest; an output that cannot be written exits 2 ------
+
+
+def command_runs(tmp_path):
+    """Per command: the flags of one run, its seed, the input files its manifest lists, and its outputs."""
+    topo = write_json(tmp_path / "topo.json", ANALYZE_TOPOLOGY)
+    source = write_json(tmp_path / "source.json", SOURCE)
+    lines = write_json(tmp_path / "lines.json", [{"wavelength_nm": 1305.0, "rate_photons_per_s": 1e3}])
+    tags, scan, table = tmp_path / "tags.csv", tmp_path / "scan.csv", tmp_path / "table.csv"
+    tags.write_bytes(b"\n".join([b"channel,time_ps", *TAG_ROWS]) + b"\n")
+    scan.write_bytes(b"\n".join([b"lambda_nm,counts", *SCAN_ROWS]) + b"\n")
+    table.write_bytes(b"\n".join([b"a_in,a_out,v_in,v_out,lambda_nm,xtalk_db", *TABLE_ROWS]) + b"\n")
+    out = {name: tmp_path / name for name in (
+        "run.xtt1", "report.json", "hist.csv", "scan_out.csv", "lines_out.json", "sweep.csv", "curve.csv", "plan.json")}
+    return {
+        "simulate": (["--topology", topo, "--source", source, "--duration", "1s", "--seed", "7",
+                      "--out", out["run.xtt1"]], 7, {"topology": topo, "source": source}, [out["run.xtt1"]]),
+        "analyze": (["--tags", tags, "--topology", topo, "--out", out["report.json"], "--hist", out["hist.csv"]],
+                    None, {"tags": tags, "topology": topo}, [out["report.json"], out["hist.csv"]]),
+        "scan": (["--lines", lines, "--grid", "1300:1310:1", "--dwell", "1s", "--seed", "11",
+                  "--out", out["scan_out.csv"]], 11, {"lines": lines}, [out["scan_out.csv"]]),
+        "scan-analyze": (["--scan", scan, "--dwell", "1s", "--out", out["lines_out.json"]],
+                         None, {"scan": scan}, [out["lines_out.json"]]),
+        "switch sweep-config": (["--table", table, "--n-in", "2", "--n-out", "2", "--out", out["sweep.csv"]],
+                                None, {"table": table}, [out["sweep.csv"]]),
+        "switch sweep-wavelength": (["--grid", "1260:1560:50", "--out", out["curve.csv"]],
+                                    None, {}, [out["curve.csv"]]),
+        "switch plan": (["--table", table, "--n-in", "2", "--n-out", "2", "--classical", "1", "--quantum", "1",
+                         "--out", out["plan.json"]], None, {"table": table}, [out["plan.json"]]),
+    }
+
+
+@pytest.mark.parametrize("command", [
+    "simulate", "analyze", "scan", "scan-analyze", "switch sweep-config", "switch sweep-wavelength", "switch plan",
+])
+def test_every_output_has_its_manifest(tmp_path, capsys, command):
+    flags, seed, inputs, outputs = command_runs(tmp_path)[command]
+    assert main([*command.split(), *map(str, flags)]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    assert len(stdout) == 1
+    assert stdout[0].startswith(f"wrote {outputs[0]} (") and stdout[0].endswith(")")
+    for path in outputs:
+        manifest = json.loads((tmp_path / f"{path.name}.manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["seed"] == seed
+        assert manifest["inputs"] == {label: {"path": str(p), "sha256": sha256(p)} for label, p in inputs.items()}
+        assert manifest["outputs"] == {str(p): {"sha256": sha256(p)} for p in outputs}
+
+
+@pytest.mark.parametrize("command, flag", [("simulate", "--out"), ("analyze", "--hist"), ("switch plan", "--out")])
+def test_unwritable_output_is_input_error(tmp_path, capsys, command, flag):
+    flags = [str(arg) for arg in command_runs(tmp_path)[command][0]]
+    missing = tmp_path / "missing" / "out.dat"
+    flags[flags.index(flag) + 1] = str(missing)
+    assert main([*command.split(), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "E_INPUT"
+    assert str(missing) in json.loads(err[0])["message"]
+
+
+def test_output_path_that_is_a_directory_is_input_error(tmp_path, capsys):
+    flags = [str(arg) for arg in command_runs(tmp_path)["analyze"][0]]
+    flags[flags.index("--out") + 1] = str(tmp_path)
+    assert main(["analyze", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "E_INPUT"
 
 
 # --- malformed inputs never escape the exit-code contract -------------------------

@@ -161,6 +161,12 @@ class TestStreamInvariants:
         with pytest.raises(ParameterError):
             fx.simulate_otdr_tags(three_point_topology, src, fx.Detector(), 1.0, seed=2**64)
 
+    @pytest.mark.parametrize("max_tags", [-1, 0, 1.5])
+    def test_rejects_max_tags_below_one(self, three_point_topology, max_tags):
+        src = fx.PulsedSource(avg_power_w=1e-6)
+        with pytest.raises(ParameterError, match="max_tags must be an integer >= 1"):
+            fx.simulate_otdr_tags(three_point_topology, src, fx.Detector(), 1.0, seed=1, max_tags=max_tags)
+
 
 class TestCountingStatistics:
     def test_counts_match_oracle_without_dead_time(self):
