@@ -3,8 +3,9 @@
 Every command is deterministic given its flags and an explicit ``--seed``.
 A command writes its outputs and returns a :class:`_Run` record; :func:`main`
 then writes, beside each output, a ``<file>.manifest.json`` recording the full
-parameter snapshot and SHA-256 digests of inputs and outputs, and prints the
-one summary line ``wrote <first output> (...)``.
+parameter snapshot and SHA-256 digests of every file it read and wrote, and
+prints the one summary line ``wrote <first output> (...)``. A command that
+fails leaves no manifest whose digest no longer matches its output.
 
 Exit codes: 0 ok, 2 input error, 3 data error, 4 parameter error, 5 resource
 error. Failures print a one-line machine-readable JSON object on stderr. A
@@ -17,6 +18,7 @@ but lies outside its domain exits 4 (``E_PARAM``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -199,6 +201,29 @@ def _write_manifests(command: str, run: _Run, started: float) -> None:
         _write_json(Path(str(out) + ".manifest.json"), doc)
 
 
+def _drop_stale_manifest(out: Path) -> None:
+    """Remove ``out``'s manifest unless it records ``out`` as it now is."""
+    manifest = Path(str(out) + ".manifest.json")
+    try:
+        if json.loads(manifest.read_text())["outputs"][str(out)]["sha256"] == _sha256(out):
+            return
+    except (OSError, ValueError, LookupError, TypeError):
+        pass  # no manifest, no output, or not a manifest of ours
+    with contextlib.suppress(OSError):
+        manifest.unlink(missing_ok=True)
+
+
+def _given(args, *names: str) -> dict[str, Path]:
+    """Manifest inputs: the file of each flag in ``names`` that was given."""
+    return {name: Path(getattr(args, name)) for name in names if getattr(args, name, None)}
+
+
+def _sidecar(path: str, label: str) -> dict[str, Path]:
+    """Manifest input: the ``.meta.json`` sidecar of ``path``, if there is one."""
+    side = tagio.metadata_path(path)
+    return {label: side} if side.is_file() else {}
+
+
 def _from_args(args, name: str, cls, metadata: dict | None = None):
     """``cls`` built from the ``--<name>`` JSON file, else from ``metadata[name]``, else None."""
     if getattr(args, name, None):
@@ -233,7 +258,7 @@ def cmd_simulate(args) -> _Run:
             "jobs": args.jobs,
             "max_tags": args.max_tags,
         },
-        {"topology": Path(args.topology), "source": Path(args.source)},
+        _given(args, "topology", "source", "detector"),
         [out],
         f"{stream.metadata['n_triggers']} triggers, {stream.metadata['n_detector_tags']} detector tags",
         args.seed,
@@ -270,10 +295,8 @@ def cmd_analyze(args) -> _Run:
     if args.hist:
         outputs.append(Path(args.hist))
         tagio.write_histogram_csv(outputs[1], report.histogram)
-    return _Run(
-        parameters, {"tags": Path(args.tags), "topology": Path(args.topology)}, outputs,
-        f"{len(report.peaks)} peak(s)",
-    )
+    inputs = {**_given(args, "tags", "topology", "source", "detector"), **_sidecar(args.tags, "tags_metadata")}
+    return _Run(parameters, inputs, outputs, f"{len(report.peaks)} peak(s)")
 
 
 def cmd_scan(args) -> _Run:
@@ -296,7 +319,7 @@ def cmd_scan(args) -> _Run:
             "grid_nm": [grid[0], grid[-1], len(grid)],
             "dwell_s": dwell_s,
         },
-        {"lines": Path(args.lines)},
+        _given(args, "lines", "filter", "detector"),
         [out],
         f"{len(grid)} wavelength points",
         args.seed,
@@ -322,7 +345,8 @@ def cmd_scan_analyze(args) -> _Run:
             for line in lines
         ],
     })
-    return _Run(parameters, {"scan": Path(args.scan)}, [out], f"{len(lines)} line(s)")
+    inputs = {**_given(args, "scan"), **_sidecar(args.scan, "scan_metadata")}
+    return _Run(parameters, inputs, [out], f"{len(lines)} line(s)")
 
 
 _MODEL_FLAGS = (
@@ -353,9 +377,7 @@ def _model_from_args(args) -> tuple[SwitchModel, dict, dict[str, Path]]:
     if args.table:
         overrides["table"] = load_measured_table(args.table)
     model = replace(_dataclass_from(doc, SwitchModel, "switch model"), **overrides)
-    if args.table:
-        return model, {"mode": "measured"}, {"table": Path(args.table)}
-    return model, asdict(model), {}
+    return model, {"mode": "measured"} if args.table else asdict(model), _given(args, "model", "table")
 
 
 def _one_connection(text: str, flag: str) -> tuple[int, int]:
@@ -538,13 +560,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    outputs: list[Path] = []
     try:
         args = build_parser().parse_args(argv)
+        outputs = [Path(p) for p in (args.out, getattr(args, "hist", None)) if p]
         started = time.perf_counter()
         run = args.func(args)
         command = " ".join(filter(None, (args.command, getattr(args, "switch_command", None))))
         _write_manifests(command, run, started)
-    except (XtalkError, OSError) as exc:
+    except BaseException as exc:
+        # a failed run may have rewritten some outputs: leave no manifest that no longer matches
+        for out in outputs:
+            _drop_stale_manifest(out)
+        if not isinstance(exc, (XtalkError, OSError)):
+            raise
         # an OSError is a path the system refused to read or write; its message names the path
         error = exc if isinstance(exc, XtalkError) else InputError(str(exc))
         print(json.dumps({"error": error.code, "message": str(error)}), file=sys.stderr)

@@ -124,11 +124,13 @@ class LeakLine:
 
 @dataclass
 class TagStream:
-    """Timestamped trigger/detector events, merged and sorted by time.
+    """Timestamped trigger/detector events.
 
     ``channels`` uses 0 for trigger and 1 for detector; ``times_ps`` is int64
-    picoseconds. Per-channel timestamps are strictly increasing and detector
-    tags respect the dead-time gap used at generation.
+    picoseconds. The simulator writes them merged and sorted by time, with
+    detector tags that respect its dead-time gap. The tag readers enforce no
+    order, and :func:`analysis.fold_histogram` relies on none beyond strictly
+    increasing triggers: it takes detector tags in any order.
     """
 
     channels: np.ndarray
@@ -147,11 +149,11 @@ class TagStream:
 
     @property
     def trigger_times_ps(self) -> np.ndarray:
-        return self.times_ps[self.channels == TRIGGER_CHANNEL]
+        return self.times_ps.take(np.flatnonzero(self.channels == TRIGGER_CHANNEL))
 
     @property
     def detector_times_ps(self) -> np.ndarray:
-        return self.times_ps[self.channels == DETECTOR_CHANNEL]
+        return self.times_ps.take(np.flatnonzero(self.channels == DETECTOR_CHANNEL))
 
 
 def _validate_seed(seed: int) -> int:

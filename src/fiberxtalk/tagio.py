@@ -29,8 +29,6 @@ from .units import require_number
 XTT1_MAGIC = b"XTT1\x00\x00\x00\x01"
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
 
-_MAX_TIME = np.int64(2**63 - 1)
-
 
 def metadata_path(path: "str | Path") -> Path:
     return Path(str(path) + ".meta.json")
@@ -75,23 +73,21 @@ def read_tags_xtt1(path: "str | Path") -> TagStream:
     raw = path.read_bytes()
     if len(raw) < len(XTT1_MAGIC) or raw[: len(XTT1_MAGIC)] != XTT1_MAGIC:
         raise DataError(f"{path}: missing XTT1 magic; not a tag file")
-    body = raw[len(XTT1_MAGIC):]
-    if len(body) % _RECORD_DTYPE.itemsize:
+    size = len(raw) - len(XTT1_MAGIC)
+    if size % _RECORD_DTYPE.itemsize:
         raise DataError(
-            f"{path}: truncated record ({len(body)} bytes is not a multiple "
+            f"{path}: truncated record ({size} bytes is not a multiple "
             f"of {_RECORD_DTYPE.itemsize})"
         )
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    if records.size and records["time_ps"].max() > np.uint64(_MAX_TIME):
+    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=len(XTT1_MAGIC))
+    # a u64 time of 2^63 or more wraps to a negative int64
+    times = records["time_ps"].astype(np.int64)
+    if times.size and times.min() < 0:
         raise DataError(f"{path}: timestamp overflows the signed 64-bit range")
-    if records.size and not np.isin(records["channel"], (0, 1)).all():
+    channels = records["channel"].copy()
+    if channels.size and channels.max() > 1:
         raise DataError(f"{path}: channel values must be 0 (trigger) or 1 (detector)")
-    metadata = read_metadata(path) or {}
-    return TagStream(
-        channels=records["channel"].copy(),
-        times_ps=records["time_ps"].astype(np.int64),
-        metadata=metadata,
-    )
+    return TagStream(channels=channels, times_ps=times, metadata=read_metadata(path) or {})
 
 
 def write_tags_csv(path: "str | Path", stream: TagStream, *, sidecar: bool = True) -> Path:
@@ -159,8 +155,9 @@ def write_histogram_csv(path: "str | Path", histogram) -> Path:
     ascending order; absent bins are zero.
     """
     path = Path(path)
-    starts = histogram.bins * histogram.bin_width_ps
-    rows = "".join(f"{b},{n}\n" for b, n in zip(starts.tolist(), histogram.counts.tolist()))
+    fields = np.empty(2 * histogram.counts.size, dtype=np.int64)
+    fields[0::2] = histogram.bins * histogram.bin_width_ps
+    fields[1::2] = histogram.counts
     with open(path, "w", newline="") as fh:
-        fh.write("bin_start_ps,counts\n" + rows)
+        fh.write("bin_start_ps,counts\n" + "%d,%d\n" * histogram.counts.size % tuple(fields.tolist()))
     return path

@@ -36,6 +36,29 @@ def stream_from(triggers, detectors, metadata=None):
 PERIOD = 1_000_000_000  # 1 kHz in ps
 
 
+def shuffled_stream(triggers, detectors, rng):
+    """Triggers in order, detector tags in the given order, the two channels interleaved at random."""
+    channels = rng.permutation(np.repeat(np.array([0, 1], dtype=np.uint8), [len(triggers), len(detectors)]))
+    times = np.empty(channels.size, dtype=np.int64)
+    times[channels == 0] = triggers
+    times[channels == 1] = detectors
+    return fx.TagStream(channels=channels, times_ps=times)
+
+
+def searched_fold(triggers, detectors, period, bin_width, window):
+    """Bins, counts and drop counters of a fold by one plain binary search per detector tag."""
+    idx = np.searchsorted(triggers, detectors, side="right") - 1
+    before = idx < 0
+    delays = detectors[~before] - triggers[idx[~before]]
+    beyond = delays >= period
+    delays = delays[~beyond]
+    outside = np.zeros(delays.size, dtype=bool)
+    if window is not None:
+        outside = (delays < window[0]) | (delays >= window[1])
+    bins, counts = np.unique(delays[~outside] // bin_width, return_counts=True)
+    return bins, counts, (int(before.sum()), int(beyond.sum()), int(outside.sum()))
+
+
 class TestFoldHistogram:
     def test_single_tag_lands_in_the_right_bin(self):
         stream = stream_from([0, PERIOD], [12_345])
@@ -139,6 +162,55 @@ class TestFoldHistogram:
         stream = stream_from([0], [12_345])
         hist = fold_histogram(stream, bin_width_ps=100)
         assert hist.dense()[123] == 1
+
+    def test_single_trigger_period_beyond_int64(self):
+        # two bins of 2^62 ps span a tag at the largest time; the 2^63 ps period fits no int64
+        hist = fold_histogram(stream_from([0], [5, 2**63 - 1]), bin_width_ps=2**62)
+        assert hist.period_ps == 2**63
+        assert (hist.bins.tolist(), hist.counts.tolist()) == ([0, 1], [1, 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_triggers=st.integers(1, 40),
+        spacing=st.sampled_from(["regular", "jittered", "gapped", "irregular"]),
+        requested_bin=st.integers(1, 40),
+        windowed=st.booleans(),
+    )
+    @example(seed=0, n_triggers=1, spacing="regular", requested_bin=1, windowed=False)
+    @example(seed=1, n_triggers=1, spacing="regular", requested_bin=7, windowed=True)
+    @example(seed=2, n_triggers=2, spacing="regular", requested_bin=1, windowed=True)
+    def test_matches_a_binary_search_for_every_tag(self, seed, n_triggers, spacing, requested_bin, windowed):
+        rng = np.random.default_rng(seed)
+        period = int(rng.integers(1, 2000))
+        spacings = {
+            "regular": np.full(n_triggers - 1, period),
+            "jittered": np.maximum(period + rng.integers(-(period // 10), period // 10 + 1, n_triggers - 1), 1),
+            "gapped": period * rng.choice([1, 1, 1, 2, 7], n_triggers - 1),
+            "irregular": rng.integers(1, 3 * period, n_triggers - 1),
+        }[spacing]
+        triggers = int(rng.integers(-10**6, 10**6)) + np.concatenate(([0], np.cumsum(spacings))).astype(np.int64)
+        near = rng.choice(triggers, 30) + rng.integers(-1, 2, 30)  # on a trigger, just before or just after
+        spread = rng.integers(triggers[0] - 3 * period, triggers[-1] + 3 * period, 60)
+        detectors = rng.permutation(np.concatenate((near, spread))).astype(np.int64)
+        stream = shuffled_stream(triggers, detectors, rng)
+
+        bin_width = suggest_bin_width(fold_histogram(stream, bin_width_ps=1).period_ps, requested_bin)
+        window = None
+        if windowed:
+            lo = int(rng.integers(0, 2 * period))
+            window = (lo, lo + int(rng.integers(1, 2 * period)))
+        hist = fold_histogram(stream, bin_width_ps=bin_width, window_ps=window)
+
+        bins, counts, dropped = searched_fold(triggers, detectors, hist.period_ps, bin_width, window)
+        assert hist.bins.tolist() == bins.tolist()
+        assert hist.counts.tolist() == counts.tolist()
+        diagnostics = hist.diagnostics
+        assert (
+            diagnostics.dropped_before_first_trigger,
+            diagnostics.dropped_beyond_period,
+            diagnostics.dropped_outside_window,
+        ) == dropped
 
 
 class TestBaseline:

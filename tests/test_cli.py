@@ -442,31 +442,47 @@ class TestUnitSuffixes:
 
 
 def command_runs(tmp_path):
-    """Per command: the flags of one run, its seed, the input files its manifest lists, and its outputs."""
+    """Per command: the flags of one run, its seed, the input files its manifest lists, and its outputs.
+
+    Each run gives every optional file its command reads: detector, filter and
+    model documents, analyze's source and detector overrides, and the
+    ``.meta.json`` sidecars of the tags and the scan.
+    """
     topo = write_json(tmp_path / "topo.json", ANALYZE_TOPOLOGY)
     source = write_json(tmp_path / "source.json", SOURCE)
+    detector = write_json(tmp_path / "detector.json", DETECTOR)
+    filt = write_json(tmp_path / "filter.json", {"fwhm_nm": 0.5})
+    model = write_json(tmp_path / "model.json", {"n_in": 4, "n_out": 4, "c0_db": -45.0})
     lines = write_json(tmp_path / "lines.json", [{"wavelength_nm": 1305.0, "rate_photons_per_s": 1e3}])
     tags, scan, table = tmp_path / "tags.csv", tmp_path / "scan.csv", tmp_path / "table.csv"
     tags.write_bytes(b"\n".join([b"channel,time_ps", *TAG_ROWS]) + b"\n")
+    tags_meta = write_json(tmp_path / "tags.csv.meta.json", {"source": SOURCE, "detector": DETECTOR})
     scan.write_bytes(b"\n".join([b"lambda_nm,counts", *SCAN_ROWS]) + b"\n")
+    scan_meta = write_json(tmp_path / "scan.csv.meta.json", {"dwell_s": 1.0})
     table.write_bytes(b"\n".join([b"a_in,a_out,v_in,v_out,lambda_nm,xtalk_db", *TABLE_ROWS]) + b"\n")
     out = {name: tmp_path / name for name in (
         "run.xtt1", "report.json", "hist.csv", "scan_out.csv", "lines_out.json", "sweep.csv", "curve.csv", "plan.json")}
     return {
-        "simulate": (["--topology", topo, "--source", source, "--duration", "1s", "--seed", "7",
-                      "--out", out["run.xtt1"]], 7, {"topology": topo, "source": source}, [out["run.xtt1"]]),
-        "analyze": (["--tags", tags, "--topology", topo, "--out", out["report.json"], "--hist", out["hist.csv"]],
-                    None, {"tags": tags, "topology": topo}, [out["report.json"], out["hist.csv"]]),
-        "scan": (["--lines", lines, "--grid", "1300:1310:1", "--dwell", "1s", "--seed", "11",
-                  "--out", out["scan_out.csv"]], 11, {"lines": lines}, [out["scan_out.csv"]]),
-        "scan-analyze": (["--scan", scan, "--dwell", "1s", "--out", out["lines_out.json"]],
-                         None, {"scan": scan}, [out["lines_out.json"]]),
+        "simulate": (["--topology", topo, "--source", source, "--detector", detector, "--duration", "1s",
+                      "--seed", "7", "--out", out["run.xtt1"]], 7,
+                     {"topology": topo, "source": source, "detector": detector}, [out["run.xtt1"]]),
+        "analyze": (["--tags", tags, "--topology", topo, "--source", source, "--detector", detector,
+                     "--out", out["report.json"], "--hist", out["hist.csv"]], None,
+                    {"tags": tags, "topology": topo, "source": source, "detector": detector,
+                     "tags_metadata": tags_meta}, [out["report.json"], out["hist.csv"]]),
+        "scan": (["--lines", lines, "--filter", filt, "--detector", detector, "--grid", "1300:1310:1",
+                  "--dwell", "1s", "--seed", "11", "--out", out["scan_out.csv"]], 11,
+                 {"lines": lines, "filter": filt, "detector": detector}, [out["scan_out.csv"]]),
+        "scan-analyze": (["--scan", scan, "--out", out["lines_out.json"]],
+                         None, {"scan": scan, "scan_metadata": scan_meta}, [out["lines_out.json"]]),
         "switch sweep-config": (["--table", table, "--n-in", "2", "--n-out", "2", "--out", out["sweep.csv"]],
                                 None, {"table": table}, [out["sweep.csv"]]),
-        "switch sweep-wavelength": (["--grid", "1260:1560:50", "--out", out["curve.csv"]],
-                                    None, {}, [out["curve.csv"]]),
-        "switch plan": (["--table", table, "--n-in", "2", "--n-out", "2", "--classical", "1", "--quantum", "1",
-                         "--out", out["plan.json"]], None, {"table": table}, [out["plan.json"]]),
+        "switch sweep-wavelength": (["--model", model, "--aggressor", "1:5", "--victim", "2:6",
+                                     "--grid", "1260:1560:50", "--out", out["curve.csv"]],
+                                    None, {"model": model}, [out["curve.csv"]]),
+        "switch plan": (["--model", model, "--table", table, "--n-in", "2", "--n-out", "2", "--classical", "1",
+                         "--quantum", "1", "--out", out["plan.json"]], None,
+                        {"model": model, "table": table}, [out["plan.json"]]),
     }
 
 
@@ -499,6 +515,23 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, command, flag):
     assert len(err) == 1
     assert json.loads(err[0])["error"] == "E_INPUT"
     assert str(missing) in json.loads(err[0])["message"]
+
+
+def test_failed_run_leaves_no_stale_manifest(tmp_path, capsys):
+    flags = [str(arg) for arg in command_runs(tmp_path)["analyze"][0]]
+    report = tmp_path / "report.json"
+    manifest = tmp_path / "report.json.manifest.json"
+    assert main(["analyze", *flags]) == 0
+    first = manifest.read_bytes()
+    # fails before writing anything: the first run's manifest still describes report.json
+    assert main(["analyze", *flags, "--bin", "abc"]) == 4
+    assert manifest.read_bytes() == first
+    # rewrites report.json, then cannot write the histogram
+    flags[flags.index("--hist") + 1] = str(tmp_path / "missing" / "h.csv")
+    assert main(["analyze", *flags, "--bin", "200ps"]) == 2
+    assert json.loads(report.read_text())["parameters"]["bin_width_ps"] == 200
+    assert not manifest.exists()
+    capsys.readouterr()
 
 
 def test_output_path_that_is_a_directory_is_input_error(tmp_path, capsys):

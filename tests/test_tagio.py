@@ -64,6 +64,36 @@ class TestXtt1:
         with pytest.raises(InputError):
             tagio.read_tags_xtt1(tmp_path / "absent.xtt1")
 
+    @staticmethod
+    def write_records(path, records):
+        path.write_bytes(tagio.XTT1_MAGIC + np.array(records, dtype=[("channel", "u1"), ("time_ps", "<u8")]).tobytes())
+
+    @pytest.mark.parametrize("channel, time_ps, message", [
+        (2, 5, "channel values must be 0 (trigger) or 1 (detector)"),
+        (255, 5, "channel values must be 0 (trigger) or 1 (detector)"),
+        (0, 2**63, "timestamp overflows the signed 64-bit range"),
+        (1, 2**64 - 1, "timestamp overflows the signed 64-bit range"),
+        (7, 2**63, "timestamp overflows the signed 64-bit range"),  # the time is checked first
+    ])
+    def test_out_of_range_record_rejected(self, tmp_path, channel, time_ps, message):
+        path = tmp_path / "tags.xtt1"
+        self.write_records(path, [(0, 0), (channel, time_ps), (1, 10)])
+        with pytest.raises(DataError) as excinfo:
+            tagio.read_tags_xtt1(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_largest_time_accepted(self, tmp_path):
+        path = tmp_path / "tags.xtt1"
+        self.write_records(path, [(0, 0), (1, 2**63 - 1)])
+        stream = tagio.read_tags_xtt1(path)
+        assert stream.channels.tolist() == [0, 1]
+        assert stream.times_ps.tolist() == [0, 2**63 - 1]
+
+    def test_empty_body(self, tmp_path):
+        path = tmp_path / "tags.xtt1"
+        self.write_records(path, [])
+        assert tagio.read_tags_xtt1(path).n_records == 0
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
