@@ -36,6 +36,7 @@ DEFAULT_K_SIGMA = 5.0
 DEFAULT_MIN_SEPARATION_BINS = 3
 PERIOD_JITTER_WARN_PPM = 1.0
 MAX_FOLD_BINS = 100_000_000  # Histogram.dense() of that many bins takes 800 MB
+_MAX_DIVISOR_TRIALS = 1_000_000  # ~0.1 s of trial division in suggest_bin_width
 
 
 @dataclass
@@ -127,14 +128,17 @@ class SpectralLine:
     significance_sigma: float
 
 
-def suggest_bin_width(period_ps: int, requested_ps: int) -> int:
+def suggest_bin_width(period_ps: int, requested_ps: int) -> int | None:
     """Divisor of the period nearest to a requested width >= 1 ps (ties go small).
 
     1 always divides, so no divisor of 2 * requested or more can win: trial
     division up to min(sqrt(period), 2 * requested) finds every one that can,
-    each small divisor d together with period // d.
+    each small divisor d together with period // d. None when that takes more
+    than ``_MAX_DIVISOR_TRIALS`` divisions.
     """
     limit = min(math.isqrt(period_ps), 2 * requested_ps)
+    if limit > _MAX_DIVISOR_TRIALS:
+        return None
     small = [d for d in range(1, limit + 1) if period_ps % d == 0]
     divisors = sorted({*small, *(period_ps // d for d in small)})
     i = bisect.bisect_right(divisors, requested_ps)
@@ -189,6 +193,8 @@ def fold_histogram(
     """
     if not (isinstance(bin_width_ps, int) and bin_width_ps >= 1):
         raise ParameterError(f"bin width must be an integer >= 1 ps, got {bin_width_ps!r}")
+    if bin_width_ps > np.iinfo(np.int64).max:  # delays are int64
+        raise ParameterError(f"bin width must be at most {np.iinfo(np.int64).max} ps, got {bin_width_ps}")
     trig = np.asarray(tags.trigger_times_ps, dtype=np.int64)
     det = np.asarray(tags.detector_times_ps, dtype=np.int64)
     if trig.size == 0:
@@ -220,8 +226,8 @@ def fold_histogram(
     if period % bin_width_ps:
         suggestion = suggest_bin_width(period, bin_width_ps)
         raise ParameterError(
-            f"bin width {bin_width_ps} ps does not divide the {period} ps trigger "
-            f"period; nearest divisor is {suggestion} ps",
+            f"bin width {bin_width_ps} ps does not divide the {period} ps trigger period"
+            + ("" if suggestion is None else f"; nearest divisor is {suggestion} ps"),
             code="E_BIN_WIDTH",
         )
     n_bins = period // bin_width_ps

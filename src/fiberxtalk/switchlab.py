@@ -7,9 +7,11 @@ and output planes independently and rises linearly with wavelength; a
 measured table can replace it entirely. The parametric model depends only on
 the two port separations and the wavelength, so the planner evaluates it once
 per (input separation, output separation, carrier) and gathers its leak table
-from those values; a measured table is interpolated once per path pair and
-carrier. The planner is one exact pruned search over that table; a plan or
-sweep whose work exceeds ``PLAN_WORK_LIMIT`` raises ``ResourceError`` (exit 5).
+from those values, one float64 matrix of rows per input; a measured table is
+interpolated once per path pair and carrier. The planner is one exact pruned
+search over that table that scores all of an input's classical children in one
+numpy pass and visits them in port order; a plan or sweep whose work exceeds
+``PLAN_WORK_LIMIT`` raises ``ResourceError`` (exit 5).
 """
 
 from __future__ import annotations
@@ -460,49 +462,50 @@ def _db(linear: float) -> float:
     return 10.0 * math.log10(linear) if linear > 0.0 else -math.inf
 
 
-def _leak_rows(model: SwitchModel, lam_c: tuple[float, ...]) -> list[list]:
-    """``rows[a]``: ``(b, wavelength, row)`` in port order for each classical path ``a -> b``.
+def _leak_rows(model: SwitchModel, lam_c: tuple[float, ...]) -> list[tuple[list[tuple[int, float]], np.ndarray]]:
+    """``rows[a]``: the kept classical paths ``a -> b``, ``(b, wavelength)`` in port order, and their rows.
 
-    Ports are 0-based. ``row[v * n_out + w]`` is the linear leakage into victim
+    Ports are 0-based. The rows are one float64 matrix per input, a row per
+    kept path; ``row[v * n_out + w]`` is the linear leakage into victim
     ``v -> w``, infinite where the victim shares a port: ``10 ** (x / 10)`` of
     ``switch_xtalk_db``'s ``x``, bit for bit, without calling it. The
     parametric model depends only on ``|a - v|``, ``|b - w|`` and the carrier,
     so it is evaluated once per (separation, separation, carrier), at most
-    ``n_in * n_out * len(lam_c)`` times, and the rows are gathered from that
-    small table; a measured table is interpolated once per path pair and
-    carrier. The first fault in port order raises the error the per-pair call
-    would. Prune 4: a carrier whose row is nowhere below a lower carrier's row
-    on the same path is dropped, as the lower one comes first in port order.
+    ``n_in * n_out * len(lam_c)`` times, and each input's rows are gathered
+    from that small table; a measured table is interpolated once per path pair
+    and carrier. The first fault in port order raises the error the per-pair
+    call would. Prune 4: a carrier whose row is nowhere below a lower carrier's
+    row on the same path is dropped, as the lower one comes first in port order.
     """
     n_in, n_out, n_lam = model.n_in, model.n_out, len(lam_c)
     # Only the reference wavelength can be out of range, and it is the one carrier.
     lams = [validate_wavelength_nm(lam) for lam in lam_c]
-    # Object arrays, so that equal entries share one float.
     if model.table is None:
         # by_gap[l, |a - v|, |b - w|], where a gap of 0 shares a port. The first
         # aggressor's victims meet every gap, in this order.
-        by_gap = np.full((n_lam, n_in, n_out), math.inf, dtype=object)
+        by_gap = np.full((n_lam, n_in, n_out), math.inf)
         for (l, nm), g_in, g_out in itertools.product(enumerate(lams), range(1, n_in), range(1, n_out)):
             by_gap[l, g_in, g_out] = 10.0 ** (_parametric_db(model, g_in, g_out, nm) / 10.0)
         gap_in = np.abs(np.subtract.outer(np.arange(n_in), np.arange(n_in)))
         gap_out = np.abs(np.subtract.outer(np.arange(n_out), np.arange(n_out)))
-        leak = by_gap[
-            np.arange(n_lam)[None, None, :, None, None],
-            gap_in[:, None, None, :, None],
-            gap_out[None, :, None, None, :],
-        ]
-    else:
-        leak = np.full((n_in, n_out, n_lam, n_in, n_out), math.inf, dtype=object)
-        for a, b, v, w in itertools.product(range(n_in), range(n_out), range(n_in), range(n_out)):
-            if v != a and w != b:
-                points = _measured_points(model, (a + 1, n_in + 1 + b, v + 1, n_in + 1 + w))
-                for l, nm in enumerate(lams):
-                    leak[a, b, l, v, w] = 10.0 ** (_interpolate(*points, nm) / 10.0)
-    rows: list[list] = [[] for _ in range(n_in)]
-    paths = itertools.product(range(n_in), range(n_out), range(n_lam))
-    for (a, b, l), row in zip(paths, leak.reshape(-1, n_in * n_out).tolist()):
-        if not any(all(x <= y for x, y in zip(low, row)) for c, _, low in rows[a] if c == b):
-            rows[a].append((b, lam_c[l], row))
+    rows = []
+    for a in range(n_in):
+        if model.table is None:  # leak[b, l, v, w]
+            leak = by_gap[np.arange(n_lam)[:, None, None], gap_in[a][:, None], gap_out[:, None, None, :]]
+        else:
+            leak = np.full((n_out, n_lam, n_in, n_out), math.inf)
+            for b, v, w in itertools.product(range(n_out), range(n_in), range(n_out)):
+                if v != a and w != b:
+                    points = _measured_points(model, (a + 1, n_in + 1 + b, v + 1, n_in + 1 + w))
+                    for l, nm in enumerate(lams):
+                        leak[b, l, v, w] = 10.0 ** (_interpolate(*points, nm) / 10.0)
+        leak = leak.reshape(n_out, n_lam, n_in * n_out)
+        # Dominance is transitive, so a carrier below any lower one is below a kept one.
+        keep = np.ones((n_out, n_lam), dtype=bool)
+        for l in range(1, n_lam):
+            keep[:, l] = ~(leak[:, :l] <= leak[:, l, None]).all(axis=2).any(axis=1)
+        kept = np.flatnonzero(keep).tolist()
+        rows.append(([(i // n_lam, lam_c[i % n_lam]) for i in kept], leak.reshape(n_out * n_lam, -1)[kept]))
     return rows
 
 
@@ -513,7 +516,7 @@ def _search(model: SwitchModel, k_classical: int, k_quantum: int, lam_c: tuple[f
     if entries > PLAN_WORK_LIMIT:
         raise ResourceError(f"a leak table of {entries} entries exceeds the plan budget of {PLAN_WORK_LIMIT}")
     rows = _leak_rows(model, lam_c)
-    least = min(min(row) for per_input in rows for _, _, row in per_input)
+    least = float(min(matrix.min() for _, matrix in rows))
     leak_floor = total_floor = 0.0
     for _ in range(k_classical):
         leak_floor += least
@@ -549,22 +552,26 @@ def _search(model: SwitchModel, k_classical: int, k_quantum: int, lam_c: tuple[f
 
     def place_classical(start, leak, used_out, classical):
         for a in range(start, n_in):
-            for b, lam, row in rows[a]:
+            # Every child of input a at once: its sums and the k_quantum-th
+            # smallest, over inputs, least leakage into an output.
+            paths, matrix = rows[a]
+            summed = matrix + leak
+            least_per_input = summed.reshape(-1, n_in, n_out).min(axis=2)
+            kth = np.partition(least_per_input, k_quantum - 1, axis=1)[:, k_quantum - 1].tolist()
+            for (b, lam), row, least_kth in zip(paths, summed, kth):
                 if b in used_out:
                     continue
                 visit()
-                summed = [x + y for x, y in zip(leak, row)]
-                least_per_input = sorted(min(summed[v:v + n_out]) for v in range(0, len(summed), n_out))
-                if _db(least_per_input[k_quantum - 1]) > best[0]:  # prune 2
+                if _db(least_kth) > best[0]:  # prune 2
                     continue
                 placed = classical + ((a, b, lam),)
                 if len(placed) < k_classical:
-                    place_classical(a + 1, summed, used_out | {b}, placed)
+                    place_classical(a + 1, row, used_out | {b}, placed)
                 else:
-                    place_quantum(summed, 0, frozenset(), -math.inf, 0.0, placed, ())
+                    place_quantum(row.tolist(), 0, frozenset(), -math.inf, 0.0, placed, ())
 
     try:
-        place_classical(0, [0.0] * (n_in * n_out), frozenset(), ())
+        place_classical(0, np.zeros(n_in * n_out), frozenset(), ())
     except _Optimal:
         pass
     return best[0], *best[2]
@@ -580,19 +587,24 @@ def optimize_assignment(
 
     One exact depth-first search over a leak table built once, in closed form
     from one value per port separation and carrier (see ``_leak_rows``); it
-    never calls ``switch_xtalk_db``, which the oracle uses. Channels are
-    placed classical first, each by ascending input, then output, then carrier,
-    so leaves arrive in the oracle's tie-break order and replace the incumbent
-    only when (worst, total) is strictly smaller. Sums run in the order of
-    ``_leakage_objective``, so the objective matches ``brute_force_assignment``
-    bit for bit. Adding a non-negative float never lowers a rounded sum and
-    ``log10`` is monotone, so a partial sum bounds its completions and these
-    prunes are exact: (1) a quantum path leaking more than the incumbent's
-    worst; (2) a classical prefix under which the k_quantum-th smallest, over
-    free inputs, least leakage into a free output exceeds it; (3) all the rest
-    once the incumbent equals the bound where every entry is the table's least;
-    (4) dominated carriers (see ``_leak_rows``). Beyond ``PLAN_WORK_LIMIT``
-    table entries or search nodes it raises ``ResourceError`` (exit 5).
+    never calls ``switch_xtalk_db``, which the oracle uses. Channels are placed
+    classical first, each by ascending input, then output, then carrier, so
+    leaves arrive in the oracle's tie-break order and replace the incumbent
+    only when (worst, total) is strictly smaller. The classical children of one
+    input are scored together, as float64 sums over that input's matrix of rows
+    (the same IEEE additions) and a partition for prune 2's order statistic;
+    they are then visited and pruned one by one, in the same order and against
+    the current incumbent, so the nodes visited do not change. Sums run in the
+    order of ``_leakage_objective``, so the objective matches
+    ``brute_force_assignment`` bit for bit. Adding a non-negative float never
+    lowers a rounded sum and ``log10`` is monotone, so a partial sum bounds its
+    completions and these prunes are exact: (1) a quantum path leaking more
+    than the incumbent's worst; (2) a classical prefix under which the
+    k_quantum-th smallest, over free inputs, least leakage into a free output
+    exceeds it; (3) all the rest once the incumbent equals the bound where
+    every entry is the table's least; (4) dominated carriers (see
+    ``_leak_rows``). Beyond ``PLAN_WORK_LIMIT`` table entries or search nodes
+    it raises ``ResourceError`` (exit 5).
     """
     _check_feasible(model, k_classical, k_quantum)
     lam_c = _wavelength_candidates(model, bands, "classical")

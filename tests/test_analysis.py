@@ -118,6 +118,24 @@ class TestFoldHistogram:
         assert time.perf_counter() - started < 1.0
         assert err.value.code == "E_BIN_WIDTH"
 
+    def test_bin_width_error_past_the_divisor_cap_is_fast(self):
+        # 10^7 + 1 ps is the least width that folds this period within MAX_FOLD_BINS;
+        # a full search for the nearest divisor would take 2 * 10^7 trial divisions.
+        stream = stream_from([0, 10**15 + 37], [5])
+        started = time.perf_counter()
+        with pytest.raises(ParameterError, match="does not divide the 1000000000000037 ps") as err:
+            fold_histogram(stream, bin_width_ps=10**7 + 1)
+        assert time.perf_counter() - started < 0.5
+        assert err.value.code == "E_BIN_WIDTH"
+        assert "nearest divisor" not in str(err.value)
+        assert suggest_bin_width(10**15 + 37, 10**7) is None
+
+    def test_bin_width_beyond_int64_is_parameter_error(self):
+        stream = stream_from([0], [5])  # one trigger: the period is one bin of any width
+        assert fold_histogram(stream, bin_width_ps=2**63 - 1).n_bins == 1
+        with pytest.raises(ParameterError, match="at most 9223372036854775807 ps"):
+            fold_histogram(stream, bin_width_ps=2**63)
+
     def test_tags_before_first_trigger_are_dropped_and_counted(self):
         stream = stream_from([1000, 1000 + PERIOD], [5, 999, 1100])
         hist = fold_histogram(stream, bin_width_ps=100)

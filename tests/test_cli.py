@@ -131,6 +131,27 @@ class TestSimulateAnalyze:
         assert err["error"] == "E_BIN_WIDTH"
         assert "320" in err["message"]
 
+    @pytest.mark.parametrize("rows, bin_width, message", [
+        # one trigger: a bin beyond int64 cannot divide int64 delays
+        ("0,0\n1,5\n", "1e19ps", "bin width must be at most 9223372036854775807 ps"),
+        # the nearest divisor of this period is past the divisor search's cap
+        ("0,0\n0,1000000000000037\n1,5\n", "10000001ps", "does not divide the 1000000000000037 ps trigger period"),
+    ], ids=["beyond-int64", "divisor-search-cap"])
+    def test_extreme_bin_width_exits_4(self, tmp_path, plant_files, capsys, rows, bin_width, message):
+        topo, _, _ = plant_files
+        tags = tmp_path / "t.csv"
+        tags.write_text("channel,time_ps\n" + rows)
+        started = time.perf_counter()
+        code = main(["analyze", "--tags", str(tags), "--topology", str(topo),
+                     "--bin", bin_width, "--out", str(tmp_path / "r.json")])
+        assert time.perf_counter() - started < 1.0
+        assert code == 4
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert message in err["message"]
+        assert "nearest divisor" not in err["message"]
+
     def test_resource_cap_exit_code(self, tmp_path, plant_files, capsys):
         topo, source, detector = plant_files
         code = main([

@@ -356,6 +356,20 @@ class TestAssignment:
         with pytest.raises(ResourceError, match="5000 nodes"):
             fx.optimize_assignment(fx.SwitchModel(), 7, 1)
 
+    @pytest.mark.parametrize("model,k_c,k_q,nodes", [
+        (fx.SwitchModel(n_in=6, n_out=6, beta_in_db_per_port=0.0), 3, 2, 7452),
+        (DEFAULT, 4, 4, 8757),
+    ], ids=["6x6-flat-inputs", "8x8-4-4"])
+    def test_search_visits_a_fixed_number_of_nodes(self, monkeypatch, model, k_c, k_q, nodes):
+        """Both searches visit more nodes than their leak tables have entries (900 and
+        3136), so the budget refuses on the node count, one short of the search's."""
+        plan = fx.optimize_assignment(model, k_c, k_q)
+        monkeypatch.setattr(switchlab, "PLAN_WORK_LIMIT", nodes - 1)
+        with pytest.raises(ResourceError, match=f"budget of {nodes - 1} nodes"):
+            fx.optimize_assignment(model, k_c, k_q)
+        monkeypatch.setattr(switchlab, "PLAN_WORK_LIMIT", nodes)
+        assert fx.optimize_assignment(model, k_c, k_q) == plan
+
     def test_oracle_refuses_large_spaces(self):
         with pytest.raises(ResourceError):
             fx.brute_force_assignment(fx.SwitchModel(), 3, 3, max_states=1000)
@@ -426,12 +440,11 @@ class TestLeakTable:
             if not any(c == b and all(x <= y for x, y in zip(low, row)) for c, _, low in want[a]):
                 want[a].append((b, lam, row))
         got = switchlab._leak_rows(model, tuple(lam_c))
-        assert [[(b, lam) for b, lam, _ in per_input] for per_input in got] == [
-            [(b, lam) for b, lam, _ in per_input] for per_input in want
-        ]
-        for per_got, per_want in zip(got, want):
-            for (_, _, row), (_, _, expected) in zip(per_got, per_want):
-                assert all(type(x) is float for x in row)
+        assert [paths for paths, _ in got] == [[(b, lam) for b, lam, _ in per_input] for per_input in want]
+        for (_, matrix), per_want in zip(got, want):
+            assert matrix.dtype == np.float64
+            assert matrix.shape == (len(per_want), n_in * n_out)
+            for row, (_, _, expected) in zip(matrix.tolist(), per_want):
                 assert [x.hex() for x in row] == [x.hex() for x in expected]
 
     @pytest.mark.parametrize("model,lam_c", [
