@@ -4,21 +4,25 @@ Ports are labeled the way the physical device is: inputs 1..n_in, outputs
 n_in+1..n_in+n_out (so the default 8x8 switch has inputs 1-8 and outputs
 9-16). The parametric model decays with port-index separation on the input
 and output planes independently and rises linearly with wavelength; a
-measured table can replace it entirely. The parametric model depends only on
-the two port separations and the wavelength, so the planner evaluates it once
-per (input separation, output separation, carrier) and gathers its leak table
-from those values, one float64 matrix of rows per input; a measured table is
-interpolated once per path pair and carrier. The planner is one exact pruned
-search over that table that scores all of an input's classical children in one
-numpy pass and visits them in port order; a plan or sweep whose work exceeds
-``PLAN_WORK_LIMIT`` raises ``ResourceError`` (exit 5).
+measured table can replace it entirely. A measured table is a
+``MeasuredTable``: sorted numpy columns of path pairs, wavelengths and dB
+values, read as a mapping from path pair to points only by the per-pair
+model. The parametric model depends only on the two port separations and the
+wavelength, so the planner evaluates it once per (input separation, output
+separation, carrier) and gathers its leak table from those values, one
+float64 matrix of rows per input; a measured table is interpolated for every
+path pair at once, one numpy pass per carrier. The planner is one exact
+pruned search over that table that scores all of an input's classical
+children in one numpy pass and visits them in port order; a plan or sweep
+whose work exceeds ``PLAN_WORK_LIMIT`` raises ``ResourceError`` (exit 5).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +38,79 @@ PLAN_WORK_LIMIT = 4_000_000
 BAND_PRESETS: dict[str, tuple[float, float]] = {"O": O_BAND_NM, "C": C_BAND_NM}
 
 PathPair = tuple[int, int]
-MeasuredTable = Mapping[tuple[int, int, int, int], Sequence[tuple[float, float]]]
+PairKey = tuple[int, int, int, int]
+
+
+def _no_points(key: Sequence[int]) -> DataError:
+    return DataError(f"no measured crosstalk for paths {key[0]}->{key[1]} / {key[2]}->{key[3]}")
+
+
+class MeasuredTable(Mapping):
+    """A measured crosstalk table, kept as numpy columns sorted once.
+
+    ``ports`` is a ``(4, n)`` int64 array, the ``a_in, a_out, v_in, v_out``
+    columns; ``lambda_nm`` and ``xtalk_db`` are float64. The rows are sorted by
+    the four ports, then by wavelength, and each path pair's wavelengths
+    strictly increase. As an immutable mapping, the key
+    ``(a_in, a_out, v_in, v_out)`` gives that pair's
+    ``[(lambda_nm, xtalk_db), ...]`` in wavelength order; the dict behind that
+    view is built on first use. A crosstalk above 0 dB or NaN, a wavelength
+    that is not finite and positive, or a path pair measured twice at one
+    wavelength (the later row) goes to ``reject(bad, message, values)``, which
+    raises; by default it names the path pair.
+    """
+
+    def __init__(self, ports: np.ndarray, lambda_nm: np.ndarray, xtalk_db: np.ndarray,
+                 reject: Callable[[np.ndarray, str, np.ndarray], None] | None = None):
+        ports = np.asarray(ports, dtype=np.int64)
+        nm, db = np.asarray(lambda_nm, dtype=np.float64), np.asarray(xtalk_db, dtype=np.float64)
+        reject = reject or functools.partial(_reject_pair, ports)
+        reject(~(db <= 0.0), "crosstalk must be <= 0 dB", db)
+        reject(~((nm > 0.0) & (nm < math.inf)), "wavelength must be finite and > 0 nm", nm)
+        order = np.lexsort((nm, *ports[::-1]))  # the last key sorts first
+        self.ports, self.lambda_nm, self.xtalk_db = ports[:, order], nm[order], db[order]
+        new_pair = np.ones(len(nm), dtype=bool)
+        new_pair[1:] = (self.ports[:, 1:] != self.ports[:, :-1]).any(axis=0)
+        # The sort is stable, so the later of two equal rows comes second.
+        twice = np.zeros(len(nm), dtype=bool)
+        twice[order[1:][~new_pair[1:] & (self.lambda_nm[1:] == self.lambda_nm[:-1])]] = True
+        reject(twice, "path pair measured twice at one wavelength", nm)
+        for column in (self.ports, self.lambda_nm, self.xtalk_db):
+            column.flags.writeable = False
+        self._starts = np.flatnonzero(new_pair)
+
+    @classmethod
+    def from_mapping(cls, table: Mapping) -> "MeasuredTable":
+        """A table from ``{(a_in, a_out, v_in, v_out): [(lambda_nm, xtalk_db), ...]}``."""
+        items = [(key, point) for key, points in table.items() for point in points]
+        ports = np.array([key for key, _ in items], dtype=np.int64).reshape(-1, 4)
+        points = np.array([point for _, point in items], dtype=np.float64).reshape(-1, 2)
+        return cls(ports.T, points[:, 0], points[:, 1])
+
+    @functools.cached_property
+    def by_pair(self) -> dict[PairKey, tuple[list[float], list[float]]]:
+        """Path pair -> (wavelengths, dB values), as Python floats."""
+        bounds = [*self._starts.tolist(), len(self.lambda_nm)]
+        nm, db = self.lambda_nm.tolist(), self.xtalk_db.tolist()
+        keys = zip(*self.ports[:, self._starts].tolist())
+        return {key: (nm[lo:hi], db[lo:hi]) for key, lo, hi in zip(keys, bounds, bounds[1:])}
+
+    def __getitem__(self, key) -> list[tuple[float, float]]:
+        return list(zip(*self.by_pair[key]))
+
+    def __iter__(self):
+        return iter(self.by_pair)
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+
+def _reject_pair(ports: np.ndarray, bad: np.ndarray, message: str, values: np.ndarray) -> None:
+    """Raise :class:`DataError` naming the path pair of the first row where ``bad`` holds."""
+    if bad.any():
+        row = int(bad.argmax())
+        a_in, a_out, v_in, v_out = ports[:, row].tolist()
+        raise DataError(f"paths {a_in}->{a_out} / {v_in}->{v_out}: {message}, got {values[row].item()!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +140,8 @@ class SwitchModel:
         require_number(self.beta_out_db_per_port, "beta_out_db_per_port", minimum=0.0)
         require_number(self.reference_nm, "reference_nm")
         require_number(self.slope_db_per_nm, "slope_db_per_nm")
+        if self.table is not None and not isinstance(self.table, MeasuredTable):
+            object.__setattr__(self, "table", MeasuredTable.from_mapping(self.table))
 
     @property
     def input_ports(self) -> range:
@@ -133,18 +211,6 @@ def _validate_path(model: SwitchModel, path: PathPair, name: str) -> PathPair:
     return (int(i), int(o))
 
 
-def _measured_points(model: SwitchModel, key: tuple[int, int, int, int]) -> tuple[list[float], list[float]]:
-    """The measured (wavelengths, dB values) of one path pair, sorted by wavelength."""
-    assert model.table is not None
-    entries = model.table.get(key)
-    if not entries:
-        raise DataError(
-            f"no measured crosstalk for paths {key[0]}->{key[1]} / {key[2]}->{key[3]}"
-        )
-    pts = sorted((float(l), float(v)) for l, v in entries)
-    return [p[0] for p in pts], [p[1] for p in pts]
-
-
 def _interpolate(lams: list[float], vals: list[float], nm: float) -> float:
     """Linear interpolation in dB, clamped to the end points.
 
@@ -195,23 +261,22 @@ def switch_xtalk_db(
         )
     nm = validate_wavelength_nm(wavelength_nm)
     if model.table is not None:
-        return _interpolate(*_measured_points(model, (a_in, a_out, v_in, v_out)), nm)
+        points = model.table.by_pair.get((a_in, a_out, v_in, v_out))
+        if points is None:
+            raise _no_points((a_in, a_out, v_in, v_out))
+        return _interpolate(*points, nm)
     return _parametric_db(model, abs(a_in - v_in), abs(a_out - v_out), nm)
 
 
-def load_measured_table(path: "str | Path") -> dict[tuple[int, int, int, int], list[tuple[float, float]]]:
-    """Read a measured crosstalk table from CSV.
+def load_measured_table(path: "str | Path") -> MeasuredTable:
+    """Read a measured crosstalk table from CSV; a faulty row is named as "data row N".
 
     Columns: ``a_in,a_out,v_in,v_out,lambda_nm,xtalk_db``.
     """
     *ports, nm, db = read_csv_columns(
         path, ["a_in", "a_out", "v_in", "v_out", "lambda_nm", "xtalk_db"], ["i8"] * 4 + ["f8"] * 2
     )
-    reject_rows(path, ~(db <= 0.0), "crosstalk must be <= 0 dB", db)
-    table: dict[tuple[int, int, int, int], list[tuple[float, float]]] = {}
-    for key, entry in zip(zip(*(column.tolist() for column in ports)), zip(nm.tolist(), db.tolist())):
-        table.setdefault(key, []).append(entry)
-    return table
+    return MeasuredTable(np.stack(ports), nm, db, functools.partial(reject_rows, path))
 
 
 @dataclass(frozen=True)
@@ -462,6 +527,47 @@ def _db(linear: float) -> float:
     return 10.0 * math.log10(linear) if linear > 0.0 else -math.inf
 
 
+def _measured_leak(model: SwitchModel, lams: list[float]) -> np.ndarray:
+    """``leak[a, b, l, v * n_out + w]`` of a measured table, in the terms of ``_leak_rows``.
+
+    Rows whose ports lie outside the switch are dropped before any arithmetic,
+    so no port value can alias onto a real path pair. Each remaining row's
+    path pair becomes one dense index in port order, which keeps the table's
+    sort. Every needed pair is then interpolated at once per carrier with the
+    IEEE operations, end clamps and ``-inf`` rule of ``_interpolate``.
+    """
+    table = model.table
+    n_in, n_out, paths = model.n_in, model.n_out, model.n_in * model.n_out
+    lo, size = np.array([1, n_in + 1, 1, n_in + 1]), np.array([n_in, n_out, n_in, n_out])
+    inside = ((table.ports >= lo[:, None]) & (table.ports < (lo + size)[:, None])).all(axis=0)
+    a, b, v, w = (port[inside] - low for port, low in zip(table.ports, lo.tolist()))
+    nm_at, db_at = table.lambda_nm[inside], table.xtalk_db[inside]
+    count = np.bincount(((a * n_out + b) * n_in + v) * n_out + w, minlength=paths * paths)
+    # The pairs of paths that share no port, in port order.
+    ins, outs = np.arange(n_in), np.arange(n_out)
+    needed = (ins[:, None, None, None] != ins[:, None]) & (outs[:, None, None] != outs)
+    missing = needed.ravel() & (count == 0)
+    if missing.any():
+        a, b, v, w = (int(i) for i in np.unravel_index(missing.argmax(), needed.shape))
+        raise _no_points((a + 1, n_in + 1 + b, v + 1, n_in + 1 + w))
+    pairs = np.flatnonzero(needed)
+    last = np.cumsum(count)[pairs] - 1
+    first = last - count[pairs] + 1
+    leak = np.full((len(lams), paths * paths), math.inf)
+    for l, nm in enumerate(lams):
+        below = np.concatenate(([0], np.cumsum(nm_at < nm)))
+        right = np.minimum(first + below[last + 1] - below[first], last)  # first point at or above nm
+        left = np.maximum(right - 1, first)
+        x0, x1, y0, y1 = nm_at[left], nm_at[right], db_at[left], db_at[right]
+        with np.errstate(invalid="ignore", divide="ignore"):  # in the lanes np.where discards
+            between = np.where((y0 == -math.inf) | (y1 == -math.inf), np.where(nm == x1, y1, -math.inf),
+                               y0 + (nm - x0) / (x1 - x0) * (y1 - y0))
+        db = np.where(nm <= nm_at[first], db_at[first], np.where(nm >= nm_at[last], db_at[last], between))
+        # Python's power, not np.power, which can differ in the last bit.
+        leak[l, pairs] = [10.0 ** (x / 10.0) for x in db.tolist()]
+    return leak.reshape(len(lams), n_in, n_out, paths).transpose(1, 2, 0, 3)
+
+
 def _leak_rows(model: SwitchModel, lam_c: tuple[float, ...]) -> list[tuple[list[tuple[int, float]], np.ndarray]]:
     """``rows[a]``: the kept classical paths ``a -> b``, ``(b, wavelength)`` in port order, and their rows.
 
@@ -472,10 +578,12 @@ def _leak_rows(model: SwitchModel, lam_c: tuple[float, ...]) -> list[tuple[list[
     parametric model depends only on ``|a - v|``, ``|b - w|`` and the carrier,
     so it is evaluated once per (separation, separation, carrier), at most
     ``n_in * n_out * len(lam_c)`` times, and each input's rows are gathered
-    from that small table; a measured table is interpolated once per path pair
-    and carrier. The first fault in port order raises the error the per-pair
-    call would. Prune 4: a carrier whose row is nowhere below a lower carrier's
-    row on the same path is dropped, as the lower one comes first in port order.
+    from that small table. A measured table is interpolated for all path pairs
+    at once, one vector pass over its sorted columns per carrier (see
+    ``_measured_leak``). The first fault in port order raises the error the
+    per-pair call would. Prune 4: a carrier whose row is nowhere below a lower
+    carrier's row on the same path is dropped, as the lower one comes first in
+    port order.
     """
     n_in, n_out, n_lam = model.n_in, model.n_out, len(lam_c)
     # Only the reference wavelength can be out of range, and it is the one carrier.
@@ -488,18 +596,15 @@ def _leak_rows(model: SwitchModel, lam_c: tuple[float, ...]) -> list[tuple[list[
             by_gap[l, g_in, g_out] = 10.0 ** (_parametric_db(model, g_in, g_out, nm) / 10.0)
         gap_in = np.abs(np.subtract.outer(np.arange(n_in), np.arange(n_in)))
         gap_out = np.abs(np.subtract.outer(np.arange(n_out), np.arange(n_out)))
+    else:
+        measured = _measured_leak(model, lams)
     rows = []
     for a in range(n_in):
         if model.table is None:  # leak[b, l, v, w]
             leak = by_gap[np.arange(n_lam)[:, None, None], gap_in[a][:, None], gap_out[:, None, None, :]]
+            leak = leak.reshape(n_out, n_lam, n_in * n_out)
         else:
-            leak = np.full((n_out, n_lam, n_in, n_out), math.inf)
-            for b, v, w in itertools.product(range(n_out), range(n_in), range(n_out)):
-                if v != a and w != b:
-                    points = _measured_points(model, (a + 1, n_in + 1 + b, v + 1, n_in + 1 + w))
-                    for l, nm in enumerate(lams):
-                        leak[b, l, v, w] = 10.0 ** (_interpolate(*points, nm) / 10.0)
-        leak = leak.reshape(n_out, n_lam, n_in * n_out)
+            leak = measured[a]
         # Dominance is transitive, so a carrier below any lower one is below a kept one.
         keep = np.ones((n_out, n_lam), dtype=bool)
         for l in range(1, n_lam):
@@ -585,9 +690,11 @@ def optimize_assignment(
 ) -> Assignment:
     """Minimize the worst-case aggregated leakage into any quantum channel.
 
-    One exact depth-first search over a leak table built once, in closed form
-    from one value per port separation and carrier (see ``_leak_rows``); it
-    never calls ``switch_xtalk_db``, which the oracle uses. Channels are placed
+    One exact depth-first search over a leak table built once (see
+    ``_leak_rows``): in closed form from one value per port separation and
+    carrier, or from a measured table's sorted columns in one numpy
+    interpolation pass per carrier. It never calls ``switch_xtalk_db``, which
+    the oracle uses, nor reads the table as a mapping. Channels are placed
     classical first, each by ascending input, then output, then carrier, so
     leaves arrive in the oracle's tie-break order and replace the incumbent
     only when (worst, total) is strictly smaller. The classical children of one

@@ -418,6 +418,20 @@ class TestSwitchCommands:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "E_RESOURCE"
 
+    @pytest.mark.parametrize("row, message", [
+        ("1,6,2,5,nan,-40", "data row 2: wavelength must be finite and > 0 nm, got nan"),
+        ("1,6,2,5,1310,-45", "data row 2: path pair measured twice at one wavelength, got 1310.0"),
+    ], ids=["nan-wavelength", "measured-twice"])
+    def test_table_fault_is_data_error(self, tmp_path, capsys, row, message):
+        table = tmp_path / "table.csv"
+        table.write_text(f"a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\n1,6,2,5,1310,-48\n{row}\n")
+        code = main(["switch", "plan", "--n-in", "4", "--n-out", "4", "--classical", "1", "--quantum", "1",
+                     "--table", str(table), "--out", str(tmp_path / "plan.json")])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "E_DATA", "message": f"{table}: {message}"}
+
     def test_plan_with_numeric_band(self, tmp_path):
         plan_path = tmp_path / "plan.json"
         assert main([

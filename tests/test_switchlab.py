@@ -168,6 +168,40 @@ class TestMeasuredMode:
         with pytest.raises(DataError, match="data row 1: crosstalk"):
             load_measured_table(path)
 
+    @pytest.mark.parametrize("nm", ["nan", "inf", "-inf", "-5.0", "0.0"])
+    def test_a_wavelength_not_finite_and_positive_is_a_data_error(self, tmp_path, nm):
+        # A NaN point once loaded silently and read -40 dB at 1400 nm.
+        path = tmp_path / "table.csv"
+        path.write_text(f"a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\n1,10,2,9,1310.0,-48.0\n1,10,2,9,{nm},-40.0\n")
+        with pytest.raises(DataError, match=f"data row 2: wavelength must be finite and > 0 nm, got {float(nm)!r}$"):
+            load_measured_table(path)
+        with pytest.raises(DataError, match="^paths 1->10 / 2->9: wavelength must be finite and > 0 nm"):
+            fx.SwitchModel(table={(1, 10, 2, 9): [(1310.0, -48.0), (float(nm), -40.0)]})
+
+    def test_a_pair_measured_twice_at_one_wavelength_is_a_data_error(self, tmp_path):
+        # The lower dB once won at 1310 nm and the higher one between 1310 and 1550 nm.
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\n"
+            "1,10,2,9,1310.0,-48.0\n"
+            "3,11,4,12,1310.0,-50.0\n"
+            "1,10,2,9,1550.0,-40.0\n"
+            "1,10,2,9,1310.0,-45.0\n"
+            "1,10,2,9,1550.0,-41.0\n"
+        )
+        with pytest.raises(DataError, match="data row 4: path pair measured twice at one wavelength, got 1310.0$"):
+            load_measured_table(path)
+        with pytest.raises(DataError, match="^paths 1->10 / 2->9: path pair measured twice at one wavelength"):
+            fx.SwitchModel(table={(1, 10, 2, 9): [(1310.0, -48.0), (1550.0, -40.0), (1310.0, -45.0)]})
+
+    def test_a_mapping_table_is_checked_like_a_csv_table(self):
+        with pytest.raises(DataError, match="^paths 3->11 / 4->12: crosstalk must be <= 0 dB, got 5.0$"):
+            fx.SwitchModel(table={(1, 10, 2, 9): [(1310.0, -48.0)], (3, 11, 4, 12): [(1310.0, 5.0)]})
+        table = fx.SwitchModel(table={(1, 10, 2, 9): [(1550.0, -40.0), (1310.0, -48.0)]}).table
+        assert isinstance(table, switchlab.MeasuredTable)
+        assert fx.SwitchModel(table=table).table is table
+        assert table[1, 10, 2, 9] == [(1310.0, -48.0), (1550.0, -40.0)] and len(table) == 1
+
 
 class TestSweeps:
     def test_config_sweep_structure_and_maximum(self):
@@ -417,6 +451,53 @@ def first_fault(model, lam_c):
     raise AssertionError("no call fails")
 
 
+def per_entry_rows(model, lam_c):
+    """Per input, the kept ``(b, carrier, row)`` of ``_leak_rows``, from one ``switch_xtalk_db`` call per entry."""
+    n_in, n_out = model.n_in, model.n_out
+    want = [[] for _ in range(n_in)]
+    for a, b, lam in itertools.product(range(n_in), range(n_out), lam_c):
+        row = [math.inf] * (n_in * n_out)
+        for v, w in itertools.product(range(n_in), range(n_out)):
+            if v != a and w != b:
+                db = fx.switch_xtalk_db(model, (a + 1, n_in + 1 + b), (v + 1, n_in + 1 + w), lam)
+                row[v * n_out + w] = 10.0 ** (db / 10.0)
+        if not any(c == b and all(x <= y for x, y in zip(low, row)) for c, _, low in want[a]):
+            want[a].append((b, lam, row))
+    return want
+
+
+def hex_rows(rows):
+    return [(paths, [[x.hex() for x in row] for row in matrix.tolist()]) for paths, matrix in rows]
+
+
+def write_table(path, rows):
+    """A table CSV of ``(a_in, a_out, v_in, v_out, lambda_nm, xtalk_db)`` rows, floats written exactly."""
+    path.write_text("a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\n" + "".join(
+        f"{a_in},{a_out},{v_in},{v_out},{nm!r},{db!r}\n" for a_in, a_out, v_in, v_out, nm, db in rows))
+    return path
+
+
+# Wavelengths a table is measured at, and carriers on, between and outside them.
+TABLE_NM = (1270.0, 1310.0, 1400.0, 1550.0, 1600.0)
+CARRIER_NM = TABLE_NM + (1290.0, 1355.5, 1475.25, 1000.0, 1260.0, 2000.0)
+
+
+@st.composite
+def measured_tables(draw):
+    """A full measured table of a 2x2 to 3x3 switch as a dict: 1-3 points per pair in shuffled
+    wavelength order, some of them ``-inf``, plus one or two carriers."""
+    n_in, n_out = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    ins, outs = range(1, n_in + 1), range(n_in + 1, n_in + n_out + 1)
+    values = st.one_of(st.just(-math.inf), st.integers(-70, -30).map(float), st.floats(-70.0, -30.0))
+    table = {}
+    for a_in, a_out, v_in, v_out in itertools.product(ins, outs, ins, outs):
+        if a_in != v_in and a_out != v_out:
+            lams = draw(st.lists(st.sampled_from(TABLE_NM), min_size=1, max_size=3, unique=True))
+            table[a_in, a_out, v_in, v_out] = [(lam, draw(values)) for lam in lams]
+    carriers = draw(st.lists(st.sampled_from(CARRIER_NM), min_size=1, max_size=2, unique=True))
+    return n_in, n_out, table, tuple(sorted(carriers))
+
+
 class TestLeakTable:
     @pytest.mark.parametrize("model,lam_c", [
         (DEFAULT, (1310.0,)),
@@ -430,15 +511,7 @@ class TestLeakTable:
     def test_rows_equal_per_entry_model(self, model, lam_c):
         """Every entry is ``10 ** (switch_xtalk_db / 10)`` bit for bit, and prune 4 keeps the same carriers."""
         n_in, n_out = model.n_in, model.n_out
-        want = [[] for _ in range(n_in)]
-        for a, b, lam in itertools.product(range(n_in), range(n_out), lam_c):
-            row = [math.inf] * (n_in * n_out)
-            for v, w in itertools.product(range(n_in), range(n_out)):
-                if v != a and w != b:
-                    db = fx.switch_xtalk_db(model, (a + 1, n_in + 1 + b), (v + 1, n_in + 1 + w), lam)
-                    row[v * n_out + w] = 10.0 ** (db / 10.0)
-            if not any(c == b and all(x <= y for x, y in zip(low, row)) for c, _, low in want[a]):
-                want[a].append((b, lam, row))
+        want = per_entry_rows(model, lam_c)
         got = switchlab._leak_rows(model, tuple(lam_c))
         assert [paths for paths, _ in got] == [[(b, lam) for b, lam, _ in per_input] for per_input in want]
         for (_, matrix), per_want in zip(got, want):
@@ -464,6 +537,44 @@ class TestLeakTable:
         with pytest.raises(type(want)) as err:
             fx.optimize_assignment(model, 2, 2, {"classical": lam_c} if len(lam_c) == 2 else None)
         assert str(err.value) == str(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=measured_tables())
+    def test_measured_rows_equal_per_entry_model_and_csv(self, tmp_path_factory, case):
+        """Random tables: the vector interpolation equals ``switch_xtalk_db`` bit for bit, and the
+        CSV-loaded table gives the dict-built one's rows and plans."""
+        n_in, n_out, table, lam_c = case
+        model = fx.SwitchModel(n_in=n_in, n_out=n_out, table=table)
+        got = hex_rows(switchlab._leak_rows(model, lam_c))
+        assert got == [([(b, lam) for b, lam, _ in per_input], [[x.hex() for x in row] for _, _, row in per_input])
+                       for per_input in per_entry_rows(model, lam_c)]
+        rows = [(*key, lam, db) for key, points in table.items() for lam, db in points]
+        loaded = load_measured_table(write_table(tmp_path_factory.mktemp("table") / "table.csv", rows))
+        assert loaded == {key: sorted(points) for key, points in table.items()}
+        from_csv = fx.SwitchModel(n_in=n_in, n_out=n_out, table=loaded)
+        assert hex_rows(switchlab._leak_rows(from_csv, lam_c)) == got
+        bands = {"classical": (lam_c[0], lam_c[-1])}
+        plans = [solve(m, 1, 1, bands) for m in (model, from_csv)
+                 for solve in (fx.optimize_assignment, fx.brute_force_assignment)]
+        assert len({(p.classical, p.quantum, p.objective_db) for p in plans}) == 1
+
+    # Each row's pair index, computed without dropping it first, is that of 1->10 / 3->9.
+    @pytest.mark.parametrize("junk", [
+        (1, 10, 2, 17), (1, 10, 4, 1), (0, 18, 3, 9), (2**63 - 1, 26, 3, 9), (-2**63 + 1, 10, 3, 9),
+    ], ids=["v_out-beyond", "v_out-an-input", "a_in-0", "a_in-int64-max", "a_in-near-int64-min"])
+    def test_ports_outside_the_switch_never_alias_onto_a_pair(self, tmp_path, junk):
+        ins, outs = range(1, 9), range(9, 17)
+        full = [(*key, 1310.0, fx.switch_xtalk_db(DEFAULT, key[:2], key[2:], 1310.0))
+                for key in itertools.product(ins, outs, ins, outs) if key[0] != key[2] and key[1] != key[3]]
+        junk_row = (*junk, 1310.0, -3.0)
+
+        def rows_of(name, rows):
+            model = fx.SwitchModel(table=load_measured_table(write_table(tmp_path / name, rows)))
+            return hex_rows(switchlab._leak_rows(model, (1310.0,)))
+
+        assert rows_of("junk.csv", [*full, junk_row]) == rows_of("clean.csv", full)
+        with pytest.raises(DataError, match="^no measured crosstalk for paths 1->10 / 3->9$"):
+            rows_of("missing.csv", [row for row in full if row[:4] != (1, 10, 3, 9)] + [junk_row])
 
     def test_plans_never_call_the_per_entry_model(self, monkeypatch):
         # brute_force_assignment takes ~20 s on 8x8 (2, 2); this is its plan.
