@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DataError, ParameterError, ResourceError
 from .plant import Topology, distance_for_delay_ps, path_loss_db
 from .simulate import Detector, PulsedSource, SpectralScan, TagStream
-from .units import _GAUSSIAN_FWHM_TO_SIGMA, C_M_PER_S
+from .units import _GAUSSIAN_FWHM_TO_SIGMA, C_M_PER_S, require_int
 
 _DB_PER_NEPER = 10.0 / math.log(10.0)
 
@@ -191,8 +191,7 @@ def fold_histogram(
     tag, so it is exact for detector tags in any order, and jittered or gapped
     triggers only cost more searches.
     """
-    if not (isinstance(bin_width_ps, int) and bin_width_ps >= 1):
-        raise ParameterError(f"bin width must be an integer >= 1 ps, got {bin_width_ps!r}")
+    bin_width_ps = require_int(bin_width_ps, "bin_width_ps", 1)
     if bin_width_ps > np.iinfo(np.int64).max:  # delays are int64
         raise ParameterError(f"bin width must be at most {np.iinfo(np.int64).max} ps, got {bin_width_ps}")
     trig = np.asarray(tags.trigger_times_ps, dtype=np.int64)
@@ -329,10 +328,7 @@ def detect_peaks(
     """
     if not k_sigma > 0.0:
         raise ParameterError(f"k_sigma must be > 0, got {k_sigma}")
-    if not (isinstance(min_separation_bins, int) and min_separation_bins >= 0):
-        raise ParameterError(
-            f"min_separation_bins must be an integer >= 0, got {min_separation_bins!r}"
-        )
+    min_separation_bins = require_int(min_separation_bins, "min_separation_bins", 0)
     threshold = baseline.level + k_sigma * baseline.noise_scale
     if isinstance(series, Histogram):
         if not threshold > 0.0:

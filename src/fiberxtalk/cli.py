@@ -25,7 +25,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import run_otdr_analysis, detect_spectral_lines
-from .errors import InputError, ParameterError, ResourceError, XtalkError, read_json
+from .errors import InputError, ParameterError, ResourceError, XtalkError, read_dataclass, read_json
 from .plant import load_topology
 from .simulate import (
     PULSES_PER_CHUNK,
@@ -147,19 +147,6 @@ def parse_window_ps(text: str, flag: str) -> tuple[int, int]:
     return (int(round(lo)), int(round(hi)))
 
 
-def _dataclass_from(doc: dict, cls, what: str):
-    if not isinstance(doc, dict):
-        raise InputError(f"{what}: expected a JSON object")
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(doc) - names)
-    if unknown:
-        raise InputError(f"{what}: unknown key(s) {unknown}; expected {sorted(names)}")
-    try:
-        return cls(**doc)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{what}: {exc}") from None
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -227,9 +214,9 @@ def _sidecar(path: str, label: str) -> dict[str, Path]:
 def _from_args(args, name: str, cls, metadata: dict | None = None):
     """``cls`` built from the ``--<name>`` JSON file, else from ``metadata[name]``, else None."""
     if getattr(args, name, None):
-        return _dataclass_from(read_json(getattr(args, name), name), cls, name)
+        return read_dataclass(read_json(getattr(args, name), name), cls, name)
     if metadata and isinstance(metadata.get(name), dict):
-        return _dataclass_from(metadata[name], cls, f"{name} metadata")
+        return read_dataclass(metadata[name], cls, f"metadata.{name}")
     return None
 
 
@@ -303,7 +290,7 @@ def cmd_scan(args) -> _Run:
     lines_doc = read_json(args.lines, "lines")
     if not isinstance(lines_doc, list):
         raise InputError("lines: expected a JSON array of {wavelength_nm, rate_photons_per_s}")
-    lines = [_dataclass_from(entry, LeakLine, f"lines[{i}]") for i, entry in enumerate(lines_doc)]
+    lines = [read_dataclass(entry, LeakLine, f"lines[{i}]") for i, entry in enumerate(lines_doc)]
     filt = _from_args(args, "filter", TunableFilter) or TunableFilter()
     detector = _from_args(args, "detector", Detector) or Detector()
     grid = parse_grid_nm(args.grid, "--grid")  # the simulator checks its range
@@ -376,7 +363,7 @@ def _model_from_args(args) -> tuple[SwitchModel, dict, dict[str, Path]]:
     }
     if args.table:
         overrides["table"] = load_measured_table(args.table)
-    model = replace(_dataclass_from(doc, SwitchModel, "switch model"), **overrides)
+    model = replace(read_dataclass(doc, SwitchModel, "switch model"), **overrides)
     return model, {"mode": "measured"} if args.table else asdict(model), _given(args, "model", "table")
 
 

@@ -1,5 +1,7 @@
 """Exception taxonomy shared by the library and the command-line front end,
-and the two readers every input file goes through.
+and the three readers every input goes through: :func:`read_json` and
+:func:`read_csv_columns` for files, :func:`read_dataclass` from a JSON object
+to the dataclass that checks it.
 
 Exit codes follow the CLI contract: 2 input, 3 data, 4 parameter, 5 resource.
 Each error carries a short machine-readable code (``E_INPUT``, ``E_NO_TRIGGER``,
@@ -15,6 +17,8 @@ import csv
 import json
 import re
 import warnings
+from collections.abc import Mapping
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +72,34 @@ def read_json(path: "str | Path", what: str):
         return json.loads(path.read_text())
     except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise InputError(f"{path}: invalid JSON: {exc}") from None
+
+
+def read_dataclass(doc, cls, what: str, *, lax: bool = False, **given):
+    """``cls`` built from the JSON object ``doc`` and the already-read fields ``given``.
+
+    ``doc``'s keys are ``cls``'s other fields. An unknown key is an error unless
+    ``lax``, which ignores it; a missing required key is named. ``cls`` checks
+    its own values, and any fault is an :class:`InputError` whose message starts
+    with the element path ``what``: ``what.field ...`` when the fault names one
+    of ``cls``'s fields, ``what: ...`` otherwise. A dataclass assembled from
+    parts read elsewhere passes an empty ``doc`` and every field in ``given``.
+    """
+    if not isinstance(doc, Mapping):
+        raise InputError(f"{what}: expected a JSON object")
+    own = [f for f in fields(cls) if f.name not in given]
+    names = [f.name for f in own]
+    unknown = sorted(set(doc) - set(names))
+    if unknown and not lax:
+        raise InputError(f"{what}: unknown key(s) {unknown}; expected {sorted(names)}")
+    for f in own:
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise InputError(f"{what}: missing required key {f.name!r}")
+    try:
+        return cls(**{name: doc[name] for name in names if name in doc}, **given)
+    except (TypeError, ValueError, OverflowError) as exc:
+        message = str(exc)
+        named = re.match(r"\w*", message)[0] in {*names, *given}
+        raise InputError(f"{what}{'.' if named else ': '}{message}") from None
 
 
 def read_csv_columns(path: "str | Path", header: "list[str]", dtypes: list) -> "list[np.ndarray]":

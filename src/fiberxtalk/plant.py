@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, ParameterError, read_json
+from .errors import InputError, ParameterError, read_dataclass, read_json
 from .units import (
     C_M_PER_S,
     DEFAULT_ATTENUATION_TABLE,
     DEFAULT_GROUP_INDEX,
+    require_int,
     require_number,
     validate_wavelength_nm,
 )
@@ -35,6 +36,18 @@ COUPLING_FLOOR_DB = -160.0
 TOPOLOGY_SCHEMA_VERSION = 1
 
 
+def _require_name(value, name: str) -> None:
+    if not isinstance(value, str) or not value:
+        raise ParameterError(f"{name}: expected a non-empty string")
+
+
+def _number(obj, name: str, **bounds) -> float:
+    """Check the numeric field ``name`` of the frozen ``obj`` and store it as a float."""
+    value = require_number(getattr(obj, name), name, **bounds)
+    object.__setattr__(obj, name, value)
+    return value
+
+
 @dataclass(frozen=True)
 class FiberSpan:
     """One cable section of the bundle route."""
@@ -43,6 +56,11 @@ class FiberSpan:
     length_m: float
     attenuation: tuple[tuple[float, float], ...] = DEFAULT_ATTENUATION_TABLE
     group_index: float = DEFAULT_GROUP_INDEX
+
+    def __post_init__(self):
+        _require_name(self.id, "id")
+        _number(self, "length_m", minimum=0.0, strict=True)
+        _number(self, "group_index", minimum=1.0, strict=True)
 
     def attenuation_db_per_km(self, wavelength_nm: float) -> float:
         """Piecewise-linear attenuation lookup, flat beyond the table ends."""
@@ -72,6 +90,28 @@ class MpoConnector:
     reference_nm: float = 1550.0
     insertion_loss_db: float = DEFAULT_INSERTION_LOSS_DB
 
+    def __post_init__(self):
+        _require_name(self.id, "id")
+        _number(self, "position_m", minimum=0.0)
+        if self.lane_count not in SUPPORTED_LANE_COUNTS:
+            raise ParameterError(f"lane_count: {self.lane_count!r} not one of {SUPPORTED_LANE_COUNTS}")
+        if not isinstance(self.lanes, Mapping):
+            raise ParameterError("lanes: expected an object of fiber -> lane")
+        object.__setattr__(self, "lanes", dict(self.lanes))
+        taken = set()
+        for fiber, lane in self.lanes.items():
+            if require_int(lane, f"lanes.{fiber}", 1) > self.lane_count:
+                raise ParameterError(f"lanes.{fiber}: lane {lane} outside 1..{self.lane_count}")
+            if lane in taken:
+                raise ParameterError(f"lanes.{fiber}: lane {lane} assigned to more than one fiber")
+            taken.add(lane)
+        if _number(self, "base_coupling_db") > 0.0:
+            raise ParameterError(f"base_coupling_db: coupling must be <= 0 dB, got {self.base_coupling_db}")
+        _number(self, "pitch_rolloff_db_per_lane", minimum=0.0)
+        _number(self, "wavelength_slope_db_per_nm")
+        validate_wavelength_nm(_number(self, "reference_nm"))
+        _number(self, "insertion_loss_db", minimum=0.0)
+
 
 @dataclass(frozen=True)
 class CrosstalkPoint:
@@ -89,13 +129,44 @@ class CrosstalkPoint:
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable plant description; safe to share across threads after load."""
+    """Immutable plant description; safe to share across threads after load.
+
+    Construction checks that there is a span, that span and connector ids are
+    unique, that connector positions strictly increase within the route, and
+    that the probe and victim are different fibers.
+    """
 
     spans: tuple[FiberSpan, ...]
     connectors: tuple[MpoConnector, ...] = ()
     aggressor_fiber_id: str = "aggressor"
     victim_fiber_id: str = "victim"
     detector_end: str = "near"
+
+    def __post_init__(self):
+        if not self.spans:
+            raise ParameterError("spans: expected at least one span")
+        for kind, elements in (("span", self.spans), ("connector", self.connectors)):
+            ids = set()
+            for i, element in enumerate(elements):
+                if element.id in ids:
+                    raise ParameterError(f"{kind}s[{i}]: duplicate {kind} id {element.id!r}")
+                ids.add(element.id)
+        total, last = self.total_length_m, -math.inf
+        for i, conn in enumerate(self.connectors):
+            if conn.position_m > total:
+                raise ParameterError(
+                    f"connectors[{i}]: connector {conn.id!r} at {conn.position_m} m lies beyond the {total} m route"
+                )
+            if conn.position_m <= last:
+                raise ParameterError(
+                    f"connectors[{i}]: positions must be strictly increasing "
+                    f"(connector {conn.id!r} at {conn.position_m} m follows {last} m)"
+                )
+            last = conn.position_m
+        if self.aggressor_fiber_id == self.victim_fiber_id:
+            raise ParameterError(
+                f"probe and victim must be different fibers, both are {self.aggressor_fiber_id!r}"
+            )
 
     @property
     def total_length_m(self) -> float:
@@ -126,7 +197,7 @@ def mpo_coupling_db(
 ) -> float:
     """Lane-to-lane coupling in dB (negative), clamped at the -160 dB floor."""
     for name, lane in (("lane_i", lane_i), ("lane_j", lane_j)):
-        if not isinstance(lane, int) or not 1 <= lane <= connector.lane_count:
+        if require_int(lane, name, 1) > connector.lane_count:
             raise ParameterError(
                 f"{name}={lane!r} outside lanes 1..{connector.lane_count} "
                 f"of connector {connector.id!r}"
@@ -244,35 +315,41 @@ def distance_for_delay_ps(topology: Topology, delay_ps: float) -> float:
 
 # --- topology document loading -------------------------------------------------
 
-_TOP_KEYS = {"schema_version", "spans", "connectors", "switch", "probe", "victim"}
-_SPAN_KEYS = {"id", "length_m", "attenuation_db_per_km", "group_index"}
-_CONNECTOR_KEYS = {
-    "id",
-    "position_m",
-    "lanes",
-    "lane_count",
-    "lane_pitch_mm",
-    "base_coupling_db",
-    "pitch_rolloff_db_per_lane",
-    "wavelength_slope_db_per_nm",
-    "reference_nm",
-    "insertion_loss_db",
-}
-_ENDPOINT_KEYS = {"fiber", "end"}
+
+@dataclass(frozen=True)
+class _Document:
+    """The top level of a topology document, before its elements are read."""
+
+    spans: list
+    probe: Mapping
+    victim: Mapping
+    schema_version: int = TOPOLOGY_SCHEMA_VERSION
+    connectors: list = field(default_factory=list)
+    switch: Mapping | None = None  # accepted and checked, but nothing reads it yet
+
+    def __post_init__(self):
+        if self.schema_version != TOPOLOGY_SCHEMA_VERSION:
+            raise ParameterError(
+                f"schema_version: unsupported version {self.schema_version!r} (expected {TOPOLOGY_SCHEMA_VERSION})"
+            )
+        for name in ("spans", "connectors"):
+            if not isinstance(getattr(self, name), list):
+                raise ParameterError(f"{name}: expected an array")
+        if self.switch is not None and not isinstance(self.switch, Mapping):
+            raise ParameterError("switch: expected an object")
 
 
-def _check_keys(obj: Mapping, allowed: set[str], path: str, lax: bool) -> None:
-    if lax:
-        return
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise InputError(f"{path}: unknown key(s) {unknown}; pass lax=True to ignore")
+@dataclass(frozen=True)
+class _Endpoint:
+    """Where a strand meets the instrument: ``{"fiber": ..., "end": "near" | "far"}``."""
 
+    fiber: str
+    end: str = "near"
 
-def _get(obj: Mapping, key: str, path: str):
-    if key not in obj:
-        raise InputError(f"{path}: missing required key {key!r}")
-    return obj[key]
+    def __post_init__(self):
+        _require_name(self.fiber, "fiber")
+        if self.end not in ("near", "far"):
+            raise ParameterError(f"end: expected one of ('near', 'far'), got {self.end!r}")
 
 
 def _parse_attenuation(value, path: str) -> tuple[tuple[float, float], ...]:
@@ -298,158 +375,39 @@ def _parse_attenuation(value, path: str) -> tuple[tuple[float, float], ...]:
 
 
 def _parse_span(obj, path: str, lax: bool) -> FiberSpan:
+    """A span whose ``attenuation`` is read from the document key ``attenuation_db_per_km``."""
     if not isinstance(obj, Mapping):
-        raise InputError(f"{path}: expected an object")
-    _check_keys(obj, _SPAN_KEYS, path, lax)
-    span_id = _get(obj, "id", path)
-    if not isinstance(span_id, str) or not span_id:
-        raise InputError(f"{path}.id: expected a non-empty string")
-    return FiberSpan(
-        id=span_id,
-        length_m=require_number(_get(obj, "length_m", path), f"{path}.length_m", minimum=0.0, strict=True),
-        attenuation=_parse_attenuation(obj.get("attenuation_db_per_km"), f"{path}.attenuation_db_per_km"),
-        group_index=require_number(obj.get("group_index", DEFAULT_GROUP_INDEX), f"{path}.group_index", minimum=1.0, strict=True),
-    )
-
-
-def _parse_connector(obj, path: str, lax: bool, total_length_m: float) -> MpoConnector:
-    if not isinstance(obj, Mapping):
-        raise InputError(f"{path}: expected an object")
-    _check_keys(obj, _CONNECTOR_KEYS, path, lax)
-    conn_id = _get(obj, "id", path)
-    if not isinstance(conn_id, str) or not conn_id:
-        raise InputError(f"{path}.id: expected a non-empty string")
-    position = require_number(_get(obj, "position_m", path), f"{path}.position_m", minimum=0.0)
-    if position > total_length_m:
-        raise InputError(
-            f"{path}: connector {conn_id!r} at {position} m lies beyond the "
-            f"{total_length_m} m route"
-        )
-    lane_count = obj.get("lane_count", 12)
-    if lane_count not in SUPPORTED_LANE_COUNTS:
-        raise InputError(
-            f"{path}.lane_count: {lane_count!r} not one of {SUPPORTED_LANE_COUNTS}"
-        )
-    lanes_obj = obj.get("lanes", {})
-    if not isinstance(lanes_obj, Mapping):
-        raise InputError(f"{path}.lanes: expected an object of fiber -> lane")
-    lanes: dict[str, int] = {}
-    for fiber, lane in lanes_obj.items():
-        lpath = f"{path}.lanes.{fiber}"
-        if isinstance(lane, bool) or not isinstance(lane, int):
-            raise InputError(f"{lpath}: lane must be an integer")
-        if not 1 <= lane <= lane_count:
-            raise InputError(f"{lpath}: lane {lane} outside 1..{lane_count}")
-        if lane in lanes.values():
-            raise InputError(f"{lpath}: lane {lane} assigned to more than one fiber")
-        lanes[str(fiber)] = lane
-    base = require_number(obj.get("base_coupling_db", DEFAULT_BASE_COUPLING_DB), f"{path}.base_coupling_db")
-    if base > 0.0:
-        raise InputError(f"{path}.base_coupling_db: coupling must be <= 0 dB, got {base}")
-    if "lane_pitch_mm" in obj:  # accepted and checked, but no model reads it
-        require_number(obj["lane_pitch_mm"], f"{path}.lane_pitch_mm", minimum=0.0, strict=True)
-    return MpoConnector(
-        id=conn_id,
-        position_m=position,
-        lanes=lanes,
-        lane_count=lane_count,
-        base_coupling_db=base,
-        pitch_rolloff_db_per_lane=require_number(obj.get("pitch_rolloff_db_per_lane", DEFAULT_PITCH_ROLLOFF_DB_PER_LANE), f"{path}.pitch_rolloff_db_per_lane", minimum=0.0),
-        wavelength_slope_db_per_nm=require_number(obj.get("wavelength_slope_db_per_nm", 0.0), f"{path}.wavelength_slope_db_per_nm"),
-        reference_nm=validate_wavelength_nm(require_number(obj.get("reference_nm", 1550.0), f"{path}.reference_nm")),
-        insertion_loss_db=require_number(obj.get("insertion_loss_db", DEFAULT_INSERTION_LOSS_DB), f"{path}.insertion_loss_db", minimum=0.0),
-    )
-
-
-def _parse_endpoint(obj, path: str, lax: bool, allowed_ends: tuple[str, ...]) -> tuple[str, str]:
-    if not isinstance(obj, Mapping):
-        raise InputError(f"{path}: expected an object with 'fiber' and 'end'")
-    _check_keys(obj, _ENDPOINT_KEYS, path, lax)
-    fiber = _get(obj, "fiber", path)
-    if not isinstance(fiber, str) or not fiber:
-        raise InputError(f"{path}.fiber: expected a non-empty string")
-    end = obj.get("end", "near")
-    if end not in allowed_ends:
-        raise InputError(f"{path}.end: expected one of {allowed_ends}, got {end!r}")
-    return fiber, end
+        raise InputError(f"{path}: expected a JSON object")
+    attenuation = _parse_attenuation(obj.get("attenuation_db_per_km"), f"{path}.attenuation_db_per_km")
+    doc = {key: value for key, value in obj.items() if key != "attenuation_db_per_km"}
+    return read_dataclass(doc, FiberSpan, path, lax=lax, attenuation=attenuation)
 
 
 def load_topology(source: "str | Path | Mapping", *, lax: bool = False) -> Topology:
     """Load and fully validate a topology document.
 
     ``source`` may be a mapping already parsed from JSON, or a path to a JSON
-    file. Unknown keys are rejected unless ``lax`` is set. All invariants are
-    checked here so the rest of the package can trust the object; any fault,
-    an out-of-range value included, is an :class:`InputError`.
+    file. Each element reaches its dataclass through :func:`read_dataclass`,
+    which rejects unknown keys unless ``lax`` is set, and each dataclass checks
+    its own values, so the rest of the package can trust the object. Any
+    fault, an out-of-range value included, is an :class:`InputError` whose
+    message starts with the element's path, such as
+    ``topology.connectors[0].lane_count``.
     """
     doc = source if isinstance(source, Mapping) else read_json(source, "topology")
+    top = read_dataclass(doc, _Document, "topology", lax=lax)
     try:
-        return _parse_topology(doc, lax)
-    except ParameterError as exc:
+        spans = tuple(_parse_span(s, f"topology.spans[{i}]", lax) for i, s in enumerate(top.spans))
+    except ParameterError as exc:  # from an attenuation table, already named by its path
         raise InputError(str(exc)) from None
-
-
-def _parse_topology(doc, lax: bool) -> Topology:
-    if not isinstance(doc, Mapping):
-        raise InputError("topology document: expected a JSON object at top level")
-    _check_keys(doc, _TOP_KEYS, "topology", lax)
-
-    version = doc.get("schema_version", TOPOLOGY_SCHEMA_VERSION)
-    if version != TOPOLOGY_SCHEMA_VERSION:
-        raise InputError(
-            f"topology.schema_version: unsupported version {version!r} "
-            f"(expected {TOPOLOGY_SCHEMA_VERSION})"
-        )
-
-    spans_obj = _get(doc, "spans", "topology")
-    if not isinstance(spans_obj, list) or not spans_obj:
-        raise InputError("topology.spans: expected a non-empty array")
-    spans = tuple(_parse_span(s, f"topology.spans[{i}]", lax) for i, s in enumerate(spans_obj))
-    seen = set()
-    for i, span in enumerate(spans):
-        if span.id in seen:
-            raise InputError(f"topology.spans[{i}]: duplicate span id {span.id!r}")
-        seen.add(span.id)
-    total_length = sum(s.length_m for s in spans)
-
-    connectors_obj = doc.get("connectors", [])
-    if not isinstance(connectors_obj, list):
-        raise InputError("topology.connectors: expected an array")
-    connectors = []
-    last_pos = -math.inf
-    conn_ids: set[str] = set()
-    for i, c in enumerate(connectors_obj):
-        conn = _parse_connector(c, f"topology.connectors[{i}]", lax, total_length)
-        if conn.id in conn_ids:
-            raise InputError(f"topology.connectors[{i}]: duplicate connector id {conn.id!r}")
-        conn_ids.add(conn.id)
-        if conn.position_m <= last_pos:
-            raise InputError(
-                f"topology.connectors[{i}]: positions must be strictly increasing "
-                f"(connector {conn.id!r} at {conn.position_m} m follows {last_pos} m)"
-            )
-        last_pos = conn.position_m
-        connectors.append(conn)
-
-    probe_fiber, probe_end = _parse_endpoint(_get(doc, "probe", "topology"), "topology.probe", lax, ("near",))
-    victim_fiber, victim_end = _parse_endpoint(_get(doc, "victim", "topology"), "topology.victim", lax, ("near", "far"))
-    if probe_fiber == victim_fiber:
-        raise InputError(
-            f"topology: probe and victim must be different fibers, both are {probe_fiber!r}"
-        )
-    del probe_end  # positions are defined from the probe-injection (near) end
-
-    # Accepted and checked, but nothing reads it: switch models come from their own files.
-    if doc.get("switch") is not None and not isinstance(doc["switch"], Mapping):
-        raise InputError("topology.switch: expected an object")
-
-    # Lanes may only reference the probe/victim strands or other named strands;
-    # a connector lane naming a strand is fine, but the probe and victim must
-    # not share a lane anywhere (checked per connector already via distinctness).
-    return Topology(
-        spans=spans,
-        connectors=tuple(connectors),
-        aggressor_fiber_id=probe_fiber,
-        victim_fiber_id=victim_fiber,
-        detector_end=victim_end,
+    connectors = tuple(
+        read_dataclass(c, MpoConnector, f"topology.connectors[{i}]", lax=lax) for i, c in enumerate(top.connectors)
+    )
+    probe = read_dataclass(top.probe, _Endpoint, "topology.probe", lax=lax)
+    victim = read_dataclass(top.victim, _Endpoint, "topology.victim", lax=lax)
+    if probe.end != "near":  # positions are defined from the probe-injection (near) end
+        raise InputError(f"topology.probe.end: expected one of ('near',), got {probe.end!r}")
+    return read_dataclass(
+        {}, Topology, "topology", spans=spans, connectors=connectors,
+        aggressor_fiber_id=probe.fiber, victim_fiber_id=victim.fiber, detector_end=victim.end,
     )

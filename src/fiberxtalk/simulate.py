@@ -31,6 +31,7 @@ from .units import (
     WAVELENGTH_MAX_NM,
     WAVELENGTH_MIN_NM,
     photon_energy_joules,
+    require_int,
     require_number,
     validate_wavelength_nm,
 )
@@ -89,8 +90,7 @@ class Detector:
             raise ParameterError(f"efficiency must be in [0, 1], got {self.efficiency}")
         require_number(self.dark_rate_hz, "dark_rate_hz", minimum=0.0)
         require_number(self.jitter_sigma_ps, "jitter_sigma_ps", minimum=0.0)
-        if not (isinstance(self.dead_time_ps, int) and self.dead_time_ps >= 0):
-            raise ParameterError(f"dead time must be an integer >= 0 ps, got {self.dead_time_ps}")
+        object.__setattr__(self, "dead_time_ps", require_int(self.dead_time_ps, "dead_time_ps", 0))
 
 
 @dataclass(frozen=True)
@@ -300,10 +300,7 @@ def simulate_otdr_tags(
     """
     _validate_seed(seed)
     require_number(duration_s, "duration_s", minimum=0.0, strict=True)
-    if not (isinstance(jobs, int) and jobs >= 1):
-        raise ParameterError(f"jobs must be an integer >= 1, got {jobs!r}")
-    if not (isinstance(max_tags, int) and max_tags >= 1):
-        raise ParameterError(f"max_tags must be an integer >= 1, got {max_tags!r}")
+    jobs, max_tags = require_int(jobs, "jobs", 1), require_int(max_tags, "max_tags", 1)
 
     points = crosstalk_points(topology)
     period = source.period_ps

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError, ResourceError, read_csv_columns, reject_rows
-from .units import C_BAND_NM, O_BAND_NM, require_number, validate_wavelength_nm
+from .units import C_BAND_NM, O_BAND_NM, require_int, require_number, validate_wavelength_nm
 
 DEFAULT_SLOPE_DB_PER_NM = 10.0 / 300.0
 DEFAULT_STATE_LIMIT = 1_000_000
@@ -128,10 +129,8 @@ class SwitchModel:
     table: MeasuredTable | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n_in, int) and self.n_in >= 1):
-            raise ParameterError(f"n_in must be an integer >= 1, got {self.n_in!r}")
-        if not (isinstance(self.n_out, int) and self.n_out >= 1):
-            raise ParameterError(f"n_out must be an integer >= 1, got {self.n_out!r}")
+        for name in ("n_in", "n_out"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, 1))
         if not require_number(self.floor_db, "floor_db") <= require_number(self.c0_db, "c0_db") <= 0.0:
             raise ParameterError(
                 f"c0 must satisfy floor <= c0 <= 0 dB, got c0={self.c0_db}, floor={self.floor_db}"
@@ -161,17 +160,8 @@ class SwitchConfig:
     def validate(self, model: SwitchModel) -> "SwitchConfig":
         seen_in: set[int] = set()
         seen_out: set[int] = set()
-        for conn in self.connections:
-            i, o = conn
-            if i not in model.input_ports:
-                raise ParameterError(
-                    f"input port {i} outside 1..{model.n_in}", code="E_CONFIG"
-                )
-            if o not in model.output_ports:
-                raise ParameterError(
-                    f"output port {o} outside {model.n_in + 1}..{model.n_in + model.n_out}",
-                    code="E_CONFIG",
-                )
+        for i, o in self.connections:
+            _check_ports(model, i, o, code="E_CONFIG")
             if i in seen_in:
                 raise ParameterError(f"input port {i} used twice", code="E_CONFIG")
             if o in seen_out:
@@ -200,14 +190,18 @@ class SwitchConfig:
         return cls(connections=tuple(pairs))
 
 
+def _check_ports(model: SwitchModel, i, o, inputs="input port", outputs="output port", code=None) -> None:
+    """Raise :class:`ParameterError` (``code``) unless ``i`` is an input and ``o`` an output port."""
+    n_in, last = model.n_in, model.n_in + model.n_out
+    if not (i.__class__ is int or isinstance(i, numbers.Integral)) or not 1 <= i <= n_in:
+        raise ParameterError(f"{inputs} {i} outside 1..{n_in}", code=code)
+    if not (o.__class__ is int or isinstance(o, numbers.Integral)) or not n_in < o <= last:
+        raise ParameterError(f"{outputs} {o} outside {n_in + 1}..{last}", code=code)
+
+
 def _validate_path(model: SwitchModel, path: PathPair, name: str) -> PathPair:
     i, o = path
-    if i not in model.input_ports:
-        raise ParameterError(f"{name} input port {i} outside 1..{model.n_in}")
-    if o not in model.output_ports:
-        raise ParameterError(
-            f"{name} output port {o} outside {model.n_in + 1}..{model.n_in + model.n_out}"
-        )
+    _check_ports(model, i, o, f"{name} input port", f"{name} output port")
     return (int(i), int(o))
 
 
@@ -310,12 +304,7 @@ def sweep_configs(
     if victim_out is None:
         victim_out = model.n_in + 1
     nm = model.reference_nm if wavelength_nm is None else wavelength_nm
-    if classical_in not in model.input_ports:
-        raise ParameterError(f"classical input {classical_in} outside 1..{model.n_in}")
-    if victim_out not in model.output_ports:
-        raise ParameterError(
-            f"victim output {victim_out} outside {model.n_in + 1}..{model.n_in + model.n_out}"
-        )
+    _check_ports(model, classical_in, victim_out, "classical input", "victim output")
     points = []
     for agg_out in model.output_ports:
         if agg_out == victim_out:
@@ -439,16 +428,9 @@ def _canonical_key(
     )
 
 
-def _assignment_key(model, classical, quantum) -> tuple:
-    worst, total = _leakage_objective(model, classical, quantum)
-    return (worst, total, _canonical_key(classical, quantum))
-
-
 def _check_feasible(model: SwitchModel, k_classical: int, k_quantum: int) -> None:
-    for name, k in (("k_classical", k_classical), ("k_quantum", k_quantum)):
-        if not (isinstance(k, int) and k >= 0):
-            raise ParameterError(f"{name} must be an integer >= 0, got {k!r}")
-    if k_classical + k_quantum > min(model.n_in, model.n_out):
+    channels = require_int(k_classical, "k_classical", 0) + require_int(k_quantum, "k_quantum", 0)
+    if channels > min(model.n_in, model.n_out):
         raise ParameterError(
             f"{k_classical}+{k_quantum} channels do not fit a "
             f"{model.n_in}x{model.n_out} switch"
@@ -494,8 +476,7 @@ def brute_force_assignment(
     inputs = list(model.input_ports)
     outputs = list(model.output_ports)
 
-    best_key = None
-    best: tuple[tuple[ChannelPlacement, ...], tuple[ChannelPlacement, ...]] | None = None
+    best = best_objective = best_canonical = None
     for c_ins in itertools.combinations(inputs, k_classical):
         for c_outs in itertools.permutations(outputs, k_classical):
             for lams in itertools.product(lam_c, repeat=k_classical):
@@ -509,13 +490,16 @@ def brute_force_assignment(
                         quantum = tuple(
                             ChannelPlacement(i, o, lam_q) for i, o in zip(q_ins, q_outs)
                         )
-                        key = _assignment_key(model, classical, quantum)
-                        if best_key is None or key < best_key:
-                            best_key = key
-                            best = (classical, quantum)
-    assert best is not None and best_key is not None
+                        objective = _leakage_objective(model, classical, quantum)
+                        if best is None or objective < best_objective:
+                            best, best_objective, best_canonical = (classical, quantum), objective, None
+                        elif objective == best_objective:  # a tie: the canonical order decides
+                            best_canonical = best_canonical or _canonical_key(*best)
+                            canonical = _canonical_key(classical, quantum)
+                            if canonical < best_canonical:
+                                best, best_canonical = (classical, quantum), canonical
     return Assignment(
-        classical=best[0], quantum=best[1], objective_db=best_key[0], method="brute-force"
+        classical=best[0], quantum=best[1], objective_db=best_objective[0], method="brute-force"
     )
 
 

@@ -1,10 +1,11 @@
-"""Physical constants, unit conventions, and the one number checker.
+"""Physical constants, unit conventions, and the one number and integer checkers.
 
 Conventions used throughout the package: power in dBm or watts, losses in dB
 (attenuation positive, coupling negative), wavelengths in nanometers, time in
 picoseconds (integer on the wire), distances in meters. Every numeric input
-passes through :func:`require_number`, and every wavelength the package
-models through :func:`validate_wavelength_nm`. Delays map to distances along
+passes through :func:`require_number`, every integer one (a count, a port, a
+lane, a bin width) through :func:`require_int`, and every wavelength the
+package models through :func:`validate_wavelength_nm`. Delays map to distances along
 the plant in :mod:`fiberxtalk.plant`.
 """
 
@@ -59,6 +60,17 @@ def require_number(value, name: str, *, minimum: float | None = None, strict: bo
     if minimum is not None and not (value > minimum if strict else value >= minimum):
         raise ParameterError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
     return value
+
+
+def require_int(value, name: str, minimum: int) -> int:
+    """Return ``value`` as an int of at least ``minimum``, or raise :class:`ParameterError`.
+
+    Booleans and floats are rejected, numpy integers accepted.
+    """
+    integer = value.__class__ is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def validate_wavelength_nm(nm: float) -> float:

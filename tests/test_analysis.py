@@ -67,6 +67,16 @@ class TestFoldHistogram:
         assert hist.dense()[123] == 1
         assert int(hist.counts.sum()) == 1
 
+    @pytest.mark.parametrize("bin_width", [np.int64(100), np.int32(100)])
+    def test_numpy_integer_bin_width_is_accepted(self, bin_width):
+        stream = stream_from([0, PERIOD], [12_345])
+        assert fold_histogram(stream, bin_width_ps=bin_width).dense()[123] == 1
+
+    @pytest.mark.parametrize("bin_width", [True, 100.0, 0])
+    def test_bin_width_must_be_an_integer_of_at_least_1(self, bin_width):
+        with pytest.raises(ParameterError, match="bin_width_ps must be an integer >= 1"):
+            fold_histogram(stream_from([0, PERIOD], [5]), bin_width_ps=bin_width)
+
     def test_empty_detector_channel(self):
         stream = stream_from([0, PERIOD, 2 * PERIOD], [])
         hist = fold_histogram(stream, bin_width_ps=100)

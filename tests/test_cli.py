@@ -189,6 +189,9 @@ class TestSimulateAnalyze:
     ("model", {"reference_nm": "abc"}),
     ("model", {"c0_db": None}),
     ("model", {"table": 5}),
+    # booleans are not integers, though Python's int accepts them
+    ("model", {"n_in": True}),
+    ("detector", {"dead_time_ps": True}),
 ])
 def test_non_numeric_field_is_input_error(tmp_path, plant_files, capsys, kind, doc):
     topo, source, detector = plant_files
@@ -211,6 +214,36 @@ def test_non_numeric_field_is_input_error(tmp_path, plant_files, capsys, kind, d
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"] == "E_INPUT"
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("source", {"avg_power_w": "x"}, "source.avg_power_w must be a number, got 'x'"),
+    ("source", {"avg_power_w": 1e-6, "colour": "red"},
+     "source: unknown key(s) ['colour']; expected ['avg_power_w', 'pulse_width_ps', 'rep_rate_hz', 'wavelength_nm']"),
+    ("source", {"avg_power_w": 1e-6, "pulse_width_ps": 2e9},
+     "source: pulse width 2000000000.0 ps must be shorter than the 1000000000 ps pulse period"),
+    ("source", {}, "source: missing required key 'avg_power_w'"),
+    ("source", [], "source: expected a JSON object"),
+    ("detector", {"dead_time_ps": True}, "detector.dead_time_ps must be an integer >= 0, got True"),
+])
+def test_document_faults_name_the_element(tmp_path, plant_files, capsys, kind, doc, message):
+    topo, source, detector = plant_files
+    files = {"source": source, "detector": detector, kind: write_json(tmp_path / f"bad_{kind}.json", doc)}
+    assert main(["simulate", "--topology", str(topo), "--source", str(files["source"]),
+                 "--detector", str(files["detector"]), "--duration", "1s", "--seed", "1",
+                 "--out", str(tmp_path / "x.xtt1")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in err] == [{"error": "E_INPUT", "message": message}]
+
+
+def test_model_document_n_in_true_exits_2(tmp_path, capsys):
+    # True once passed as a 1-input switch
+    model = write_json(tmp_path / "model.json", {"n_in": True})
+    assert main(["switch", "plan", "--model", str(model), "--classical", "1", "--quantum", "0",
+                 "--out", str(tmp_path / "plan.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in err] == [
+        {"error": "E_INPUT", "message": "switch model.n_in must be an integer >= 1, got True"}]
 
 
 @pytest.mark.parametrize("argv", [

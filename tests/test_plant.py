@@ -11,6 +11,7 @@ from conftest import connector_doc, topology_doc
 
 import functools
 
+SPAN = plant.FiberSpan(id="s", length_m=10.0)
 
 @functools.lru_cache(maxsize=1)
 def _additivity_topology():
@@ -77,6 +78,8 @@ class TestLoadTopology:
         ({"lane_pitch_mm": 0.0}, {}),
         ({"base_coupling_db": True}, {}),
         ({}, {"switch": 5}),
+        ({"lanes": {"agg": True, "vic": 6}}, {}),
+        ({}, {"spans": []}),
     ])
     def test_any_fault_is_input_error(self, connector_extra, top_extra):
         doc = topology_doc([connector_doc("mpo1", 10.0, **connector_extra)])
@@ -85,9 +88,39 @@ class TestLoadTopology:
             fx.load_topology(doc)
 
     def test_unread_keys_still_accepted(self):
-        doc = topology_doc([connector_doc("mpo1", 10.0, lane_pitch_mm=0.5)])
+        # a top-level switch object is accepted and checked, though nothing reads it yet
+        doc = topology_doc([connector_doc("mpo1", 10.0)])
         doc["switch"] = {"n_in": 8}
         assert fx.load_topology(doc).connectors[0].id == "mpo1"
+        # no model reads a lane pitch, so the connector schema has none: only lax ignores it
+        doc["connectors"][0]["lane_pitch_mm"] = 0.5
+        with pytest.raises(InputError, match=r"^topology.connectors\[0\]: unknown key\(s\) \['lane_pitch_mm'\]"):
+            fx.load_topology(doc)
+        assert fx.load_topology(doc, lax=True).connectors[0].id == "mpo1"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: plant.FiberSpan(id="s", length_m=-1.0), r"^length_m must be > 0.0, got -1.0$"),
+        (lambda: plant.FiberSpan(id="s", length_m=10.0, group_index=0.5), "^group_index must be > 1.0"),
+        (lambda: plant.FiberSpan(id="", length_m=10.0), "^id: expected a non-empty string$"),
+        (lambda: plant.MpoConnector(id="c", position_m=1.0, base_coupling_db=5.0), "coupling must be <= 0 dB"),
+        (lambda: plant.MpoConnector(id="c", position_m=1.0, lane_count=7), r"^lane_count: 7 not one of"),
+        (lambda: plant.MpoConnector(id="c", position_m=1.0, lanes={"a": 99}), r"^lanes.a: lane 99 outside 1..12$"),
+        (lambda: plant.MpoConnector(id="c", position_m=1.0, lanes={"a": True}), "^lanes.a must be an integer >= 1"),
+        (lambda: plant.MpoConnector(id="c", position_m=1.0, lanes={"a": 3, "b": 3}), "more than one fiber"),
+        (lambda: plant.MpoConnector(id="c", position_m=1.0, reference_nm=900.0), "outside validated range"),
+        (lambda: plant.MpoConnector(id="c", position_m=1.0, insertion_loss_db=-0.1), "^insertion_loss_db must be >= 0.0"),
+        (lambda: plant.Topology(spans=()), "^spans: expected at least one span$"),
+        (lambda: plant.Topology(spans=(SPAN, SPAN)), r"^spans\[1\]: duplicate span id 's'$"),
+        (lambda: plant.Topology(spans=(SPAN,), connectors=(plant.MpoConnector("c", 20.0),)), "lies beyond the 10.0 m route"),
+        (lambda: plant.Topology(spans=(SPAN,), connectors=(plant.MpoConnector("c", 5.0), plant.MpoConnector("d", 5.0))),
+         r"^connectors\[1\]: positions must be strictly increasing"),
+        (lambda: plant.Topology(spans=(SPAN,), connectors=(plant.MpoConnector("c", 5.0), plant.MpoConnector("c", 6.0))),
+         r"^connectors\[1\]: duplicate connector id 'c'$"),
+        (lambda: plant.Topology(spans=(SPAN,), aggressor_fiber_id="a", victim_fiber_id="a"), "different fibers"),
+    ])
+    def test_direct_construction_is_checked(self, build, message):
+        with pytest.raises(ParameterError, match=message):
+            build()
 
     def test_lane_collision_rejected(self):
         bad = connector_doc("mpo1", 10.0)

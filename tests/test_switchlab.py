@@ -44,11 +44,23 @@ class TestSwitchXtalk:
         with pytest.raises(ParameterError, match="share"):
             fx.switch_xtalk_db(DEFAULT, (1, 10), (2, 10), 1310.0)
 
-    def test_port_ranges_enforced(self):
-        with pytest.raises(ParameterError):
-            fx.switch_xtalk_db(DEFAULT, (0, 10), (2, 9), 1310.0)
-        with pytest.raises(ParameterError):
-            fx.switch_xtalk_db(DEFAULT, (1, 20), (2, 9), 1310.0)
+    @pytest.mark.parametrize("check, code, message", [
+        (lambda: fx.switch_xtalk_db(DEFAULT, (0, 10), (2, 9), 1310.0), "E_PARAM", "aggressor input port 0 outside 1..8"),
+        (lambda: fx.switch_xtalk_db(DEFAULT, (1, 20), (2, 9), 1310.0), "E_PARAM", "aggressor output port 20 outside 9..16"),
+        (lambda: fx.switch_xtalk_db(DEFAULT, (1, 10), (2, 8), 1310.0), "E_PARAM", "victim output port 8 outside 9..16"),
+        (lambda: fx.switch_xtalk_db(DEFAULT, (1.5, 10), (2, 9), 1310.0), "E_PARAM", "aggressor input port 1.5 outside 1..8"),
+        (lambda: fx.SwitchConfig(((9, 10),)).validate(DEFAULT), "E_CONFIG", "input port 9 outside 1..8"),
+        (lambda: fx.SwitchConfig(((1, 17),)).validate(DEFAULT), "E_CONFIG", "output port 17 outside 9..16"),
+        (lambda: fx.sweep_configs(DEFAULT, classical_in=9), "E_PARAM", "classical input 9 outside 1..8"),
+        (lambda: fx.sweep_configs(DEFAULT, victim_out=8), "E_PARAM", "victim output 8 outside 9..16"),
+    ])
+    def test_port_ranges_enforced(self, check, code, message):
+        with pytest.raises(ParameterError, match=f"^{message}$") as err:
+            check()
+        assert err.value.code == code
+
+    def test_numpy_ports_are_ports(self):
+        assert fx.switch_xtalk_db(DEFAULT, (np.int64(1), 10), (2, np.int64(9)), 1310.0) == -50.0
 
     @given(
         a_in=st.integers(1, 8), v_in=st.integers(1, 8),
@@ -403,6 +415,25 @@ class TestAssignment:
             fx.optimize_assignment(model, k_c, k_q)
         monkeypatch.setattr(switchlab, "PLAN_WORK_LIMIT", nodes)
         assert fx.optimize_assignment(model, k_c, k_q) == plan
+
+    @pytest.mark.parametrize("k_c, k_q", [(0, 2), (2, 0), (1, 1)])
+    def test_oracle_breaks_ties_by_canonical_order(self, k_c, k_q):
+        # with nothing leaking, or a flat model, many assignments tie on (worst, total)
+        for model in (fx.SwitchModel(n_in=3, n_out=3), fx.SwitchModel(n_in=3, n_out=3, beta_in_db_per_port=0.0,
+                                                                      beta_out_db_per_port=0.0)):
+            keys = []
+            for c_ins in itertools.combinations(range(1, 4), k_c):
+                for c_outs in itertools.permutations(range(4, 7), k_c):
+                    rem_in = [p for p in range(1, 4) if p not in c_ins]
+                    rem_out = [p for p in range(4, 7) if p not in c_outs]
+                    for q_ins in itertools.combinations(rem_in, k_q):
+                        for q_outs in itertools.permutations(rem_out, k_q):
+                            c = [ChannelPlacement(i, o, 1310.0) for i, o in zip(c_ins, c_outs)]
+                            q = [ChannelPlacement(i, o, 1310.0) for i, o in zip(q_ins, q_outs)]
+                            keys.append((*switchlab._leakage_objective(model, c, q), switchlab._canonical_key(c, q), c, q))
+            best = min(keys, key=lambda key: key[:3])
+            plan = fx.brute_force_assignment(model, k_c, k_q)
+            assert (list(plan.classical), list(plan.quantum), plan.objective_db) == (best[3], best[4], best[0])
 
     def test_oracle_refuses_large_spaces(self):
         with pytest.raises(ResourceError):

@@ -1,5 +1,8 @@
 """Photon energy, the validated wavelength range and the delay-to-distance map."""
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +44,18 @@ class TestWavelengthRange:
     def test_rejects_non_numbers(self, value):
         with pytest.raises(ParameterError):
             units.validate_wavelength_nm(value)
+
+
+class TestRequireInt:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_accepts_integers_and_returns_an_int(self, value):
+        result = units.require_int(value, "n", 1)
+        assert result == 3 and result.__class__ is int
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 3.0, "3", None, 0])
+    def test_rejects_the_rest_naming_the_value(self, value):
+        with pytest.raises(ParameterError, match=rf"^n must be an integer >= 1, got {re.escape(repr(value))}$"):
+            units.require_int(value, "n", 1)
 
 
 class TestTimeToDistance:
