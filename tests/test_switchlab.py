@@ -44,20 +44,21 @@ class TestSwitchXtalk:
         with pytest.raises(ParameterError, match="share"):
             fx.switch_xtalk_db(DEFAULT, (1, 10), (2, 10), 1310.0)
 
-    @pytest.mark.parametrize("check, code, message", [
-        (lambda: fx.switch_xtalk_db(DEFAULT, (0, 10), (2, 9), 1310.0), "E_PARAM", "aggressor input port 0 outside 1..8"),
-        (lambda: fx.switch_xtalk_db(DEFAULT, (1, 20), (2, 9), 1310.0), "E_PARAM", "aggressor output port 20 outside 9..16"),
-        (lambda: fx.switch_xtalk_db(DEFAULT, (1, 10), (2, 8), 1310.0), "E_PARAM", "victim output port 8 outside 9..16"),
-        (lambda: fx.switch_xtalk_db(DEFAULT, (1.5, 10), (2, 9), 1310.0), "E_PARAM", "aggressor input port 1.5 outside 1..8"),
-        (lambda: fx.SwitchConfig(((9, 10),)).validate(DEFAULT), "E_CONFIG", "input port 9 outside 1..8"),
-        (lambda: fx.SwitchConfig(((1, 17),)).validate(DEFAULT), "E_CONFIG", "output port 17 outside 9..16"),
-        (lambda: fx.sweep_configs(DEFAULT, classical_in=9), "E_PARAM", "classical input 9 outside 1..8"),
-        (lambda: fx.sweep_configs(DEFAULT, victim_out=8), "E_PARAM", "victim output 8 outside 9..16"),
-    ])
-    def test_port_ranges_enforced(self, check, code, message):
-        with pytest.raises(ParameterError, match=f"^{message}$") as err:
-            check()
-        assert err.value.code == code
+    def test_port_ranges_enforced(self):
+        cases = [
+            (lambda: fx.switch_xtalk_db(DEFAULT, (0, 10), (2, 9), 1310.0), "E_PARAM", "aggressor input port 0 outside 1..8"),
+            (lambda: fx.switch_xtalk_db(DEFAULT, (1, 20), (2, 9), 1310.0), "E_PARAM", "aggressor output port 20 outside 9..16"),
+            (lambda: fx.switch_xtalk_db(DEFAULT, (1, 10), (2, 8), 1310.0), "E_PARAM", "victim output port 8 outside 9..16"),
+            (lambda: fx.switch_xtalk_db(DEFAULT, (1.5, 10), (2, 9), 1310.0), "E_PARAM", "aggressor input port 1.5 outside 1..8"),
+            (lambda: fx.SwitchConfig(((9, 10),)).validate(DEFAULT), "E_CONFIG", "input port 9 outside 1..8"),
+            (lambda: fx.SwitchConfig(((1, 17),)).validate(DEFAULT), "E_CONFIG", "output port 17 outside 9..16"),
+            (lambda: fx.sweep_configs(DEFAULT, classical_in=9), "E_PARAM", "classical input 9 outside 1..8"),
+            (lambda: fx.sweep_configs(DEFAULT, victim_out=8), "E_PARAM", "victim output 8 outside 9..16"),
+        ]
+        for check, code, message in cases:
+            with pytest.raises(ParameterError, match=f"^{message}$") as err:
+                check()
+            assert err.value.code == code
 
     def test_numpy_ports_are_ports(self):
         assert fx.switch_xtalk_db(DEFAULT, (np.int64(1), 10), (2, np.int64(9)), 1310.0) == -50.0
