@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -491,52 +491,21 @@ class OtdrReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self, parameters: dict | None = None) -> dict:
-        diag = self.histogram.diagnostics
+        hist = self.histogram
+        # the occupied bins go to the histogram CSV, and the fold's diagnostics to their own section
+        summary = {
+            f.name: getattr(hist, f.name) for f in fields(hist) if f.name not in ("bins", "counts", "diagnostics")
+        }
         return {
             "schema_version": 1,
             "kind": "otdr-analysis",
             "parameters": parameters or {},
-            "histogram": {
-                "bin_width_ps": self.histogram.bin_width_ps,
-                "period_ps": self.histogram.period_ps,
-                "n_bins": self.histogram.n_bins,
-                "total_counts": int(self.histogram.counts.sum()),
-                "total_triggers": self.histogram.total_triggers,
-                "live_time_s": self.histogram.live_time_s,
-            },
-            "baseline": {
-                "level": self.baseline.level,
-                "noise_scale": self.baseline.noise_scale,
-            },
-            "peaks": [
-                {
-                    "bin_index": p.bin_index,
-                    "delay_ps": p.delay_ps,
-                    "amplitude_counts": p.amplitude_counts,
-                    "background_counts": p.background_counts,
-                    "significance_sigma": p.significance_sigma,
-                    "fwhm_ps": p.fwhm_ps,
-                }
-                for p in self.peaks
-            ],
-            "located": [
-                {
-                    "distance_m": loc.distance_m,
-                    "distance_uncertainty_m": loc.distance_uncertainty_m,
-                    "coupling_db": loc.coupling_db,
-                    "coupling_uncertainty_db": loc.coupling_uncertainty_db,
-                    "matched_element": loc.matched_element,
-                }
-                for loc in self.located
-            ],
-            "diagnostics": {
-                "dropped_before_first_trigger": diag.dropped_before_first_trigger,
-                "dropped_beyond_period": diag.dropped_beyond_period,
-                "dropped_outside_window": diag.dropped_outside_window,
-                "period_jitter_ppm": diag.period_jitter_ppm,
-                "irregular_period": diag.irregular_period,
-                "notes": self.notes,
-            },
+            "histogram": {**summary, "total_counts": int(hist.counts.sum())},
+            "baseline": asdict(self.baseline),
+            # a peak's centroid in bins is internal to detection: the report gives its delay
+            "peaks": [{k: v for k, v in asdict(p).items() if k != "centroid_bins"} for p in self.peaks],
+            "located": [asdict(loc) for loc in self.located],
+            "diagnostics": {**asdict(hist.diagnostics), "notes": self.notes},
         }
 
 

@@ -29,8 +29,6 @@ from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import run_otdr_analysis, detect_spectral_lines
 from .errors import InputError, ParameterError, ResourceError, XtalkError, read_dataclass, read_json
@@ -155,10 +153,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 @dataclass(frozen=True)
 class _Run:
     """What a command wrote: its manifest record and the summary after ``wrote <first output>``."""
@@ -185,7 +179,7 @@ def _write_manifests(command: str, run: _Run, started: float) -> None:
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     for out in run.outputs:
-        _write_json(Path(str(out) + ".manifest.json"), doc)
+        tagio.write_json(str(out) + ".manifest.json", doc)
 
 
 def _drop_stale_manifest(out: Path) -> None:
@@ -278,7 +272,7 @@ def cmd_analyze(args) -> _Run:
         "window_ps": list(window) if window else None,
     }
     outputs = [Path(args.out)]
-    _write_json(outputs[0], report.to_dict(parameters))
+    tagio.write_json(outputs[0], report.to_dict(parameters))
     if args.hist:
         outputs.append(Path(args.hist))
         tagio.write_histogram_csv(outputs[1], report.histogram)
@@ -319,18 +313,11 @@ def cmd_scan_analyze(args) -> _Run:
     lines = detect_spectral_lines(scan, k_sigma=args.k_sigma)
     parameters = {"scan": str(args.scan), "k_sigma": args.k_sigma, "dwell_s": scan.dwell_s}
     out = Path(args.out)
-    _write_json(out, {
+    tagio.write_json(out, {
         "schema_version": 1,
         "kind": "scan-analysis",
         "parameters": parameters,
-        "lines": [
-            {
-                "wavelength_nm": line.wavelength_nm,
-                "rate_per_s": line.rate_per_s,
-                "significance_sigma": line.significance_sigma,
-            }
-            for line in lines
-        ],
+        "lines": [asdict(line) for line in lines],
     })
     inputs = {**_given(args, "scan"), **_sidecar(args.scan, "scan_metadata")}
     return _Run(parameters, inputs, [out], f"{len(lines)} line(s)")
@@ -379,10 +366,7 @@ def cmd_switch_sweep_config(args) -> _Run:
     nm = parse_wavelength_nm(args.wavelength, "--wavelength") if args.wavelength else None
     points = sweep_configs(model, args.classical_in, args.victim_out, nm)
     out = Path(args.out)
-    with open(out, "w", newline="") as fh:
-        fh.write("config,xtalk_db\n")
-        for point in points:
-            fh.write(f"\"{point.label}\",{point.xtalk_db:.6f}\n")
+    tagio.write_csv(out, "config,xtalk_db", '"%s",%.6f', ([p.label for p in points], [p.xtalk_db for p in points]))
     return _Run(
         {"model": record, "classical_in": args.classical_in, "victim_out": args.victim_out, "wavelength_nm": nm},
         inputs, [out], f"{len(points)} configurations",
@@ -397,10 +381,7 @@ def cmd_switch_sweep_wavelength(args) -> _Run:
     grid = parse_grid_nm(args.grid, "--grid")
     curve = sweep_wavelength(model, aggressor, victim, grid)
     out = Path(args.out)
-    with open(out, "w", newline="") as fh:
-        fh.write("lambda_nm,xtalk_db\n")
-        for nm, db in curve:
-            fh.write(f"{nm:.6f},{db:.6f}\n")
+    tagio.write_csv(out, "lambda_nm,xtalk_db", "%.6f,%.6f", list(zip(*curve)))
     return _Run(
         {"model": record, "aggressor": list(aggressor), "victim": list(victim),
          "grid_nm": [grid[0], grid[-1], len(grid)]},
@@ -415,14 +396,7 @@ def cmd_switch_plan(args) -> _Run:
     solver = brute_force_assignment if args.oracle else optimize_assignment
     assignment = solver(model, args.classical, args.quantum, bands)
     out = Path(args.out)
-    _write_json(out, {
-        "schema_version": 1,
-        "kind": "switch-assignment",
-        "objective_db": assignment.objective_db,
-        "method": assignment.method,
-        "classical": [asdict(p) for p in assignment.classical],
-        "quantum": [asdict(p) for p in assignment.quantum],
-    })
+    tagio.write_json(out, {"schema_version": 1, "kind": "switch-assignment", **asdict(assignment)})
     objective = "-inf" if assignment.objective_db == float("-inf") else f"{assignment.objective_db:.2f} dB"
     return _Run(
         {"model": record, "k_classical": args.classical, "k_quantum": args.quantum, "bands": bands,

@@ -11,6 +11,7 @@ injection end ("near" end).
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,6 +62,18 @@ class FiberSpan:
         _require_name(self.id, "id")
         _number(self, "length_m", minimum=0.0, strict=True)
         _number(self, "group_index", minimum=1.0, strict=True)
+        table = self.attenuation
+        if not isinstance(table, (tuple, list)) or not table:
+            raise ParameterError("attenuation: expected a non-empty sequence of (nm, dB/km) pairs")
+        checked = []
+        for i, entry in enumerate(table):
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise ParameterError(f"attenuation[{i}]: expected an (nm, dB/km) pair")
+            nm = require_number(entry[0], f"attenuation[{i}][0]", minimum=0.0, strict=True)
+            if checked and nm <= checked[-1][0]:
+                raise ParameterError(f"attenuation[{i}]: wavelengths must be strictly increasing")
+            checked.append((nm, require_number(entry[1], f"attenuation[{i}][1]", minimum=0.0)))
+        object.__setattr__(self, "attenuation", tuple(checked))
 
     def attenuation_db_per_km(self, wavelength_nm: float) -> float:
         """Piecewise-linear attenuation lookup, flat beyond the table ends."""
@@ -352,35 +365,28 @@ class _Endpoint:
             raise ParameterError(f"end: expected one of ('near', 'far'), got {self.end!r}")
 
 
-def _parse_attenuation(value, path: str) -> tuple[tuple[float, float], ...]:
+def _parse_attenuation(value, path: str) -> tuple:
+    """The document's attenuation as a span's table: a number is flat, a list holds [nm, dB/km] pairs."""
     if value is None:
         return DEFAULT_ATTENUATION_TABLE
+    if isinstance(value, list):
+        return tuple(tuple(entry) if isinstance(entry, list) else entry for entry in value)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return ((1550.0, require_number(value, path, minimum=0.0)),)
-    if not isinstance(value, list) or not value:
-        raise InputError(f"{path}: expected a number or a non-empty [nm, dB/km] list")
-    table = []
-    last_nm = -math.inf
-    for i, entry in enumerate(value):
-        epath = f"{path}[{i}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise InputError(f"{epath}: expected an [nm, dB/km] pair")
-        nm = require_number(entry[0], f"{epath}[0]", minimum=0.0, strict=True)
-        alpha = require_number(entry[1], f"{epath}[1]", minimum=0.0)
-        if nm <= last_nm:
-            raise InputError(f"{epath}: wavelengths must be strictly increasing")
-        last_nm = nm
-        table.append((nm, alpha))
-    return tuple(table)
+        return ((1550.0, value),)
+    raise InputError(f"{path}: expected a number or a list of [nm, dB/km] pairs")
 
 
 def _parse_span(obj, path: str, lax: bool) -> FiberSpan:
     """A span whose ``attenuation`` is read from the document key ``attenuation_db_per_km``."""
     if not isinstance(obj, Mapping):
         raise InputError(f"{path}: expected a JSON object")
-    attenuation = _parse_attenuation(obj.get("attenuation_db_per_km"), f"{path}.attenuation_db_per_km")
-    doc = {key: value for key, value in obj.items() if key != "attenuation_db_per_km"}
-    return read_dataclass(doc, FiberSpan, path, lax=lax, attenuation=attenuation)
+    key = f"{path}.attenuation_db_per_km"
+    attenuation = _parse_attenuation(obj.get("attenuation_db_per_km"), key)
+    doc = {name: value for name, value in obj.items() if name != "attenuation_db_per_km"}
+    try:
+        return read_dataclass(doc, FiberSpan, path, lax=lax, attenuation=attenuation)
+    except InputError as exc:  # the span calls its table attenuation; name the document's key
+        raise InputError(re.sub(rf"^{re.escape(path)}\.attenuation\b", key, str(exc))) from None
 
 
 def load_topology(source: "str | Path | Mapping", *, lax: bool = False) -> Topology:
@@ -396,10 +402,7 @@ def load_topology(source: "str | Path | Mapping", *, lax: bool = False) -> Topol
     """
     doc = source if isinstance(source, Mapping) else read_json(source, "topology")
     top = read_dataclass(doc, _Document, "topology", lax=lax)
-    try:
-        spans = tuple(_parse_span(s, f"topology.spans[{i}]", lax) for i, s in enumerate(top.spans))
-    except ParameterError as exc:  # from an attenuation table, already named by its path
-        raise InputError(str(exc)) from None
+    spans = tuple(_parse_span(s, f"topology.spans[{i}]", lax) for i, s in enumerate(top.spans))
     connectors = tuple(
         read_dataclass(c, MpoConnector, f"topology.connectors[{i}]", lax=lax) for i, c in enumerate(top.connectors)
     )

@@ -12,6 +12,7 @@ safe and repeated runs byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -156,10 +157,12 @@ class TagStream:
         return self.times_ps.take(np.flatnonzero(self.channels == DETECTOR_CHANNEL))
 
 
-def _validate_seed(seed: int) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= MAX_SEED:
-        raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return seed
+def _validate_seed(seed) -> int:
+    """``seed`` as an int in [0, 2^64); a numpy integer is accepted, a bool is not."""
+    with contextlib.suppress(ParameterError):
+        if (value := require_int(seed, "seed", 0)) <= MAX_SEED:
+            return value
+    raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
@@ -298,7 +301,7 @@ def simulate_otdr_tags(
     photons after efficiency plus darks, minus ``dropped_negative_time`` and
     ``dropped_dead_time``, equals ``n_detector_tags``.
     """
-    _validate_seed(seed)
+    seed = _validate_seed(seed)
     require_number(duration_s, "duration_s", minimum=0.0, strict=True)
     jobs, max_tags = require_int(jobs, "jobs", 1), require_int(max_tags, "max_tags", 1)
 
@@ -462,7 +465,7 @@ def simulate_spectral_scan(
     ``state`` setter, to the state a fresh ``Philox(key=[seed, index])`` has:
     building a new bit generator per point costs more than its draw.
     """
-    _validate_seed(seed)
+    seed = _validate_seed(seed)
     require_number(dwell_s, "dwell_s", minimum=0.0, strict=True)
     grid = np.asarray(grid_nm, dtype=float)
     if grid.size == 0:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError, ResourceError, read_csv_columns, reject_rows
-from .units import C_BAND_NM, O_BAND_NM, require_int, require_number, validate_wavelength_nm
+from .units import C_BAND_NM, O_BAND_NM, is_int, require_int, require_number, validate_wavelength_nm
 
 DEFAULT_SLOPE_DB_PER_NM = 10.0 / 300.0
 DEFAULT_STATE_LIMIT = 1_000_000
@@ -193,9 +192,9 @@ class SwitchConfig:
 def _check_ports(model: SwitchModel, i, o, inputs="input port", outputs="output port", code=None) -> None:
     """Raise :class:`ParameterError` (``code``) unless ``i`` is an input and ``o`` an output port."""
     n_in, last = model.n_in, model.n_in + model.n_out
-    if not (i.__class__ is int or isinstance(i, numbers.Integral)) or not 1 <= i <= n_in:
+    if not (i.__class__ is int or is_int(i)) or not 1 <= i <= n_in:
         raise ParameterError(f"{inputs} {i} outside 1..{n_in}", code=code)
-    if not (o.__class__ is int or isinstance(o, numbers.Integral)) or not n_in < o <= last:
+    if not (o.__class__ is int or is_int(o)) or not n_in < o <= last:
         raise ParameterError(f"{outputs} {o} outside {n_in + 1}..{last}", code=code)
 
 

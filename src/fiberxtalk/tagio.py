@@ -13,6 +13,11 @@ fields and extra trailing columns are accepted; ``#`` starts no comment, a
 row of only spaces is an error, and underscored digits such as ``5_0``, which
 ``int()`` used to accept, are rejected. Channels must be 0 or 1 and times
 0..2^63-1 ps; any fault is a :class:`DataError` that names the file and row.
+
+Every output goes through one of two writers: :func:`write_json` (indented,
+sorted keys, a final newline) for sidecars, reports and manifests, and
+:func:`write_csv` (a header line, then one ``%``-formatted line per row) for
+tag, scan, histogram and switch-sweep tables.
 """
 
 from __future__ import annotations
@@ -34,10 +39,30 @@ def metadata_path(path: "str | Path") -> Path:
     return Path(str(path) + ".meta.json")
 
 
+def write_json(path: "str | Path", doc) -> Path:
+    """Write ``doc`` as JSON indented by 2, keys sorted, plus a final newline."""
+    path = Path(path)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def write_csv(path: "str | Path", header: str, row: str, columns) -> Path:
+    """Write the line ``header``, then the line ``row % values`` for each row of ``columns``.
+
+    ``row`` holds one ``%`` format per column. The columns are interleaved with
+    one slice assignment per column, so no Python code runs per row.
+    """
+    path = Path(path)
+    k, n = len(columns), len(columns[0])
+    values = [None] * (k * n)
+    for i, column in enumerate(columns):
+        values[i::k] = np.asarray(column).tolist()
+    path.write_text(f"{header}\n" + f"{row}\n" * n % tuple(values), newline="")
+    return path
+
+
 def write_metadata(path: "str | Path", metadata: dict) -> Path:
-    side = metadata_path(path)
-    side.write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
-    return side
+    return write_json(metadata_path(path), metadata)
 
 
 def read_metadata(path: "str | Path") -> dict | None:
@@ -92,11 +117,7 @@ def read_tags_xtt1(path: "str | Path") -> TagStream:
 
 def write_tags_csv(path: "str | Path", stream: TagStream, *, sidecar: bool = True) -> Path:
     """CSV interoperability format: header ``channel,time_ps`` then one row per tag."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write("channel,time_ps\n")
-        for ch, t in zip(stream.channels.tolist(), stream.times_ps.tolist()):
-            fh.write(f"{ch},{t}\n")
+    path = write_csv(path, "channel,time_ps", "%d,%d", (stream.channels, stream.times_ps))
     if sidecar and stream.metadata:
         write_metadata(path, stream.metadata)
     return path
@@ -124,10 +145,7 @@ def read_tags(path: "str | Path") -> TagStream:
 
 def write_scan_csv(path: "str | Path", scan: SpectralScan) -> Path:
     """Spectral scan as CSV ``lambda_nm,counts`` with a JSON sidecar for dwell etc."""
-    path = Path(path)
-    rows = "".join(f"{nm:.6f},{n}\n" for nm, n in zip(scan.wavelengths_nm.tolist(), scan.counts.tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write("lambda_nm,counts\n" + rows)
+    path = write_csv(path, "lambda_nm,counts", "%.6f,%d", (scan.wavelengths_nm, scan.counts))
     meta = dict(scan.metadata)
     meta.setdefault("dwell_s", scan.dwell_s)
     write_metadata(path, meta)
@@ -154,10 +172,4 @@ def write_histogram_csv(path: "str | Path", histogram) -> Path:
     Rows come straight from the sparse histogram's ``bins`` and ``counts``, in
     ascending order; absent bins are zero.
     """
-    path = Path(path)
-    fields = np.empty(2 * histogram.counts.size, dtype=np.int64)
-    fields[0::2] = histogram.bins * histogram.bin_width_ps
-    fields[1::2] = histogram.counts
-    with open(path, "w", newline="") as fh:
-        fh.write("bin_start_ps,counts\n" + "%d,%d\n" * histogram.counts.size % tuple(fields.tolist()))
-    return path
+    return write_csv(path, "bin_start_ps,counts", "%d,%d", (histogram.bins * histogram.bin_width_ps, histogram.counts))

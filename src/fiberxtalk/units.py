@@ -4,9 +4,10 @@ Conventions used throughout the package: power in dBm or watts, losses in dB
 (attenuation positive, coupling negative), wavelengths in nanometers, time in
 picoseconds (integer on the wire), distances in meters. Every numeric input
 passes through :func:`require_number`, every integer one (a count, a port, a
-lane, a bin width) through :func:`require_int`, and every wavelength the
-package models through :func:`validate_wavelength_nm`. Delays map to distances along
-the plant in :mod:`fiberxtalk.plant`.
+lane, a bin width, a seed) follows :func:`is_int`, most through
+:func:`require_int`, and every wavelength the package models passes through
+:func:`validate_wavelength_nm`. Delays map to distances along the plant in
+:mod:`fiberxtalk.plant`.
 """
 
 from __future__ import annotations
@@ -62,13 +63,17 @@ def require_number(value, name: str, *, minimum: float | None = None, strict: bo
     return value
 
 
+def is_int(value) -> bool:
+    """The one integer rule: ints and numpy integers are integers; booleans and floats are not."""
+    return value.__class__ is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def require_int(value, name: str, minimum: int) -> int:
     """Return ``value`` as an int of at least ``minimum``, or raise :class:`ParameterError`.
 
-    Booleans and floats are rejected, numpy integers accepted.
+    ``value`` must be an integer by :func:`is_int`.
     """
-    integer = value.__class__ is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not integer or value < minimum:
+    if not is_int(value) or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 

@@ -585,6 +585,54 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, command, flag):
     assert str(missing) in json.loads(err[0])["message"]
 
 
+@pytest.mark.parametrize("flags, expected", [
+    # the label holds a comma, so it is quoted; a measured -inf stays -inf
+    (["sweep-config", "--table", "TABLE", "--wavelength", "1310"], b'config,xtalk_db\n"1->4,2->3",-inf\n'),
+    (["sweep-config"], b'config,xtalk_db\n"1->4,2->3",-50.000000\n'),
+    (["sweep-wavelength", "--aggressor", "1:4", "--victim", "2:3", "--grid", "1300:1320:7.5"],
+     b"lambda_nm,xtalk_db\n1300.000000,-50.333333\n1307.500000,-50.083333\n1315.000000,-49.833333\n"),
+    (["sweep-wavelength", "--table", "TABLE", "--aggressor", "1:4", "--victim", "2:3", "--grid", "1310:1550:120"],
+     b"lambda_nm,xtalk_db\n1310.000000,-inf\n1430.000000,-inf\n1550.000000,-40.250000\n"),
+], ids=["config-measured", "config-model", "wavelength-model", "wavelength-measured"])
+def test_switch_sweep_csv_bytes(tmp_path, capsys, flags, expected):
+    table = tmp_path / "table.csv"
+    table.write_text("a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\n1,4,2,3,1310,-inf\n1,4,2,3,1550,-40.25\n")
+    flags = [str(table) if flag == "TABLE" else flag for flag in flags]
+    out = tmp_path / "out.csv"
+    assert main(["switch", *flags, "--n-in", "2", "--n-out", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    capsys.readouterr()
+
+
+def test_report_key_sets(tmp_path, capsys):
+    runs = command_runs(tmp_path)
+    for command in ("analyze", "scan-analyze", "switch plan"):
+        assert main([*command.split(), *map(str, runs[command][0])]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert set(report) == {
+        "schema_version", "kind", "parameters", "histogram", "baseline", "peaks", "located", "diagnostics"}
+    assert set(report["parameters"]) == {
+        "tags", "topology", "bin_width_ps", "k_sigma", "min_separation_bins", "window_ps"}
+    assert set(report["histogram"]) == {
+        "bin_width_ps", "period_ps", "n_bins", "total_counts", "total_triggers", "live_time_s"}
+    assert set(report["baseline"]) == {"level", "noise_scale"}
+    assert [set(peak) for peak in report["peaks"]] == [{
+        "bin_index", "delay_ps", "amplitude_counts", "background_counts", "significance_sigma", "fwhm_ps"}]
+    assert [set(loc) for loc in report["located"]] == [{
+        "distance_m", "distance_uncertainty_m", "coupling_db", "coupling_uncertainty_db", "matched_element"}]
+    assert set(report["diagnostics"]) == {
+        "dropped_before_first_trigger", "dropped_beyond_period", "dropped_outside_window",
+        "period_jitter_ppm", "irregular_period", "notes"}
+    lines = json.loads((tmp_path / "lines_out.json").read_text())
+    assert set(lines) == {"schema_version", "kind", "parameters", "lines"}
+    assert [set(line) for line in lines["lines"]] == [{"wavelength_nm", "rate_per_s", "significance_sigma"}]
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    assert set(plan) == {"schema_version", "kind", "objective_db", "method", "classical", "quantum"}
+    placements = plan["classical"] + plan["quantum"]
+    assert [set(p) for p in placements] == [{"input", "output", "wavelength_nm"}] * 2
+
+
 def test_failed_run_leaves_no_stale_manifest(tmp_path, capsys):
     flags = [str(arg) for arg in command_runs(tmp_path)["analyze"][0]]
     report = tmp_path / "report.json"

@@ -102,6 +102,16 @@ class TestLoadTopology:
         (lambda: plant.FiberSpan(id="s", length_m=-1.0), r"^length_m must be > 0.0, got -1.0$"),
         (lambda: plant.FiberSpan(id="s", length_m=10.0, group_index=0.5), "^group_index must be > 1.0"),
         (lambda: plant.FiberSpan(id="", length_m=10.0), "^id: expected a non-empty string$"),
+        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation=((1550.0, -5.0),)),
+         r"^attenuation\[0\]\[1\] must be >= 0.0, got -5.0$"),
+        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation=()),
+         r"^attenuation: expected a non-empty sequence of \(nm, dB/km\) pairs$"),
+        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation=((1550.0, 0.2), (1310.0, 0.35))),
+         r"^attenuation\[1\]: wavelengths must be strictly increasing$"),
+        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation=((1550.0,),)),
+         r"^attenuation\[0\]: expected an \(nm, dB/km\) pair$"),
+        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation=((float("inf"), 0.2),)),
+         r"^attenuation\[0\]\[0\] must be finite"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, base_coupling_db=5.0), "coupling must be <= 0 dB"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, lane_count=7), r"^lane_count: 7 not one of"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, lanes={"a": 99}), r"^lanes.a: lane 99 outside 1..12$"),
@@ -265,6 +275,17 @@ class TestAttenuationTable:
     def test_scalar_table_from_document(self):
         topo = fx.load_topology(topology_doc(span_extra={"attenuation_db_per_km": 0.5}))
         assert topo.spans[0].attenuation_db_per_km(1310.0) == 0.5
+
+    @pytest.mark.parametrize("table, message", [
+        (-5.0, r"\[0\]\[1\] must be >= 0.0, got -5.0$"),
+        ([], ": expected a non-empty sequence"),
+        ([[1550.0, 0.2], [1310.0, 0.35]], r"\[1\]: wavelengths must be strictly increasing$"),
+        ([[1550.0, 0.2, 0.1]], r"\[0\]: expected an \(nm, dB/km\) pair$"),
+        ("0.2", r": expected a number or a list of \[nm, dB/km\] pairs$"),
+    ])
+    def test_document_faults_name_the_key(self, table, message):
+        with pytest.raises(InputError, match=r"^topology.spans\[0\].attenuation_db_per_km" + message):
+            fx.load_topology(topology_doc(span_extra={"attenuation_db_per_km": table}))
 
 
 class TestDelayDistanceMap:

@@ -160,6 +160,14 @@ class TestStreamInvariants:
             fx.simulate_otdr_tags(three_point_topology, src, fx.Detector(), 1.0, seed=-1)
         with pytest.raises(ParameterError):
             fx.simulate_otdr_tags(three_point_topology, src, fx.Detector(), 1.0, seed=2**64)
+        with pytest.raises(ParameterError, match=r"^seed must be an integer in \[0, 2\^64\), got True$"):
+            fx.simulate_otdr_tags(three_point_topology, src, fx.Detector(), 1.0, seed=True)
+        # a numpy integer is a seed, as it is any other integer argument
+        numpy_seeded = fx.simulate_otdr_tags(three_point_topology, src, fx.Detector(), 1.0, seed=np.int64(7))
+        seeded = fx.simulate_otdr_tags(three_point_topology, src, fx.Detector(), 1.0, seed=7)
+        assert np.array_equal(numpy_seeded.times_ps, seeded.times_ps)
+        assert numpy_seeded.metadata == seeded.metadata
+        assert type(numpy_seeded.metadata["seed"]) is int
 
     @pytest.mark.parametrize("max_tags", [-1, 0, 1.5])
     def test_rejects_max_tags_below_one(self, three_point_topology, max_tags):

@@ -54,6 +54,9 @@ class TestSwitchXtalk:
             (lambda: fx.SwitchConfig(((1, 17),)).validate(DEFAULT), "E_CONFIG", "output port 17 outside 9..16"),
             (lambda: fx.sweep_configs(DEFAULT, classical_in=9), "E_PARAM", "classical input 9 outside 1..8"),
             (lambda: fx.sweep_configs(DEFAULT, victim_out=8), "E_PARAM", "victim output 8 outside 9..16"),
+            # a bool is not a port, though bool is an Integral
+            (lambda: fx.switch_xtalk_db(DEFAULT, (True, 10), (2, 9), 1310.0), "E_PARAM", "aggressor input port True outside 1..8"),
+            (lambda: fx.SwitchConfig(((True, 10),)).validate(DEFAULT), "E_CONFIG", "input port True outside 1..8"),
         ]
         for check, code, message in cases:
             with pytest.raises(ParameterError, match=f"^{message}$") as err:

@@ -195,6 +195,35 @@ class TestCsv:
         assert np.array_equal(tagio.read_tags(csvp).times_ps, stream.times_ps)
 
 
+class TestWriterBytes:
+    def test_tags_csv_bytes_and_largest_time(self, tmp_path):
+        stream = fx.TagStream(channels=np.array([0, 1, 1], dtype=np.uint8),
+                              times_ps=np.array([0, 5, 2**63 - 1], dtype=np.int64))
+        path = tagio.write_tags_csv(tmp_path / "tags.csv", stream)
+        assert path.read_bytes() == b"channel,time_ps\n0,0\n1,5\n1,9223372036854775807\n"
+        back = tagio.read_tags(path)
+        assert back.channels.tolist() == [0, 1, 1]
+        assert back.times_ps.tolist() == [0, 5, 2**63 - 1]
+
+    def test_scan_csv_bytes(self, tmp_path):
+        scan = fx.SpectralScan(wavelengths_nm=np.array([1270.0, 1270.1234567, 1599.9999999]),
+                               counts=np.array([5, 0, 12], dtype=np.int64), dwell_s=2.0)
+        path = tagio.write_scan_csv(tmp_path / "scan.csv", scan)
+        assert path.read_bytes() == b"lambda_nm,counts\n1270.000000,5\n1270.123457,0\n1600.000000,12\n"
+        assert json.loads(tagio.metadata_path(path).read_text()) == {"dwell_s": 2.0}
+
+    @pytest.mark.parametrize("bins, counts, expected", [
+        ([3, 7], [2, 1], b"bin_start_ps,counts\n300,2\n700,1\n"),
+        ([], [], b"bin_start_ps,counts\n"),
+    ], ids=["two-bins", "empty"])
+    def test_histogram_csv_bytes(self, tmp_path, bins, counts, expected):
+        from fiberxtalk.analysis import Histogram
+
+        hist = Histogram(bins=np.array(bins, dtype=np.int64), counts=np.array(counts, dtype=np.int64), n_bins=10,
+                         bin_width_ps=100, period_ps=1000, total_triggers=1, live_time_s=1e-3)
+        assert tagio.write_histogram_csv(tmp_path / "hist.csv", hist).read_bytes() == expected
+
+
 class TestScanCsv:
     def test_round_trip_with_sidecar(self, tmp_path):
         scan = fx.SpectralScan(
