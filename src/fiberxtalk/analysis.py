@@ -14,6 +14,12 @@ counts, and peak detection scans the occupied bins only: an empty bin is
 below any threshold above a non-negative level. Results equal those of the
 dense form, which :meth:`Histogram.dense` builds for tests and small
 histograms.
+
+The fold walks a stream's records in blocks of ``FOLD_BLOCK_RECORDS``: each
+block's detector tags become a sparse histogram of their own, and the block
+histograms are summed once at the end. Its working set is the triggers plus
+one block, so it grows with the number of pulses and occupied bins, not with
+the number of detector tags.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError, ResourceError
 from .plant import Topology, distance_for_delay_ps, path_loss_db
-from .simulate import Detector, PulsedSource, SpectralScan, TagStream
+from .simulate import DETECTOR_CHANNEL, TRIGGER_CHANNEL, Detector, PulsedSource, SpectralScan, TagStream
 from .units import _GAUSSIAN_FWHM_TO_SIGMA, C_M_PER_S, require_int
 
 _DB_PER_NEPER = 10.0 / math.log(10.0)
@@ -37,6 +43,7 @@ DEFAULT_MIN_SEPARATION_BINS = 3
 PERIOD_JITTER_WARN_PPM = 1.0
 MAX_FOLD_BINS = 100_000_000  # Histogram.dense() of that many bins takes 800 MB
 _MAX_DIVISOR_TRIALS = 1_000_000  # ~0.1 s of trial division in suggest_bin_width
+FOLD_BLOCK_RECORDS = 1 << 16  # records per block of the fold's detector pass
 
 
 @dataclass
@@ -148,27 +155,50 @@ def suggest_bin_width(period_ps: int, requested_ps: int) -> int | None:
     return divisors[i]
 
 
-def _preceding_trigger(trig: np.ndarray, det: np.ndarray, period: int) -> np.ndarray:
+def _preceding_trigger(edges: np.ndarray, det: np.ndarray, period: int) -> np.ndarray:
     """``np.searchsorted(trig, det, side="right") - 1`` for strictly increasing ``trig``.
 
-    Each tag's trigger is guessed as ``(det - trig[0]) // period`` and checked
-    against the triggers on both sides of it; only the tags whose guess fails
-    are searched. The check is exact, so a poor guess (jitter, gaps, tags out
-    of order) costs searches, never a wrong index.
+    ``edges`` is ``trig`` between the int64 extremes, so trigger i is
+    ``edges[i + 1]``. Each tag's trigger is guessed as
+    ``(det - trig[0]) // period`` and checked against the triggers on both
+    sides of it; only the tags whose guess fails are searched. The check is
+    exact, so a poor guess (jitter, gaps, tags out of order) costs searches,
+    never a wrong index.
     """
-    # trigger i is edges[i + 1]; guessing i, the tag must lie in [edges[i + 1], edges[i + 2])
-    edges = np.concatenate(([np.iinfo(np.int64).min], trig, [np.iinfo(np.int64).max]))
+    trig = edges[1:-1]
     # Updated in place: a fresh array per step costs as much as the arithmetic. A single
     # trigger's period can exceed int64, and any divisor will do for a guess that is checked.
     idx = det - trig[0]
     idx //= min(period, np.iinfo(np.int64).max)
     np.clip(idx, -1, trig.size - 1, out=idx)
     idx += 1
+    # guessing trigger i, the tag must lie in [edges[i + 1], edges[i + 2])
     wrong = np.flatnonzero((edges.take(idx) > det) | (det >= edges[1:].take(idx)))
     idx -= 1
     if wrong.size:
         idx[wrong] = np.searchsorted(trig, det.take(wrong), side="right") - 1
     return idx
+
+
+def _channel_blocks(tags: TagStream, channel: int):
+    """The times of ``tags`` on ``channel``, ``FOLD_BLOCK_RECORDS`` records at a time, in stream order."""
+    for start in range(0, tags.n_records, FOLD_BLOCK_RECORDS):
+        stop = start + FOLD_BLOCK_RECORDS
+        # compress runs ~4x faster than boolean indexing on interleaved channels
+        yield np.compress(tags.channels[start:stop] == channel, tags.times_ps[start:stop])
+
+
+def _merge_counts(parts: "list[tuple[np.ndarray, np.ndarray]]") -> "tuple[np.ndarray, np.ndarray]":
+    """One sparse histogram, ascending bins and their int64 counts, summed from ``(bins, counts)`` parts."""
+    if not parts:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if len(parts) == 1:
+        bins, counts = parts[0]
+    else:
+        bins, inverse = np.unique(np.concatenate([b for b, _ in parts]), return_inverse=True)
+        counts = np.zeros(bins.size, dtype=np.int64)
+        np.add.at(counts, inverse, np.concatenate([c for _, c in parts]))
+    return bins, counts.astype(np.int64, copy=False)
 
 
 def fold_histogram(
@@ -185,37 +215,47 @@ def fold_histogram(
     trigger, or outside the optional delay window are dropped and counted.
     A period of more than ``MAX_FOLD_BINS`` bins is a :class:`ResourceError`.
 
-    Each detector tag's trigger is guessed from the period and checked
-    exactly against its neighbouring triggers; only the tags whose guess
-    fails are binary-searched. The result equals a binary search for every
-    tag, so it is exact for detector tags in any order, and jittered or gapped
-    triggers only cost more searches.
+    The triggers are taken out whole; the detector tags are folded
+    ``FOLD_BLOCK_RECORDS`` records at a time, each block into a sparse
+    histogram of its own, and the block histograms are summed at the end. So
+    the fold holds the triggers and one block at a time, never an array per
+    detector tag. Each detector tag's trigger is guessed from the period and
+    checked exactly against its neighbouring triggers; only the tags whose
+    guess fails are binary-searched. The result equals a binary search for
+    every tag, so it is exact for detector tags in any order, and jittered or
+    gapped triggers only cost more searches.
     """
     bin_width_ps = require_int(bin_width_ps, "bin_width_ps", 1)
     if bin_width_ps > np.iinfo(np.int64).max:  # delays are int64
         raise ParameterError(f"bin width must be at most {np.iinfo(np.int64).max} ps, got {bin_width_ps}")
-    trig = np.asarray(tags.trigger_times_ps, dtype=np.int64)
-    det = np.asarray(tags.detector_times_ps, dtype=np.int64)
+    # the triggers between the int64 extremes, as _preceding_trigger takes them
+    edges = np.concatenate(
+        ([np.iinfo(np.int64).min], *_channel_blocks(tags, TRIGGER_CHANNEL), [np.iinfo(np.int64).max])
+    )
+    trig = edges[1:-1]
     if trig.size == 0:
         raise DataError("stream contains no trigger events", code="E_NO_TRIGGER")
-    spacings = np.diff(trig)
-    if not (spacings > 0).all():
-        raise DataError("trigger timestamps are not strictly increasing")
 
     diagnostics = FoldDiagnostics()
     if trig.size > 1:
-        median = float(np.median(spacings))
+        spacings = np.diff(trig)
+        shortest, longest = spacings.min(), spacings.max()
+        if shortest <= 0:
+            raise DataError("trigger timestamps are not strictly increasing")
+        median = float(np.median(spacings, overwrite_input=True))
+        del spacings
         period = int(round(median))
         if period < 1:
             raise DataError("trigger period collapsed to zero")
         # max |spacing - median| from the extremes, without a float array per spacing
-        jitter_ppm = float(max(spacings.max() - median, median - spacings.min()) / median * 1e6)
+        jitter_ppm = float(max(longest - median, median - shortest) / median * 1e6)
         diagnostics.period_jitter_ppm = jitter_ppm
         diagnostics.irregular_period = jitter_ppm > PERIOD_JITTER_WARN_PPM
     else:
         # A single trigger cannot define a period; span all following tags.
-        if det.size:
-            max_delay = int(max(det.max() - trig[0], 0)) + 1
+        last = max((det.max() for det in _channel_blocks(tags, DETECTOR_CHANNEL) if det.size), default=None)
+        if last is not None:
+            max_delay = int(max(last - trig[0], 0)) + 1
         else:
             max_delay = bin_width_ps
         period = ((max_delay + bin_width_ps - 1) // bin_width_ps) * bin_width_ps
@@ -238,26 +278,30 @@ def fold_histogram(
     else:
         lo = hi = None
 
-    bins = counts = np.zeros(0, dtype=np.int64)
-    if det.size:
-        idx = _preceding_trigger(trig, det, period)
+    parts = []
+    for det in _channel_blocks(tags, DETECTOR_CHANNEL):
+        if not det.size:
+            continue
+        idx = _preceding_trigger(edges, det, period)
         before = idx < 0
-        diagnostics.dropped_before_first_trigger = int(np.count_nonzero(before))
-        if diagnostics.dropped_before_first_trigger:
+        n_before = int(np.count_nonzero(before))
+        diagnostics.dropped_before_first_trigger += n_before
+        if n_before:
             kept = np.flatnonzero(~before)
             det, idx = det.take(kept), idx.take(kept)
         delays = det - trig.take(idx)
         beyond = delays >= period
-        diagnostics.dropped_beyond_period = int(np.count_nonzero(beyond))
-        if diagnostics.dropped_beyond_period:
+        n_beyond = int(np.count_nonzero(beyond))
+        diagnostics.dropped_beyond_period += n_beyond
+        if n_beyond:
             delays = delays.take(np.flatnonzero(~beyond))
         if lo is not None:
             inside = (delays >= lo) & (delays < hi)
-            diagnostics.dropped_outside_window = int(delays.size - int(inside.sum()))
+            diagnostics.dropped_outside_window += int(delays.size - int(inside.sum()))
             delays = delays[inside]
         if delays.size:
-            bins, counts = np.unique(delays // bin_width_ps, return_counts=True)
-            counts = counts.astype(np.int64, copy=False)
+            parts.append(np.unique(delays // bin_width_ps, return_counts=True))
+    bins, counts = _merge_counts(parts)
 
     return Histogram(
         bins=bins,

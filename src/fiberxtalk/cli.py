@@ -12,7 +12,8 @@ error. Failures print a one-line machine-readable JSON object on stderr. A
 fault in any input file or document, a flag that argparse or
 :func:`parse_band` cannot read, or a path that cannot be read or written (an
 output into a missing directory, say) exits 2 (``E_INPUT``); a flag that reads
-but lies outside its domain exits 4 (``E_PARAM``).
+but lies outside its domain exits 4 (``E_PARAM``); running out of memory exits
+5 (``E_RESOURCE``).
 """
 
 from __future__ import annotations
@@ -533,10 +534,14 @@ def main(argv: "list[str] | None" = None) -> int:
         # a failed run may have rewritten some outputs: leave no manifest that no longer matches
         for out in outputs:
             _drop_stale_manifest(out)
-        if not isinstance(exc, (XtalkError, OSError)):
+        if isinstance(exc, XtalkError):
+            error = exc
+        elif isinstance(exc, OSError):  # a path the system refused to read or write; the message names it
+            error = InputError(str(exc))
+        elif isinstance(exc, MemoryError):
+            error = ResourceError(f"out of memory: {exc}" if str(exc) else "out of memory")
+        else:
             raise
-        # an OSError is a path the system refused to read or write; its message names the path
-        error = exc if isinstance(exc, XtalkError) else InputError(str(exc))
         print(json.dumps({"error": error.code, "message": str(error)}), file=sys.stderr)
         return error.exit_code
     print(f"wrote {run.outputs[0]} ({run.summary})")

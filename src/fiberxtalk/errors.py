@@ -106,11 +106,12 @@ def read_csv_columns(path: "str | Path", header: "list[str]", dtypes: list) -> "
     """Read a CSV file whose first row is ``header`` into one array per column.
 
     The body is parsed by one ``np.loadtxt`` call into a structured array of
-    ``dtypes``, on the grammar the :mod:`fiberxtalk.tagio` docstring states. A
-    missing file is an :class:`InputError`. A wrong header, bad UTF-8, a
-    missing column, or a field that does not parse or overflows is a
-    :class:`DataError`; a fault in a field or a short row names its data row
-    as :func:`reject_rows` counts them.
+    ``dtypes``, on the grammar the :mod:`fiberxtalk.tagio` docstring states;
+    the columns are views of that array, so a caller copies only what it
+    keeps contiguous. A missing file is an :class:`InputError`. A wrong
+    header, bad UTF-8, a missing column, or a field that does not parse or
+    overflows is a :class:`DataError`; a fault in a field or a short row
+    names its data row as :func:`reject_rows` counts them.
     """
     path = Path(path)
     if not path.is_file():
@@ -134,7 +135,7 @@ def read_csv_columns(path: "str | Path", header: "list[str]", dtypes: list) -> "
             )
     except (ValueError, DeprecationWarning) as exc:  # ValueError covers bad UTF-8 and unparsable fields
         raise DataError(f"{path}: not a readable CSV file: {_data_row_message(str(exc))}") from None
-    return [np.ascontiguousarray(body[name]) for name in header]
+    return [body[name] for name in header]
 
 
 # numpy's loadtxt counts the non-blank rows after the header, as reject_rows

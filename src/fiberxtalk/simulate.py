@@ -148,14 +148,6 @@ class TagStream:
     def n_records(self) -> int:
         return int(self.times_ps.size)
 
-    @property
-    def trigger_times_ps(self) -> np.ndarray:
-        return self.times_ps.take(np.flatnonzero(self.channels == TRIGGER_CHANNEL))
-
-    @property
-    def detector_times_ps(self) -> np.ndarray:
-        return self.times_ps.take(np.flatnonzero(self.channels == DETECTOR_CHANNEL))
-
 
 def _validate_seed(seed) -> int:
     """``seed`` as an int in [0, 2^64); a numpy integer is accepted, a bool is not."""

@@ -3,7 +3,8 @@
 XTT1 layout: 8-byte magic ``XTT1\\x00\\x00\\x00\\x01`` followed by packed
 little-endian 9-byte records of (u8 channel, u64 time_ps), channel 0 being the
 trigger and 1 the detector. A JSON metadata sidecar lives at
-``<path>.meta.json``.
+``<path>.meta.json``. The reader decodes the records in fixed-size blocks
+into the stream's arrays, so it never holds the whole file's bytes.
 
 CSV files (tags ``channel,time_ps``, scans ``lambda_nm,counts``) are UTF-8: a
 header row, exact up to spaces around each name, then comma-separated rows of
@@ -13,26 +14,29 @@ fields and extra trailing columns are accepted; ``#`` starts no comment, a
 row of only spaces is an error, and underscored digits such as ``5_0``, which
 ``int()`` used to accept, are rejected. Channels must be 0 or 1 and times
 0..2^63-1 ps; any fault is a :class:`DataError` that names the file and row.
+A tag channel is parsed as int8, so one outside -128..127 fails to parse.
 
 Every output goes through one of two writers: :func:`write_json` (indented,
 sorted keys, a final newline) for sidecars, reports and manifests, and
 :func:`write_csv` (a header line, then one ``%``-formatted line per row) for
-tag, scan, histogram and switch-sweep tables.
+scan, histogram and switch-sweep tables. No command writes tags as CSV.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, InputError, ParameterError, read_csv_columns, read_json, reject_rows
-from .simulate import SpectralScan, TagStream
+from .errors import DataError, InputError, ParameterError, ResourceError, read_csv_columns, read_json, reject_rows
+from .simulate import DEFAULT_MAX_TAGS, SpectralScan, TagStream
 from .units import require_number
 
 XTT1_MAGIC = b"XTT1\x00\x00\x00\x01"
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
+XTT1_BLOCK_RECORDS = 1 << 16  # records per block of the XTT1 decoder
 
 
 def metadata_path(path: "str | Path") -> Path:
@@ -92,43 +96,53 @@ def write_tags_xtt1(path: "str | Path", stream: TagStream, *, sidecar: bool = Tr
 
 
 def read_tags_xtt1(path: "str | Path") -> TagStream:
+    """Read an XTT1 tag file, decoding ``XTT1_BLOCK_RECORDS`` records at a time.
+
+    The record count comes from the file size, and more than
+    ``DEFAULT_MAX_TAGS`` records is a :class:`ResourceError` before anything
+    is allocated. The reader holds the decoded arrays (9 bytes a record) plus
+    one block of raw records.
+    """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"tag file not found: {path}")
-    raw = path.read_bytes()
-    if len(raw) < len(XTT1_MAGIC) or raw[: len(XTT1_MAGIC)] != XTT1_MAGIC:
-        raise DataError(f"{path}: missing XTT1 magic; not a tag file")
-    size = len(raw) - len(XTT1_MAGIC)
-    if size % _RECORD_DTYPE.itemsize:
-        raise DataError(
-            f"{path}: truncated record ({size} bytes is not a multiple "
-            f"of {_RECORD_DTYPE.itemsize})"
-        )
-    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=len(XTT1_MAGIC))
-    # a u64 time of 2^63 or more wraps to a negative int64
-    times = records["time_ps"].astype(np.int64)
-    if times.size and times.min() < 0:
+    with open(path, "rb") as fh:
+        if fh.read(len(XTT1_MAGIC)) != XTT1_MAGIC:
+            raise DataError(f"{path}: missing XTT1 magic; not a tag file")
+        size = os.fstat(fh.fileno()).st_size - len(XTT1_MAGIC)
+        if size % _RECORD_DTYPE.itemsize:
+            raise DataError(
+                f"{path}: truncated record ({size} bytes is not a multiple "
+                f"of {_RECORD_DTYPE.itemsize})"
+            )
+        n = size // _RECORD_DTYPE.itemsize
+        if n > DEFAULT_MAX_TAGS:
+            raise ResourceError(f"{path}: {n} records exceed the cap of {DEFAULT_MAX_TAGS} tags")
+        times = np.empty(n, dtype=np.int64)
+        channels = np.empty(n, dtype=np.uint8)
+        for start in range(0, n, XTT1_BLOCK_RECORDS):
+            count = min(XTT1_BLOCK_RECORDS, n - start)
+            records = np.fromfile(fh, dtype=_RECORD_DTYPE, count=count)
+            if records.size < count:
+                raise DataError(f"{path}: file shrank while it was read")
+            # a u64 time of 2^63 or more wraps to a negative int64
+            times[start : start + count] = records["time_ps"]
+            channels[start : start + count] = records["channel"]
+    # whole-array reductions allocate nothing, and keep the time fault ahead of the channel fault
+    if n and times.min() < 0:
         raise DataError(f"{path}: timestamp overflows the signed 64-bit range")
-    channels = records["channel"].copy()
-    if channels.size and channels.max() > 1:
+    if n and channels.max() > 1:
         raise DataError(f"{path}: channel values must be 0 (trigger) or 1 (detector)")
     return TagStream(channels=channels, times_ps=times, metadata=read_metadata(path) or {})
 
 
-def write_tags_csv(path: "str | Path", stream: TagStream, *, sidecar: bool = True) -> Path:
-    """CSV interoperability format: header ``channel,time_ps`` then one row per tag."""
-    path = write_csv(path, "channel,time_ps", "%d,%d", (stream.channels, stream.times_ps))
-    if sidecar and stream.metadata:
-        write_metadata(path, stream.metadata)
-    return path
-
-
 def read_tags_csv(path: "str | Path") -> TagStream:
-    channels, times = read_csv_columns(path, ["channel", "time_ps"], ["i8", "i8"])
-    reject_rows(path, (channels != 0) & (channels != 1), "channel must be 0 or 1", channels)
+    # a channel parses as int8: 9 bytes a row for the body, and its uint8 view is > 1 for any bad channel
+    channels, times = read_csv_columns(path, ["channel", "time_ps"], ["i1", "i8"])
+    reject_rows(path, channels.view(np.uint8) > 1, "channel must be 0 or 1", channels)
     reject_rows(path, times < 0, "time must be >= 0 ps", times)
     metadata = read_metadata(path) or {}
-    return TagStream(channels=channels.astype(np.uint8), times_ps=times, metadata=metadata)
+    return TagStream(channels=channels.astype(np.uint8), times_ps=np.ascontiguousarray(times), metadata=metadata)
 
 
 def read_tags(path: "str | Path") -> TagStream:

@@ -1,10 +1,11 @@
-"""Shared builders for test topologies, sources, and detectors."""
+"""Shared builders for test topologies, sources, detectors and tag files."""
 
 from __future__ import annotations
 
 import pytest
 
 import fiberxtalk as fx
+from fiberxtalk import tagio
 
 # Photon energy at 1550 nm, frozen from h*c/lambda with CODATA constants;
 # used by tests as an oracle independent of the library's arithmetic.
@@ -60,3 +61,16 @@ def three_point_topology():
             ]
         )
     )
+
+
+def channel_times(stream, channel):
+    """The times of ``stream``'s tags on ``channel`` (0 trigger, 1 detector), in stream order."""
+    return stream.times_ps[stream.channels == channel]
+
+
+def write_tags_csv(path, stream, *, sidecar=True):
+    """A tag stream as the CSV ``tagio.read_tags_csv`` reads: header ``channel,time_ps``, one row per tag."""
+    path = tagio.write_csv(path, "channel,time_ps", "%d,%d", (stream.channels, stream.times_ps))
+    if sidecar and stream.metadata:
+        tagio.write_metadata(path, stream.metadata)
+    return path

@@ -204,11 +204,12 @@ class TestFoldHistogram:
         spacing=st.sampled_from(["regular", "jittered", "gapped", "irregular"]),
         requested_bin=st.integers(1, 40),
         windowed=st.booleans(),
+        block=st.sampled_from([analysis.FOLD_BLOCK_RECORDS, 1, 7]),
     )
-    @example(seed=0, n_triggers=1, spacing="regular", requested_bin=1, windowed=False)
-    @example(seed=1, n_triggers=1, spacing="regular", requested_bin=7, windowed=True)
-    @example(seed=2, n_triggers=2, spacing="regular", requested_bin=1, windowed=True)
-    def test_matches_a_binary_search_for_every_tag(self, seed, n_triggers, spacing, requested_bin, windowed):
+    @example(seed=0, n_triggers=1, spacing="regular", requested_bin=1, windowed=False, block=1)
+    @example(seed=1, n_triggers=1, spacing="regular", requested_bin=7, windowed=True, block=7)
+    @example(seed=2, n_triggers=2, spacing="regular", requested_bin=1, windowed=True, block=7)
+    def test_matches_a_binary_search_for_every_tag(self, seed, n_triggers, spacing, requested_bin, windowed, block):
         rng = np.random.default_rng(seed)
         period = int(rng.integers(1, 2000))
         spacings = {
@@ -223,12 +224,14 @@ class TestFoldHistogram:
         detectors = rng.permutation(np.concatenate((near, spread))).astype(np.int64)
         stream = shuffled_stream(triggers, detectors, rng)
 
-        bin_width = suggest_bin_width(fold_histogram(stream, bin_width_ps=1).period_ps, requested_bin)
         window = None
         if windowed:
             lo = int(rng.integers(0, 2 * period))
             window = (lo, lo + int(rng.integers(1, 2 * period)))
-        hist = fold_histogram(stream, bin_width_ps=bin_width, window_ps=window)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "FOLD_BLOCK_RECORDS", block)
+            bin_width = suggest_bin_width(fold_histogram(stream, bin_width_ps=1).period_ps, requested_bin)
+            hist = fold_histogram(stream, bin_width_ps=bin_width, window_ps=window)
 
         bins, counts, dropped = searched_fold(triggers, detectors, hist.period_ps, bin_width, window)
         assert hist.bins.tolist() == bins.tolist()
@@ -239,6 +242,77 @@ class TestFoldHistogram:
             diagnostics.dropped_beyond_period,
             diagnostics.dropped_outside_window,
         ) == dropped
+
+    @pytest.mark.parametrize("block", [1, 8, 13])
+    @pytest.mark.parametrize("window", [None, (1_000, 600_000_000)])
+    def test_blocks_fold_as_one_search_over_all_tags(self, monkeypatch, block, window):
+        # Drops of each kind sit in blocks of their own, among shuffled detector tags,
+        # over more than three blocks plus a remainder.
+        monkeypatch.setattr(analysis, "FOLD_BLOCK_RECORDS", block)
+        rng = np.random.default_rng(11)
+        triggers = np.arange(1, 13, dtype=np.int64) * PERIOD
+        triggers[5] += 2_000  # 2 ppm of jitter; the median spacing stays PERIOD
+        delays = rng.integers(0, 2 * PERIOD // 3, 9)  # few delays, so the blocks share bins
+
+        def inside(n):
+            return rng.permutation(rng.choice(triggers, n) + rng.choice(delays, n))
+
+        before = rng.integers(0, PERIOD // 2, 6)
+        beyond = triggers[-1] + PERIOD + rng.integers(1, PERIOD, 5)
+        outside = rng.choice(triggers, 5) + rng.integers(PERIOD * 7 // 10, PERIOD - 4_000, 5)
+        groups = [inside(20), before, inside(20), beyond, inside(20), outside, inside(7)]
+        detectors = np.concatenate(groups).astype(np.int64)
+        stream = shuffled_stream(triggers, detectors, rng)
+        assert stream.n_records > 3 * 13 and stream.n_records % 13
+
+        record_block = np.flatnonzero(stream.channels == 1) // block
+        ends = np.cumsum([g.size for g in groups])
+        blocks_of = [set(record_block[e - g.size : e].tolist()) for g, e in zip(groups, ends)]
+        if block > 1:
+            assert not blocks_of[1] & blocks_of[3] and not blocks_of[3] & blocks_of[5]
+
+        hist = fold_histogram(stream, bin_width_ps=100, window_ps=window)
+        spacings = np.diff(triggers)
+        median = float(np.median(spacings))
+        bins, counts, dropped = searched_fold(triggers, detectors, PERIOD, 100, window)
+        assert hist.period_ps == PERIOD
+        assert hist.bins.dtype == hist.counts.dtype == np.int64
+        assert (hist.bins.tolist(), hist.counts.tolist()) == (bins.tolist(), counts.tolist())
+        assert max(counts) > 1  # tags of different blocks share bins
+        diagnostics = hist.diagnostics
+        assert (
+            diagnostics.dropped_before_first_trigger,
+            diagnostics.dropped_beyond_period,
+            diagnostics.dropped_outside_window,
+        ) == dropped
+        assert dropped[:2] == (6, 5) and dropped[2] == (0 if window is None else 5)
+        assert diagnostics.dropped_total == sum(dropped)
+        jitter = float(max(spacings.max() - median, median - spacings.min()) / median * 1e6)
+        assert diagnostics.period_jitter_ppm == jitter
+        assert diagnostics.irregular_period == (jitter > analysis.PERIOD_JITTER_WARN_PPM)
+        assert hist.total_triggers == triggers.size
+
+    def test_peak_memory_is_bounded_by_triggers_and_one_block(self):
+        # 2.2M records, 2M of them detector tags: an array per detector tag would take 16 MB
+        rng = np.random.default_rng(5)
+        period, n_triggers, n_detectors = 1_000_000, 200_000, 2_000_000
+        triggers = np.arange(n_triggers, dtype=np.int64) * period
+        detectors = rng.integers(0, n_triggers * period, n_detectors)
+        times = np.concatenate((triggers, detectors))
+        order = np.argsort(times, kind="stable")
+        channels = (order >= n_triggers).astype(np.uint8)
+        stream = fx.TagStream(channels=channels, times_ps=times.take(order))
+        del times, order, channels
+        tracemalloc.start()
+        try:
+            hist = fold_histogram(stream, bin_width_ps=1_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the triggers twice (1.6 MB each) and one block's temporaries
+        assert peak < 8 * 2**20
+        assert int(hist.counts.sum()) + hist.diagnostics.dropped_total == n_detectors
+        assert hist.n_bins == 1_000 and hist.bins.size == 1_000
 
 
 class TestBaseline:

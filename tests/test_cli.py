@@ -163,6 +163,22 @@ class TestSimulateAnalyze:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "E_RESOURCE"
 
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 8.00 GiB"), "out of memory: Unable to allocate 8.00 GiB"),
+    ])
+    def test_out_of_memory_exits_5(self, tmp_path, plant_files, capsys, monkeypatch, error, message):
+        def read_tags(path):
+            raise error
+
+        monkeypatch.setattr(cli.tagio, "read_tags", read_tags)
+        code = main(["analyze", "--tags", str(tmp_path / "x.xtt1"), "--topology", str(plant_files[0]),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "E_RESOURCE", "message": message}
+
     @pytest.mark.parametrize("max_tags", ["-1", "0"])
     def test_max_tags_below_one_is_parameter_error(self, tmp_path, plant_files, capsys, max_tags):
         topo, source, detector = plant_files

@@ -19,7 +19,7 @@ from fiberxtalk.simulate import (
 )
 from fiberxtalk.units import _GAUSSIAN_FWHM_TO_SIGMA, validate_wavelength_nm
 
-from conftest import E_PHOTON_1550_J, connector_doc, lossless_topology, power_for_mu_det, topology_doc
+from conftest import E_PHOTON_1550_J, channel_times, connector_doc, lossless_topology, power_for_mu_det, topology_doc
 
 
 class TestExpectedPeakRate:
@@ -98,7 +98,7 @@ class TestStreamInvariants:
         topo = lossless_topology()
         src = fx.PulsedSource(avg_power_w=1e-9)
         stream = fx.simulate_otdr_tags(topo, src, fx.Detector(dark_rate_hz=0.0), 1.5, seed=1)
-        trig = stream.trigger_times_ps
+        trig = channel_times(stream, 0)
         assert trig.size == 1500
         assert np.array_equal(np.diff(trig), np.full(1499, src.period_ps))
 
@@ -107,16 +107,16 @@ class TestStreamInvariants:
         src = fx.PulsedSource(avg_power_w=power_for_mu_det(0.8, -100.0))
         det = fx.Detector(dead_time_ps=50_000)
         stream = fx.simulate_otdr_tags(topo, src, det, 5.0, seed=7)
-        for times in (stream.trigger_times_ps, stream.detector_times_ps):
+        for times in (channel_times(stream, 0), channel_times(stream, 1)):
             assert (np.diff(times) > 0).all()
-        gaps = np.diff(stream.detector_times_ps)
+        gaps = np.diff(channel_times(stream, 1))
         assert gaps.size > 0 and int(gaps.min()) >= det.dead_time_ps
 
     def test_no_sources_no_detector_tags(self):
         topo = lossless_topology()
         src = fx.PulsedSource(avg_power_w=1e-9)
         stream = fx.simulate_otdr_tags(topo, src, fx.Detector(dark_rate_hz=0.0), 2.0, seed=3)
-        assert stream.detector_times_ps.size == 0
+        assert channel_times(stream, 1).size == 0
 
     @pytest.mark.parametrize("rep_rate_hz,dead_time_ps,duration", [
         (1000.0, 50_000, 5.0),
@@ -132,7 +132,7 @@ class TestStreamInvariants:
         det = fx.Detector(dead_time_ps=dead_time_ps, dark_rate_hz=1e4)
         stream = fx.simulate_otdr_tags(topo, src, det, duration, seed=4)
         meta = stream.metadata
-        assert meta["n_detector_tags"] == stream.detector_times_ps.size
+        assert meta["n_detector_tags"] == channel_times(stream, 1).size
         assert meta["pulses_per_chunk"] == PULSES_PER_CHUNK
         assert meta["generator"] != "philox"
         points = meta["points"]
@@ -192,7 +192,7 @@ class TestCountingStatistics:
         n_runs = 25
         for seed in range(n_runs):
             stream = fx.simulate_otdr_tags(topo, src, det, duration, seed=seed)
-            total += stream.detector_times_ps.size
+            total += channel_times(stream, 1).size
         lam_total = n_runs * lam_per_run
         assert abs(total - lam_total) <= 5.0 * np.sqrt(lam_total)
 
@@ -209,7 +209,7 @@ class TestCountingStatistics:
             point = fx.crosstalk_points(topo)[0]
             lam = fx.expected_peak_rate(topo, src, det, point) * duration * n_runs
             total = sum(
-                fx.simulate_otdr_tags(topo, src, det, duration, seed=seed).detector_times_ps.size
+                channel_times(fx.simulate_otdr_tags(topo, src, det, duration, seed=seed), 1).size
                 for seed in range(n_runs)
             )
             assert abs(total - lam) <= 5.0 * np.sqrt(lam)
@@ -228,7 +228,7 @@ class TestCountingStatistics:
         blocked_fraction = (signal / 60.0) * det.dead_time_ps * 1e-12
         darks = det.dark_rate_hz * 60.0 * (1.0 - blocked_fraction)
         expected = signal + darks
-        got = stream.detector_times_ps.size
+        got = channel_times(stream, 1).size
         assert abs(got - expected) <= 5.0 * np.sqrt(expected)
         naive = fx.expected_peak_rate(topo, src, det, fx.crosstalk_points(topo)[0]) * 60.0
         assert got < naive  # dead-time losses are visible at this occupancy

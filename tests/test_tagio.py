@@ -11,9 +11,9 @@ import pytest
 import fiberxtalk as fx
 from fiberxtalk import tagio
 from fiberxtalk.cli import main
-from fiberxtalk.errors import DataError, InputError
+from fiberxtalk.errors import DataError, InputError, ResourceError
 
-from conftest import power_for_mu_det
+from conftest import power_for_mu_det, write_tags_csv
 
 
 def small_stream():
@@ -94,12 +94,60 @@ class TestXtt1:
         self.write_records(path, [])
         assert tagio.read_tags_xtt1(path).n_records == 0
 
+    @pytest.mark.parametrize("block, n", [(4, 8), (4, 9), (4, 1), (1 << 16, 2 << 16), (1 << 16, (2 << 16) + 1)],
+                             ids=["2-blocks", "2-blocks+1", "1-record", "2-default-blocks", "2-default-blocks+1"])
+    def test_block_edges_round_trip(self, tmp_path, monkeypatch, block, n):
+        monkeypatch.setattr(tagio, "XTT1_BLOCK_RECORDS", block)
+        rng = np.random.default_rng(n)
+        stream = fx.TagStream(channels=rng.integers(0, 2, n).astype(np.uint8),
+                              times_ps=rng.integers(0, 2**63, n, dtype=np.int64))
+        back = tagio.read_tags_xtt1(tagio.write_tags_xtt1(tmp_path / "tags.xtt1", stream))
+        assert back.channels.dtype == np.uint8 and back.times_ps.dtype == np.int64
+        assert np.array_equal(back.channels, stream.channels)
+        assert np.array_equal(back.times_ps, stream.times_ps)
+
+    @pytest.mark.parametrize("channel, time_ps, message", [
+        (2, 5, "channel values must be 0 (trigger) or 1 (detector)"),
+        (1, 2**63, "timestamp overflows the signed 64-bit range"),
+    ])
+    def test_fault_in_the_last_block_rejected(self, tmp_path, monkeypatch, channel, time_ps, message):
+        monkeypatch.setattr(tagio, "XTT1_BLOCK_RECORDS", 4)
+        path = tmp_path / "tags.xtt1"
+        self.write_records(path, [(0, 10 * i) for i in range(8)] + [(channel, time_ps)])
+        with pytest.raises(DataError) as excinfo:
+            tagio.read_tags_xtt1(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_short_block_read_rejected(self, tmp_path, monkeypatch):
+        # a file cut short after its size was taken: no record may come out unread
+        path = tmp_path / "tags.xtt1"
+        self.write_records(path, [(0, 10 * i) for i in range(9)])
+        monkeypatch.setattr(tagio, "XTT1_BLOCK_RECORDS", 4)
+        fromfile = np.fromfile
+        monkeypatch.setattr(np, "fromfile", lambda fh, dtype, count: fromfile(fh, dtype, count=count - 1))
+        with pytest.raises(DataError, match="file shrank while it was read"):
+            tagio.read_tags_xtt1(path)
+
+    def test_record_count_above_the_cap_exits_5(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(tagio, "DEFAULT_MAX_TAGS", 4)
+        path = tmp_path / "tags.xtt1"
+        self.write_records(path, [(0, 0), (1, 5), (0, 10), (1, 15)])
+        assert tagio.read_tags_xtt1(path).n_records == 4
+        self.write_records(path, [(0, 0), (1, 5), (0, 10), (1, 15), (0, 20)])
+        with pytest.raises(ResourceError, match="5 records exceed the cap of 4 tags"):
+            tagio.read_tags_xtt1(path)
+        code = main(["analyze", "--tags", str(path), "--topology", str(tmp_path / "topo.json"),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "E_RESOURCE"
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
         stream = small_stream()
         path = tmp_path / "tags.csv"
-        tagio.write_tags_csv(path, stream)
+        write_tags_csv(path, stream)
         back = tagio.read_tags_csv(path)
         assert np.array_equal(back.channels, stream.channels)
         assert np.array_equal(back.times_ps, stream.times_ps)
@@ -120,8 +168,9 @@ class TestCsv:
         (b"channel,time_ps\n", [], []),
         (b"channel,time_ps", [], []),
         (b"channel,time_ps\n0,+5\n1,9223372036854775807\n", [0, 1], [5, 2**63 - 1]),
+        (b"channel,time_ps\n-0,5\n+1,7\n", [0, 1], [5, 7]),
     ], ids=["blank-lines", "crlf", "quoted", "spaces", "extra-columns", "header-only",
-            "header-only-no-newline", "int64-max"])
+            "header-only-no-newline", "int64-max", "signed-channels"])
     def test_accepted_forms(self, tmp_path, text, channels, times):
         path = tmp_path / "tags.csv"
         path.write_bytes(text)
@@ -141,11 +190,14 @@ class TestCsv:
         (b"0,1\xff\n", "decode"),
         (b"0,5_0\n", "5_0"),
         (b"0,1\n2,3\n", "data row 2: channel must be 0 or 1, got 2"),
+        (b"0,1\n-1,3\n", "data row 2: channel must be 0 or 1, got -1"),
+        # a channel is parsed as int8, so one outside it no longer reaches the 0-or-1 check
+        (b"0,1\n300,3\n", "not a readable CSV file: data row 2: could not convert string '300' to int8 at column 1$"),
         (b"0,1\n1,-4\n", "data row 2: time must be >= 0 ps, got -4"),
         (b"0,9223372036854775808\n", "9223372036854775808"),
         (b"0,100000000000000000000000\n", "100000000000000000000000"),
     ], ids=["missing-column", "float", "comment", "nan", "whitespace-line", "bad-utf8", "underscore",
-            "channel-2", "negative-time", "int64-overflow", "1e23"])
+            "channel-2", "channel-minus-1", "channel-300", "negative-time", "int64-overflow", "1e23"])
     def test_rejected_forms_exit_3(self, tmp_path, body, message):
         path = tmp_path / "tags.csv"
         path.write_bytes(b"channel,time_ps\n" + body)
@@ -179,7 +231,7 @@ class TestCsv:
         source = fx.PulsedSource(avg_power_w=power_for_mu_det(0.2, -100.0), rep_rate_hz=1000.0)
         stream = fx.simulate_otdr_tags(three_point_topology, source, fx.Detector(), 2.0, seed=5)
         xtt = tagio.read_tags_xtt1(tagio.write_tags_xtt1(tmp_path / "tags.xtt1", stream))
-        csv = tagio.read_tags_csv(tagio.write_tags_csv(tmp_path / "tags.csv", stream))
+        csv = tagio.read_tags_csv(write_tags_csv(tmp_path / "tags.csv", stream))
         for back in (xtt, csv):
             assert back.channels.dtype == np.uint8 and back.times_ps.dtype == np.int64
         assert stream.n_records > 2000
@@ -190,7 +242,7 @@ class TestCsv:
     def test_sniffing_dispatch(self, tmp_path):
         stream = small_stream()
         xtt = tagio.write_tags_xtt1(tmp_path / "a.bin", stream, sidecar=False)
-        csvp = tagio.write_tags_csv(tmp_path / "b.txt", stream, sidecar=False)
+        csvp = write_tags_csv(tmp_path / "b.txt", stream, sidecar=False)
         assert np.array_equal(tagio.read_tags(xtt).times_ps, stream.times_ps)
         assert np.array_equal(tagio.read_tags(csvp).times_ps, stream.times_ps)
 
@@ -199,7 +251,7 @@ class TestWriterBytes:
     def test_tags_csv_bytes_and_largest_time(self, tmp_path):
         stream = fx.TagStream(channels=np.array([0, 1, 1], dtype=np.uint8),
                               times_ps=np.array([0, 5, 2**63 - 1], dtype=np.int64))
-        path = tagio.write_tags_csv(tmp_path / "tags.csv", stream)
+        path = write_tags_csv(tmp_path / "tags.csv", stream)
         assert path.read_bytes() == b"channel,time_ps\n0,0\n1,5\n1,9223372036854775807\n"
         back = tagio.read_tags(path)
         assert back.channels.tolist() == [0, 1, 1]
