@@ -352,7 +352,10 @@ def _model_from_args(args) -> tuple[SwitchModel, dict, dict[str, Path]]:
     if args.table:
         overrides["table"] = load_measured_table(args.table)
     model = replace(read_dataclass(doc, SwitchModel, "switch model"), **overrides)
-    return model, {"mode": "measured"} if args.table else asdict(model), _given(args, "model", "table")
+    # A measured table replaces the crosstalk fields, but not the switch size or the default carrier.
+    record = ({"mode": "measured", "n_in": model.n_in, "n_out": model.n_out, "reference_nm": model.reference_nm}
+              if args.table else asdict(model))
+    return model, record, _given(args, "model", "table")
 
 
 def _one_connection(text: str, flag: str) -> tuple[int, int]:

@@ -431,16 +431,6 @@ def _scan_rates(
     return rates
 
 
-def expected_scan_rate(
-    lines: "list[LeakLine] | tuple[LeakLine, ...]",
-    filt: TunableFilter,
-    detector: Detector,
-    center_nm: float,
-) -> float:
-    """Analytic count rate with the filter parked at ``center_nm``."""
-    return float(_scan_rates(lines, filt, detector, np.array([center_nm], dtype=float))[0])
-
-
 def simulate_spectral_scan(
     lines: "list[LeakLine] | tuple[LeakLine, ...]",
     filt: TunableFilter,

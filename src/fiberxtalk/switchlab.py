@@ -192,9 +192,9 @@ class SwitchConfig:
 def _check_ports(model: SwitchModel, i, o, inputs="input port", outputs="output port", code=None) -> None:
     """Raise :class:`ParameterError` (``code``) unless ``i`` is an input and ``o`` an output port."""
     n_in, last = model.n_in, model.n_in + model.n_out
-    if not (i.__class__ is int or is_int(i)) or not 1 <= i <= n_in:
+    if not is_int(i) or not 1 <= i <= n_in:
         raise ParameterError(f"{inputs} {i} outside 1..{n_in}", code=code)
-    if not (o.__class__ is int or is_int(o)) or not n_in < o <= last:
+    if not is_int(o) or not n_in < o <= last:
         raise ParameterError(f"{outputs} {o} outside {n_in + 1}..{last}", code=code)
 
 
@@ -388,45 +388,6 @@ def _wavelength_candidates(model: SwitchModel, bands, kind: str) -> tuple[float,
     return (lo,) if lo == hi else (lo, hi)
 
 
-def _leakage_objective(
-    model: SwitchModel,
-    classical: Sequence[ChannelPlacement],
-    quantum: Sequence[ChannelPlacement],
-) -> tuple[float, float]:
-    """(worst-case, total) leakage into quantum outputs, in dB.
-
-    Leakage is aggregated in linear power over classical channels, evaluated
-    at each classical carrier wavelength, then converted back to dB. Channels
-    are visited in canonical (sorted) order so that independently written
-    searches produce bit-identical floats.
-    """
-    if not classical or not quantum:
-        return (-math.inf, -math.inf)
-    worst = -math.inf
-    total_linear = 0.0
-    for q in sorted(quantum, key=lambda p: (p.input, p.output)):
-        linear = 0.0
-        for c in sorted(classical, key=lambda p: (p.input, p.output, p.wavelength_nm)):
-            xdb = switch_xtalk_db(
-                model, (c.input, c.output), (q.input, q.output), c.wavelength_nm
-            )
-            linear += 10.0 ** (xdb / 10.0)
-        total_linear += linear
-        leak_db = 10.0 * math.log10(linear) if linear > 0.0 else -math.inf
-        worst = max(worst, leak_db)
-    total_db = 10.0 * math.log10(total_linear) if total_linear > 0.0 else -math.inf
-    return (worst, total_db)
-
-
-def _canonical_key(
-    classical: Sequence[ChannelPlacement], quantum: Sequence[ChannelPlacement]
-) -> tuple:
-    return (
-        tuple((p.input, p.output, p.wavelength_nm) for p in sorted(classical, key=lambda p: (p.input, p.output, p.wavelength_nm))),
-        tuple((p.input, p.output, p.wavelength_nm) for p in sorted(quantum, key=lambda p: (p.input, p.output, p.wavelength_nm))),
-    )
-
-
 def _check_feasible(model: SwitchModel, k_classical: int, k_quantum: int) -> None:
     channels = require_int(k_classical, "k_classical", 0) + require_int(k_quantum, "k_quantum", 0)
     if channels > min(model.n_in, model.n_out):
@@ -463,7 +424,16 @@ def brute_force_assignment(
     """Exhaustive oracle: flat enumeration of every assignment, no pruning.
 
     Refuses search spaces larger than ``max_states``; this is the reference
-    for small instances, not a production path.
+    for small instances, not a production path. When both counts are
+    positive, ``switch_xtalk_db`` is called once per classical path, carrier
+    and quantum path that share no port, in port order, and
+    ``leak[a][b][l][v][w]`` keeps ``10 ** (x / 10)`` of each ``x``, with
+    0-based ports and carrier index. A quantum channel's leakage is summed in
+    linear power over the classical channels, in sorted order, so that
+    independently written searches give bit-identical floats; the objective is
+    the (worst, total) leakage into the quantum channels, in dB. The answer is
+    the least (objective, sorted classical, sorted quantum); channels are
+    enumerated in sorted order, and ports and carriers sort as their indices.
     """
     states = assignment_search_space(model, k_classical, k_quantum, bands)
     if states > max_states:
@@ -472,33 +442,40 @@ def brute_force_assignment(
         )
     lam_c = _wavelength_candidates(model, bands, "classical")
     lam_q = _wavelength_candidates(model, bands, "quantum")[0]
-    inputs = list(model.input_ports)
-    outputs = list(model.output_ports)
+    ins, outs = model.input_ports, model.output_ports
+    leak = None
+    if k_classical and k_quantum:  # None where the paths share a port, which no state reads
+        leak = [[[[[10.0 ** (switch_xtalk_db(model, (i, o), (v, w), nm) / 10.0) if v != i and w != o else None
+                    for w in outs] for v in ins] for nm in lam_c] for o in outs] for i in ins]
 
-    best = best_objective = best_canonical = None
-    for c_ins in itertools.combinations(inputs, k_classical):
-        for c_outs in itertools.permutations(outputs, k_classical):
-            for lams in itertools.product(lam_c, repeat=k_classical):
-                classical = tuple(
-                    ChannelPlacement(i, o, l) for i, o, l in zip(c_ins, c_outs, lams)
-                )
-                rem_in = [p for p in inputs if p not in c_ins]
-                rem_out = [p for p in outputs if p not in c_outs]
-                for q_ins in itertools.combinations(rem_in, k_quantum):
-                    for q_outs in itertools.permutations(rem_out, k_quantum):
-                        quantum = tuple(
-                            ChannelPlacement(i, o, lam_q) for i, o in zip(q_ins, q_outs)
-                        )
-                        objective = _leakage_objective(model, classical, quantum)
-                        if best is None or objective < best_objective:
-                            best, best_objective, best_canonical = (classical, quantum), objective, None
-                        elif objective == best_objective:  # a tie: the canonical order decides
-                            best_canonical = best_canonical or _canonical_key(*best)
-                            canonical = _canonical_key(classical, quantum)
-                            if canonical < best_canonical:
-                                best, best_canonical = (classical, quantum), canonical
+    best_objective, best = (math.inf, math.inf), None
+    for c_ins in itertools.combinations(range(model.n_in), k_classical):
+        free_ins = [v for v in range(model.n_in) if v not in c_ins]
+        for c_outs in itertools.permutations(range(model.n_out), k_classical):
+            free_outs = [w for w in range(model.n_out) if w not in c_outs]
+            for carriers in itertools.product(range(len(lam_c)), repeat=k_classical):
+                classical = tuple(zip(c_ins, c_outs, carriers))
+                rows = [leak[a][b][l] for a, b, l in classical] if leak else []
+                for q_ins in itertools.combinations(free_ins, k_quantum):
+                    for q_outs in itertools.permutations(free_outs, k_quantum):
+                        worst = total = 0.0
+                        for v, w in zip(q_ins, q_outs):
+                            linear = 0.0
+                            for row in rows:
+                                linear += row[v][w]
+                            total += linear
+                            if linear > worst:
+                                worst = linear
+                        objective = (_db(worst), _db(total))  # log10 is monotone: the worst in dB
+                        if objective <= best_objective:
+                            key = (classical, tuple(zip(q_ins, q_outs)))
+                            if objective < best_objective or key < best:
+                                best_objective, best = objective, key
     return Assignment(
-        classical=best[0], quantum=best[1], objective_db=best_objective[0], method="brute-force"
+        classical=tuple(ChannelPlacement(ins[a], outs[b], lam_c[l]) for a, b, l in best[0]),
+        quantum=tuple(ChannelPlacement(ins[v], outs[w], lam_q) for v, w in best[1]),
+        objective_db=best_objective[0],
+        method="brute-force",
     )
 
 
@@ -685,7 +662,7 @@ def optimize_assignment(
     (the same IEEE additions) and a partition for prune 2's order statistic;
     they are then visited and pruned one by one, in the same order and against
     the current incumbent, so the nodes visited do not change. Sums run in the
-    order of ``_leakage_objective``, so the objective matches
+    oracle's order, so the objective matches
     ``brute_force_assignment`` bit for bit. Adding a non-negative float never
     lowers a rounded sum and ``log10`` is monotone, so a partial sum bounds its
     completions and these prunes are exact: (1) a quantum path leaking more

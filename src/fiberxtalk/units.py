@@ -45,17 +45,12 @@ def require_number(value, name: str, *, minimum: float | None = None, strict: bo
     ``float()`` would accept them. With ``minimum`` the value must be at least
     ``minimum``, or above it when ``strict``.
     """
-    # Plain floats skip the type tests: the brute-force plan oracle checks
-    # wavelengths millions of times on an 8x8 switch.
-    if value.__class__ is not float:
-        if value.__class__ is not int and (
-            isinstance(value, bool) or not isinstance(value, numbers.Real)
-        ):
-            raise ParameterError(f"{name} must be a number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ParameterError(f"{name} must be finite, got an integer too large for a float") from None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
     if minimum is not None and not (value > minimum if strict else value >= minimum):
@@ -65,7 +60,7 @@ def require_number(value, name: str, *, minimum: float | None = None, strict: bo
 
 def is_int(value) -> bool:
     """The one integer rule: ints and numpy integers are integers; booleans and floats are not."""
-    return value.__class__ is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def require_int(value, name: str, minimum: int) -> int:

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import time
 
@@ -491,6 +492,26 @@ class TestSwitchCommands:
         plan = json.loads(plan_path.read_text())
         assert 1300.0 <= plan["classical"][0]["wavelength_nm"] <= 1320.0
         assert 1540.0 <= plan["quantum"][0]["wavelength_nm"] <= 1560.0
+
+    def test_measured_model_record_names_the_switch_and_its_carrier(self, tmp_path):
+        """Two ``--table`` plans that differ only in the switch size, or only in the reference
+        wavelength (the classical carrier without a band), record different models."""
+        rows = {f"{a},{b},{v},{w},{nm},-40\n" for n in (2, 3) for nm in (1310, 1550)
+                for a, v in itertools.permutations(range(1, n + 1), 2)
+                for b, w in itertools.permutations(range(n + 1, 2 * n + 1), 2)}
+        table = tmp_path / "table.csv"
+        table.write_text("a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\n" + "".join(sorted(rows)))
+        out = tmp_path / "plan.json"
+
+        def model_of(*flags):
+            assert main(["switch", "plan", "--table", str(table), "--classical", "1", "--quantum", "1",
+                         *flags, "--out", str(out)]) == 0
+            return json.loads((tmp_path / "plan.json.manifest.json").read_text())["parameters"]["model"]
+
+        small = model_of("--n-in", "2", "--n-out", "2")
+        assert small == {"mode": "measured", "n_in": 2, "n_out": 2, "reference_nm": 1310.0}
+        assert model_of("--n-in", "3", "--n-out", "3") != small
+        assert model_of("--n-in", "2", "--n-out", "2", "--lambda-ref", "1550") != small
 
 
 class TestUnitSuffixes:

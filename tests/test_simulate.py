@@ -14,7 +14,6 @@ from fiberxtalk.simulate import (
     PULSES_PER_CHUNK,
     _apply_dead_time,
     _scan_rates,
-    expected_scan_rate,
     point_mu_optical,
 )
 from fiberxtalk.units import _GAUSSIAN_FWHM_TO_SIGMA, validate_wavelength_nm
@@ -324,7 +323,7 @@ class TestSpectralScan:
         peak_idx = int(np.argmax(scan.counts))
         assert grid[peak_idx] == pytest.approx(1310.0, abs=0.2)
         # half-maximum points sit one half-FWHM away from the center
-        peak_rate = expected_scan_rate([line], filt, det, 1310.0) - det.dark_rate_hz
+        peak_rate = per_point_scan([line], filt, det, [1310.0], 1.0, seed=0)[0][0] - det.dark_rate_hz
         half_idx = int(np.argmin(np.abs(grid - (1310.0 + filt.fwhm_nm / 2))))
         half_counts = scan.counts[half_idx] - det.dark_rate_hz
         assert half_counts == pytest.approx(peak_rate / 2, rel=0.2)
@@ -385,7 +384,6 @@ class TestSpectralScan:
         assert scan.counts.tolist() == counts
         got = _scan_rates(lines, filt, det, np.asarray(grid, dtype=float)).tolist()
         assert [r.hex() for r in got] == [r.hex() for r in rates]
-        assert expected_scan_rate(lines, filt, det, grid[-1]).hex() == rates[-1].hex()
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
     def test_rekeyed_stream_equals_a_fresh_philox(self, seed):
@@ -394,10 +392,10 @@ class TestSpectralScan:
         line, filt, det = fx.LeakLine(1310.0, 2e9), fx.TunableFilter(fwhm_nm=2.0), fx.Detector(dark_rate_hz=0.3)
         grid = np.arange(1300.0, 1320.0, 0.25)
         scan = fx.simulate_spectral_scan([line], filt, det, grid, 1.0, seed=seed)
+        rates, _ = per_point_scan([line], filt, det, grid, 1.0, seed)
         want = [
-            np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-            .poisson(expected_scan_rate([line], filt, det, center))
-            for i, center in enumerate(grid.tolist())
+            np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64))).poisson(rate)
+            for i, rate in enumerate(rates)
         ]
         assert scan.counts.tolist() == want
 
@@ -405,11 +403,11 @@ class TestSpectralScan:
         # 1310.0, 1310.5 and 1311.0 nm are over the limit; 1309.5 nm is not.
         line, filt, det = fx.LeakLine(1310.5, 1e19), fx.TunableFilter(), fx.Detector()
         grid = np.arange(1308.0, 1313.0, 0.5)
-        over = [expected_scan_rate([line], filt, det, nm) > MAX_POISSON_MEAN for nm in grid.tolist()]
+        over = (_scan_rates([line], filt, det, grid) > MAX_POISSON_MEAN).tolist()
         assert over == [False] * 4 + [True] * 3 + [False] * 3
         with pytest.raises(ParameterError) as err:
             fx.simulate_spectral_scan([line], filt, det, grid, 1.0, seed=1)
-        mean = expected_scan_rate([line], filt, det, 1310.0)
+        mean = float(_scan_rates([line], filt, det, np.array([1310.0]))[0])
         assert str(err.value) == f"expected {mean:.3g} counts at 1310.0 nm; the limit is 1e+18"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -468,8 +466,9 @@ class TestModelValidation:
     def test_very_narrow_filter(self):
         # z ** 2 overflows a float 1 nm from this filter; the line adds exactly nothing there.
         line, filt, det = fx.LeakLine(1310.0, 1e6), fx.TunableFilter(fwhm_nm=1e-200), fx.Detector()
-        assert expected_scan_rate([line], filt, det, 1311.0) == det.dark_rate_hz
-        assert expected_scan_rate([line], filt, det, 1310.0) == det.dark_rate_hz + 1e6 * 10.0 ** -0.3 * det.efficiency
+        far, near = _scan_rates([line], filt, det, np.array([1311.0, 1310.0])).tolist()
+        assert far == det.dark_rate_hz
+        assert near == det.dark_rate_hz + 1e6 * 10.0 ** -0.3 * det.efficiency
         with pytest.raises(ParameterError, match="sigma underflows"):
             fx.TunableFilter(fwhm_nm=5e-324)
 

@@ -422,7 +422,11 @@ class TestAssignment:
 
     @pytest.mark.parametrize("k_c, k_q", [(0, 2), (2, 0), (1, 1)])
     def test_oracle_breaks_ties_by_canonical_order(self, k_c, k_q):
-        # with nothing leaking, or a flat model, many assignments tie on (worst, total)
+        """With nothing leaking, or a flat model, many assignments tie on (worst, total); the least
+        (worst, total, sorted classical, sorted quantum), built here from ``switch_xtalk_db``, wins."""
+        def db(linear):
+            return 10.0 * math.log10(linear) if linear > 0.0 else -math.inf
+
         for model in (fx.SwitchModel(n_in=3, n_out=3), fx.SwitchModel(n_in=3, n_out=3, beta_in_db_per_port=0.0,
                                                                       beta_out_db_per_port=0.0)):
             keys = []
@@ -432,12 +436,38 @@ class TestAssignment:
                     rem_out = [p for p in range(4, 7) if p not in c_outs]
                     for q_ins in itertools.combinations(rem_in, k_q):
                         for q_outs in itertools.permutations(rem_out, k_q):
-                            c = [ChannelPlacement(i, o, 1310.0) for i, o in zip(c_ins, c_outs)]
-                            q = [ChannelPlacement(i, o, 1310.0) for i, o in zip(q_ins, q_outs)]
-                            keys.append((*switchlab._leakage_objective(model, c, q), switchlab._canonical_key(c, q), c, q))
-            best = min(keys, key=lambda key: key[:3])
+                            c = sorted((i, o, 1310.0) for i, o in zip(c_ins, c_outs))
+                            q = sorted((i, o, 1310.0) for i, o in zip(q_ins, q_outs))
+                            leaks, total = [], 0.0
+                            for v, w, _ in q:
+                                linear = 0.0
+                                for i, o, nm in c:
+                                    linear += 10.0 ** (fx.switch_xtalk_db(model, (i, o), (v, w), nm) / 10.0)
+                                leaks.append(linear)
+                                total += linear
+                            keys.append((max(map(db, leaks), default=-math.inf), db(total), c, q))
+            worst, _, classical, quantum = min(keys)
             plan = fx.brute_force_assignment(model, k_c, k_q)
-            assert (list(plan.classical), list(plan.quantum), plan.objective_db) == (best[3], best[4], best[0])
+            assert plan.objective_db == worst
+            assert [(p.input, p.output, p.wavelength_nm) for p in plan.classical] == classical
+            assert [(p.input, p.output, p.wavelength_nm) for p in plan.quantum] == quantum
+
+    def test_oracle_calls_the_per_entry_model_once_per_entry(self, monkeypatch):
+        """One ``switch_xtalk_db`` call per (classical path, carrier, quantum path): 4 * 4 * 2 * 3 * 3."""
+        calls = []
+        per_entry = switchlab.switch_xtalk_db
+
+        def counted(model, aggressor, victim, nm):
+            calls.append((aggressor, nm, victim))
+            return per_entry(model, aggressor, victim, nm)
+
+        model, bands = fx.SwitchModel(n_in=4, n_out=4), {"classical": "C"}
+        monkeypatch.setattr(switchlab, "switch_xtalk_db", counted)
+        oracle = fx.brute_force_assignment(model, 2, 1, bands)
+        assert len(calls) == len(set(calls)) <= 288
+        plan = fx.optimize_assignment(model, 2, 1, bands)
+        assert (oracle.classical, oracle.quantum) == (plan.classical, plan.quantum)
+        assert oracle.objective_db == plan.objective_db
 
     def test_oracle_refuses_large_spaces(self):
         with pytest.raises(ResourceError):
@@ -569,9 +599,12 @@ class TestLeakTable:
         with pytest.raises(type(want)) as err:
             switchlab._leak_rows(model, tuple(lam_c))
         assert str(err.value) == str(want)
-        with pytest.raises(type(want)) as err:
-            fx.optimize_assignment(model, 2, 2, {"classical": lam_c} if len(lam_c) == 2 else None)
-        assert str(err.value) == str(want)
+        bands = {"classical": lam_c} if len(lam_c) == 2 else None
+        for plan in (lambda: fx.optimize_assignment(model, 2, 2, bands),
+                     lambda: fx.brute_force_assignment(model, 1, 1, bands)):
+            with pytest.raises(type(want)) as err:
+                plan()
+            assert str(err.value) == str(want)
 
     @settings(max_examples=80, deadline=None)
     @given(case=measured_tables())
@@ -612,7 +645,7 @@ class TestLeakTable:
             rows_of("missing.csv", [row for row in full if row[:4] != (1, 10, 3, 9)] + [junk_row])
 
     def test_plans_never_call_the_per_entry_model(self, monkeypatch):
-        # brute_force_assignment takes ~20 s on 8x8 (2, 2); this is its plan.
+        # brute_force_assignment takes ~1 s on 8x8 (2, 2); this is its plan.
         default_oracle = fx.Assignment(
             classical=(ChannelPlacement(1, 10, 1310.0), ChannelPlacement(2, 9, 1310.0)),
             quantum=(ChannelPlacement(7, 16, 1310.0), ChannelPlacement(8, 15, 1310.0)),
