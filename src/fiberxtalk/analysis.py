@@ -358,7 +358,6 @@ def detect_peaks(
     baseline: BaselineEstimate,
     k_sigma: float = DEFAULT_K_SIGMA,
     min_separation_bins: int = DEFAULT_MIN_SEPARATION_BINS,
-    bin_width_ps: int = 1,
 ) -> list[Peak]:
     """Find excursions of ``series`` above baseline + k_sigma * noise.
 
@@ -368,7 +367,8 @@ def detect_peaks(
     merged. The nominal peak bin is the leftmost maximum of the region, the
     centroid is amplitude-weighted over the region, and the FWHM comes from
     the weighted second moment (floored at one bin). A histogram's empty bins
-    never cross the threshold, so it must exceed 0.
+    never cross the threshold, so it must exceed 0. A histogram's ``bin_width_ps``
+    scales ``delay_ps`` and ``fwhm_ps``; for an array they are in points.
     """
     if not k_sigma > 0.0:
         raise ParameterError(f"k_sigma must be > 0, got {k_sigma}")
@@ -377,10 +377,10 @@ def detect_peaks(
     if isinstance(series, Histogram):
         if not threshold > 0.0:
             raise ParameterError(f"a histogram needs a peak threshold > 0 counts, got {threshold}")
-        bins, values = series.bins, series.counts
+        bins, values, bin_width_ps = series.bins, series.counts, series.bin_width_ps
     else:
         values = np.asarray(series)
-        bins = np.arange(values.size)
+        bins, bin_width_ps = np.arange(values.size), 1
     runs = _runs(bins[values >= threshold])
     if not runs:
         return []
@@ -501,14 +501,10 @@ def estimate_coupling_db(
     return CouplingEstimate(coupling_db=coupling, uncertainty_db=uncertainty)
 
 
-def detect_spectral_lines(
-    scan: SpectralScan,
-    k_sigma: float = DEFAULT_K_SIGMA,
-    min_separation_points: int = DEFAULT_MIN_SEPARATION_BINS,
-) -> list[SpectralLine]:
+def detect_spectral_lines(scan: SpectralScan, k_sigma: float = DEFAULT_K_SIGMA) -> list[SpectralLine]:
     """Run peak detection over a spectral scan and convert centroids to nm."""
     baseline = estimate_baseline(scan.counts)
-    peaks = detect_peaks(scan.counts, baseline, k_sigma, min_separation_points, bin_width_ps=1)
+    peaks = detect_peaks(scan.counts, baseline, k_sigma)
     grid = scan.wavelengths_nm
     indices = np.arange(grid.size, dtype=float)
     lines = []
@@ -567,7 +563,7 @@ def run_otdr_analysis(
     """Fold, detect, localize, and (when source/detector are known) estimate coupling."""
     histogram = fold_histogram(tags, bin_width_ps, window_ps)
     baseline = estimate_baseline(histogram)
-    peaks = detect_peaks(histogram, baseline, k_sigma, min_separation_bins, bin_width_ps)
+    peaks = detect_peaks(histogram, baseline, k_sigma, min_separation_bins)
     notes: list[str] = []
     if histogram.diagnostics.irregular_period:
         notes.append(

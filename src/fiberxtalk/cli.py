@@ -35,6 +35,7 @@ from .analysis import run_otdr_analysis, detect_spectral_lines
 from .errors import InputError, ParameterError, ResourceError, XtalkError, read_dataclass, read_json
 from .plant import load_topology
 from .simulate import (
+    DEFAULT_MAX_TAGS,
     PULSES_PER_CHUNK,
     Detector,
     LeakLine,
@@ -334,6 +335,8 @@ _MODEL_FLAGS = (
     ("slope", "slope_db_per_nm"),
     ("floor", "floor_db"),
 )
+# A measured table replaces the crosstalk fields, but not the switch size or the default carrier.
+_TABLE_KEEPS = ("n_in", "n_out", "reference_nm")
 
 
 def _model_from_args(args) -> tuple[SwitchModel, dict, dict[str, Path]]:
@@ -346,14 +349,15 @@ def _model_from_args(args) -> tuple[SwitchModel, dict, dict[str, Path]]:
     doc = read_json(args.model, "switch model") if args.model else {}
     if isinstance(doc, dict) and "table" in doc:
         raise InputError("switch model: a measured table comes only from --table")
-    overrides = {
-        key: getattr(args, flag) for flag, key in _MODEL_FLAGS if getattr(args, flag) is not None
-    }
+    overrides = {key: getattr(args, flag) for flag, key in _MODEL_FLAGS if getattr(args, flag) is not None}
     if args.table:
+        ignored = [f"--{flag.replace('_', '-')}" for flag, key in _MODEL_FLAGS
+                   if key in overrides and key not in _TABLE_KEEPS]
+        if ignored:
+            raise InputError(f"--table replaces the parametric model, so {', '.join(ignored)} would be ignored")
         overrides["table"] = load_measured_table(args.table)
     model = replace(read_dataclass(doc, SwitchModel, "switch model"), **overrides)
-    # A measured table replaces the crosstalk fields, but not the switch size or the default carrier.
-    record = ({"mode": "measured", "n_in": model.n_in, "n_out": model.n_out, "reference_nm": model.reference_nm}
+    record = ({"mode": "measured", **{key: getattr(model, key) for key in _TABLE_KEEPS}}
               if args.table else asdict(model))
     return model, record, _given(args, "model", "table")
 
@@ -457,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help=f"threads simulating blocks of {PULSES_PER_CHUNK} pulses; outputs do not depend on it",
     )
-    sim.add_argument("--max-tags", dest="max_tags", type=int, default=50_000_000)
+    sim.add_argument("--max-tags", dest="max_tags", type=int, default=DEFAULT_MAX_TAGS)
     sim.add_argument("--lax", action="store_true", help="ignore unknown topology keys")
     sim.set_defaults(func=cmd_simulate)
 

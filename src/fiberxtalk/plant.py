@@ -145,8 +145,8 @@ class Topology:
     """Immutable plant description; safe to share across threads after load.
 
     Construction checks that there is a span, that span and connector ids are
-    unique, that connector positions strictly increase within the route, and
-    that the probe and victim are different fibers.
+    unique, that connector positions strictly increase within the route, that
+    the probe and victim differ, and that the detector end is "near" or "far".
     """
 
     spans: tuple[FiberSpan, ...]
@@ -180,6 +180,8 @@ class Topology:
             raise ParameterError(
                 f"probe and victim must be different fibers, both are {self.aggressor_fiber_id!r}"
             )
+        if self.detector_end not in ("near", "far"):
+            raise ParameterError(f"detector_end: expected one of ('near', 'far'), got {self.detector_end!r}")
 
     @property
     def total_length_m(self) -> float:

@@ -29,11 +29,10 @@ from .plant import (
 )
 from .units import (
     _GAUSSIAN_FWHM_TO_SIGMA,
-    WAVELENGTH_MAX_NM,
-    WAVELENGTH_MIN_NM,
     photon_energy_joules,
     require_int,
     require_number,
+    validate_grid_nm,
     validate_wavelength_nm,
 )
 
@@ -96,19 +95,16 @@ class Detector:
 
 @dataclass(frozen=True)
 class TunableFilter:
-    """Scanning bandpass filter with a Gaussian transmission profile."""
+    """Scanning Gaussian bandpass filter; a scan parks it at each grid point in turn."""
 
     fwhm_nm: float = 0.8
     insertion_loss_db: float = 3.0
-    center_nm: float | None = None
 
     def __post_init__(self):
         require_number(self.fwhm_nm, "fwhm_nm", minimum=0.0, strict=True)
         if self.fwhm_nm * _GAUSSIAN_FWHM_TO_SIGMA == 0.0:
             raise ParameterError(f"fwhm_nm {self.fwhm_nm!r} is too narrow: its sigma underflows to 0")
         require_number(self.insertion_loss_db, "insertion_loss_db", minimum=0.0)
-        if self.center_nm is not None:
-            validate_wavelength_nm(self.center_nm)
 
 
 @dataclass(frozen=True)
@@ -449,16 +445,7 @@ def simulate_spectral_scan(
     """
     seed = _validate_seed(seed)
     require_number(dwell_s, "dwell_s", minimum=0.0, strict=True)
-    grid = np.asarray(grid_nm, dtype=float)
-    if grid.size == 0:
-        raise ParameterError("wavelength grid must not be empty")
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is not > 0
-        if not (np.diff(grid) > 0).all():
-            raise ParameterError("wavelength grid must be strictly increasing")
-    # The negated test sends NaN and inf to the check as well.
-    outside = np.flatnonzero(~((WAVELENGTH_MIN_NM <= grid) & (grid <= WAVELENGTH_MAX_NM)))
-    if outside.size:
-        validate_wavelength_nm(float(grid[outside[0]]))
+    grid = validate_grid_nm(grid_nm)
     for line in lines:
         if not isinstance(line, LeakLine):
             raise ParameterError(f"expected LeakLine entries, got {type(line).__name__}")

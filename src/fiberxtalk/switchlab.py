@@ -29,7 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError, ResourceError, read_csv_columns, reject_rows
-from .units import C_BAND_NM, O_BAND_NM, is_int, require_int, require_number, validate_wavelength_nm
+from .units import (
+    C_BAND_NM, O_BAND_NM, is_int, require_int, require_number, validate_grid_nm, validate_wavelength_nm,
+)
 
 DEFAULT_SLOPE_DB_PER_NM = 10.0 / 300.0
 DEFAULT_STATE_LIMIT = 1_000_000
@@ -330,12 +332,7 @@ def sweep_wavelength(
     grid_nm: Sequence[float],
 ) -> list[tuple[float, float]]:
     """Crosstalk of one configuration across a wavelength grid."""
-    grid = [float(nm) for nm in grid_nm]
-    if not grid:
-        raise ParameterError("wavelength grid must not be empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParameterError("wavelength grid must be strictly increasing")
-    return [(nm, switch_xtalk_db(model, aggressor, victim, nm)) for nm in grid]
+    return [(nm, switch_xtalk_db(model, aggressor, victim, nm)) for nm in validate_grid_nm(grid_nm).tolist()]
 
 
 # --- port/wavelength assignment planning ----------------------------------------
@@ -418,15 +415,13 @@ def brute_force_assignment(
     k_classical: int,
     k_quantum: int,
     bands=None,
-    *,
-    max_states: int = DEFAULT_STATE_LIMIT,
 ) -> Assignment:
     """Exhaustive oracle: flat enumeration of every assignment, no pruning.
 
-    Refuses search spaces larger than ``max_states``; this is the reference
-    for small instances, not a production path. When both counts are
-    positive, ``switch_xtalk_db`` is called once per classical path, carrier
-    and quantum path that share no port, in port order, and
+    Refuses search spaces larger than ``DEFAULT_STATE_LIMIT``; this is the
+    reference for small instances, not a production path. When both counts
+    are positive, ``switch_xtalk_db`` is called once per classical path,
+    carrier and quantum path that share no port, in port order, and
     ``leak[a][b][l][v][w]`` keeps ``10 ** (x / 10)`` of each ``x``, with
     0-based ports and carrier index. A quantum channel's leakage is summed in
     linear power over the classical channels, in sorted order, so that
@@ -436,10 +431,8 @@ def brute_force_assignment(
     enumerated in sorted order, and ports and carriers sort as their indices.
     """
     states = assignment_search_space(model, k_classical, k_quantum, bands)
-    if states > max_states:
-        raise ResourceError(
-            f"search space of {states} states exceeds the oracle cap of {max_states}"
-        )
+    if states > DEFAULT_STATE_LIMIT:
+        raise ResourceError(f"search space of {states} states exceeds the oracle cap of {DEFAULT_STATE_LIMIT}")
     lam_c = _wavelength_candidates(model, bands, "classical")
     lam_q = _wavelength_candidates(model, bands, "quantum")[0]
     ins, outs = model.input_ports, model.output_ports

@@ -79,8 +79,8 @@ def read_metadata(path: "str | Path") -> dict | None:
     return metadata
 
 
-def write_tags_xtt1(path: "str | Path", stream: TagStream, *, sidecar: bool = True) -> Path:
-    """Write a tag stream as an XTT1 binary file (plus metadata sidecar)."""
+def write_tags_xtt1(path: "str | Path", stream: TagStream) -> Path:
+    """Write a tag stream as an XTT1 binary file, plus a sidecar when it has metadata."""
     path = Path(path)
     records = np.empty(stream.n_records, dtype=_RECORD_DTYPE)
     records["channel"] = stream.channels
@@ -90,7 +90,7 @@ def write_tags_xtt1(path: "str | Path", stream: TagStream, *, sidecar: bool = Tr
     with open(path, "wb") as fh:
         fh.write(XTT1_MAGIC)
         fh.write(records.tobytes())
-    if sidecar and stream.metadata:
+    if stream.metadata:
         write_metadata(path, stream.metadata)
     return path
 

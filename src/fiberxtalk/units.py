@@ -5,15 +5,17 @@ Conventions used throughout the package: power in dBm or watts, losses in dB
 picoseconds (integer on the wire), distances in meters. Every numeric input
 passes through :func:`require_number`, every integer one (a count, a port, a
 lane, a bin width, a seed) follows :func:`is_int`, most through
-:func:`require_int`, and every wavelength the package models passes through
-:func:`validate_wavelength_nm`. Delays map to distances along the plant in
-:mod:`fiberxtalk.plant`.
+:func:`require_int`, every wavelength the package models passes through
+:func:`validate_wavelength_nm` and every grid through :func:`validate_grid_nm`.
+Delays map to distances along the plant in :mod:`fiberxtalk.plant`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -82,6 +84,21 @@ def validate_wavelength_nm(nm: float) -> float:
             f"[{WAVELENGTH_MIN_NM:.0f}, {WAVELENGTH_MAX_NM:.0f}] nm"
         )
     return nm
+
+
+def validate_grid_nm(grid_nm) -> np.ndarray:
+    """Return a wavelength grid as float64, checked to be non-empty, strictly increasing and in range."""
+    grid = np.asarray(grid_nm, dtype=float)
+    if grid.size == 0:
+        raise ParameterError("wavelength grid must not be empty")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is not > 0
+        if not (np.diff(grid) > 0).all():
+            raise ParameterError("wavelength grid must be strictly increasing")
+    # The negated test sends NaN and inf to the check as well.
+    outside = np.flatnonzero(~((WAVELENGTH_MIN_NM <= grid) & (grid <= WAVELENGTH_MAX_NM)))
+    if outside.size:
+        validate_wavelength_nm(float(grid[outside[0]]))
+    return grid
 
 
 def photon_energy_joules(wavelength_nm: float) -> float:

@@ -68,9 +68,9 @@ def channel_times(stream, channel):
     return stream.times_ps[stream.channels == channel]
 
 
-def write_tags_csv(path, stream, *, sidecar=True):
+def write_tags_csv(path, stream):
     """A tag stream as the CSV ``tagio.read_tags_csv`` reads: header ``channel,time_ps``, one row per tag."""
     path = tagio.write_csv(path, "channel,time_ps", "%d,%d", (stream.channels, stream.times_ps))
-    if sidecar and stream.metadata:
+    if stream.metadata:
         tagio.write_metadata(path, stream.metadata)
     return path

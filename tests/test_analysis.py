@@ -1,5 +1,6 @@
 """Folding, baseline, peak detection, localization, and coupling inversion."""
 
+import dataclasses
 import time
 import tracemalloc
 
@@ -391,9 +392,18 @@ class TestSparseMatchesDense:
         base = estimate_baseline(hist)
         assert np.float64(base.level).tobytes() == np.float64(np.median(dense)).tobytes()
         assert base == estimate_baseline(dense)
-        assert detect_peaks(hist, base, k_sigma, min_separation, 7) == detect_peaks(
-            dense, base, k_sigma, min_separation, 7
-        )
+        width = hist.bin_width_ps
+        assert detect_peaks(hist, base, k_sigma, min_separation) == [
+            dataclasses.replace(p, delay_ps=p.delay_ps * width, fwhm_ps=p.fwhm_ps * width)
+            for p in detect_peaks(dense, base, k_sigma, min_separation)
+        ]
+
+    def test_histogram_peaks_are_in_ps(self):
+        hist = sparse_from(gapped([10]))  # 100 ps bins: tall bins 5 and 16
+        peaks = detect_peaks(hist, estimate_baseline(hist))
+        assert [p.centroid_bins for p in peaks] == [5.5, 16.5]
+        assert [p.delay_ps for p in peaks] == [p.centroid_bins * 100 for p in peaks] == [550.0, 1650.0]
+        assert [p.fwhm_ps for p in peaks] == [100.0, 100.0]
 
     def test_histogram_needs_a_positive_threshold(self):
         with pytest.raises(ParameterError, match="threshold"):

@@ -349,6 +349,14 @@ class TestScan:
         assert main(["scan-analyze", "--scan", str(scan_path), "--out", str(report_path)]) == 0
         assert json.loads(report_path.read_text())["lines"] == []
 
+    def test_filter_center_is_an_unknown_key(self, tmp_path, capsys):
+        filt = write_json(tmp_path / "filter.json", {"fwhm_nm": 0.8, "center_nm": 1310.0})
+        assert main(["scan", "--lines", str(write_json(tmp_path / "lines.json", [])), "--filter", str(filt),
+                     "--grid", "1300:1310:1", "--dwell", "1s", "--seed", "1", "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == [{"error": "E_INPUT", "message": (
+            "filter: unknown key(s) ['center_nm']; expected ['fwhm_nm', 'insertion_loss_db']")}]
+
     def test_grid_outside_validated_range_is_parameter_error(self, tmp_path, capsys):
         lines = write_json(tmp_path / "lines.json", [])
         code = main([
@@ -512,6 +520,21 @@ class TestSwitchCommands:
         assert small == {"mode": "measured", "n_in": 2, "n_out": 2, "reference_nm": 1310.0}
         assert model_of("--n-in", "3", "--n-out", "3") != small
         assert model_of("--n-in", "2", "--n-out", "2", "--lambda-ref", "1550") != small
+
+    @pytest.mark.parametrize("command", [
+        ["plan", "--classical", "1", "--quantum", "1"], ["sweep-config"],
+        ["sweep-wavelength", "--aggressor", "1:4", "--victim", "2:3"],
+    ])
+    def test_table_refuses_the_parametric_model_flags(self, tmp_path, capsys, command):
+        table = tmp_path / "table.csv"
+        table.write_text("a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\n1,4,2,3,1310,-40\n2,3,1,4,1310,-40\n")
+        out = tmp_path / "out"
+        assert main(["switch", *command, "--table", str(table), "--n-in", "2", "--n-out", "2", "--lambda-ref", "1310",
+                     "--c0=-40", "--beta-in=1", "--beta-out=1", "--slope=0", "--floor=-90", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == [{"error": "E_INPUT", "message": (
+            "--table replaces the parametric model, so --c0, --beta-in, --beta-out, --slope, --floor would be ignored")}]
+        assert not out.exists()
 
 
 class TestUnitSuffixes:
@@ -747,7 +770,7 @@ def scan_case():
     line = {"wavelength_nm": 1310.0, "rate_photons_per_s": 1e3}
     files = st.fixed_dictionaries({
         "lines.json": st.one_of(mutated(line).map(lambda entry: [entry]), JUNK),
-        "filter.json": mutated({"fwhm_nm": 0.8, "insertion_loss_db": 3.0, "center_nm": None}),
+        "filter.json": mutated({"fwhm_nm": 0.8, "insertion_loss_db": 3.0}),
     })
     grids = st.sampled_from(["1300:1310:1", "1310:1300:1", "900:950:10", "1300:1310", "a:b:c", "1300:1310:0"])
     return st.tuples(files, grids, TIMES).map(lambda case: (case[0], [

@@ -266,6 +266,16 @@ class TestSweeps:
         curve = fx.sweep_wavelength(DEFAULT, (1, 10), (2, 9), [1310.0])
         assert curve == [(1310.0, -50.0)]
 
+    @pytest.mark.parametrize("grid", [
+        [], [1310.0, 1300.0], [1300.0, 1300.0], [1300.0, math.nan], [999.0, 1300.0], [1300.0, 2000.5, 2100.0],
+    ])
+    def test_grid_faults_match_the_scan(self, grid):
+        with pytest.raises(ParameterError) as scan:
+            fx.simulate_spectral_scan([], fx.TunableFilter(), fx.Detector(), grid, 1.0, seed=1)
+        with pytest.raises(ParameterError) as sweep:
+            fx.sweep_wavelength(DEFAULT, (1, 10), (2, 9), grid)
+        assert str(sweep.value) == str(scan.value)
+
     def test_sweep_point_label(self):
         point = ConfigSweepPoint(aggressor=(1, 10), victim=(2, 9), xtalk_db=-50.0)
         assert point.label == "1->10,2->9"
@@ -470,8 +480,9 @@ class TestAssignment:
         assert oracle.objective_db == plan.objective_db
 
     def test_oracle_refuses_large_spaces(self):
-        with pytest.raises(ResourceError):
-            fx.brute_force_assignment(fx.SwitchModel(), 3, 3, max_states=1000)
+        # 8x8 (3, 3) has 11,289,600 states, over the cap: refused before any is enumerated
+        with pytest.raises(ResourceError, match="11289600 states exceeds the oracle cap of 1000000"):
+            fx.brute_force_assignment(fx.SwitchModel(), 3, 3)
 
     def test_infeasible_counts_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,6 +1,7 @@
 """Tag, scan, and histogram file formats."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import warnings
@@ -36,7 +37,8 @@ class TestXtt1:
 
     def test_layout_is_stable(self, tmp_path):
         path = tmp_path / "tags.xtt1"
-        tagio.write_tags_xtt1(path, small_stream(), sidecar=False)
+        tagio.write_tags_xtt1(path, dataclasses.replace(small_stream(), metadata={}))
+        assert not tagio.metadata_path(path).exists()  # no metadata, no sidecar
         raw = path.read_bytes()
         assert raw[:8] == b"XTT1\x00\x00\x00\x01"
         assert (len(raw) - 8) % 9 == 0
@@ -55,7 +57,7 @@ class TestXtt1:
 
     def test_truncated_record_rejected(self, tmp_path):
         path = tmp_path / "tags.xtt1"
-        tagio.write_tags_xtt1(path, small_stream(), sidecar=False)
+        tagio.write_tags_xtt1(path, dataclasses.replace(small_stream(), metadata={}))
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(DataError, match="truncated"):
             tagio.read_tags_xtt1(path)
@@ -240,9 +242,9 @@ class TestCsv:
         assert csv.metadata == xtt.metadata
 
     def test_sniffing_dispatch(self, tmp_path):
-        stream = small_stream()
-        xtt = tagio.write_tags_xtt1(tmp_path / "a.bin", stream, sidecar=False)
-        csvp = write_tags_csv(tmp_path / "b.txt", stream, sidecar=False)
+        stream = dataclasses.replace(small_stream(), metadata={})
+        xtt = tagio.write_tags_xtt1(tmp_path / "a.bin", stream)
+        csvp = write_tags_csv(tmp_path / "b.txt", stream)
         assert np.array_equal(tagio.read_tags(xtt).times_ps, stream.times_ps)
         assert np.array_equal(tagio.read_tags(csvp).times_ps, stream.times_ps)
 
