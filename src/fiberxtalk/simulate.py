@@ -3,11 +3,16 @@
 Randomness comes from the Philox counter-based generator (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11). An OTDR run is cut
 into fixed blocks of ``PULSES_PER_CHUNK`` pulses and each block draws from its
-own ``[seed, chunk]`` key; each grid point of a spectral scan still draws
-from its own ``[seed, index]`` key, through one generator that is re-keyed
-per point. Output therefore depends only on the seed and the chunk size, not
-on how the chunks are spread over workers, which is what makes ``--jobs``
-safe and repeated runs byte-identical.
+own ``[seed, chunk]`` key. A block draws one Poisson total per crosstalk point
+and one for the darks, thins the point totals binomially by the detector
+efficiency, and only then gives each kept photon and each dark count a pulse
+and a time (Poisson splitting; Devroye, *Non-Uniform Random Variate
+Generation*, 1986, ch. X), so its cost follows the photons, not the pulses.
+Each grid point of a spectral scan draws from its own ``[seed, index]`` key,
+through one generator that is re-keyed per point. Output therefore depends
+only on the seed and the chunk size, not on how the chunks are spread over
+workers, which is what makes ``--jobs`` safe and repeated runs
+byte-identical.
 """
 
 from __future__ import annotations
@@ -218,31 +223,37 @@ def _simulate_chunk(
     efficiency: float,
     dark_mu: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Unsorted detector-candidate times for one block of pulses.
+    """Unsorted detector-candidate times for one block of ``n`` pulses.
 
     Also returns, per point, the photons that arrived and those that survived
-    efficiency thinning, and the number of dark counts. The draws are made in
-    a fixed order (Poisson counts, arrival jitter, thinning, dark phases), so
-    they are part of the stream's definition.
+    efficiency thinning, and the number of dark counts. Poisson splitting and
+    binomial thinning give each pulse and point an independent Poisson count,
+    as a draw per pulse would, from work in proportion to the photons. The
+    draws are made in this order, which is part of the stream's definition:
+
+    1. ``poisson(n * [mu_1 ... mu_P, dark_mu])``, the chunk's total per point
+       and its darks;
+    2. ``binomial(arrived[:P], efficiency)``, the detected photons per point;
+    3. ``integers(0, n)``, a pulse for each detected photon, points in order;
+    4. ``normal(delay, sigma_ps)``, each detected photon's arrival;
+    5. ``integers(0, n)``, a pulse for each dark count, then
+       ``floor(random() * period)``, its phase.
     """
     rng = _substream(seed, chunk)
     first = chunk * PULSES_PER_CHUNK
     n = min(PULSES_PER_CHUNK, n_pulses - first)
-    n_points = mus.size
-    counts = rng.poisson(np.append(mus, dark_mu), size=(n, n_points + 1))
-    signal = counts[:, :n_points]
-    photon = np.repeat(np.arange(n * n_points), signal.ravel())
-    pulse, point = np.divmod(photon, n_points)
-    arrivals = rng.normal(delays[point], sigma_ps)
-    accepted = rng.random(photon.size) < efficiency
-    dark_pulse = np.repeat(np.arange(n), counts[:, n_points])
-    dark_phase = np.floor(rng.random(dark_pulse.size) * period)
+    arrived = rng.poisson(n * np.append(mus, dark_mu))
+    signal, n_darks = arrived[:-1], int(arrived[-1])
+    detected = rng.binomial(signal, efficiency)
+    pulse = rng.integers(0, n, int(detected.sum()))
+    arrivals = rng.normal(np.repeat(delays, detected), sigma_ps)
+    dark_pulse = rng.integers(0, n, n_darks)
+    dark_phase = np.floor(rng.random(n_darks) * period)
     times = np.concatenate([
-        (first + pulse[accepted]) * period + np.rint(arrivals[accepted]).astype(np.int64),
+        (first + pulse) * period + np.rint(arrivals).astype(np.int64),
         (first + dark_pulse) * period + dark_phase.astype(np.int64),
     ])
-    after_efficiency = np.bincount(point[accepted], minlength=n_points)
-    return times, signal.sum(axis=0), after_efficiency, int(dark_pulse.size)
+    return times, signal, detected, n_darks
 
 
 def _apply_dead_time(times_sorted: np.ndarray, dead_time_ps: int) -> np.ndarray:
@@ -285,7 +296,11 @@ def simulate_otdr_tags(
     pulse width and detector jitter combined in quadrature; detection
     efficiency thins photons before the dead-time sweep. Dark counts are
     uniform over each pulse period and are not thinned (the dark rate is
-    already detector-referred). The metadata accounts for every candidate:
+    already detector-referred). Each block of ``PULSES_PER_CHUNK`` pulses
+    draws its photons by Poisson splitting from its own ``[seed, chunk]``
+    key, in the order :func:`_simulate_chunk` gives; a chunk's expected
+    photons from one point, or its expected darks, must not pass
+    ``MAX_POISSON_MEAN``. The metadata accounts for every candidate:
     photons after efficiency plus darks, minus ``dropped_negative_time`` and
     ``dropped_dead_time``, equals ``n_detector_tags``.
     """
@@ -312,6 +327,18 @@ def simulate_otdr_tags(
         raise ResourceError(
             f"expected ~{expected_total:.3g} tags exceeds the cap of {max_tags}; "
             "shorten the run or raise max_tags"
+        )
+    # The cap counts detections only; a chunk's photons before thinning must
+    # still fit numpy's Poisson sampler.
+    chunk_pulses = min(PULSES_PER_CHUNK, n_pulses)
+    chunk_means = chunk_pulses * np.append(mus, dark_mu)
+    over = np.flatnonzero(~(chunk_means <= MAX_POISSON_MEAN))
+    if over.size:
+        first = over[0]
+        what = f"photons from the point at {points[first].position_m} m" if first < len(points) else "dark counts"
+        raise ParameterError(
+            f"expected {float(chunk_means[first]):.3g} {what} in a chunk of {chunk_pulses} pulses; "
+            f"the limit is {MAX_POISSON_MEAN:.0e}"
         )
 
     def run(chunk: int):
@@ -347,7 +374,7 @@ def simulate_otdr_tags(
     metadata = {
         "schema_version": 1,
         "kind": "otdr-tags",
-        "generator": "philox-chunked",
+        "generator": "philox-chunked-split",
         "pulses_per_chunk": PULSES_PER_CHUNK,
         "seed": seed,
         "duration_s": duration_s,

@@ -87,8 +87,10 @@ def validate_wavelength_nm(nm: float) -> float:
 
 
 def validate_grid_nm(grid_nm) -> np.ndarray:
-    """Return a wavelength grid as float64, checked to be non-empty, strictly increasing and in range."""
+    """Return a wavelength grid as float64, checked to be one-dimensional, non-empty, strictly increasing and in range."""
     grid = np.asarray(grid_nm, dtype=float)
+    if grid.ndim != 1:
+        raise ParameterError("wavelength grid must be one-dimensional")
     if grid.size == 0:
         raise ParameterError("wavelength grid must not be empty")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is not > 0

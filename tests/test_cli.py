@@ -164,6 +164,24 @@ class TestSimulateAnalyze:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "E_RESOURCE"
 
+    def test_bright_source_without_efficiency_exits_4(self, tmp_path, plant_files, capsys):
+        topo, _, _ = plant_files
+        source = write_json(tmp_path / "bright.json", {"avg_power_w": 1e12})
+        detector = write_json(tmp_path / "blind.json", {"efficiency": 0.0})
+        code = main([
+            "simulate", "--topology", str(topo), "--source", str(source),
+            "--detector", str(detector), "--duration", "1s", "--seed", "1",
+            "--out", str(tmp_path / "x.xtt1"),
+        ])
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "E_PARAM"
+        assert err["message"].startswith("expected ")
+        assert err["message"].endswith(" photons from the point at 150.0 m in a chunk of 1000 pulses; the limit is 1e+18")
+        assert not (tmp_path / "x.xtt1").exists()
+
     @pytest.mark.parametrize("error, message", [
         (MemoryError(), "out of memory"),
         (MemoryError("Unable to allocate 8.00 GiB"), "out of memory: Unable to allocate 8.00 GiB"),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 import fiberxtalk as fx
 from fiberxtalk.errors import ParameterError, ResourceError
@@ -14,6 +15,8 @@ from fiberxtalk.simulate import (
     PULSES_PER_CHUNK,
     _apply_dead_time,
     _scan_rates,
+    _simulate_chunk,
+    _substream,
     point_mu_optical,
 )
 from fiberxtalk.units import _GAUSSIAN_FWHM_TO_SIGMA, validate_wavelength_nm
@@ -90,6 +93,31 @@ class TestDeterminism:
             assert np.array_equal(serial.times_ps, threaded.times_ps)
             assert np.array_equal(serial.channels, threaded.channels)
         assert serial.metadata["n_pulses"] >= 3 * PULSES_PER_CHUNK
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_chunk_draws_follow_the_documented_order(self, seed):
+        # The last chunk of a run one chunk and 1000 pulses long, rebuilt draw
+        # by draw; the middle point sends no photons.
+        mus, delays = np.array([0.3, 0.0, 0.02]), np.array([1.5e6, 4.0e6, 7.25e6])
+        period, sigma, efficiency, dark_mu = 10_000_000, 65.0, 0.85, 0.01
+        n_pulses, chunk, n = PULSES_PER_CHUNK + 1000, 1, 1000
+        rng = _substream(seed, chunk)
+        arrived = rng.poisson(n * np.array([*mus, dark_mu]))
+        detected = rng.binomial(arrived[:3], efficiency)
+        pulse = PULSES_PER_CHUNK + rng.integers(0, n, int(detected.sum()))
+        jitter = rng.normal(np.repeat(delays, detected), sigma)
+        dark_pulse = PULSES_PER_CHUNK + rng.integers(0, n, int(arrived[3]))
+        dark_phase = np.floor(rng.random(int(arrived[3])) * period)
+        want = [int(p) * period + int(np.rint(j)) for p, j in zip(pulse, jitter)]
+        want += [int(p) * period + int(f) for p, f in zip(dark_pulse, dark_phase)]
+
+        times, got_arrived, got_detected, darks = _simulate_chunk(
+            chunk, n_pulses, seed, period, mus, delays, sigma, efficiency, dark_mu)
+        assert times.tolist() == want
+        assert got_arrived.tolist() == arrived[:3].tolist()
+        assert got_detected.tolist() == detected.tolist()
+        assert darks == arrived[3]
+        assert detected.sum() > 0 and darks > 0
 
 
 class TestStreamInvariants:
@@ -168,6 +196,19 @@ class TestStreamInvariants:
         assert numpy_seeded.metadata == seeded.metadata
         assert type(numpy_seeded.metadata["seed"]) is int
 
+    def test_bright_source_beyond_the_poisson_limit(self, three_point_topology):
+        # with no efficiency the cap counts no detections, but 1000 pulses of
+        # a 1 TW probe bring ~1e21 photons from the first point
+        src, det = fx.PulsedSource(avg_power_w=1e12), fx.Detector(efficiency=0.0)
+        mean = 1000 * point_mu_optical(three_point_topology, src, fx.crosstalk_points(three_point_topology)[0])
+        with pytest.raises(ParameterError) as err:
+            fx.simulate_otdr_tags(three_point_topology, src, det, 1.0, seed=1)
+        assert str(err.value) == (
+            f"expected {mean:.3g} photons from the point at 150.0 m in a chunk of 1000 pulses; the limit is 1e+18")
+        with pytest.raises(ParameterError, match=r"^expected 1\.03e\+19 dark counts in a chunk of 65536 pulses"):
+            fx.simulate_otdr_tags(lossless_topology(), fx.PulsedSource(avg_power_w=1e-9),
+                                  fx.Detector(dark_rate_hz=1.57e17), 100.0, seed=1, max_tags=10**30)
+
     @pytest.mark.parametrize("max_tags", [-1, 0, 1.5])
     def test_rejects_max_tags_below_one(self, three_point_topology, max_tags):
         src = fx.PulsedSource(avg_power_w=1e-6)
@@ -231,6 +272,34 @@ class TestCountingStatistics:
         assert abs(got - expected) <= 5.0 * np.sqrt(expected)
         naive = fx.expected_peak_rate(topo, src, det, fx.crosstalk_points(topo)[0]) * 60.0
         assert got < naive  # dead-time losses are visible at this occupancy
+
+    def test_per_pulse_detections_are_poisson(self):
+        # 200k pulses span four chunks; no dead time, no darks, and a 42 ns
+        # spread that keeps every photon inside its own 10 us period
+        topo = lossless_topology([connector_doc("c", 500.0)])
+        mu_det, rep_rate_hz = 0.1, 1e5
+        src = fx.PulsedSource(avg_power_w=power_for_mu_det(mu_det, -100.0, rep_rate_hz=rep_rate_hz),
+                              rep_rate_hz=rep_rate_hz, pulse_width_ps=1e5)
+        det = fx.Detector(dead_time_ps=0, dark_rate_hz=0.0)
+        stream = fx.simulate_otdr_tags(topo, src, det, 2.0, seed=20260)
+        n = stream.metadata["n_pulses"]
+        assert n > 3 * PULSES_PER_CHUNK
+        counts = np.bincount(channel_times(stream, 1) // src.period_ps, minlength=n)
+        assert counts.size == n
+        p0 = math.exp(-mu_det)
+        assert abs((counts == 0).mean() - p0) <= 3.0 * math.sqrt(p0 * (1.0 - p0) / n)
+        dispersion = counts.var(ddof=1) / counts.mean()
+        assert abs(dispersion - 1.0) <= 3.0 * math.sqrt(2.0 / (n - 1))
+
+    def test_dark_phases_are_uniform_over_the_period(self):
+        src = fx.PulsedSource(avg_power_w=1e-9, rep_rate_hz=1e5)
+        det = fx.Detector(dead_time_ps=0, dark_rate_hz=1e4)
+        stream = fx.simulate_otdr_tags(lossless_topology(), src, det, 2.0, seed=20261)
+        assert stream.metadata["n_pulses"] > PULSES_PER_CHUNK
+        phases = channel_times(stream, 1) % src.period_ps
+        assert phases.size == stream.metadata["n_darks"] > 10_000
+        counts = np.bincount(phases * 50 // src.period_ps, minlength=50)
+        assert stats.chisquare(counts).pvalue > 0.0027  # 3 sigma
 
 
 def sequential_dead_time(times, dead_time_ps):

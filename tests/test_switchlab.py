@@ -268,6 +268,7 @@ class TestSweeps:
 
     @pytest.mark.parametrize("grid", [
         [], [1310.0, 1300.0], [1300.0, 1300.0], [1300.0, math.nan], [999.0, 1300.0], [1300.0, 2000.5, 2100.0],
+        [[1300.0, 1310.0]], 1310.0, [[]],
     ])
     def test_grid_faults_match_the_scan(self, grid):
         with pytest.raises(ParameterError) as scan:

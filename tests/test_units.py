@@ -46,6 +46,13 @@ class TestWavelengthRange:
             units.validate_wavelength_nm(value)
 
 
+class TestGrid:
+    @pytest.mark.parametrize("grid", [[[1300.0, 1310.0]], 1310.0, [[]]])
+    def test_rejects_a_grid_that_is_not_one_dimensional(self, grid):
+        with pytest.raises(ParameterError, match="^wavelength grid must be one-dimensional$"):
+            units.validate_grid_nm(grid)
+
+
 class TestRequireInt:
     @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
     def test_accepts_integers_and_returns_an_int(self, value):
