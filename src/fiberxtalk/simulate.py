@@ -8,11 +8,10 @@ and one for the darks, thins the point totals binomially by the detector
 efficiency, and only then gives each kept photon and each dark count a pulse
 and a time (Poisson splitting; Devroye, *Non-Uniform Random Variate
 Generation*, 1986, ch. X), so its cost follows the photons, not the pulses.
-Each grid point of a spectral scan draws from its own ``[seed, index]`` key,
-through one generator that is re-keyed per point. Output therefore depends
-only on the seed and the chunk size, not on how the chunks are spread over
-workers, which is what makes ``--jobs`` safe and repeated runs
-byte-identical.
+An OTDR run's output therefore depends only on the seed and the chunk size,
+not on how the chunks are spread over workers, which is what makes ``--jobs``
+safe and repeated runs byte-identical. A spectral scan draws all its counts in
+grid order, in one Poisson call on the stream keyed ``[seed, 0]``.
 """
 
 from __future__ import annotations
@@ -464,11 +463,10 @@ def simulate_spectral_scan(
 ) -> SpectralScan:
     """Simulate a wavelength scan of leaked classical light plus dark counts.
 
-    Each grid point draws one Poisson count from the Philox stream keyed
-    ``[seed, index]``, so the scan is deterministic and independent of
-    evaluation order. One generator is re-keyed per point through the public
-    ``state`` setter, to the state a fresh ``Philox(key=[seed, index])`` has:
-    building a new bit generator per point costs more than its draw.
+    The counts are one Poisson draw over the whole grid, in grid order, from
+    the Philox stream keyed ``[seed, 0]``. The scan is deterministic, and
+    the scan of ``grid[:k]`` gives the first k counts of the scan of
+    ``grid``; a point's count also depends on the means before it.
     """
     seed = _validate_seed(seed)
     require_number(dwell_s, "dwell_s", minimum=0.0, strict=True)
@@ -485,20 +483,12 @@ def simulate_spectral_scan(
         raise ParameterError(
             f"expected {float(means[first]):.3g} counts at {grid[first]} nm; the limit is {MAX_POISSON_MEAN:.0e}"
         )
-    rng = _substream(seed, 0)
-    # A fresh stream's state: counter 0, buffer empty (buffer_pos 4), no spare uint32.
-    state = rng.bit_generator.state
-    key = state["state"]["key"]
-    counts = np.empty(grid.size, dtype=np.int64)
-    for i, mean in enumerate(means.tolist()):
-        key[1] = i
-        rng.bit_generator.state = state
-        counts[i] = rng.poisson(mean)
+    counts = _substream(seed, 0).poisson(means)
 
     metadata = {
         "schema_version": 1,
         "kind": "spectral-scan",
-        "generator": "philox",
+        "generator": "philox-vector",
         "seed": seed,
         "dwell_s": dwell_s,
         "filter": asdict(filt),

@@ -13,8 +13,10 @@ reads, in ASCII). Blank lines, CRLF, ``"``-quoted fields, spaces around
 fields and extra trailing columns are accepted; ``#`` starts no comment, a
 row of only spaces is an error, and underscored digits such as ``5_0``, which
 ``int()`` used to accept, are rejected. Channels must be 0 or 1 and times
-0..2^63-1 ps; any fault is a :class:`DataError` that names the file and row.
-A tag channel is parsed as int8, so one outside -128..127 fails to parse.
+0..2^63-1 ps. Scan wavelengths must rise strictly within the validated range
+and counts must be >= 0. Any fault is a :class:`DataError` that names the
+file and row. A tag channel is parsed as int8, so one outside -128..127 fails
+to parse.
 
 Every output goes through one of two writers: :func:`write_json` (indented,
 sorted keys, a final newline) for sidecars, reports and manifests, and
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import DataError, InputError, ParameterError, ResourceError, read_csv_columns, read_json, reject_rows
 from .simulate import DEFAULT_MAX_TAGS, SpectralScan, TagStream
-from .units import require_number
+from .units import WAVELENGTH_MAX_NM, WAVELENGTH_MIN_NM, require_number
 
 XTT1_MAGIC = b"XTT1\x00\x00\x00\x01"
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
@@ -168,6 +170,12 @@ def write_scan_csv(path: "str | Path", scan: SpectralScan) -> Path:
 
 def read_scan_csv(path: "str | Path", *, dwell_s: float | None = None) -> SpectralScan:
     wavelengths, counts = read_csv_columns(path, ["lambda_nm", "counts"], ["f8", "i8"])
+    in_range = (WAVELENGTH_MIN_NM <= wavelengths) & (wavelengths <= WAVELENGTH_MAX_NM)  # False for NaN
+    reject_rows(path, ~in_range, f"wavelength must be in [{WAVELENGTH_MIN_NM:.0f}, {WAVELENGTH_MAX_NM:.0f}] nm",
+                wavelengths)
+    reject_rows(path, np.diff(wavelengths, prepend=-np.inf) <= 0, "wavelength must be above the previous row's",
+                wavelengths)
+    reject_rows(path, counts < 0, "counts must be >= 0", counts)
     metadata = read_metadata(path) or {}
     if dwell_s is None:
         try:

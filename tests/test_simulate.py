@@ -328,16 +328,16 @@ class TestDeadTimeSweep:
 def per_point_scan(lines, filt, det, grid, dwell, seed):
     """The scan as a loop over points: ``(rates, counts)``, or the first point's error.
 
-    Each rate is summed line by line in Python floats and each count drawn
-    from a fresh ``Philox([seed, i])``, as the scan was before it was
-    vectorized.
+    Each rate is summed line by line in Python floats, as the scan was
+    before it was vectorized. The counts are one Poisson draw over the means,
+    in grid order, from a fresh ``Philox([seed, 0])``.
     """
     for nm in grid:
         validate_wavelength_nm(float(nm))
     sigma = filt.fwhm_nm * _GAUSSIAN_FWHM_TO_SIGMA
     peak = 10.0 ** (-filt.insertion_loss_db / 10.0)
-    rates, counts = [], []
-    for i, center in enumerate(np.asarray(grid, dtype=float)):
+    rates, lams = [], []
+    for center in np.asarray(grid, dtype=float):
         rate = det.dark_rate_hz
         for line in lines:
             transmission = peak * math.exp(-0.5 * ((line.wavelength_nm - float(center)) / sigma) ** 2)
@@ -346,9 +346,14 @@ def per_point_scan(lines, filt, det, grid, dwell, seed):
         if not lam <= MAX_POISSON_MEAN:
             raise ParameterError(f"expected {lam:.3g} counts at {center} nm; the limit is {MAX_POISSON_MEAN:.0e}")
         rates.append(float(rate))
-        key = np.array([seed, i], dtype=np.uint64)
-        counts.append(int(np.random.Generator(np.random.Philox(key=key)).poisson(lam)))
-    return rates, counts
+        lams.append(lam)
+    return rates, philox_poisson(seed, lams)
+
+
+def philox_poisson(seed, lams):
+    """Counts of one Poisson draw over ``lams`` from a fresh ``Philox([seed, 0])``."""
+    key = np.array([seed, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).poisson(lams).tolist()
 
 
 def number(lo, hi):
@@ -405,8 +410,8 @@ class TestSpectralScan:
         assert np.array_equal(a.counts, b.counts)
 
     def test_counts_match_per_point_oracle(self):
-        # each point draws one Poisson count from a fresh Philox([seed, index])
-        # generator, its mean summed line by line in this order
+        # the counts are one Poisson draw from a fresh Philox([seed, 0]) over
+        # the means, each summed line by line in this order
         det = fx.Detector(dark_rate_hz=37.0, efficiency=0.7)
         filt = fx.TunableFilter(fwhm_nm=0.37, insertion_loss_db=2.7)
         lines = [fx.LeakLine(wavelength_nm=nm, rate_photons_per_s=r)
@@ -415,14 +420,14 @@ class TestSpectralScan:
         dwell, seed = 0.5, 2**64 - 3
         sigma = filt.fwhm_nm / 2.355
         peak = 10.0 ** (-filt.insertion_loss_db / 10.0)
-        want = []
-        for i, center in enumerate(grid):
+        lams = []
+        for center in grid:
             rate = det.dark_rate_hz
             for line in lines:
                 offset = line.wavelength_nm - float(center)
                 rate += line.rate_photons_per_s * (peak * math.exp(-0.5 * (offset / sigma) ** 2)) * det.efficiency
-            key = np.array([seed, i], dtype=np.uint64)
-            want.append(np.random.Generator(np.random.Philox(key=key)).poisson(rate * dwell))
+            lams.append(rate * dwell)
+        want = philox_poisson(seed, lams)
         scan = fx.simulate_spectral_scan(lines, filt, det, grid, dwell, seed=seed)
         assert scan.counts.tolist() == want
 
@@ -455,18 +460,35 @@ class TestSpectralScan:
         assert [r.hex() for r in got] == [r.hex() for r in rates]
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
-    def test_rekeyed_stream_equals_a_fresh_philox(self, seed):
+    def test_stream_is_one_philox_draw(self, seed):
         # Means from 0.3 to ~1e9 counts take both of numpy's Poisson samplers,
         # which read different numbers of uniforms from the stream.
         line, filt, det = fx.LeakLine(1310.0, 2e9), fx.TunableFilter(fwhm_nm=2.0), fx.Detector(dark_rate_hz=0.3)
         grid = np.arange(1300.0, 1320.0, 0.25)
         scan = fx.simulate_spectral_scan([line], filt, det, grid, 1.0, seed=seed)
         rates, _ = per_point_scan([line], filt, det, grid, 1.0, seed)
-        want = [
-            np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64))).poisson(rate)
-            for i, rate in enumerate(rates)
-        ]
-        assert scan.counts.tolist() == want
+        assert scan.counts.tolist() == philox_poisson(seed, rates)
+        assert scan.metadata["generator"] == "philox-vector"
+
+    @pytest.mark.parametrize("mean", [4.0, 40.0])
+    def test_dark_counts_are_poisson(self, mean):
+        # Means below and above 10 take numpy's two Poisson samplers.
+        grid = np.arange(1000.0, 2000.0, 0.1)
+        scan = fx.simulate_spectral_scan([], fx.TunableFilter(), fx.Detector(dark_rate_hz=mean), grid, 1.0, seed=13)
+        n = scan.counts.size
+        assert n >= 10_000
+        counts = scan.counts.astype(float)
+        assert abs(counts.mean() - mean) <= 3.0 * math.sqrt(mean / n)
+        # The index of dispersion of n Poisson counts is 1 with a standard error of ~sqrt(2 / (n - 1)).
+        assert abs(counts.var(ddof=1) / counts.mean() - 1.0) <= 3.0 * math.sqrt(2.0 / (n - 1))
+
+    @pytest.mark.parametrize("k", [1, 7, 40, 79])
+    def test_scan_of_a_grid_prefix_is_a_prefix_of_the_scan(self, k):
+        line, filt, det = fx.LeakLine(1310.0, 2e9), fx.TunableFilter(fwhm_nm=2.0), fx.Detector(dark_rate_hz=0.3)
+        grid = np.arange(1300.0, 1320.0, 0.25)
+        whole = fx.simulate_spectral_scan([line], filt, det, grid, 1.0, seed=29)
+        part = fx.simulate_spectral_scan([line], filt, det, grid[:k], 1.0, seed=29)
+        assert part.counts.tolist() == whole.counts[:k].tolist()
 
     def test_mean_over_the_limit_names_the_first_point(self):
         # 1310.0, 1310.5 and 1311.0 nm are over the limit; 1309.5 nm is not.

@@ -12,7 +12,7 @@ import pytest
 import fiberxtalk as fx
 from fiberxtalk import tagio
 from fiberxtalk.cli import main
-from fiberxtalk.errors import DataError, InputError, ResourceError
+from fiberxtalk.errors import DataError, InputError, ResourceError, read_csv_columns
 
 from conftest import power_for_mu_det, write_tags_csv
 
@@ -302,19 +302,50 @@ class TestScanCsv:
 
 
     def test_floats_match_python_float(self, tmp_path):
+        # The scan reader's parser, on values that repeat and leave the wavelength range.
         rng = np.random.default_rng(3)
         values = np.concatenate([rng.uniform(1260.0, 1620.0, 500), 10.0 ** rng.uniform(-30, 30, 500)])
         texts = [f(v) for v in values.tolist() for f in (repr, "{:.6f}".format, "{:.17g}".format, "{:e}".format)]
         path = tmp_path / "scan.csv"
         path.write_text("lambda_nm,counts\n" + "".join(f"{t},1\n" for t in texts))
-        scan = tagio.read_scan_csv(path, dwell_s=1.0)
-        assert scan.wavelengths_nm.tolist() == [float(t) for t in texts]
+        wavelengths, _ = read_csv_columns(path, ["lambda_nm", "counts"], ["f8", "i8"])
+        assert wavelengths.tolist() == [float(t) for t in texts]
 
     def test_unparsable_count_rejected(self, tmp_path):
         path = tmp_path / "scan.csv"
         path.write_text("lambda_nm,counts\n1270.0,5\n1271.0,abc\n")
         with pytest.raises(DataError, match="abc"):
             tagio.read_scan_csv(path, dwell_s=1.0)
+
+    @pytest.mark.parametrize("body, message", [
+        (b"nan,400\n900,3\n", "data row 1: wavelength must be in [1000, 2000] nm, got nan"),
+        (b"1300,1\ninf,2\n", "data row 2: wavelength must be in [1000, 2000] nm, got inf"),
+        (b"1300,1\n1310,2\n999.5,3\n", "data row 3: wavelength must be in [1000, 2000] nm, got 999.5"),
+        (b"1300,1\n2000.5,2\n", "data row 2: wavelength must be in [1000, 2000] nm, got 2000.5"),
+        (b"1300,1\n1300,2\n", "data row 2: wavelength must be above the previous row's, got 1300.0"),
+        (b"1300,1\n1310,2\n1305,3\n", "data row 3: wavelength must be above the previous row's, got 1305.0"),
+        (b"1300,1\n1310,-3\n", "data row 2: counts must be >= 0, got -3"),
+    ], ids=["nan", "inf", "below-range", "above-range", "repeated", "falling", "negative-count"])
+    def test_bad_row_names_file_and_row(self, tmp_path, body, message):
+        path = tmp_path / "scan.csv"
+        path.write_bytes(b"lambda_nm,counts\n" + body)
+        with pytest.raises(DataError) as err:
+            tagio.read_scan_csv(path, dwell_s=1.0)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("body", [b"nan,400\n900,3\n", b"1300,1\n1300,2\n", b"1300,1\n1310,-3\n"],
+                             ids=["nan", "repeated", "negative-count"])
+    def test_scan_analyze_exits_3_on_a_bad_row(self, tmp_path, body):
+        path, report = tmp_path / "scan.csv", tmp_path / "lines.json"
+        path.write_bytes(b"lambda_nm,counts\n" + body)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["scan-analyze", "--scan", str(path), "--dwell", "1s", "--out", str(report)])
+        assert code == 3
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "E_DATA"
+        assert f"{path}: data row " in json.loads(lines[0])["message"]
+        assert not report.exists()
 
 
 class TestHistogramCsv:
