@@ -40,6 +40,7 @@ _DB_PER_NEPER = 10.0 / math.log(10.0)
 DEFAULT_BIN_WIDTH_PS = 100
 DEFAULT_K_SIGMA = 5.0
 DEFAULT_MIN_SEPARATION_BINS = 3
+MIN_BASELINE_BINS = 16  # the fewest bins, or scan points, a median baseline is taken over
 PERIOD_JITTER_WARN_PPM = 1.0
 MAX_FOLD_BINS = 100_000_000  # Histogram.dense() of that many bins takes 800 MB
 _MAX_DIVISOR_TRIALS = 1_000_000  # ~0.1 s of trial division in suggest_bin_width
@@ -337,8 +338,8 @@ def estimate_baseline(histogram_or_counts) -> BaselineEstimate:
     else:
         histogram_or_counts = np.asarray(histogram_or_counts)
         n_bins, median = histogram_or_counts.size, np.median
-    if n_bins < 16:
-        raise ParameterError(f"baseline estimation needs >= 16 bins, got {n_bins}")
+    if n_bins < MIN_BASELINE_BINS:
+        raise ParameterError(f"baseline estimation needs >= {MIN_BASELINE_BINS} bins, got {n_bins}")
     level = float(median(histogram_or_counts))
     return BaselineEstimate(level=level, noise_scale=max(math.sqrt(max(level, 0.0)), 1.0))
 
@@ -502,7 +503,12 @@ def estimate_coupling_db(
 
 
 def detect_spectral_lines(scan: SpectralScan, k_sigma: float = DEFAULT_K_SIGMA) -> list[SpectralLine]:
-    """Run peak detection over a spectral scan and convert centroids to nm."""
+    """Run peak detection over a spectral scan and convert centroids to nm.
+
+    A scan of fewer than ``MIN_BASELINE_BINS`` points is a :class:`DataError`.
+    """
+    if scan.counts.size < MIN_BASELINE_BINS:
+        raise DataError(f"baseline estimation needs >= {MIN_BASELINE_BINS} scan points, got {scan.counts.size}")
     baseline = estimate_baseline(scan.counts)
     peaks = detect_peaks(scan.counts, baseline, k_sigma)
     grid = scan.wavelengths_nm

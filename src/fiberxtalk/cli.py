@@ -3,9 +3,11 @@
 Every command is deterministic given its flags and an explicit ``--seed``.
 A command writes its outputs and returns a :class:`_Run` record; :func:`main`
 then writes, beside each output, a ``<file>.manifest.json`` recording the full
-parameter snapshot and SHA-256 digests of every file it read and wrote, and
-prints the one summary line ``wrote <first output> (...)``. A command that
-fails leaves no manifest whose digest no longer matches its output.
+parameter snapshot, the package and numpy versions, and SHA-256 digests of
+every file it read and wrote, and prints the one summary line ``wrote <first
+output> (...)``. Outputs are rewritten in place (see :mod:`fiberxtalk.tagio`).
+A command that fails leaves no manifest whose digest no longer matches its
+output.
 
 Exit codes: 0 ok, 2 input error, 3 data error, 4 parameter error, 5 resource
 error. Failures print a one-line machine-readable JSON object on stderr. A
@@ -30,9 +32,11 @@ from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import run_otdr_analysis, detect_spectral_lines
-from .errors import InputError, ParameterError, ResourceError, XtalkError, read_dataclass, read_json
+from .errors import DataError, InputError, ParameterError, ResourceError, XtalkError, read_dataclass, read_json
 from .plant import load_topology
 from .simulate import (
     DEFAULT_MAX_TAGS,
@@ -172,6 +176,7 @@ def _write_manifests(command: str, run: _Run, started: float) -> None:
         "kind": "run-manifest",
         "tool": "fiberxtalk",
         "version": __version__,
+        "numpy_version": np.__version__,
         "command": command,
         "parameters": run.parameters,
         "seed": run.seed,
@@ -312,7 +317,10 @@ def cmd_scan(args) -> _Run:
 def cmd_scan_analyze(args) -> _Run:
     dwell_s = parse_duration_s(args.dwell, "--dwell") if args.dwell else None
     scan = tagio.read_scan_csv(args.scan, dwell_s=dwell_s)
-    lines = detect_spectral_lines(scan, k_sigma=args.k_sigma)
+    try:
+        lines = detect_spectral_lines(scan, k_sigma=args.k_sigma)
+    except DataError as exc:  # a fault of the scan file: name it
+        raise DataError(f"{args.scan}: {exc}", code=exc.code) from None
     parameters = {"scan": str(args.scan), "k_sigma": args.k_sigma, "dwell_s": scan.dwell_s}
     out = Path(args.out)
     tagio.write_json(out, {

@@ -11,7 +11,9 @@ Generation*, 1986, ch. X), so its cost follows the photons, not the pulses.
 An OTDR run's output therefore depends only on the seed and the chunk size,
 not on how the chunks are spread over workers, which is what makes ``--jobs``
 safe and repeated runs byte-identical. A spectral scan draws all its counts in
-grid order, in one Poisson call on the stream keyed ``[seed, 0]``.
+grid order, in one Poisson call on the stream keyed ``[seed, 0]``. NumPy's RNG
+policy (NEP 19) lets a numpy release change what ``poisson``, ``binomial`` and
+``normal`` draw, so both kinds of metadata record ``numpy_version``.
 """
 
 from __future__ import annotations
@@ -374,6 +376,7 @@ def simulate_otdr_tags(
         "schema_version": 1,
         "kind": "otdr-tags",
         "generator": "philox-chunked-split",
+        "numpy_version": np.__version__,
         "pulses_per_chunk": PULSES_PER_CHUNK,
         "seed": seed,
         "duration_s": duration_s,
@@ -489,6 +492,7 @@ def simulate_spectral_scan(
         "schema_version": 1,
         "kind": "spectral-scan",
         "generator": "philox-vector",
+        "numpy_version": np.__version__,
         "seed": seed,
         "dwell_s": dwell_s,
         "filter": asdict(filt),

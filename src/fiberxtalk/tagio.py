@@ -18,10 +18,25 @@ and counts must be >= 0. Any fault is a :class:`DataError` that names the
 file and row. A tag channel is parsed as int8, so one outside -128..127 fails
 to parse.
 
-Every output goes through one of two writers: :func:`write_json` (indented,
-sorted keys, a final newline) for sidecars, reports and manifests, and
+Every output goes through one of three writers: :func:`write_json` (indented,
+sorted keys, a final newline) for sidecars, reports, plans and manifests,
 :func:`write_csv` (a header line, then one ``%``-formatted line per row) for
-scan, histogram and switch-sweep tables. No command writes tags as CSV.
+scan, histogram and switch-sweep tables, and :func:`write_tags_xtt1`. No
+command writes tags as CSV.
+
+All three write through one helper, :func:`_write_bytes`. It opens the path
+without truncating it, writes the new bytes over the old ones and then, if the
+old file was longer, truncates it at the end of what it wrote, so an existing
+output is never cut to zero length. A new file gets mode ``0o666 & ~umask``; a
+device or a pipe is written as before. Truncating to zero, or renaming over an
+existing file, makes ext4 start writeback of the file when it is closed (its
+``auto_da_alloc`` heuristic), which costs more than the write itself for the
+small files a command writes. Outputs are neither atomic nor fsynced. If the
+machine crashes before a rewrite reaches the disk, the file on disk keeps its
+old content, or part old and part new bytes, where it would have been empty or
+partly new before; a write that fails part way (a full disk, say) leaves the
+same mix. The manifest's SHA-256 tells such a file from the one the run wrote,
+and the CLI leaves no manifest beside an output that no longer matches it.
 """
 
 from __future__ import annotations
@@ -45,11 +60,19 @@ def metadata_path(path: "str | Path") -> Path:
     return Path(str(path) + ".meta.json")
 
 
+def _write_bytes(path: "str | Path", *chunks) -> Path:
+    """Write ``chunks`` (bytes-like) over ``path`` in place, then truncate it where they end."""
+    path = Path(path)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        end = sum(fh.write(chunk) for chunk in chunks)
+        if os.fstat(fh.fileno()).st_size > end:  # a device or a pipe has size 0, and cannot be truncated
+            fh.truncate(end)
+    return path
+
+
 def write_json(path: "str | Path", doc) -> Path:
     """Write ``doc`` as JSON indented by 2, keys sorted, plus a final newline."""
-    path = Path(path)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_bytes(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
 def write_csv(path: "str | Path", header: str, row: str, columns) -> Path:
@@ -58,13 +81,11 @@ def write_csv(path: "str | Path", header: str, row: str, columns) -> Path:
     ``row`` holds one ``%`` format per column. The columns are interleaved with
     one slice assignment per column, so no Python code runs per row.
     """
-    path = Path(path)
     k, n = len(columns), len(columns[0])
     values = [None] * (k * n)
     for i, column in enumerate(columns):
         values[i::k] = np.asarray(column).tolist()
-    path.write_text(f"{header}\n" + f"{row}\n" * n % tuple(values), newline="")
-    return path
+    return _write_bytes(path, (f"{header}\n" + f"{row}\n" * n % tuple(values)).encode())
 
 
 def write_metadata(path: "str | Path", metadata: dict) -> Path:
@@ -83,15 +104,12 @@ def read_metadata(path: "str | Path") -> dict | None:
 
 def write_tags_xtt1(path: "str | Path", stream: TagStream) -> Path:
     """Write a tag stream as an XTT1 binary file, plus a sidecar when it has metadata."""
-    path = Path(path)
     records = np.empty(stream.n_records, dtype=_RECORD_DTYPE)
     records["channel"] = stream.channels
     if stream.times_ps.size and int(stream.times_ps.min()) < 0:
         raise DataError("tag times must be non-negative to serialize as u64")
-    records["time_ps"] = stream.times_ps.astype(np.uint64)
-    with open(path, "wb") as fh:
-        fh.write(XTT1_MAGIC)
-        fh.write(records.tobytes())
+    records["time_ps"] = stream.times_ps  # cast to u64 block by block, without a whole-array copy
+    path = _write_bytes(path, XTT1_MAGIC, records.view(np.uint8))
     if stream.metadata:
         write_metadata(path, stream.metadata)
     return path

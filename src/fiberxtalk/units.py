@@ -47,7 +47,8 @@ def require_number(value, name: str, *, minimum: float | None = None, strict: bo
     ``float()`` would accept them. With ``minimum`` the value must be at least
     ``minimum``, or above it when ``strict``.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # numbers.Real is an ABC, whose check costs ~0.5 us, so the built-in types go first
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) or isinstance(value, numbers.Real)):
         raise ParameterError(f"{name} must be a number, got {value!r}")
     try:
         value = float(value)
@@ -62,7 +63,7 @@ def require_number(value, name: str, *, minimum: float | None = None, strict: bo
 
 def is_int(value) -> bool:
     """The one integer rule: ints and numpy integers are integers; booleans and floats are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return (isinstance(value, int) or isinstance(value, numbers.Integral)) and not isinstance(value, bool)
 
 
 def require_int(value, name: str, minimum: int) -> int:

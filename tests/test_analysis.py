@@ -664,6 +664,12 @@ class TestSpectralLines:
         scan = fx.simulate_spectral_scan(lines, fx.TunableFilter(), det, grid, 1.0, seed=2)
         assert fx.detect_spectral_lines(scan, k_sigma=5.0) == []
 
+    @pytest.mark.parametrize("n", [0, 1, 15])
+    def test_short_scan_is_a_data_error(self, n):
+        scan = fx.SpectralScan(wavelengths_nm=1300.0 + np.arange(n, dtype=float), counts=np.full(n, 3), dwell_s=1.0)
+        with pytest.raises(DataError, match=f"needs >= 16 scan points, got {n}$"):
+            fx.detect_spectral_lines(scan)
+
 
 class TestRunOtdrAnalysis:
     def test_three_point_closed_loop(self, three_point_topology):

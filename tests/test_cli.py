@@ -7,6 +7,7 @@ import itertools
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -406,6 +407,27 @@ class TestScan:
         assert code == 4
         assert json.loads(capsys.readouterr().err.strip())["error"] == "E_PARAM"
 
+    @pytest.mark.parametrize("n", [0, 1, 15])
+    def test_scan_of_fewer_than_16_points_is_data_error(self, tmp_path, capsys, n):
+        scan = tmp_path / "short.csv"
+        scan.write_bytes(b"\n".join([b"lambda_nm,counts", *SCAN_ROWS[:n]]) + b"\n")
+        code = main(["scan-analyze", "--scan", str(scan), "--dwell", "1s", "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "E_DATA", "message": f"{scan}: baseline estimation needs >= 16 scan points, got {n}"}
+
+    def test_scan_of_16_points_runs(self, tmp_path, capsys):
+        scan = tmp_path / "short.csv"
+        scan.write_bytes(b"\n".join([b"lambda_nm,counts", *SCAN_ROWS[:16]]) + b"\n")
+        out = tmp_path / "r.json"
+        assert main(["scan-analyze", "--scan", str(scan), "--dwell", "1s", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["lines"]) == 1
+        capsys.readouterr()
+
 
 class TestSwitchCommands:
     def test_sweep_config_first_row_is_maximal(self, tmp_path):
@@ -726,6 +748,34 @@ def test_failed_run_leaves_no_stale_manifest(tmp_path, capsys):
     assert json.loads(report.read_text())["parameters"]["bin_width_ps"] == 200
     assert not manifest.exists()
     capsys.readouterr()
+
+
+def test_rewritten_outputs_equal_a_fresh_run(tmp_path, capsys):
+    flags = [str(arg) for arg in command_runs(tmp_path)["analyze"][0]]
+    fresh = [tmp_path / "fresh_report.json", tmp_path / "fresh_hist.csv"]
+    for flag, path in zip(("--out", "--hist"), fresh):
+        flags[flags.index(flag) + 1] = str(path)
+    assert main(["analyze", *flags]) == 0
+    outputs = [tmp_path / "report.json", tmp_path / "hist.csv"]
+    for flag, path in zip(("--out", "--hist"), outputs):
+        path.write_bytes(b"junk" * 2**18)  # longer than either output
+        flags[flags.index(flag) + 1] = str(path)
+    assert main(["analyze", *flags]) == 0
+    capsys.readouterr()
+    for path, want in zip(outputs, fresh):
+        assert path.read_bytes() == want.read_bytes()
+        manifest = json.loads((tmp_path / f"{path.name}.manifest.json").read_text())
+        assert manifest["outputs"] == {str(p): {"sha256": sha256(p)} for p in outputs}
+
+
+@pytest.mark.parametrize("command, sidecar", [("simulate", "run.xtt1.meta.json"), ("scan", "scan_out.csv.meta.json")])
+def test_manifests_and_sidecars_name_the_numpy(tmp_path, capsys, command, sidecar):
+    flags, _, _, outputs = command_runs(tmp_path)[command]
+    assert main([*command.split(), *map(str, flags)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / f"{outputs[0].name}.manifest.json").read_text())
+    assert manifest["numpy_version"] == np.__version__
+    assert json.loads((tmp_path / sidecar).read_text())["numpy_version"] == np.__version__
 
 
 def test_output_path_that_is_a_directory_is_input_error(tmp_path, capsys):

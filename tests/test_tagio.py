@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -276,6 +278,53 @@ class TestWriterBytes:
         hist = Histogram(bins=np.array(bins, dtype=np.int64), counts=np.array(counts, dtype=np.int64), n_bins=10,
                          bin_width_ps=100, period_ps=1000, total_triggers=1, live_time_s=1e-3)
         assert tagio.write_histogram_csv(tmp_path / "hist.csv", hist).read_bytes() == expected
+
+
+WRITERS = {
+    "json": lambda path: tagio.write_json(path, {"b": [1, 2.5], "a": "x"}),
+    "csv": lambda path: tagio.write_csv(path, "lambda_nm,counts", "%.6f,%d", ([1310.0, 1310.5], [4, 0])),
+    "xtt1": lambda path: tagio.write_tags_xtt1(path, dataclasses.replace(small_stream(), metadata={})),
+}
+
+
+class TestRewriteInPlace:
+    @pytest.mark.parametrize("old", [b"x" * 2**20, b"x" * 3, b""], ids=["longer", "shorter", "empty"])
+    @pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS)
+    def test_rewrite_equals_a_fresh_write(self, tmp_path, writer, old):
+        target = tmp_path / "target"
+        target.write_bytes(old)
+        writer(target)
+        assert target.read_bytes() == writer(tmp_path / "fresh").read_bytes()
+
+    @pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS)
+    def test_new_file_mode_follows_the_umask(self, tmp_path, writer):
+        umask = os.umask(0o027)
+        try:
+            path = writer(tmp_path / "new")
+        finally:
+            os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    @pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS)
+    def test_a_device_or_a_pipe_is_written_untruncated(self, tmp_path, writer):
+        writer(os.devnull)
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as reader:
+            with open(write_end, "wb"):
+                writer(f"/dev/fd/{write_end}")
+            assert reader.read() == writer(tmp_path / "fresh").read_bytes()
+
+    def test_xtt1_writer_holds_one_copy_of_the_records(self, tmp_path):
+        n = 1_000_000
+        stream = fx.TagStream(channels=np.ones(n, dtype=np.uint8), times_ps=np.arange(n, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            tagio.write_tags_xtt1(tmp_path / "tags.xtt1", stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 9 MB record array, and neither its bytes nor a u64 copy of the times
+        assert peak < 1.5 * 9 * n
 
 
 class TestScanCsv:

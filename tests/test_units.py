@@ -1,6 +1,9 @@
 """Photon energy, the validated wavelength range and the delay-to-distance map."""
 
+import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +66,36 @@ class TestRequireInt:
     def test_rejects_the_rest_naming_the_value(self, value):
         with pytest.raises(ParameterError, match=rf"^n must be an integer >= 1, got {re.escape(repr(value))}$"):
             units.require_int(value, "n", 1)
+
+
+# value, is_int(value), require_number(value) (None: rejected)
+NUMBER_TABLE = [
+    (True, False, None),
+    (0, True, 0.0),
+    (np.int64(3), True, 3.0),
+    (np.uint8(3), True, 3.0),
+    (1.5, False, 1.5),
+    (np.float32(1.5), False, 1.5),
+    (Fraction(1, 2), False, 0.5),
+    (Decimal("1"), False, None),  # the decimal module registers Decimal as a Number, not a Real
+    ("1", False, None),
+    (None, False, None),
+    (math.nan, False, None),
+    (math.inf, False, None),
+    (10**400, True, None),  # too large for a float
+]
+
+
+class TestNumberRules:
+    @pytest.mark.parametrize("value, integer, number", NUMBER_TABLE, ids=[repr(row[0]) for row in NUMBER_TABLE])
+    def test_accepts_and_returns_as_before(self, value, integer, number):
+        assert units.is_int(value) is integer
+        if number is None:
+            with pytest.raises(ParameterError, match="^x must be "):
+                units.require_number(value, "x")
+        else:
+            result = units.require_number(value, "x")
+            assert result == number and result.__class__ is float
 
 
 class TestTimeToDistance:
