@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DataError, ParameterError, ResourceError
 from .plant import Topology, distance_for_delay_ps, path_loss_db
 from .simulate import DETECTOR_CHANNEL, TRIGGER_CHANNEL, Detector, PulsedSource, SpectralScan, TagStream
-from .units import _GAUSSIAN_FWHM_TO_SIGMA, C_M_PER_S, require_int
+from .units import _GAUSSIAN_FWHM_TO_SIGMA, C_M_PER_S, require_int, require_number
 
 _DB_PER_NEPER = 10.0 / math.log(10.0)
 
@@ -371,8 +371,7 @@ def detect_peaks(
     never cross the threshold, so it must exceed 0. A histogram's ``bin_width_ps``
     scales ``delay_ps`` and ``fwhm_ps``; for an array they are in points.
     """
-    if not k_sigma > 0.0:
-        raise ParameterError(f"k_sigma must be > 0, got {k_sigma}")
+    k_sigma = require_number(k_sigma, "k_sigma", minimum=0.0, strict=True)
     min_separation_bins = require_int(min_separation_bins, "min_separation_bins", 0)
     threshold = baseline.level + k_sigma * baseline.noise_scale
     if isinstance(series, Histogram):

@@ -40,7 +40,6 @@ from .errors import DataError, InputError, ParameterError, ResourceError, XtalkE
 from .plant import load_topology
 from .simulate import (
     DEFAULT_MAX_TAGS,
-    PULSES_PER_CHUNK,
     Detector,
     LeakLine,
     PulsedSource,
@@ -225,15 +224,14 @@ def _from_args(args, name: str, cls, metadata: dict | None = None):
 
 
 def cmd_simulate(args) -> _Run:
-    topology = load_topology(args.topology, lax=args.lax)
+    topology = load_topology(args.topology)
     source = _from_args(args, "source", PulsedSource)
     if source is None:
         raise InputError("--source is required (JSON file with at least avg_power_w)")
     detector = _from_args(args, "detector", Detector) or Detector()
     duration_s = parse_duration_s(args.duration, "--duration")
     stream = simulate_otdr_tags(
-        topology, source, detector, duration_s, args.seed,
-        max_tags=args.max_tags, jobs=args.jobs,
+        topology, source, detector, duration_s, args.seed, max_tags=args.max_tags,
     )
     out = Path(args.out)
     tagio.write_tags_xtt1(out, stream)
@@ -243,7 +241,6 @@ def cmd_simulate(args) -> _Run:
             "source": asdict(source),
             "detector": asdict(detector),
             "duration_s": duration_s,
-            "jobs": args.jobs,
             "max_tags": args.max_tags,
         },
         _given(args, "topology", "source", "detector"),
@@ -255,7 +252,7 @@ def cmd_simulate(args) -> _Run:
 
 def cmd_analyze(args) -> _Run:
     tags = tagio.read_tags(args.tags)
-    topology = load_topology(args.topology, lax=args.lax)
+    topology = load_topology(args.topology)
     bin_width = parse_bin_ps(args.bin, "--bin")
     window = parse_window_ps(args.window, "--window") if args.window else None
     source = _from_args(args, "source", PulsedSource, tags.metadata)
@@ -465,12 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--duration", required=True, help="acquisition time (s, ms, ... )")
     sim.add_argument("--seed", required=True, type=int)
     sim.add_argument("--out", required=True)
-    sim.add_argument(
-        "--jobs", type=int, default=1,
-        help=f"threads simulating blocks of {PULSES_PER_CHUNK} pulses; outputs do not depend on it",
-    )
+    # Kept because perfbench/workloads.py still passes --jobs 1; nothing reads it.
+    sim.add_argument("--jobs", type=int, choices=[1], help=argparse.SUPPRESS)
     sim.add_argument("--max-tags", dest="max_tags", type=int, default=DEFAULT_MAX_TAGS)
-    sim.add_argument("--lax", action="store_true", help="ignore unknown topology keys")
     sim.set_defaults(func=cmd_simulate)
 
     ana = sub.add_parser("analyze", help="fold a tag file and report peaks/locations/couplings")
@@ -484,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--detector", help="override detector JSON (else tag metadata)")
     ana.add_argument("--out", required=True, help="analysis report JSON")
     ana.add_argument("--hist", help="histogram CSV (occupied bins)")
-    ana.add_argument("--lax", action="store_true")
     ana.set_defaults(func=cmd_analyze)
 
     scan = sub.add_parser("scan", help="simulate a filter-sweep spectral scan")

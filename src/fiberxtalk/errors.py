@@ -74,11 +74,11 @@ def read_json(path: "str | Path", what: str):
         raise InputError(f"{path}: invalid JSON: {exc}") from None
 
 
-def read_dataclass(doc, cls, what: str, *, lax: bool = False, **given):
+def read_dataclass(doc, cls, what: str, **given):
     """``cls`` built from the JSON object ``doc`` and the already-read fields ``given``.
 
-    ``doc``'s keys are ``cls``'s other fields. An unknown key is an error unless
-    ``lax``, which ignores it; a missing required key is named. ``cls`` checks
+    ``doc``'s keys are ``cls``'s other fields. An unknown key is always an
+    error, as is a missing required key, and both are named. ``cls`` checks
     its own values, and any fault is an :class:`InputError` whose message starts
     with the element path ``what``: ``what.field ...`` when the fault names one
     of ``cls``'s fields, ``what: ...`` otherwise. A dataclass assembled from
@@ -89,7 +89,7 @@ def read_dataclass(doc, cls, what: str, *, lax: bool = False, **given):
     own = [f for f in fields(cls) if f.name not in given]
     names = [f.name for f in own]
     unknown = sorted(set(doc) - set(names))
-    if unknown and not lax:
+    if unknown:
         raise InputError(f"{what}: unknown key(s) {unknown}; expected {sorted(names)}")
     for f in own:
         if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:

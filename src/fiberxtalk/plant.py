@@ -142,7 +142,7 @@ class CrosstalkPoint:
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable plant description; safe to share across threads after load.
+    """Immutable plant description, fully checked when built.
 
     Construction checks that there is a span, that span and connector ids are
     unique, that connector positions strictly increase within the route, that
@@ -378,7 +378,7 @@ def _parse_attenuation(value, path: str) -> tuple:
     raise InputError(f"{path}: expected a number or a list of [nm, dB/km] pairs")
 
 
-def _parse_span(obj, path: str, lax: bool) -> FiberSpan:
+def _parse_span(obj, path: str) -> FiberSpan:
     """A span whose ``attenuation`` is read from the document key ``attenuation_db_per_km``."""
     if not isinstance(obj, Mapping):
         raise InputError(f"{path}: expected a JSON object")
@@ -386,30 +386,30 @@ def _parse_span(obj, path: str, lax: bool) -> FiberSpan:
     attenuation = _parse_attenuation(obj.get("attenuation_db_per_km"), key)
     doc = {name: value for name, value in obj.items() if name != "attenuation_db_per_km"}
     try:
-        return read_dataclass(doc, FiberSpan, path, lax=lax, attenuation=attenuation)
+        return read_dataclass(doc, FiberSpan, path, attenuation=attenuation)
     except InputError as exc:  # the span calls its table attenuation; name the document's key
         raise InputError(re.sub(rf"^{re.escape(path)}\.attenuation\b", key, str(exc))) from None
 
 
-def load_topology(source: "str | Path | Mapping", *, lax: bool = False) -> Topology:
+def load_topology(source: "str | Path | Mapping") -> Topology:
     """Load and fully validate a topology document.
 
     ``source`` may be a mapping already parsed from JSON, or a path to a JSON
     file. Each element reaches its dataclass through :func:`read_dataclass`,
-    which rejects unknown keys unless ``lax`` is set, and each dataclass checks
-    its own values, so the rest of the package can trust the object. Any
-    fault, an out-of-range value included, is an :class:`InputError` whose
-    message starts with the element's path, such as
+    which rejects every unknown key, and each dataclass checks its own
+    values, so the rest of the package can trust the object. Any fault, an
+    out-of-range value included, is an :class:`InputError` whose message
+    starts with the element's path, such as
     ``topology.connectors[0].lane_count``.
     """
     doc = source if isinstance(source, Mapping) else read_json(source, "topology")
-    top = read_dataclass(doc, _Document, "topology", lax=lax)
-    spans = tuple(_parse_span(s, f"topology.spans[{i}]", lax) for i, s in enumerate(top.spans))
+    top = read_dataclass(doc, _Document, "topology")
+    spans = tuple(_parse_span(s, f"topology.spans[{i}]") for i, s in enumerate(top.spans))
     connectors = tuple(
-        read_dataclass(c, MpoConnector, f"topology.connectors[{i}]", lax=lax) for i, c in enumerate(top.connectors)
+        read_dataclass(c, MpoConnector, f"topology.connectors[{i}]") for i, c in enumerate(top.connectors)
     )
-    probe = read_dataclass(top.probe, _Endpoint, "topology.probe", lax=lax)
-    victim = read_dataclass(top.victim, _Endpoint, "topology.victim", lax=lax)
+    probe = read_dataclass(top.probe, _Endpoint, "topology.probe")
+    victim = read_dataclass(top.victim, _Endpoint, "topology.victim")
     if probe.end != "near":  # positions are defined from the probe-injection (near) end
         raise InputError(f"topology.probe.end: expected one of ('near',), got {probe.end!r}")
     return read_dataclass(

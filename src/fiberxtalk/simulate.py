@@ -9,18 +9,16 @@ efficiency, and only then gives each kept photon and each dark count a pulse
 and a time (Poisson splitting; Devroye, *Non-Uniform Random Variate
 Generation*, 1986, ch. X), so its cost follows the photons, not the pulses.
 An OTDR run's output therefore depends only on the seed and the chunk size,
-not on how the chunks are spread over workers, which is what makes ``--jobs``
-safe and repeated runs byte-identical. A spectral scan draws all its counts in
-grid order, in one Poisson call on the stream keyed ``[seed, 0]``. NumPy's RNG
-policy (NEP 19) lets a numpy release change what ``poisson``, ``binomial`` and
-``normal`` draw, so both kinds of metadata record ``numpy_version``.
+which makes repeated runs byte-identical. A spectral scan draws all its counts
+in grid order, in one Poisson call on the stream keyed ``[seed, 0]``. NumPy's
+RNG policy (NEP 19) lets a numpy release change what ``poisson``, ``binomial``
+and ``normal`` draw, so both kinds of metadata record ``numpy_version``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -288,7 +286,6 @@ def simulate_otdr_tags(
     seed: int,
     *,
     max_tags: int = DEFAULT_MAX_TAGS,
-    jobs: int = 1,
 ) -> TagStream:
     """Simulate a pulsed-probe crosstalk measurement into a tag stream.
 
@@ -307,7 +304,7 @@ def simulate_otdr_tags(
     """
     seed = _validate_seed(seed)
     require_number(duration_s, "duration_s", minimum=0.0, strict=True)
-    jobs, max_tags = require_int(jobs, "jobs", 1), require_int(max_tags, "max_tags", 1)
+    max_tags = require_int(max_tags, "max_tags", 1)
 
     points = crosstalk_points(topology)
     period = source.period_ps
@@ -342,21 +339,10 @@ def simulate_otdr_tags(
             f"the limit is {MAX_POISSON_MEAN:.0e}"
         )
 
-    def run(chunk: int):
-        return _simulate_chunk(
-            chunk, n_pulses, seed, period, mus, delays, sigma_ps,
-            detector.efficiency, dark_mu,
-        )
-
-    chunks = range(-(-n_pulses // PULSES_PER_CHUNK))
-    # Work in a worker thread allocates from its own malloc arena (~4 MB more
-    # peak RSS), so a single job or a single chunk runs inline.
-    if jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(chunk) for chunk in chunks]
-    chunk_times, arrived, after_efficiency, darks = zip(*results)
+    chunk_times, arrived, after_efficiency, darks = zip(*(
+        _simulate_chunk(chunk, n_pulses, seed, period, mus, delays, sigma_ps, detector.efficiency, dark_mu)
+        for chunk in range(-(-n_pulses // PULSES_PER_CHUNK))
+    ))
     candidates = np.concatenate(chunk_times)
     negative = int((candidates < 0).sum())
     if negative:

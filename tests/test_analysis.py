@@ -1,6 +1,7 @@
 """Folding, baseline, peak detection, localization, and coupling inversion."""
 
 import dataclasses
+import math
 import time
 import tracemalloc
 
@@ -507,6 +508,9 @@ class TestDetectPeaks:
         base = BaselineEstimate(level=0.0, noise_scale=1.0)
         with pytest.raises(ParameterError):
             detect_peaks(np.zeros(8), base, k_sigma=0.0)
+        for k_sigma, message in [(math.inf, "finite"), (math.nan, "finite"), (True, "a number"), ("5", "a number")]:
+            with pytest.raises(ParameterError, match=f"^k_sigma must be {message}"):
+                detect_peaks(np.zeros(8), base, k_sigma=k_sigma)
         with pytest.raises(ParameterError):
             detect_peaks(np.zeros(8), base, min_separation_bins=-1)
 

@@ -5,7 +5,11 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from fiberxtalk import cli
 from fiberxtalk.cli import main
 
 from conftest import connector_doc, power_for_mu_det, topology_doc
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_json(path, doc):
@@ -80,15 +86,16 @@ class TestSimulateAnalyze:
         assert (tmp_path / "report.json.manifest.json").is_file()
         assert (tmp_path / "hist.csv.manifest.json").is_file()
 
-    def test_byte_identical_reruns_across_jobs(self, tmp_path, plant_files):
+    def test_byte_identical_reruns(self, tmp_path, plant_files):
+        # --jobs 1 is the one value the flag still accepts, and it changes nothing
         topo, source, detector = plant_files
         digests = []
-        for i, jobs in enumerate(("1", "2", "4")):
+        for i, flags in enumerate(([], [], ["--jobs", "1"])):
             out = tmp_path / f"run{i}.xtt1"
             code = main([
                 "simulate", "--topology", str(topo), "--source", str(source),
                 "--detector", str(detector), "--duration", "3s", "--seed", "99",
-                "--jobs", jobs, "--out", str(out),
+                *flags, "--out", str(out),
             ])
             assert code == 0
             digests.append(sha256(out))
@@ -778,6 +785,44 @@ def test_manifests_and_sidecars_name_the_numpy(tmp_path, capsys, command, sideca
     assert json.loads((tmp_path / sidecar).read_text())["numpy_version"] == np.__version__
 
 
+@pytest.mark.parametrize("command, extra, flag", [
+    ("simulate", ["--jobs", "2"], "--jobs"),
+    ("simulate", ["--jobs", "0"], "--jobs"),
+    ("simulate", ["--lax"], "--lax"),
+    ("analyze", ["--lax"], "--lax"),
+])
+def test_removed_options_are_input_errors(tmp_path, capsys, command, extra, flag):
+    flags, _, _, outputs = command_runs(tmp_path)[command]
+    assert main([command, *map(str, flags), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "E_INPUT"
+    assert flag in json.loads(err[0])["message"]
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan-analyze"])
+@pytest.mark.parametrize("k_sigma", ["inf", "nan"])
+def test_non_finite_k_sigma_is_parameter_error(tmp_path, capsys, command, k_sigma):
+    # an infinite k_sigma once found no peaks and wrote "k_sigma": Infinity, which is not JSON
+    flags, _, _, outputs = command_runs(tmp_path)[command]
+    assert main([command, *map(str, flags), "--k-sigma", k_sigma]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert [json.loads(line) for line in err] == [
+        {"error": "E_PARAM", "message": f"k_sigma must be finite, got {k_sigma}"}]
+    assert not any(path.exists() for path in outputs)
+
+
+def test_cli_import_loads_no_thread_pool():
+    code = "import sys, fiberxtalk.cli; sys.exit('concurrent.futures' in sys.modules)"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}).returncode == 0
+
+
 def test_output_path_that_is_a_directory_is_input_error(tmp_path, capsys):
     flags = [str(arg) for arg in command_runs(tmp_path)["analyze"][0]]
     flags[flags.index("--out") + 1] = str(tmp_path)
@@ -951,6 +996,8 @@ def test_malformed_inputs_follow_exit_contract(fuzz_dir, case):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = main(argv)
     assert code in (0, 2, 3, 4, 5)
+    if any(arg in ("--jobs=2", "--jobs=0") for arg in argv):
+        assert code == 2  # --jobs accepts only 1, and argparse reads it before any file
     lines = stderr.getvalue().splitlines()
     if code:
         assert len(lines) == 1 and json.loads(lines[0])["error"].startswith("E_")

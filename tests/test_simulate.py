@@ -80,7 +80,7 @@ class TestDeterminism:
         b = fx.simulate_otdr_tags(three_point_topology, src, det, 2.0, seed=124)
         assert not np.array_equal(a.times_ps, b.times_ps)
 
-    def test_jobs_do_not_change_the_stream(self, three_point_topology):
+    def test_reruns_give_the_same_stream(self, three_point_topology):
         # one chunk at 1 kHz; 200k pulses at 100 kHz span four chunks, with a
         # dead time of five periods sweeping across the chunk edges
         runs = [
@@ -88,11 +88,13 @@ class TestDeterminism:
             (fx.PulsedSource(avg_power_w=1e-5, rep_rate_hz=1e5), fx.Detector(dead_time_ps=50_000_000), 2.0),
         ]
         for src, det, duration in runs:
-            serial = fx.simulate_otdr_tags(three_point_topology, src, det, duration, seed=9, jobs=1)
-            threaded = fx.simulate_otdr_tags(three_point_topology, src, det, duration, seed=9, jobs=4)
-            assert np.array_equal(serial.times_ps, threaded.times_ps)
-            assert np.array_equal(serial.channels, threaded.channels)
-        assert serial.metadata["n_pulses"] >= 3 * PULSES_PER_CHUNK
+            first = fx.simulate_otdr_tags(three_point_topology, src, det, duration, seed=9)
+            again = fx.simulate_otdr_tags(three_point_topology, src, det, duration, seed=9)
+            assert np.array_equal(first.times_ps, again.times_ps)
+            assert np.array_equal(first.channels, again.channels)
+            assert first.metadata == again.metadata
+        assert first.metadata["n_pulses"] >= 3 * PULSES_PER_CHUNK
+        assert first.metadata["dropped_dead_time"] > 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
     def test_chunk_draws_follow_the_documented_order(self, seed):
