@@ -47,7 +47,6 @@ from .analysis import (
 )
 from .switchlab import (
     Assignment,
-    SwitchConfig,
     SwitchModel,
     brute_force_assignment,
     optimize_assignment,

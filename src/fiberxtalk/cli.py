@@ -16,6 +16,11 @@ fault in any input file or document, a flag that argparse or
 output into a missing directory, say) exits 2 (``E_INPUT``); a flag that reads
 but lies outside its domain exits 4 (``E_PARAM``); running out of memory exits
 5 (``E_RESOURCE``).
+
+A switch path flag (``--aggressor``, ``--victim``) is parsed by
+:func:`parse_path` and checked by ``switchlab.switch_xtalk_db``, which every
+sweep point goes through; a path that does not parse, and one whose ports
+are out of range or shared, both exit 4 (``E_PARAM``).
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from .simulate import (
     simulate_spectral_scan,
 )
 from .switchlab import (
-    SwitchConfig,
     SwitchModel,
     brute_force_assignment,
     load_measured_table,
@@ -58,7 +62,7 @@ from .switchlab import (
 )
 from . import tagio
 # validate_wavelength_nm is unused here, but perfbench/spans.py traces the units layer through it.
-from .units import require_number, validate_wavelength_nm  # noqa: F401
+from .units import require_int, require_number, validate_wavelength_nm  # noqa: F401
 
 MANIFEST_SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 1_000_000  # the benchmark's spectral scan has 3601
@@ -148,6 +152,15 @@ def parse_window_ps(text: str, flag: str) -> tuple[int, int]:
     lo = parse_time_ps(parts[0], flag)
     hi = parse_time_ps(parts[1], flag)
     return (int(round(lo)), int(round(hi)))
+
+
+def parse_path(text: str, flag: str) -> tuple[int, int]:
+    """Parse one switch path 'in:out' of two integers; ``switch_xtalk_db`` checks its ports."""
+    left, _, right = text.partition(":")
+    try:
+        return (int(left), int(right))
+    except ValueError:
+        raise ParameterError(f"{flag}: expected one 'in:out', got {text!r}") from None
 
 
 def _sha256(path: Path) -> str:
@@ -251,10 +264,13 @@ def cmd_simulate(args) -> _Run:
 
 
 def cmd_analyze(args) -> _Run:
-    tags = tagio.read_tags(args.tags)
-    topology = load_topology(args.topology)
+    # the flags are refused before the tag file is read; detect_peaks checks them again for library callers
     bin_width = parse_bin_ps(args.bin, "--bin")
     window = parse_window_ps(args.window, "--window") if args.window else None
+    require_number(args.k_sigma, "k_sigma", minimum=0.0, strict=True)
+    require_int(args.min_separation, "min_separation_bins", 0)
+    tags = tagio.read_tags(args.tags)
+    topology = load_topology(args.topology)
     source = _from_args(args, "source", PulsedSource, tags.metadata)
     detector = _from_args(args, "detector", Detector, tags.metadata)
     report = run_otdr_analysis(
@@ -313,6 +329,7 @@ def cmd_scan(args) -> _Run:
 
 def cmd_scan_analyze(args) -> _Run:
     dwell_s = parse_duration_s(args.dwell, "--dwell") if args.dwell else None
+    require_number(args.k_sigma, "k_sigma", minimum=0.0, strict=True)  # before the scan is read
     scan = tagio.read_scan_csv(args.scan, dwell_s=dwell_s)
     try:
         lines = detect_spectral_lines(scan, k_sigma=args.k_sigma)
@@ -367,13 +384,6 @@ def _model_from_args(args) -> tuple[SwitchModel, dict, dict[str, Path]]:
     return model, record, _given(args, "model", "table")
 
 
-def _one_connection(text: str, flag: str) -> tuple[int, int]:
-    connections = SwitchConfig.parse(text).connections
-    if len(connections) != 1:
-        raise ParameterError(f"{flag}: expected one 'in:out', got {text!r}", code="E_CONFIG")
-    return connections[0]
-
-
 def cmd_switch_sweep_config(args) -> _Run:
     model, record, inputs = _model_from_args(args)
     nm = parse_wavelength_nm(args.wavelength, "--wavelength") if args.wavelength else None
@@ -388,9 +398,8 @@ def cmd_switch_sweep_config(args) -> _Run:
 
 def cmd_switch_sweep_wavelength(args) -> _Run:
     model, record, inputs = _model_from_args(args)
-    aggressor = _one_connection(args.aggressor, "--aggressor")
-    victim = _one_connection(args.victim, "--victim")
-    SwitchConfig(connections=(aggressor, victim)).validate(model)
+    aggressor = parse_path(args.aggressor, "--aggressor")
+    victim = parse_path(args.victim, "--victim")
     grid = parse_grid_nm(args.grid, "--grid")
     curve = sweep_wavelength(model, aggressor, victim, grid)
     out = Path(args.out)

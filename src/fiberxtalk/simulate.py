@@ -297,14 +297,22 @@ def simulate_otdr_tags(
     already detector-referred). Each block of ``PULSES_PER_CHUNK`` pulses
     draws its photons by Poisson splitting from its own ``[seed, chunk]``
     key, in the order :func:`_simulate_chunk` gives; a chunk's expected
-    photons from one point, or its expected darks, must not pass
-    ``MAX_POISSON_MEAN``. The metadata accounts for every candidate:
-    photons after efficiency plus darks, minus ``dropped_negative_time`` and
-    ``dropped_dead_time``, equals ``n_detector_tags``.
+    photons from one point must not pass ``MAX_POISSON_MEAN``. The metadata
+    accounts for every candidate: photons after efficiency plus darks, minus
+    ``dropped_negative_time`` and ``dropped_dead_time``, equals
+    ``n_detector_tags``. ``max_tags`` caps the
+    records, triggers included, and may not pass ``DEFAULT_MAX_TAGS``, the
+    most a tag reader accepts; a run expected to pass it, or whose draw
+    passes it, raises :class:`ResourceError` before returning anything.
     """
     seed = _validate_seed(seed)
     require_number(duration_s, "duration_s", minimum=0.0, strict=True)
     max_tags = require_int(max_tags, "max_tags", 1)
+    if max_tags > DEFAULT_MAX_TAGS:  # the tag readers refuse a larger file
+        raise ParameterError(f"max_tags must be at most {DEFAULT_MAX_TAGS}, got {max_tags}")
+    hint = "shorten the run"
+    if max_tags < DEFAULT_MAX_TAGS:
+        hint += f" or raise max_tags up to {DEFAULT_MAX_TAGS}"
 
     points = crosstalk_points(topology)
     period = source.period_ps
@@ -323,20 +331,19 @@ def simulate_otdr_tags(
     expected_total = n_pulses + expected_detector
     if not expected_total <= max_tags:  # also catches a NaN from inf * 0 in the rates
         raise ResourceError(
-            f"expected ~{expected_total:.3g} tags exceeds the cap of {max_tags}; "
-            "shorten the run or raise max_tags"
+            f"expected ~{expected_total:.3g} tags exceeds the cap of {max_tags}; {hint}"
         )
-    # The cap counts detections only; a chunk's photons before thinning must
-    # still fit numpy's Poisson sampler.
+    # The cap counts detections, so it bounds the darks, which are not
+    # thinned; a chunk's photons from a point before thinning must still fit
+    # numpy's Poisson sampler.
     chunk_pulses = min(PULSES_PER_CHUNK, n_pulses)
-    chunk_means = chunk_pulses * np.append(mus, dark_mu)
+    chunk_means = chunk_pulses * mus
     over = np.flatnonzero(~(chunk_means <= MAX_POISSON_MEAN))
     if over.size:
         first = over[0]
-        what = f"photons from the point at {points[first].position_m} m" if first < len(points) else "dark counts"
         raise ParameterError(
-            f"expected {float(chunk_means[first]):.3g} {what} in a chunk of {chunk_pulses} pulses; "
-            f"the limit is {MAX_POISSON_MEAN:.0e}"
+            f"expected {float(chunk_means[first]):.3g} photons from the point at {points[first].position_m} m "
+            f"in a chunk of {chunk_pulses} pulses; the limit is {MAX_POISSON_MEAN:.0e}"
         )
 
     chunk_times, arrived, after_efficiency, darks = zip(*(
@@ -349,6 +356,8 @@ def simulate_otdr_tags(
         candidates = candidates[candidates >= 0]
     candidates.sort()
     det_times = _apply_dead_time(candidates, detector.dead_time_ps)
+    if n_pulses + det_times.size > max_tags:
+        raise ResourceError(f"drew {n_pulses + det_times.size} tags, over the cap of {max_tags}; {hint}")
 
     trig_times = np.arange(n_pulses, dtype=np.int64) * period
     times = np.concatenate([trig_times, det_times])

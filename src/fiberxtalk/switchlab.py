@@ -2,9 +2,13 @@
 
 Ports are labeled the way the physical device is: inputs 1..n_in, outputs
 n_in+1..n_in+n_out (so the default 8x8 switch has inputs 1-8 and outputs
-9-16). The parametric model decays with port-index separation on the input
-and output planes independently and rises linearly with wavelength; a
-measured table can replace it entirely. A measured table is a
+9-16). A path is an ``(in, out)`` pair of ports; the command line parses
+its ``in:out`` text in :func:`fiberxtalk.cli.parse_path`, and
+:func:`switch_xtalk_db`, which every sweep point goes through, is the one
+check of its ports: each in range, and no port shared between the aggressor
+and the victim. The parametric model decays with port-index separation on
+the input and output planes independently and rises linearly with
+wavelength; a measured table can replace it entirely. A measured table is a
 ``MeasuredTable``: sorted numpy columns of path pairs, wavelengths and dB
 values, read as a mapping from path pair to points only by the per-pair
 model. The parametric model depends only on the two port separations and the
@@ -152,52 +156,13 @@ class SwitchModel:
         return range(self.n_in + 1, self.n_in + self.n_out + 1)
 
 
-@dataclass(frozen=True)
-class SwitchConfig:
-    """A set of cross-connections forming a partial bijection of ports."""
-
-    connections: tuple[PathPair, ...]
-
-    def validate(self, model: SwitchModel) -> "SwitchConfig":
-        seen_in: set[int] = set()
-        seen_out: set[int] = set()
-        for i, o in self.connections:
-            _check_ports(model, i, o, code="E_CONFIG")
-            if i in seen_in:
-                raise ParameterError(f"input port {i} used twice", code="E_CONFIG")
-            if o in seen_out:
-                raise ParameterError(f"output port {o} used twice", code="E_CONFIG")
-            seen_in.add(i)
-            seen_out.add(o)
-        return self
-
-    @classmethod
-    def parse(cls, text: str) -> "SwitchConfig":
-        """Parse ``"1:10,2:9"`` into a configuration."""
-        pairs = []
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            try:
-                left, right = part.split(":")
-                pairs.append((int(left), int(right)))
-            except ValueError:
-                raise ParameterError(
-                    f"bad cross-connection {part!r}; expected 'in:out'", code="E_CONFIG"
-                ) from None
-        if not pairs:
-            raise ParameterError("empty switch configuration", code="E_CONFIG")
-        return cls(connections=tuple(pairs))
-
-
-def _check_ports(model: SwitchModel, i, o, inputs="input port", outputs="output port", code=None) -> None:
-    """Raise :class:`ParameterError` (``code``) unless ``i`` is an input and ``o`` an output port."""
+def _check_ports(model: SwitchModel, i, o, inputs: str, outputs: str) -> None:
+    """Raise :class:`ParameterError` unless ``i`` is an input and ``o`` an output port."""
     n_in, last = model.n_in, model.n_in + model.n_out
     if not is_int(i) or not 1 <= i <= n_in:
-        raise ParameterError(f"{inputs} {i} outside 1..{n_in}", code=code)
+        raise ParameterError(f"{inputs} {i} outside 1..{n_in}")
     if not is_int(o) or not n_in < o <= last:
-        raise ParameterError(f"{outputs} {o} outside {n_in + 1}..{last}", code=code)
+        raise ParameterError(f"{outputs} {o} outside {n_in + 1}..{last}")
 
 
 def _validate_path(model: SwitchModel, path: PathPair, name: str) -> PathPair:

@@ -219,6 +219,38 @@ class TestSimulateAnalyze:
         assert len(err) == 1
         assert json.loads(err[0]) == {"error": "E_PARAM", "message": f"max_tags must be an integer >= 1, got {max_tags}"}
 
+    def test_max_tags_above_the_reader_cap_is_parameter_error(self, tmp_path, plant_files, capsys):
+        # the tag readers refuse more than DEFAULT_MAX_TAGS records, so simulate may not write them
+        topo, source, detector = plant_files
+        out = tmp_path / "x.xtt1"
+        code = main([
+            "simulate", "--topology", str(topo), "--source", str(source), "--detector", str(detector),
+            "--duration", "1s", "--seed", "3", "--max-tags", "50000001", "--out", str(out),
+        ])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"error": "E_PARAM", "message": "max_tags must be at most 50000000, got 50000001"}]
+        assert list(tmp_path.glob("x.xtt1*")) == []
+
+    def test_draw_over_max_tags_is_resource_error(self, tmp_path, plant_files, capsys):
+        # ~1581.8 tags are expected, under the cap of 1582; seed 21 draws 1586
+        topo, source, detector = plant_files
+        out = tmp_path / "x.xtt1"
+        code = main([
+            "simulate", "--topology", str(topo), "--source", str(source), "--detector", str(detector),
+            "--duration", "1s", "--seed", "21", "--max-tags", "1582", "--out", str(out),
+        ])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [{
+            "error": "E_RESOURCE",
+            "message": "drew 1586 tags, over the cap of 1582; shorten the run or raise max_tags up to 50000000",
+        }]
+        assert list(tmp_path.glob("x.xtt1*")) == []
+
 
 @pytest.mark.parametrize("kind,doc", [
     ("source", {"avg_power_w": "x"}),
@@ -471,25 +503,29 @@ class TestSwitchCommands:
             (p.input, p.output, p.wavelength_nm) for p in oracle.classical
         ]
 
-    def test_duplicate_port_is_config_error(self, tmp_path, capsys):
-        code = main([
-            "switch", "sweep-wavelength", "--aggressor", "1:10", "--victim", "1:9",
-            "--grid", "1260:1560:50", "--out", str(tmp_path / "x.csv"),
-        ])
-        assert code == 4
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "E_CONFIG"
-
-    @pytest.mark.parametrize("flag, value", [("--aggressor", "1:10,2:11"), ("--victim", "2:9,3:12")])
-    def test_path_flag_takes_exactly_one_connection(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("flags, message", [
+        (["sweep-config", "--classical-in", "9"], "classical input 9 outside 1..8"),
+        (["sweep-config", "--victim-out", "8"], "victim output 8 outside 9..16"),
+        (["sweep-wavelength", "--aggressor", "9:10"], "aggressor input port 9 outside 1..8"),
+        (["sweep-wavelength", "--victim", "2:17"], "victim output port 17 outside 9..16"),
+        (["sweep-wavelength", "--aggressor", "1:10", "--victim", "1:9"], "aggressor 1->10 and victim 1->9 share a port"),
+        (["sweep-wavelength", "--aggressor", "1:10", "--victim", "2:10"],
+         "aggressor 1->10 and victim 2->10 share a port"),
+        (["sweep-wavelength", "--aggressor", "1-10"], "--aggressor: expected one 'in:out', got '1-10'"),
+        (["sweep-wavelength", "--aggressor=1:10,2:11"], "--aggressor: expected one 'in:out', got '1:10,2:11'"),
+        (["sweep-wavelength", "--victim=2:9,3:12"], "--victim: expected one 'in:out', got '2:9,3:12'"),
+        (["sweep-wavelength", "--victim=2:9,"], "--victim: expected one 'in:out', got '2:9,'"),
+    ], ids=["classical-in", "victim-out", "input-range", "output-range", "shared-input", "shared-output",
+            "dash", "two-aggressors", "two-victims", "trailing-comma"])
+    def test_path_fault_exits_4(self, tmp_path, capsys, flags, message):
+        # one parser and one check: every path fault is E_PARAM, and nothing is written
         out = tmp_path / "x.csv"
-        code = main(["switch", "sweep-wavelength", f"{flag}={value}", "--grid", "1260:1560:50", "--out", str(out)])
-        assert code == 4
+        assert main(["switch", *flags, "--out", str(out)]) == 4
         captured = capsys.readouterr()
-        assert captured.out == "" and not out.exists()
+        assert captured.out == ""
         err = captured.err.strip().splitlines()
-        assert len(err) == 1
-        assert json.loads(err[0]) == {"error": "E_CONFIG", "message": f"{flag}: expected one 'in:out', got {value!r}"}
+        assert [json.loads(line) for line in err] == [{"error": "E_PARAM", "message": message}]
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
     def test_plan_with_bands(self, tmp_path):
         plan_path = tmp_path / "plan.json"
@@ -815,6 +851,36 @@ def test_non_finite_k_sigma_is_parameter_error(tmp_path, capsys, command, k_sigm
     assert [json.loads(line) for line in err] == [
         {"error": "E_PARAM", "message": f"k_sigma must be finite, got {k_sigma}"}]
     assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("analyze", ["--k-sigma", "nan"], "k_sigma must be finite, got nan"),
+    ("analyze", ["--bin", "abc"], "--bin: cannot parse quantity 'abc'"),
+    ("analyze", ["--min-separation", "-1"], "min_separation_bins must be an integer >= 0, got -1"),
+    ("scan-analyze", ["--k-sigma", "nan"], "k_sigma must be finite, got nan"),
+], ids=["analyze-k-sigma", "analyze-bin", "analyze-min-separation", "scan-analyze-k-sigma"])
+def test_bad_flag_is_refused_before_the_input_is_read(tmp_path, capsys, command, flags, message):
+    # the input does not exist: a flag checked only after the read would exit 2
+    out = tmp_path / "out.json"
+    given = {"analyze": ["--tags", str(tmp_path / "missing.csv"), "--topology", str(tmp_path / "topo.json")],
+             "scan-analyze": ["--scan", str(tmp_path / "missing.csv")]}[command]
+    assert main([command, *given, *flags, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [{"error": "E_PARAM", "message": message}]
+    assert not out.exists()
+
+
+def test_parse_path():
+    assert cli.parse_path("1:10", "--aggressor") == (1, 10)
+    assert cli.parse_path(" 2 : 9 ", "--victim") == (2, 9)
+
+
+@pytest.mark.parametrize("text", ["1-10", "1:10,2:9", "1:10,", "", "1", "1:", ":10", "a:b", "1:10:3", "1.0:10"])
+def test_parse_path_rejects(text):
+    with pytest.raises(fx.ParameterError, match=r"^--aggressor: expected one 'in:out', got ") as err:
+        cli.parse_path(text, "--aggressor")
+    assert err.value.code == "E_PARAM"
 
 
 def test_cli_import_loads_no_thread_pool():

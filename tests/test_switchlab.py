@@ -44,19 +44,24 @@ class TestSwitchXtalk:
         with pytest.raises(ParameterError, match="share"):
             fx.switch_xtalk_db(DEFAULT, (1, 10), (2, 10), 1310.0)
 
+    def test_duplicate_port_rejected_with_param_code(self):
+        with pytest.raises(ParameterError, match="^aggressor 1->10 and victim 1->11 share a port$") as err:
+            fx.sweep_wavelength(DEFAULT, (1, 10), (1, 11), [1310.0])
+        assert err.value.code == "E_PARAM"
+
     def test_port_ranges_enforced(self):
         cases = [
             (lambda: fx.switch_xtalk_db(DEFAULT, (0, 10), (2, 9), 1310.0), "E_PARAM", "aggressor input port 0 outside 1..8"),
             (lambda: fx.switch_xtalk_db(DEFAULT, (1, 20), (2, 9), 1310.0), "E_PARAM", "aggressor output port 20 outside 9..16"),
             (lambda: fx.switch_xtalk_db(DEFAULT, (1, 10), (2, 8), 1310.0), "E_PARAM", "victim output port 8 outside 9..16"),
             (lambda: fx.switch_xtalk_db(DEFAULT, (1.5, 10), (2, 9), 1310.0), "E_PARAM", "aggressor input port 1.5 outside 1..8"),
-            (lambda: fx.SwitchConfig(((9, 10),)).validate(DEFAULT), "E_CONFIG", "input port 9 outside 1..8"),
-            (lambda: fx.SwitchConfig(((1, 17),)).validate(DEFAULT), "E_CONFIG", "output port 17 outside 9..16"),
+            (lambda: fx.switch_xtalk_db(DEFAULT, (9, 10), (2, 9), 1310.0), "E_PARAM", "aggressor input port 9 outside 1..8"),
+            (lambda: fx.switch_xtalk_db(DEFAULT, (1, 10), (2, 17), 1310.0), "E_PARAM", "victim output port 17 outside 9..16"),
             (lambda: fx.sweep_configs(DEFAULT, classical_in=9), "E_PARAM", "classical input 9 outside 1..8"),
             (lambda: fx.sweep_configs(DEFAULT, victim_out=8), "E_PARAM", "victim output 8 outside 9..16"),
             # a bool is not a port, though bool is an Integral
             (lambda: fx.switch_xtalk_db(DEFAULT, (True, 10), (2, 9), 1310.0), "E_PARAM", "aggressor input port True outside 1..8"),
-            (lambda: fx.SwitchConfig(((True, 10),)).validate(DEFAULT), "E_CONFIG", "input port True outside 1..8"),
+            (lambda: fx.switch_xtalk_db(DEFAULT, (1, 10), (True, 9), 1310.0), "E_PARAM", "victim input port True outside 1..8"),
         ]
         for check, code, message in cases:
             with pytest.raises(ParameterError, match=f"^{message}$") as err:
@@ -497,9 +502,11 @@ class TestAssignment:
         assert assignment_search_space(model, 1, 1, {"classical": "O"}) == 288
 
     def test_assignment_config_is_valid(self):
-        assignment = fx.optimize_assignment(fx.SwitchModel(), 2, 2)
-        pairs = [(p.input, p.output) for p in assignment.classical + assignment.quantum]
-        fx.SwitchConfig(connections=tuple(pairs)).validate(fx.SwitchModel())
+        assignment = fx.optimize_assignment(DEFAULT, 2, 2)
+        placements = assignment.classical + assignment.quantum
+        inputs, outputs = [p.input for p in placements], [p.output for p in placements]
+        assert len(set(inputs)) == len(set(outputs)) == len(placements) == 4
+        assert set(inputs) <= set(DEFAULT.input_ports) and set(outputs) <= set(DEFAULT.output_ports)
 
 
 def measured_model(n=5):
@@ -679,18 +686,3 @@ class TestLeakTable:
             )
         large = fx.optimize_assignment(fx.SwitchModel(n_in=16, n_out=16), 2, 2)
         assert large.objective_db == 10.0 * math.log10(2e-12)
-
-
-class TestSwitchConfig:
-    def test_duplicate_port_rejected_with_config_code(self):
-        with pytest.raises(ParameterError) as err:
-            fx.SwitchConfig(connections=((1, 10), (1, 11))).validate(DEFAULT)
-        assert err.value.code == "E_CONFIG"
-
-    def test_parse(self):
-        config = fx.SwitchConfig.parse("1:10,2:9")
-        assert config.connections == ((1, 10), (2, 9))
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ParameterError):
-            fx.SwitchConfig.parse("1-10")
