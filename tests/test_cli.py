@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -16,10 +17,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fiberxtalk as fx
-from fiberxtalk import cli
+from fiberxtalk import cli, tagio
 from fiberxtalk.cli import main
 
-from conftest import connector_doc, power_for_mu_det, topology_doc
+from conftest import connector_doc, power_for_mu_det, topology_doc, write_tags_csv
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -515,8 +516,9 @@ class TestSwitchCommands:
         (["sweep-wavelength", "--aggressor=1:10,2:11"], "--aggressor: expected one 'in:out', got '1:10,2:11'"),
         (["sweep-wavelength", "--victim=2:9,3:12"], "--victim: expected one 'in:out', got '2:9,3:12'"),
         (["sweep-wavelength", "--victim=2:9,"], "--victim: expected one 'in:out', got '2:9,'"),
+        (["sweep-wavelength", "--aggressor", "1_0:1_0"], "--aggressor: expected one 'in:out', got '1_0:1_0'"),
     ], ids=["classical-in", "victim-out", "input-range", "output-range", "shared-input", "shared-output",
-            "dash", "two-aggressors", "two-victims", "trailing-comma"])
+            "dash", "two-aggressors", "two-victims", "trailing-comma", "underscored-digits"])
     def test_path_fault_exits_4(self, tmp_path, capsys, flags, message):
         # one parser and one check: every path fault is E_PARAM, and nothing is written
         out = tmp_path / "x.csv"
@@ -874,19 +876,166 @@ def test_bad_flag_is_refused_before_the_input_is_read(tmp_path, capsys, command,
 def test_parse_path():
     assert cli.parse_path("1:10", "--aggressor") == (1, 10)
     assert cli.parse_path(" 2 : 9 ", "--victim") == (2, 9)
+    assert cli.parse_path("+3:-12", "--victim") == (3, -12)  # switch_xtalk_db refuses the port
 
 
-@pytest.mark.parametrize("text", ["1-10", "1:10,2:9", "1:10,", "", "1", "1:", ":10", "a:b", "1:10:3", "1.0:10"])
+@pytest.mark.parametrize("text", [
+    "1-10", "1:10,2:9", "1:10,", "", "1", "1:", ":10", "a:b", "1:10:3", "1.0:10",
+    "1_0:10", "1:1_0", "\u0661:10", "1:\uff11\uff10",
+])
 def test_parse_path_rejects(text):
-    with pytest.raises(fx.ParameterError, match=r"^--aggressor: expected one 'in:out', got ") as err:
+    with pytest.raises(fx.ParameterError) as err:
         cli.parse_path(text, "--aggressor")
+    assert str(err.value) == f"--aggressor: expected one 'in:out', got {text!r}"
     assert err.value.code == "E_PARAM"
 
 
+def test_integer_reads_the_csv_grammar():
+    # spaces around the field, an optional sign, then ASCII digits; int() takes more
+    assert [cli.integer(text) for text in ("7", " 7 ", "+7", "-7", "\t007\n")] == [7, 7, 7, -7, 7]
+    for text in ("1_0", "\u0661", "\uff11", "\u00a07", "1.0", "0x1", "1e3", "", " ", "+", "1 0", "--1"):
+        with pytest.raises(ValueError):
+            cli.integer(text)
+
+
+INTEGER_FLAGS = [
+    ("switch plan", "--n-in"), ("switch plan", "--n-out"), ("switch plan", "--classical"),
+    ("switch plan", "--quantum"), ("simulate", "--seed"), ("simulate", "--max-tags"), ("simulate", "--jobs"),
+    ("analyze", "--min-separation"), ("scan", "--seed"), ("switch sweep-config", "--classical-in"),
+    ("switch sweep-config", "--victim-out"),
+]
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661"])
+@pytest.mark.parametrize("command, flag", INTEGER_FLAGS)
+def test_integer_flag_outside_the_csv_grammar_is_input_error(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    assert main([*command.split(), flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": "E_INPUT", "message": f"xtalk {command}: argument {flag}: invalid integer value: {value!r}"}]
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_thread_pool():
-    code = "import sys, fiberxtalk.cli; sys.exit('concurrent.futures' in sys.modules)"
+    # and starts no thread: the tag file's helper starts only once an analyze has read it
+    code = ("import sys, threading, fiberxtalk.cli; "
+            "sys.exit('concurrent.futures' in sys.modules or threading.active_count() != 1)")
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}).returncode == 0
+
+
+# --- a large tag file is hashed on a helper thread -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def large_tags(tmp_path_factory):
+    """A topology and one simulated capture of it, as XTT1 and as CSV, each at least ``HASH_THREAD_MIN_BYTES``."""
+    root = tmp_path_factory.mktemp("large")
+    topo = write_json(root / "topo.json", ANALYZE_TOPOLOGY)
+    stream = fx.simulate_otdr_tags(
+        fx.load_topology(ANALYZE_TOPOLOGY), fx.PulsedSource(**SOURCE), fx.Detector(**DETECTOR), 120.0, 5)
+    files = {"xtt1": tagio.write_tags_xtt1(root / "tags.xtt1", stream), "csv": write_tags_csv(root / "tags.csv", stream)}
+    assert min(path.stat().st_size for path in files.values()) >= cli.HASH_THREAD_MIN_BYTES
+    return topo, files
+
+
+@pytest.fixture
+def helper_hashes(monkeypatch):
+    """The files hashed on a helper thread, in the order the helpers started."""
+    hashed = []
+    run = cli._Sha256Thread.run
+
+    def spy(self):
+        hashed.append(self.path)
+        run(self)
+
+    monkeypatch.setattr(cli._Sha256Thread, "run", spy)
+    return hashed
+
+
+@pytest.mark.parametrize("fmt", ["xtt1", "csv"])
+def test_large_tag_file_is_hashed_on_a_helper_thread(tmp_path, capsys, monkeypatch, large_tags, helper_hashes, fmt):
+    topo, files = large_tags
+
+    def analyze(stem):
+        out, hist = tmp_path / f"{stem}.json", tmp_path / f"{stem}.csv"
+        assert main(["analyze", "--tags", str(files[fmt]), "--topology", str(topo),
+                     "--out", str(out), "--hist", str(hist)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        return out.read_bytes(), hist.read_bytes(), manifest["inputs"]["tags"]["sha256"]
+
+    threaded = analyze("threaded")
+    assert helper_hashes == [files[fmt]]
+    monkeypatch.setattr(cli, "HASH_THREAD_MIN_BYTES", 2**62)
+    inline = analyze("inline")
+    assert helper_hashes == [files[fmt]]
+    assert threaded == inline
+    assert threaded[2] == sha256(files[fmt])
+    capsys.readouterr()
+
+
+def test_run_that_fails_after_the_read_leaves_no_thread(tmp_path, capsys, large_tags, helper_hashes):
+    _, files = large_tags
+    before = threading.active_count()
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--tags", str(files["csv"]), "--topology", str(tmp_path / "absent.json"),
+                 "--out", str(out)]) == 2
+    assert helper_hashes == [files["csv"]]
+    assert threading.active_count() == before
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "E_INPUT"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_tag_file_that_is_also_an_output_gets_the_digest_of_the_bytes_read(
+        tmp_path, capsys, large_tags, helper_hashes, size):
+    topo, files = large_tags
+    tags, out = tmp_path / "tags.csv", tmp_path / "report.json"
+    tags.write_bytes(files["csv"].read_bytes() if size == "large" else
+                     b"\n".join([b"channel,time_ps", *TAG_ROWS]) + b"\n")
+    read = sha256(tags)
+    assert main(["analyze", "--tags", str(tags), "--topology", str(topo), "--out", str(out),
+                 "--hist", str(tags)]) == 0
+    capsys.readouterr()
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["inputs"]["tags"]["sha256"] == read
+    assert manifest["outputs"][str(tags)]["sha256"] == sha256(tags) != read
+    assert helper_hashes == []
+
+
+@pytest.mark.parametrize("when", ["before-the-helper", "in-the-helper"])
+def test_tag_file_removed_after_the_read_is_input_error(tmp_path, capsys, monkeypatch, large_tags, when):
+    topo, files = large_tags
+    tags, out = tmp_path / "tags.xtt1", tmp_path / "report.json"
+    tags.write_bytes(files["xtt1"].read_bytes())
+    read_tags, run = tagio.read_tags, cli._Sha256Thread.run
+
+    def read_then_remove(path):
+        stream = read_tags(path)
+        Path(path).unlink()
+        return stream
+
+    def remove_then_hash(self):
+        self.path.unlink()
+        run(self)
+
+    if when == "before-the-helper":
+        monkeypatch.setattr(tagio, "read_tags", read_then_remove)
+    else:
+        monkeypatch.setattr(cli._Sha256Thread, "run", remove_then_hash)
+    before = threading.active_count()
+    assert main(["analyze", "--tags", str(tags), "--topology", str(topo), "--out", str(out)]) == 2
+    assert threading.active_count() == before
+    assert not tags.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "E_INPUT"
+    assert str(tags) in json.loads(err[0])["message"]
+    assert not Path(f"{out}.manifest.json").exists()
 
 
 def test_output_path_that_is_a_directory_is_input_error(tmp_path, capsys):
@@ -1021,7 +1170,7 @@ def table_plan_case():
 
 
 def plan_case():
-    small = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["1.5", "abc", "1000000", str(2**70)]))
+    small = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["1.5", "abc", "1_0", "1000000", str(2**70)]))
     flags = st.lists(st.one_of(
         st.tuples(st.sampled_from(["--n-in", "--n-out", "--classical", "--quantum"]), small),
         st.tuples(st.sampled_from(["--c0", "--floor", "--lambda-ref", "--slope", "--beta-in"]), FLOATS),
