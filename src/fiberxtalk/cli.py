@@ -7,12 +7,12 @@ parameter snapshot, the package and numpy versions, and SHA-256 digests of
 every file it read and wrote, and prints the one summary line ``wrote <first
 output> (...)``. Outputs are rewritten in place (see :mod:`fiberxtalk.tagio`).
 A command that fails leaves no manifest whose digest no longer matches its
-output. The digest of an ``analyze`` tag file describes its bytes as read: a
-tag file that is also one of the outputs is hashed straight after the read,
-before anything is written over it, and one of at least
-``HASH_THREAD_MIN_BYTES`` is hashed on one helper thread while the command
-folds, analyses and writes, and joined before the command returns. Every
-other file is hashed when the manifests are written.
+output. The digest of an ``analyze`` tag file describes its bytes as read: it
+is taken before any output is written, so a tag file that is also an output
+keeps the digest of what was read. One of at least ``HASH_THREAD_MIN_BYTES``
+is hashed on one helper thread, started once the file is read, while the
+command folds and analyses. Every other file is hashed when the manifests
+are written.
 
 Exit codes: 0 ok, 2 input error, 3 data error, 4 parameter error, 5 resource
 error. Failures print a one-line machine-readable JSON object on stderr. A
@@ -37,7 +37,6 @@ import contextlib
 import functools
 import hashlib
 import json
-import os
 import re
 import sys
 import threading
@@ -75,7 +74,7 @@ from .units import require_int, require_number, validate_wavelength_nm  # noqa: 
 
 MANIFEST_SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 1_000_000  # the benchmark's spectral scan has 3601
-# A tag file this large is hashed on a helper thread; no benchmark input but the capture reaches it.
+# A smaller tag file is hashed inline: a helper thread for each slowed otdr-sim by ~8 % (ROADMAP aim 1).
 HASH_THREAD_MIN_BYTES = 1 << 20
 
 _INT_RE = re.compile(r"\s*[-+]?[0-9]+\s*", re.ASCII)
@@ -188,10 +187,16 @@ def parse_path(text: str, flag: str) -> tuple[int, int]:
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    """The file's SHA-256, read through one reused 64 KiB buffer; hashlib releases the GIL per block.
+
+    On the helper thread the buffer is alive while the command computes: a
+    1 MiB one added 1.1 MB to the capture analyzes' peak RSS, at the same speed.
+    """
+    digest, block = hashlib.sha256(), bytearray(1 << 16)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -199,11 +204,8 @@ class _Sha256Thread(threading.Thread):
     """The SHA-256 of one file, taken on a helper thread while the caller computes.
 
     Entering the ``with`` block starts the thread and leaving it joins it.
-    It reads into one reused 64 KiB buffer, and hashlib releases the GIL for
-    each block. The buffer is alive while the command computes: a 1 MiB one
-    added 1.1 MB to the peak RSS of the benchmark's capture analyzes, this
-    one 0.06 MB, at the same speed. :meth:`hexdigest` raises, in the
-    caller's thread, what the hash raised.
+    :meth:`hexdigest` joins it and raises, in the caller's thread, what the
+    hash raised.
     """
 
     def __init__(self, path: Path):
@@ -213,12 +215,7 @@ class _Sha256Thread(threading.Thread):
 
     def run(self) -> None:
         try:
-            digest, block = hashlib.sha256(), bytearray(1 << 16)
-            view = memoryview(block)
-            with open(self.path, "rb", buffering=0) as fh:
-                while size := fh.readinto(block):
-                    digest.update(view[:size])
-            self._result = digest.hexdigest()
+            self._result = _sha256(self.path)
         except Exception as exc:  # raised again by hexdigest
             self._result = exc
 
@@ -234,13 +231,6 @@ class _Sha256Thread(threading.Thread):
         if isinstance(self._result, Exception):
             raise self._result
         return self._result
-
-
-def _same_file(path: Path, other: Path) -> bool:
-    try:
-        return os.path.samefile(path, other)
-    except OSError:  # ``other`` is not written yet
-        return False
 
 
 @dataclass(frozen=True)
@@ -349,12 +339,8 @@ def cmd_analyze(args) -> _Run:
     require_int(args.min_separation, "min_separation_bins", 0)
     tags = tagio.read_tags(args.tags)
     tags_path = Path(args.tags)
-    outputs = [Path(p) for p in (args.out, args.hist) if p]
-    digests, helper = {}, None
-    if any(_same_file(tags_path, out) for out in outputs):  # its digest must describe the bytes read
-        digests["tags"] = _sha256(tags_path)
-    elif tags_path.stat().st_size >= HASH_THREAD_MIN_BYTES:
-        helper = _Sha256Thread(tags_path)  # started after the read: np.loadtxt holds the GIL
+    # started after the read (np.loadtxt holds the GIL) and joined before any output is written
+    helper = _Sha256Thread(tags_path) if tags_path.stat().st_size >= HASH_THREAD_MIN_BYTES else None
     with helper or contextlib.nullcontext():
         topology = load_topology(args.topology)
         source = _from_args(args, "source", PulsedSource, tags.metadata)
@@ -369,19 +355,20 @@ def cmd_analyze(args) -> _Run:
             source=source,
             detector=detector,
         )
-        parameters = {
-            "tags": str(args.tags),
-            "topology": str(args.topology),
-            "bin_width_ps": bin_width,
-            "k_sigma": args.k_sigma,
-            "min_separation_bins": args.min_separation,
-            "window_ps": list(window) if window else None,
-        }
-        tagio.write_json(outputs[0], report.to_dict(parameters))
-        if args.hist:
-            tagio.write_histogram_csv(outputs[1], report.histogram)
-    if helper:
-        digests["tags"] = helper.hexdigest()
+        digests = {"tags": helper.hexdigest() if helper else _sha256(tags_path)}
+    parameters = {
+        "tags": str(args.tags),
+        "topology": str(args.topology),
+        "bin_width_ps": bin_width,
+        "k_sigma": args.k_sigma,
+        "min_separation_bins": args.min_separation,
+        "window_ps": list(window) if window else None,
+    }
+    outputs = [Path(args.out)]
+    tagio.write_json(outputs[0], report.to_dict(parameters))
+    if args.hist:
+        outputs.append(Path(args.hist))
+        tagio.write_histogram_csv(outputs[1], report.histogram)
     inputs = {**_given(args, "tags", "topology", "source", "detector"), **_sidecar(args.tags, "tags_metadata")}
     return _Run(parameters, inputs, outputs, f"{len(report.peaks)} peak(s)", digests=digests)
 

@@ -1003,7 +1003,7 @@ def test_tag_file_that_is_also_an_output_gets_the_digest_of_the_bytes_read(
     manifest = json.loads(Path(f"{out}.manifest.json").read_text())
     assert manifest["inputs"]["tags"]["sha256"] == read
     assert manifest["outputs"][str(tags)]["sha256"] == sha256(tags) != read
-    assert helper_hashes == []
+    assert helper_hashes == ([tags] if size == "large" else [])
 
 
 @pytest.mark.parametrize("when", ["before-the-helper", "in-the-helper"])
