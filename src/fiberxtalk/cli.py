@@ -1,28 +1,29 @@
 """Batch command-line front end: simulate, analyze, scan, and switch tooling.
 
 Every command is deterministic given its flags and an explicit ``--seed``.
-A command writes its outputs and returns a :class:`_Run` record; :func:`main`
-then writes, beside each output, a ``<file>.manifest.json`` recording the full
-parameter snapshot, the package and numpy versions, and SHA-256 digests of
-every file it read and wrote, and prints the one summary line ``wrote <first
-output> (...)``. Outputs are rewritten in place (see :mod:`fiberxtalk.tagio`).
-A command that fails leaves no manifest whose digest no longer matches its
-output. The digest of an ``analyze`` tag file describes its bytes as read: it
-is taken before any output is written, so a tag file that is also an output
-keeps the digest of what was read. One of at least ``HASH_THREAD_MIN_BYTES``
-is hashed on one helper thread, started once the file is read, while the
-command folds and analyses. Every other file is hashed when the manifests
-are written.
+A command only parses, reads and computes: it returns a :class:`_Run` record
+of the files it read and the writes it needs, and writes nothing. :func:`main`
+holds the one run order: it hashes every file the command read, runs the
+writes in order, then writes beside each output a ``<file>.manifest.json``
+recording the full parameter snapshot, the package and numpy versions, and
+SHA-256 digests of every file read and written, and prints the one summary
+line ``wrote <first output> (...)``. As no input is hashed after the first
+write, an input that is also an output keeps the digest of the bytes read.
+Outputs are rewritten in place (see :mod:`fiberxtalk.tagio`), and a run that
+fails removes the manifest of every output it began to write. An ``analyze``
+tag file of at least ``HASH_THREAD_MIN_BYTES`` is hashed on one helper
+thread, started once the file is read, while the command folds and analyses.
 
 Exit codes: 0 ok, 2 input error, 3 data error, 4 parameter error, 5 resource
 error. Failures print a one-line machine-readable JSON object on stderr. A
 fault in any input file or document, a flag that argparse or
-:func:`parse_band` cannot read, or a path that cannot be read or written (an
-output into a missing directory, say) exits 2 (``E_INPUT``). Integer flags are
-read by :func:`integer`, with the grammar of the CSV readers: spaces around
-the field, an optional sign, then ASCII digits. A flag that reads but lies
-outside its domain exits 4 (``E_PARAM``); running out of memory exits 5
-(``E_RESOURCE``).
+:func:`parse_band` cannot read, an empty file or output path (see
+:func:`path`), or a path that cannot be read or written (an output into a
+missing directory, say) exits 2 (``E_INPUT``). Integer flags are read by
+:func:`integer`, with the grammar of the CSV readers: spaces around the
+field, an optional sign, then ASCII digits. A flag that reads but lies
+outside its domain, an empty value included, exits 4 (``E_PARAM``); running
+out of memory exits 5 (``E_RESOURCE``).
 
 A switch path flag (``--aggressor``, ``--victim``) is parsed by
 :func:`parse_path` and checked by ``switchlab.switch_xtalk_db``, which every
@@ -41,6 +42,7 @@ import re
 import sys
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -177,6 +179,13 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def path(text: str) -> str:
+    """A file or output path, not empty: ``ValueError`` lets argparse name the flag of an empty one."""
+    if not text:
+        raise ValueError("empty path")
+    return text
+
+
 def parse_path(text: str, flag: str) -> tuple[int, int]:
     """Parse one switch path 'in:out' of two integers; ``switch_xtalk_db`` checks its ports."""
     left, _, right = text.partition(":")
@@ -235,21 +244,24 @@ class _Sha256Thread(threading.Thread):
 
 @dataclass(frozen=True)
 class _Run:
-    """What a command wrote: its manifest record and the summary after ``wrote <first output>``.
+    """What a command read and computed: manifest record, writes, and the summary after ``wrote <first output>``.
 
-    ``digests`` holds the input digests the command took itself, by label;
-    :func:`_write_manifests` hashes the other inputs.
+    ``writes`` pairs each output with the call that writes it there, in the
+    order :func:`main` runs them; an output given twice is written twice. ``digests``
+    holds the input digests the command took itself, by label; :func:`main`
+    hashes the other inputs before the first write.
     """
 
     parameters: dict
     inputs: dict[str, Path]
-    outputs: list[Path]
+    writes: list[tuple[Path, Callable[[Path], object]]]
     summary: str
     seed: int | None = None
     digests: dict[str, str] = field(default_factory=dict)
 
 
-def _write_manifests(command: str, run: _Run, started: float) -> None:
+def _write_manifests(command: str, run: _Run, inputs: dict, started: float) -> None:
+    outputs = [out for out, _ in run.writes]
     doc = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "kind": "run-manifest",
@@ -259,31 +271,18 @@ def _write_manifests(command: str, run: _Run, started: float) -> None:
         "command": command,
         "parameters": run.parameters,
         "seed": run.seed,
-        "inputs": {label: {"path": str(p), "sha256": run.digests.get(label) or _sha256(p)}
-                   for label, p in run.inputs.items()},
-        "outputs": {str(p): {"sha256": _sha256(p)} for p in run.outputs},
+        "inputs": inputs,
+        "outputs": {str(p): {"sha256": _sha256(p)} for p in outputs},
         "duration_s": time.perf_counter() - started,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    for out in run.outputs:
+    for out in outputs:
         tagio.write_json(str(out) + ".manifest.json", doc)
-
-
-def _drop_stale_manifest(out: Path) -> None:
-    """Remove ``out``'s manifest unless it records ``out`` as it now is."""
-    manifest = Path(str(out) + ".manifest.json")
-    try:
-        if json.loads(manifest.read_text())["outputs"][str(out)]["sha256"] == _sha256(out):
-            return
-    except (OSError, ValueError, LookupError, TypeError):
-        pass  # no manifest, no output, or not a manifest of ours
-    with contextlib.suppress(OSError):
-        manifest.unlink(missing_ok=True)
 
 
 def _given(args, *names: str) -> dict[str, Path]:
     """Manifest inputs: the file of each flag in ``names`` that was given."""
-    return {name: Path(getattr(args, name)) for name in names if getattr(args, name, None)}
+    return {name: Path(getattr(args, name)) for name in names if getattr(args, name, None) is not None}
 
 
 def _sidecar(path: str, label: str) -> dict[str, Path]:
@@ -294,9 +293,9 @@ def _sidecar(path: str, label: str) -> dict[str, Path]:
 
 def _from_args(args, name: str, cls, metadata: dict | None = None):
     """``cls`` built from the ``--<name>`` JSON file, else from ``metadata[name]``, else None."""
-    if getattr(args, name, None):
+    if getattr(args, name, None) is not None:
         return read_dataclass(read_json(getattr(args, name), name), cls, name)
-    if metadata and isinstance(metadata.get(name), dict):
+    if metadata and name in metadata:
         return read_dataclass(metadata[name], cls, f"metadata.{name}")
     return None
 
@@ -306,16 +305,12 @@ def _from_args(args, name: str, cls, metadata: dict | None = None):
 
 def cmd_simulate(args) -> _Run:
     topology = load_topology(args.topology)
-    source = _from_args(args, "source", PulsedSource)
-    if source is None:
-        raise InputError("--source is required (JSON file with at least avg_power_w)")
+    source = _from_args(args, "source", PulsedSource)  # argparse requires --source
     detector = _from_args(args, "detector", Detector) or Detector()
     duration_s = parse_duration_s(args.duration, "--duration")
     stream = simulate_otdr_tags(
         topology, source, detector, duration_s, args.seed, max_tags=args.max_tags,
     )
-    out = Path(args.out)
-    tagio.write_tags_xtt1(out, stream)
     return _Run(
         {
             "topology": str(args.topology),
@@ -325,7 +320,7 @@ def cmd_simulate(args) -> _Run:
             "max_tags": args.max_tags,
         },
         _given(args, "topology", "source", "detector"),
-        [out],
+        [(Path(args.out), lambda out: tagio.write_tags_xtt1(out, stream))],
         f"{stream.metadata['n_triggers']} triggers, {stream.metadata['n_detector_tags']} detector tags",
         args.seed,
     )
@@ -334,12 +329,12 @@ def cmd_simulate(args) -> _Run:
 def cmd_analyze(args) -> _Run:
     # the flags are refused before the tag file is read; detect_peaks checks them again for library callers
     bin_width = parse_bin_ps(args.bin, "--bin")
-    window = parse_window_ps(args.window, "--window") if args.window else None
+    window = parse_window_ps(args.window, "--window") if args.window is not None else None
     require_number(args.k_sigma, "k_sigma", minimum=0.0, strict=True)
     require_int(args.min_separation, "min_separation_bins", 0)
     tags = tagio.read_tags(args.tags)
     tags_path = Path(args.tags)
-    # started after the read (np.loadtxt holds the GIL) and joined before any output is written
+    # started after the read (np.loadtxt holds the GIL) and joined before the command returns
     helper = _Sha256Thread(tags_path) if tags_path.stat().st_size >= HASH_THREAD_MIN_BYTES else None
     with helper or contextlib.nullcontext():
         topology = load_topology(args.topology)
@@ -355,7 +350,7 @@ def cmd_analyze(args) -> _Run:
             source=source,
             detector=detector,
         )
-        digests = {"tags": helper.hexdigest() if helper else _sha256(tags_path)}
+        digests = {"tags": helper.hexdigest()} if helper else {}
     parameters = {
         "tags": str(args.tags),
         "topology": str(args.topology),
@@ -364,13 +359,13 @@ def cmd_analyze(args) -> _Run:
         "min_separation_bins": args.min_separation,
         "window_ps": list(window) if window else None,
     }
-    outputs = [Path(args.out)]
-    tagio.write_json(outputs[0], report.to_dict(parameters))
-    if args.hist:
-        outputs.append(Path(args.hist))
-        tagio.write_histogram_csv(outputs[1], report.histogram)
+    # built as it is written: a report document built here outlived the tag arrays, and glibc's heap then
+    # kept capture-analyze's peak RSS ~4 MB higher
+    writes = [(Path(args.out), lambda out: tagio.write_json(out, report.to_dict(parameters)))]
+    if args.hist is not None:
+        writes.append((Path(args.hist), lambda out: tagio.write_histogram_csv(out, report.histogram)))
     inputs = {**_given(args, "tags", "topology", "source", "detector"), **_sidecar(args.tags, "tags_metadata")}
-    return _Run(parameters, inputs, outputs, f"{len(report.peaks)} peak(s)", digests=digests)
+    return _Run(parameters, inputs, writes, f"{len(report.peaks)} peak(s)", digests=digests)
 
 
 def cmd_scan(args) -> _Run:
@@ -383,8 +378,6 @@ def cmd_scan(args) -> _Run:
     grid = parse_grid_nm(args.grid, "--grid")  # the simulator checks its range
     dwell_s = parse_duration_s(args.dwell, "--dwell")
     scan = simulate_spectral_scan(lines, filt, detector, grid, dwell_s, args.seed)
-    out = Path(args.out)
-    tagio.write_scan_csv(out, scan)
     return _Run(
         {
             "lines": str(args.lines),
@@ -394,14 +387,14 @@ def cmd_scan(args) -> _Run:
             "dwell_s": dwell_s,
         },
         _given(args, "lines", "filter", "detector"),
-        [out],
+        [(Path(args.out), lambda out: tagio.write_scan_csv(out, scan))],
         f"{len(grid)} wavelength points",
         args.seed,
     )
 
 
 def cmd_scan_analyze(args) -> _Run:
-    dwell_s = parse_duration_s(args.dwell, "--dwell") if args.dwell else None
+    dwell_s = parse_duration_s(args.dwell, "--dwell") if args.dwell is not None else None
     require_number(args.k_sigma, "k_sigma", minimum=0.0, strict=True)  # before the scan is read
     scan = tagio.read_scan_csv(args.scan, dwell_s=dwell_s)
     try:
@@ -409,15 +402,14 @@ def cmd_scan_analyze(args) -> _Run:
     except DataError as exc:  # a fault of the scan file: name it
         raise DataError(f"{args.scan}: {exc}", code=exc.code) from None
     parameters = {"scan": str(args.scan), "k_sigma": args.k_sigma, "dwell_s": scan.dwell_s}
-    out = Path(args.out)
-    tagio.write_json(out, {
+    doc = {
         "schema_version": 1,
         "kind": "scan-analysis",
         "parameters": parameters,
         "lines": [asdict(line) for line in lines],
-    })
+    }
     inputs = {**_given(args, "scan"), **_sidecar(args.scan, "scan_metadata")}
-    return _Run(parameters, inputs, [out], f"{len(lines)} line(s)")
+    return _Run(parameters, inputs, [(Path(args.out), lambda out: tagio.write_json(out, doc))], f"{len(lines)} line(s)")
 
 
 _MODEL_FLAGS = (
@@ -441,11 +433,11 @@ def _model_from_args(args) -> tuple[SwitchModel, dict, dict[str, Path]]:
     the document is an input error; a flag that puts the model out of its
     domain is a parameter error.
     """
-    doc = read_json(args.model, "switch model") if args.model else {}
+    doc = read_json(args.model, "switch model") if args.model is not None else {}
     if isinstance(doc, dict) and "table" in doc:
         raise InputError("switch model: a measured table comes only from --table")
     overrides = {key: getattr(args, flag) for flag, key in _MODEL_FLAGS if getattr(args, flag) is not None}
-    if args.table:
+    if args.table is not None:
         ignored = [f"--{flag.replace('_', '-')}" for flag, key in _MODEL_FLAGS
                    if key in overrides and key not in _TABLE_KEEPS]
         if ignored:
@@ -453,19 +445,19 @@ def _model_from_args(args) -> tuple[SwitchModel, dict, dict[str, Path]]:
         overrides["table"] = load_measured_table(args.table)
     model = replace(read_dataclass(doc, SwitchModel, "switch model"), **overrides)
     record = ({"mode": "measured", **{key: getattr(model, key) for key in _TABLE_KEEPS}}
-              if args.table else asdict(model))
+              if args.table is not None else asdict(model))
     return model, record, _given(args, "model", "table")
 
 
 def cmd_switch_sweep_config(args) -> _Run:
     model, record, inputs = _model_from_args(args)
-    nm = parse_wavelength_nm(args.wavelength, "--wavelength") if args.wavelength else None
+    nm = parse_wavelength_nm(args.wavelength, "--wavelength") if args.wavelength is not None else None
     points = sweep_configs(model, args.classical_in, args.victim_out, nm)
-    out = Path(args.out)
-    tagio.write_csv(out, "config,xtalk_db", '"%s",%.6f', ([p.label for p in points], [p.xtalk_db for p in points]))
+    columns = ([p.label for p in points], [p.xtalk_db for p in points])
     return _Run(
         {"model": record, "classical_in": args.classical_in, "victim_out": args.victim_out, "wavelength_nm": nm},
-        inputs, [out], f"{len(points)} configurations",
+        inputs, [(Path(args.out), lambda out: tagio.write_csv(out, "config,xtalk_db", '"%s",%.6f', columns))],
+        f"{len(points)} configurations",
     )
 
 
@@ -475,28 +467,28 @@ def cmd_switch_sweep_wavelength(args) -> _Run:
     victim = parse_path(args.victim, "--victim")
     grid = parse_grid_nm(args.grid, "--grid")
     curve = sweep_wavelength(model, aggressor, victim, grid)
-    out = Path(args.out)
-    tagio.write_csv(out, "lambda_nm,xtalk_db", "%.6f,%.6f", list(zip(*curve)))
+    columns = list(zip(*curve))
     return _Run(
         {"model": record, "aggressor": list(aggressor), "victim": list(victim),
          "grid_nm": [grid[0], grid[-1], len(grid)]},
-        inputs, [out], f"{len(curve)} wavelength points",
+        inputs, [(Path(args.out), lambda out: tagio.write_csv(out, "lambda_nm,xtalk_db", "%.6f,%.6f", columns))],
+        f"{len(curve)} wavelength points",
     )
 
 
 def cmd_switch_plan(args) -> _Run:
     model, record, inputs = _model_from_args(args)
     wanted = {"classical": args.classical_band, "quantum": args.quantum_band}
-    bands = {kind: parse_band(text, f"--{kind}-band") for kind, text in wanted.items() if text} or None
+    bands = {kind: parse_band(text, f"--{kind}-band") for kind, text in wanted.items() if text is not None} or None
     solver = brute_force_assignment if args.oracle else optimize_assignment
     assignment = solver(model, args.classical, args.quantum, bands)
-    out = Path(args.out)
-    tagio.write_json(out, {"schema_version": 1, "kind": "switch-assignment", **asdict(assignment)})
+    doc = {"schema_version": 1, "kind": "switch-assignment", **asdict(assignment)}
     objective = "-inf" if assignment.objective_db == float("-inf") else f"{assignment.objective_db:.2f} dB"
     return _Run(
         {"model": record, "k_classical": args.classical, "k_quantum": args.quantum, "bands": bands,
          "oracle": bool(args.oracle)},
-        inputs, [out], f"objective {objective}, {assignment.method}",
+        inputs, [(Path(args.out), lambda out: tagio.write_json(out, doc))],
+        f"objective {objective}, {assignment.method}",
     )
 
 
@@ -504,8 +496,8 @@ def cmd_switch_plan(args) -> _Run:
 
 
 def _add_switch_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", help="JSON file with SwitchModel fields")
-    parser.add_argument("--table", help="measured crosstalk CSV (a_in,a_out,v_in,v_out,lambda_nm,xtalk_db)")
+    parser.add_argument("--model", type=path, help="JSON file with SwitchModel fields")
+    parser.add_argument("--table", type=path, help="measured crosstalk CSV (a_in,a_out,v_in,v_out,lambda_nm,xtalk_db)")
     parser.add_argument("--n-in", dest="n_in", type=integer)
     parser.add_argument("--n-out", dest="n_out", type=integer)
     parser.add_argument("--c0", type=float, help="adjacent-path crosstalk in dB")
@@ -538,45 +530,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate a pulsed-probe crosstalk tag stream")
-    sim.add_argument("--topology", required=True)
-    sim.add_argument("--source", required=True, help="JSON file with PulsedSource fields")
-    sim.add_argument("--detector", help="JSON file with Detector fields")
+    sim.add_argument("--topology", type=path, required=True)
+    sim.add_argument("--source", type=path, required=True, help="JSON file with PulsedSource fields")
+    sim.add_argument("--detector", type=path, help="JSON file with Detector fields")
     sim.add_argument("--duration", required=True, help="acquisition time (s, ms, ... )")
     sim.add_argument("--seed", required=True, type=integer)
-    sim.add_argument("--out", required=True)
+    sim.add_argument("--out", type=path, required=True)
     # Kept because perfbench/workloads.py still passes --jobs 1; nothing reads it.
     sim.add_argument("--jobs", type=integer, choices=[1], help=argparse.SUPPRESS)
     sim.add_argument("--max-tags", dest="max_tags", type=integer, default=DEFAULT_MAX_TAGS)
     sim.set_defaults(func=cmd_simulate)
 
     ana = sub.add_parser("analyze", help="fold a tag file and report peaks/locations/couplings")
-    ana.add_argument("--tags", required=True)
-    ana.add_argument("--topology", required=True)
+    ana.add_argument("--tags", type=path, required=True)
+    ana.add_argument("--topology", type=path, required=True)
     ana.add_argument("--bin", default="100ps", help="histogram bin width (default 100ps)")
     ana.add_argument("--k-sigma", dest="k_sigma", type=float, default=5.0)
     ana.add_argument("--min-separation", dest="min_separation", type=integer, default=3)
     ana.add_argument("--window", help="delay window 'lo:hi' (ps units by default)")
-    ana.add_argument("--source", help="override source JSON (else tag metadata)")
-    ana.add_argument("--detector", help="override detector JSON (else tag metadata)")
-    ana.add_argument("--out", required=True, help="analysis report JSON")
-    ana.add_argument("--hist", help="histogram CSV (occupied bins)")
+    ana.add_argument("--source", type=path, help="override source JSON (else tag metadata)")
+    ana.add_argument("--detector", type=path, help="override detector JSON (else tag metadata)")
+    ana.add_argument("--out", type=path, required=True, help="analysis report JSON")
+    ana.add_argument("--hist", type=path, help="histogram CSV (occupied bins)")
     ana.set_defaults(func=cmd_analyze)
 
     scan = sub.add_parser("scan", help="simulate a filter-sweep spectral scan")
-    scan.add_argument("--lines", required=True, help="JSON array of leak lines")
-    scan.add_argument("--filter", help="JSON file with TunableFilter fields")
-    scan.add_argument("--detector", help="JSON file with Detector fields")
+    scan.add_argument("--lines", type=path, required=True, help="JSON array of leak lines")
+    scan.add_argument("--filter", type=path, help="JSON file with TunableFilter fields")
+    scan.add_argument("--detector", type=path, help="JSON file with Detector fields")
     scan.add_argument("--grid", required=True, help="wavelength grid 'start:stop:step' in nm")
     scan.add_argument("--dwell", required=True, help="dwell time per point")
     scan.add_argument("--seed", required=True, type=integer)
-    scan.add_argument("--out", required=True)
+    scan.add_argument("--out", type=path, required=True)
     scan.set_defaults(func=cmd_scan)
 
     sana = sub.add_parser("scan-analyze", help="detect spectral lines in a scan CSV")
-    sana.add_argument("--scan", required=True)
+    sana.add_argument("--scan", type=path, required=True)
     sana.add_argument("--k-sigma", dest="k_sigma", type=float, default=5.0)
     sana.add_argument("--dwell", help="dwell override when no metadata sidecar exists")
-    sana.add_argument("--out", required=True)
+    sana.add_argument("--out", type=path, required=True)
     sana.set_defaults(func=cmd_scan_analyze)
 
     switch = sub.add_parser("switch", help="switch crosstalk sweeps and planning")
@@ -587,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     scfg.add_argument("--classical-in", dest="classical_in", type=integer, default=1)
     scfg.add_argument("--victim-out", dest="victim_out", type=integer, default=None)
     scfg.add_argument("--wavelength", help="evaluation wavelength (nm)")
-    scfg.add_argument("--out", required=True)
+    scfg.add_argument("--out", type=path, required=True)
     scfg.set_defaults(func=cmd_switch_sweep_config)
 
     swl = ssub.add_parser("sweep-wavelength", help="crosstalk vs. wavelength for one configuration")
@@ -595,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     swl.add_argument("--aggressor", default="1:10", help="aggressor path 'in:out'")
     swl.add_argument("--victim", default="2:9", help="victim path 'in:out'")
     swl.add_argument("--grid", default="1260:1560:10", help="wavelength grid 'start:stop:step' nm")
-    swl.add_argument("--out", required=True)
+    swl.add_argument("--out", type=path, required=True)
     swl.set_defaults(func=cmd_switch_sweep_wavelength)
 
     plan = ssub.add_parser("plan", help="optimize classical/quantum port and band assignment")
@@ -605,25 +597,31 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--classical-band", dest="classical_band", help="'O', 'C', or 'min,max' nm")
     plan.add_argument("--quantum-band", dest="quantum_band")
     plan.add_argument("--oracle", action="store_true", help="use the exhaustive oracle directly")
-    plan.add_argument("--out", required=True)
+    plan.add_argument("--out", type=path, required=True)
     plan.set_defaults(func=cmd_switch_plan)
 
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    outputs: list[Path] = []
+    begun: list[Path] = []  # the outputs whose write has started
     try:
         args = build_parser().parse_args(argv)
-        outputs = [Path(p) for p in (args.out, getattr(args, "hist", None)) if p]
         started = time.perf_counter()
         run = args.func(args)
+        # every input is hashed before the first write: an input that is also an output keeps the digest read
+        inputs = {label: {"path": str(p), "sha256": run.digests.get(label) or _sha256(p)}
+                  for label, p in run.inputs.items()}
+        for out, write in run.writes:
+            begun.append(out)
+            write(out)
         command = " ".join(filter(None, (args.command, getattr(args, "switch_command", None))))
-        _write_manifests(command, run, started)
+        _write_manifests(command, run, inputs, started)
     except BaseException as exc:
-        # a failed run may have rewritten some outputs: leave no manifest that no longer matches
-        for out in outputs:
-            _drop_stale_manifest(out)
+        # a failed run may have rewritten some outputs: leave no manifest that may no longer match
+        for out in begun:
+            with contextlib.suppress(OSError):
+                Path(str(out) + ".manifest.json").unlink(missing_ok=True)
         if isinstance(exc, XtalkError):
             error = exc
         elif isinstance(exc, OSError):  # a path the system refused to read or write; the message names it
@@ -634,7 +632,7 @@ def main(argv: "list[str] | None" = None) -> int:
             raise
         print(json.dumps({"error": error.code, "message": str(error)}), file=sys.stderr)
         return error.exit_code
-    print(f"wrote {run.outputs[0]} ({run.summary})")
+    print(f"wrote {run.writes[0][0]} ({run.summary})")
     return 0
 
 

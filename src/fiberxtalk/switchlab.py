@@ -269,7 +269,8 @@ def sweep_configs(
         raise ResourceError(f"a {model.n_in}x{model.n_out} sweep has over {PLAN_WORK_LIMIT} configurations")
     if victim_out is None:
         victim_out = model.n_in + 1
-    nm = model.reference_nm if wavelength_nm is None else wavelength_nm
+    # checked here too: a 1xN or Nx1 switch has no configuration to check it
+    nm = validate_wavelength_nm(model.reference_nm if wavelength_nm is None else wavelength_nm)
     _check_ports(model, classical_in, victim_out, "classical input", "victim output")
     points = []
     for agg_out in model.output_ports:

@@ -481,6 +481,16 @@ class TestSwitchCommands:
         assert values[0] == pytest.approx(-50.0)
         assert all(v < values[0] for v in values[1:])
 
+    def test_sweep_with_no_configuration_checks_its_wavelength(self, tmp_path, capsys):
+        # a 1xN switch has no configuration, so no switch_xtalk_db call to check the wavelength
+        out = tmp_path / "sweep.csv"
+        assert main(["switch", "sweep-config", "--n-in", "1", "--wavelength", "5000", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"error": "E_PARAM", "message": "wavelength 5000.0 nm outside validated range [1000, 2000] nm"}]
+        assert not out.exists()
+
     def test_sweep_wavelength_flat_with_zero_slope(self, tmp_path):
         out = tmp_path / "curve.csv"
         assert main([
@@ -699,9 +709,12 @@ def command_runs(tmp_path):
     }
 
 
-@pytest.mark.parametrize("command", [
+COMMANDS = [
     "simulate", "analyze", "scan", "scan-analyze", "switch sweep-config", "switch sweep-wavelength", "switch plan",
-])
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_every_output_has_its_manifest(tmp_path, capsys, command):
     flags, seed, inputs, outputs = command_runs(tmp_path)[command]
     assert main([*command.split(), *map(str, flags)]) == 0
@@ -714,6 +727,58 @@ def test_every_output_has_its_manifest(tmp_path, capsys, command):
         assert manifest["seed"] == seed
         assert manifest["inputs"] == {label: {"path": str(p), "sha256": sha256(p)} for label, p in inputs.items()}
         assert manifest["outputs"] == {str(p): {"sha256": sha256(p)} for p in outputs}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_input_that_is_also_an_output_keeps_the_digest_read(tmp_path, capsys, command):
+    for label in command_runs(tmp_path)[command][2]:
+        root = tmp_path / label
+        root.mkdir()
+        flags, _, inputs, outputs = command_runs(root)[command]
+        read = {name: sha256(p) for name, p in inputs.items()}
+        flags = [inputs[label] if arg == outputs[0] else arg for arg in flags]
+        assert main([*command.split(), *map(str, flags)]) == 0
+        assert sha256(inputs[label]) != read[label]
+        manifest = json.loads(Path(f"{inputs[label]}.manifest.json").read_text())
+        assert manifest["inputs"] == {name: {"path": str(p), "sha256": read[name]} for name, p in inputs.items()}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flag, code", [
+    ("simulate", "--detector", 2), ("simulate", "--out", 2), ("analyze", "--tags", 2), ("analyze", "--source", 2),
+    ("analyze", "--hist", 2), ("analyze", "--window", 4), ("scan", "--filter", 2), ("scan-analyze", "--dwell", 4),
+    ("switch sweep-config", "--wavelength", 4), ("switch sweep-wavelength", "--model", 2),
+    ("switch plan", "--table", 2), ("switch plan", "--classical-band", 4), ("switch plan", "--quantum-band", 4),
+])
+def test_empty_flag_value_is_refused(tmp_path, capsys, command, flag, code):
+    # an empty flag once counted as not given: the default detector, no histogram, the default window
+    flags, _, _, outputs = command_runs(tmp_path)[command]
+    flags = [str(arg) for arg in flags]
+    flags = flags[:flags.index(flag)] + flags[flags.index(flag) + 2:] if flag in flags else flags
+    assert main([*command.split(), *flags, flag, ""]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = [json.loads(line) for line in captured.err.splitlines()]
+    assert len(err) == 1 and err[0]["error"] == {2: "E_INPUT", 4: "E_PARAM"}[code]
+    if code == 2:
+        assert err[0]["message"] == f"xtalk {command}: argument {flag}: invalid path value: ''"
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("key", ["source", "detector"])
+@pytest.mark.parametrize("value", [5, "abc", [1], None])
+def test_sidecar_entry_that_is_not_an_object_is_input_error(tmp_path, capsys, key, value):
+    # such an entry was once skipped, and the run reported "couplings not estimated"
+    command_runs(tmp_path)
+    write_json(tmp_path / "tags.csv.meta.json", {"source": SOURCE, "detector": DETECTOR, key: value})
+    out = tmp_path / "report.json"
+    argv = ["analyze", "--tags", tmp_path / "tags.csv", "--topology", tmp_path / "topo.json", "--out", out]
+    assert main(list(map(str, argv))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": "E_INPUT", "message": f"metadata.{key}: expected a JSON object"}]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag", [("simulate", "--out"), ("analyze", "--hist"), ("switch plan", "--out")])
