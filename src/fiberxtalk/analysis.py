@@ -20,6 +20,30 @@ block's detector tags become a sparse histogram of their own, and the block
 histograms are summed once at the end. Its working set is the triggers plus
 one block, so it grows with the number of pulses and occupied bins, not with
 the number of detector tags.
+
+A peak's counts are not linear in the photons per pulse that reach the
+detector: only the first photon of a pulse within the dead time τ is counted
+(self pile-up), and a τ longer than the period P hides photons behind
+detections from earlier pulses. :func:`estimate_coupling_db` inverts both,
+bin by bin, through the non-paralyzable live fraction of Coates (*J. Phys. E*
+1, 878 (1968)). Such a detector holds at most one detection in any τ, so the
+count in the τ before a bin opens, over the T triggers, is the share of
+pulses in which the bin opens dead. That window is ⌊τ/P⌋ whole periods of all
+N folded counts plus a remainder that wraps at the period, each bin at its
+ends counted by the share of it inside; :func:`dead_time_counts` reads it
+with a binary search and one partial sum, never a dense period. While the bin
+is read, the window's start moves on by one bin and releases what it passes.
+With τ of a bin or more, a bin holds one detection per pulse at most, and its
+photons per pulse m solve q = opening (1 − e^−m) + leaving (1 − (1 − e^−m)/m),
+with q = N_i/T its detections per pulse, ``opening`` the share of pulses in
+which it opens live and ``leaving`` the detections per pulse released. With
+nothing released that is m = −ln(1 − N_i/(T·live_i)); at τ = kP the bin's own
+detections of k periods back leave as fast as its photons arrive, and m is
+linear in N_i. A τ shorter than a bin gives m = N_i/(T·live_i) over the τ
+before the bin's centre. The window's count is the number of pulses in which
+the bin opened dead, not an estimate, so σ takes each N_i as binomial over
+the pulses in which its bin is live, through the inverse's slope, plus the
+variance of the median baseline.
 """
 
 from __future__ import annotations
@@ -32,7 +56,15 @@ import numpy as np
 
 from .errors import DataError, ParameterError, ResourceError
 from .plant import Topology, distance_for_delay_ps, path_loss_db
-from .simulate import DETECTOR_CHANNEL, TRIGGER_CHANNEL, Detector, PulsedSource, SpectralScan, TagStream
+from .simulate import (
+    DETECTOR_CHANNEL,
+    TRIGGER_CHANNEL,
+    Detector,
+    PulsedSource,
+    SpectralScan,
+    TagStream,
+    _timing_sigma_ps,
+)
 from .units import _GAUSSIAN_FWHM_TO_SIGMA, C_M_PER_S, require_int, require_number
 
 _DB_PER_NEPER = 10.0 / math.log(10.0)
@@ -45,6 +77,7 @@ PERIOD_JITTER_WARN_PPM = 1.0
 MAX_FOLD_BINS = 100_000_000  # Histogram.dense() of that many bins takes 800 MB
 _MAX_DIVISOR_TRIALS = 1_000_000  # ~0.1 s of trial division in suggest_bin_width
 FOLD_BLOCK_RECORDS = 1 << 16  # records per block of the fold's detector pass
+REGION_SIGMAS = 5.0  # a coupling sums at least +-5 timing sigmas around the centroid; +-3 lost up to 0.2 dB
 
 
 @dataclass
@@ -110,23 +143,37 @@ class Peak:
     background_counts: float
     significance_sigma: float
     fwhm_ps: float
+    run_bins: "tuple[int, int] | None" = None  # first and last index of the detected run, when known
 
 
 @dataclass(frozen=True)
 class LocatedCrosstalk:
-    """A peak mapped onto the fiber plant."""
+    """A peak mapped onto the fiber plant, with its coupling when the source and detector are known.
+
+    The coupling's region, its first and last bin, holds ``raw_counts`` above the
+    baseline, from which the live fractions recover ``corrected_counts``
+    detected photons (see :func:`estimate_coupling_db`).
+    """
 
     distance_m: float
     distance_uncertainty_m: float
     coupling_db: float | None = None
     coupling_uncertainty_db: float | None = None
     matched_element: str | None = None
+    raw_counts: float | None = None
+    corrected_counts: float | None = None
+    min_live_fraction: float | None = None
+    region_bins: "tuple[int, int] | None" = None
 
 
 @dataclass(frozen=True)
 class CouplingEstimate:
     coupling_db: float
     uncertainty_db: float
+    raw_counts: float
+    corrected_counts: float
+    min_live_fraction: float
+    region_bins: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -420,6 +467,7 @@ def detect_peaks(
                 background_counts=baseline.level * seg.size,
                 significance_sigma=float((seg[peak_offset] - baseline.level) / baseline.noise_scale),
                 fwhm_ps=fwhm_bins * bin_width_ps,
+                run_bins=(start, end),
             )
         )
     return peaks
@@ -465,6 +513,78 @@ def localize(peaks: "list[Peak]", topology: Topology) -> list[LocatedCrosstalk]:
     return located
 
 
+def _counts_below(histogram: Histogram, total: float, x0: float, n: int) -> "tuple[list[float], float, list[int]]":
+    """The counts folded below each of n phases one bin apart from ``x0`` ps, unwrapped over periods of ``total``.
+
+    A bin counts by the share of it below. Also returns that share, the same
+    for every phase, and each phase's bin count. One partial sum gives the
+    counts below the first bin; the rest follow bin by bin.
+    """
+    w, n_bins, bins, counts = histogram.bin_width_ps, histogram.n_bins, histogram.bins, histogram.counts
+    turn, phase = divmod(x0, histogram.period_ps)
+    first = int(phase // w)
+    share = phase / w - first
+    wanted = np.arange(first, first + n) % n_bins
+    pos = np.searchsorted(bins, wanted)
+    nearest = np.minimum(pos, max(bins.size - 1, 0))  # a bin past the last occupied one is empty
+    held = np.where(bins[nearest] == wanted, counts[nearest], 0) if bins.size else np.zeros(n, dtype=np.int64)
+    below, values = float(counts[: pos[0]].sum()), []
+    for j, count in zip(wanted.tolist(), held.tolist()):
+        if j == 0 and values:  # past the period's end
+            turn, below = turn + 1, 0.0
+        values.append(turn * total + below + share * count)
+        below += count
+    return values, share, held.tolist()
+
+
+def dead_time_counts(
+    histogram: Histogram, bins: range, dead_time_ps: int
+) -> "tuple[list[int], list[float], list[float]]":
+    """Each of the consecutive ``bins``' counts, its dead window's as it opens, and those that leave the window.
+
+    The window is the dead time before the bin opens (before its centre, and
+    nothing leaves, for a dead time shorter than a bin); see the module
+    docstring. What leaves is twice the mean count the window's start passes
+    while the bin is read, so that counts passed early weigh more.
+    """
+    w, n = histogram.bin_width_ps, len(bins)
+    total = float(histogram.counts.sum() + histogram.diagnostics.dropped_outside_window)
+    end = bins[0] * float(w) + (0.0 if dead_time_ps >= w else 0.5 * w)
+    closed, _, own = _counts_below(histogram, total, end, n)
+    opened, share, held = _counts_below(histogram, total, end - dead_time_ps, n + 1)
+    dead = [c - o for c, o in zip(closed, opened)]
+    if dead_time_ps < w:
+        return own, dead, [0.0] * n
+    leaving = []
+    for k in range(n):
+        # the start passes the rest of its bin, then a share of the next one
+        at_edge, passed = opened[k + 1] - share * held[k + 1], opened[k + 1]
+        mean = ((opened[k] + at_edge) * (1.0 - share) + (at_edge + passed) * share) / 2.0
+        leaving.append(2.0 * (mean - opened[k]))
+    return own, dead, leaving
+
+
+def _invert_pile_up(q: float, opening: float, leaving: float) -> "tuple[float, float]":
+    """A bin's photons per pulse m, and dq/dm there, from its detections per pulse q.
+
+    Solves q = opening (1 - e^-m) + leaving (1 - (1 - e^-m) / m), for photons
+    and released detections spread evenly over the bin (module docstring).
+    Newton's steps from -ln(1 - q / (opening + leaving)) stay below the root,
+    as q(m) rises and is concave, so each step raises m until rounding stops it.
+    """
+    if q == 0.0:
+        return 0.0, opening + 0.5 * leaving
+    m = -math.log1p(-q / (opening + leaving))
+    for _ in range(100):
+        decay, rest = math.exp(-m), -math.expm1(-m)
+        slope = opening * decay + leaving * (rest - m * decay) / (m * m)
+        step = (opening * rest + leaving * (m - rest) / m - q) / slope
+        m -= step
+        if step >= -1e-12 * m:
+            return m, slope
+    raise DataError("the pile-up inversion did not converge")
+
+
 def estimate_coupling_db(
     peak: Peak,
     histogram: Histogram,
@@ -472,33 +592,95 @@ def estimate_coupling_db(
     source: PulsedSource,
     detector: Detector,
 ) -> CouplingEstimate:
-    """Invert the detected peak amplitude into a coupling level in dB.
+    """Invert a peak's counts, through pile-up and dead time, into a coupling level in dB.
 
-    Adds back the outbound and return span losses so the result refers to the
-    crosstalk point itself; the uncertainty is the Poisson error of the
-    amplitude converted to dB. When the peak matches a connector, losses are
-    evaluated at the connector position: millimeter-level noise in the
-    estimated distance must not flip whether that connector's own insertion
-    loss falls inside the path.
+    The region is the peak's detected run widened to at least ``REGION_SIGMAS``
+    timing sigmas (``simulate._timing_sigma_ps``) each side of its centroid,
+    clipped to the period. Over the T triggers, bin i of the region holds N_i
+    counts, D_i in its dead window as it opens and S_i leaving it
+    (:func:`dead_time_counts`); :func:`_invert_pile_up` turns N_i / T,
+    ``1 - D_i / T`` and S_i / T into its photons per pulse mu_i, or a dead time
+    shorter than a bin gives ``mu_i = N_i / (T live_i)`` (the module docstring
+    has the model). The peak's baseline per bin b inverts at the period's mean
+    live fraction into mu_bg. The corrected counts ``sum_i T (mu_i - mu_bg)``
+    over T pulses of the source's photons and the detector's efficiency give
+    the coupling, with the outbound and return span losses added back. When
+    the peak matches a connector, losses are evaluated at the connector
+    position: millimeter-level noise in the estimated distance must not flip
+    whether that connector's own insertion loss falls inside the path.
+
+    The uncertainty is first order. D_i counts the pulses in which bin i opened
+    dead, so N_i is binomial over the T live_i in which it is live, with
+    ``live_i = 1 - (D_i - S_i / 2) / T`` the mean over the bin:
+    ``Var(N_i) = N_i (1 - N_i / (T live_i))``, carried through the inverse by
+    dq/dmu. The baseline adds its median's variance, pi b / (2 n_bins), times
+    the region's width. A bin whose counts no live fraction explains is a
+    :class:`DataError`. The estimate keeps the region's raw and corrected
+    counts, its bins and its lowest live_i.
     """
     if peak.amplitude_counts <= 0.0:
         raise ParameterError("coupling undefined for a peak with non-positive amplitude")
     if detector.efficiency <= 0.0:
         raise ParameterError("cannot invert a coupling with zero detector efficiency")
-    pulses = histogram.live_time_s * source.rep_rate_hz
-    if pulses <= 0.0:
-        raise ParameterError("histogram carries no live time")
+    triggers = histogram.total_triggers
+    if triggers < 1:
+        raise ParameterError("histogram carries no triggers")
+    w, tau = histogram.bin_width_ps, detector.dead_time_ps
+
+    half_bins = REGION_SIGMAS * _timing_sigma_ps(source, detector) / w
+    first, last = peak.run_bins or (peak.bin_index, peak.bin_index)
+    level = peak.background_counts / (last - first + 1)  # the baseline under the run, per bin
+    lo = max(min(first, math.floor(peak.centroid_bins - half_bins)), 0)
+    hi = min(max(last, math.floor(peak.centroid_bins + half_bins)), histogram.n_bins - 1)
+    region = range(lo, hi + 1)
+    counts, dead_counts, leaving_counts = dead_time_counts(histogram, region, tau)
+
+    pile_up = tau >= w
+    saturated = f"the peak at bin {peak.bin_index} saturates the detector: no live fraction inverts its counts"
+    total = float(histogram.counts.sum() + histogram.diagnostics.dropped_outside_window)
+    live_bg = 1.0 - total * tau / (histogram.period_ps * triggers)  # the period's mean live fraction
+    x_bg = level / (triggers * live_bg) if live_bg > 0.0 else math.inf
+    if not x_bg < (1.0 if pile_up else math.inf):
+        raise DataError(saturated)
+    mu_sum, variance, lowest = 0.0, 0.0, math.inf
+    for count, dead, swept in zip(counts, dead_counts, leaving_counts):
+        opening, leaving = 1.0 - dead / triggers, swept / triggers
+        live, q = opening + 0.5 * leaving, count / triggers  # live: the mean over the bin
+        lowest = min(lowest, live)
+        if not (opening > 0.0 and (q < opening + leaving or not pile_up)):
+            raise DataError(saturated)
+        if not count:
+            continue
+        if pile_up:
+            mu, slope = _invert_pile_up(q, opening, leaving)
+            variance += count * max(1.0 - q / live, 0.0) / slope**2
+        else:
+            mu = q / live
+            variance += count / live**2
+        mu_sum += mu
+    mu_bg, gain_bg = (-math.log1p(-x_bg), 1.0 / (1.0 - x_bg)) if pile_up else (x_bg, 1.0)
+    corrected = triggers * (mu_sum - len(region) * mu_bg)
+    if not corrected > 0.0:
+        raise DataError(f"the peak at bin {peak.bin_index} has no counts above its background once corrected")
+    variance += (len(region) * gain_bg / live_bg) ** 2 * math.pi * level / (2.0 * histogram.n_bins)
+
     raw_distance, _, matched = _peak_location(peak, topology)
     distance = matched.position_m if matched else min(raw_distance, topology.total_length_m)
     nm = source.wavelength_nm
-    fraction = peak.amplitude_counts / (pulses * source.photons_per_pulse * detector.efficiency)
+    fraction = corrected / (triggers * source.photons_per_pulse * detector.efficiency)
     coupling = (
         10.0 * math.log10(fraction)
         + path_loss_db(topology, topology.aggressor_fiber_id, 0.0, distance, nm)
         + path_loss_db(topology, topology.victim_fiber_id, 0.0, distance, nm)
     )
-    uncertainty = _DB_PER_NEPER / math.sqrt(peak.amplitude_counts)
-    return CouplingEstimate(coupling_db=coupling, uncertainty_db=uncertainty)
+    return CouplingEstimate(
+        coupling_db=coupling,
+        uncertainty_db=_DB_PER_NEPER * math.sqrt(variance) / corrected,
+        raw_counts=float(sum(counts) - len(region) * level),
+        corrected_counts=corrected,
+        min_live_fraction=lowest,
+        region_bins=(lo, hi),
+    )
 
 
 def detect_spectral_lines(scan: SpectralScan, k_sigma: float = DEFAULT_K_SIGMA) -> list[SpectralLine]:
@@ -548,10 +730,27 @@ class OtdrReport:
             "histogram": {**summary, "total_counts": int(hist.counts.sum())},
             "baseline": asdict(self.baseline),
             # a peak's centroid in bins is internal to detection: the report gives its delay
-            "peaks": [{k: v for k, v in asdict(p).items() if k != "centroid_bins"} for p in self.peaks],
+            "peaks": [{k: v for k, v in asdict(p).items() if k not in ("centroid_bins", "run_bins")}
+                      for p in self.peaks],
             "located": [asdict(loc) for loc in self.located],
             "diagnostics": {**asdict(hist.diagnostics), "notes": self.notes},
         }
+
+
+def _reaches_outside(histogram: Histogram, region: "tuple[int, int]", detector: Detector, window_ps) -> bool:
+    """Whether a region bin's dead window reads histogram counts from outside the delay window.
+
+    Its whole periods count the dropped tags too. The rest of it, from its
+    start to the bin and, for a dead time of a bin or more, the bin its start
+    passes, is read from the histogram, which holds none outside the window.
+    """
+    w, tau, (lo, hi) = histogram.bin_width_ps, detector.dead_time_ps, window_ps
+    for b in range(region[0], region[1] + 1):
+        end = b * w + (0.0 if tau >= w else 0.5 * w)
+        start = (end - tau) % histogram.period_ps
+        if start < lo or start > end or (tau >= w and start + w > hi):
+            return True
+    return False
 
 
 def run_otdr_analysis(
@@ -579,13 +778,28 @@ def run_otdr_analysis(
     if topology.detector_end == "near":
         located = localize(peaks, topology)
         if source is not None and detector is not None:
-            enriched = []
+            enriched, reaching = [], []
             for peak, loc in zip(peaks, located):
-                est = estimate_coupling_db(peak, histogram, topology, source, detector)
-                enriched.append(
-                    replace(loc, coupling_db=est.coupling_db, coupling_uncertainty_db=est.uncertainty_db)
-                )
+                try:
+                    est = estimate_coupling_db(peak, histogram, topology, source, detector)
+                except DataError as exc:
+                    notes.append(f"{exc}; its coupling is not estimated")
+                    enriched.append(loc)
+                    continue
+                enriched.append(replace(
+                    loc, coupling_db=est.coupling_db, coupling_uncertainty_db=est.uncertainty_db,
+                    raw_counts=est.raw_counts, corrected_counts=est.corrected_counts,
+                    min_live_fraction=est.min_live_fraction, region_bins=est.region_bins,
+                ))
+                if window_ps is not None and _reaches_outside(histogram, est.region_bins, detector, window_ps):
+                    reaching.append(f"{loc.distance_m:.1f} m")
             located = enriched
+            if reaching and histogram.diagnostics.dropped_outside_window:
+                notes.append(
+                    f"the dead-time windows of the peak(s) at {', '.join(reaching)} reach outside the delay "
+                    f"window, whose {histogram.diagnostics.dropped_outside_window} dropped tag(s) they miss "
+                    "there: those couplings may be corrected too little"
+                )
         else:
             notes.append("source/detector parameters unavailable; couplings not estimated")
     else:

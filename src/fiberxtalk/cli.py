@@ -63,6 +63,7 @@ from .simulate import (
     simulate_spectral_scan,
 )
 from .switchlab import (
+    BAND_PRESETS,
     SwitchModel,
     brute_force_assignment,
     load_measured_table,
@@ -149,8 +150,14 @@ def parse_grid_nm(text: str, flag: str) -> list[float]:
 
 
 def parse_band(text: str, flag: str) -> "str | tuple[float, float]":
-    """A band preset name, or 'min,max' in nm."""
+    """A band preset name, as given, or 'min,max' in nm.
+
+    A preset is checked as the planner reads it, whatever its case, and kept as
+    typed, so the manifest records the flag's own text.
+    """
     if "," not in text:
+        if text.upper() not in BAND_PRESETS:
+            raise ParameterError(f"{flag}: unknown band {text!r}; presets are {sorted(BAND_PRESETS)}")
         return text
     try:
         lo, hi = (float(part) for part in text.split(","))

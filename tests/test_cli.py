@@ -561,6 +561,28 @@ class TestSwitchCommands:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "E_INPUT"
 
+    @pytest.mark.parametrize("flag", ["--classical-band", "--quantum-band"])
+    @pytest.mark.parametrize("band", ["", "X"])
+    def test_unknown_band_preset_names_its_flag(self, tmp_path, capsys, flag, band):
+        # the planner once reported it without the flag: "unknown band ''; presets are ['C', 'O']"
+        out = tmp_path / "plan.json"
+        code = main(["switch", "plan", "--classical", "1", "--quantum", "1", flag, band, "--out", str(out)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"error": "E_PARAM", "message": f"{flag}: unknown band {band!r}; presets are ['C', 'O']"}]
+        assert not out.exists()
+
+    def test_band_preset_is_recorded_as_given(self, tmp_path):
+        # the preset is checked case-insensitively, as the planner reads it, and kept as typed
+        out = tmp_path / "plan.json"
+        assert main(["switch", "plan", "--classical", "1", "--quantum", "1", "--classical-band", "o",
+                     "--out", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["parameters"]["bands"] == {"classical": "o"}
+        assert json.loads(out.read_text())["classical"][0]["wavelength_nm"] == 1260.0
+
     @pytest.mark.parametrize("command", [["plan", "--classical", "1", "--quantum", "1"], ["sweep-config"]])
     def test_port_count_beyond_budget_is_resource_error(self, tmp_path, capsys, command):
         started = time.perf_counter()
@@ -830,7 +852,8 @@ def test_report_key_sets(tmp_path, capsys):
     assert [set(peak) for peak in report["peaks"]] == [{
         "bin_index", "delay_ps", "amplitude_counts", "background_counts", "significance_sigma", "fwhm_ps"}]
     assert [set(loc) for loc in report["located"]] == [{
-        "distance_m", "distance_uncertainty_m", "coupling_db", "coupling_uncertainty_db", "matched_element"}]
+        "distance_m", "distance_uncertainty_m", "coupling_db", "coupling_uncertainty_db", "matched_element",
+        "raw_counts", "corrected_counts", "min_live_fraction", "region_bins"}]
     assert set(report["diagnostics"]) == {
         "dropped_before_first_trigger", "dropped_beyond_period", "dropped_outside_window",
         "period_jitter_ppm", "irregular_period", "notes"}
