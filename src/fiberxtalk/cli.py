@@ -4,7 +4,8 @@ Every command is deterministic given its flags and an explicit ``--seed``.
 A command only parses, reads and computes: it returns a :class:`_Run` record
 of the files it read and the writes it needs, and writes nothing. :func:`main`
 holds the one run order: it hashes every file the command read, runs the
-writes in order, then writes beside each output a ``<file>.manifest.json``
+writes in order, then writes beside each output (every file it writes,
+``.meta.json`` sidecars included) a ``<file>.manifest.json``
 recording the full parameter snapshot, the package and numpy versions, and
 SHA-256 digests of every file read and written, and prints the one summary
 line ``wrote <first output> (...)``. As no input is hashed after the first
@@ -327,7 +328,8 @@ def cmd_simulate(args) -> _Run:
             "max_tags": args.max_tags,
         },
         _given(args, "topology", "source", "detector"),
-        [(Path(args.out), lambda out: tagio.write_tags_xtt1(out, stream))],
+        [(Path(args.out), lambda out: tagio.write_tags_xtt1(out, stream)),
+         (tagio.metadata_path(args.out), lambda _: tagio.write_metadata(args.out, stream.metadata))],
         f"{stream.metadata['n_triggers']} triggers, {stream.metadata['n_detector_tags']} detector tags",
         args.seed,
     )
@@ -394,7 +396,8 @@ def cmd_scan(args) -> _Run:
             "dwell_s": dwell_s,
         },
         _given(args, "lines", "filter", "detector"),
-        [(Path(args.out), lambda out: tagio.write_scan_csv(out, scan))],
+        [(Path(args.out), lambda out: tagio.write_scan_csv(out, scan)),
+         (tagio.metadata_path(args.out), lambda _: tagio.write_metadata(args.out, scan.metadata))],
         f"{len(grid)} wavelength points",
         args.seed,
     )

@@ -340,7 +340,6 @@ class _Document:
     victim: Mapping
     schema_version: int = TOPOLOGY_SCHEMA_VERSION
     connectors: list = field(default_factory=list)
-    switch: Mapping | None = None  # accepted and checked, but nothing reads it yet
 
     def __post_init__(self):
         if self.schema_version != TOPOLOGY_SCHEMA_VERSION:
@@ -350,8 +349,6 @@ class _Document:
         for name in ("spans", "connectors"):
             if not isinstance(getattr(self, name), list):
                 raise ParameterError(f"{name}: expected an array")
-        if self.switch is not None and not isinstance(self.switch, Mapping):
-            raise ParameterError("switch: expected an object")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ Every output goes through one of three writers: :func:`write_json` (indented,
 sorted keys, a final newline) for sidecars, reports, plans and manifests,
 :func:`write_csv` (a header line, then one ``%``-formatted line per row) for
 scan, histogram and switch-sweep tables, and :func:`write_tags_xtt1`. No
-command writes tags as CSV.
+command writes tags as CSV. Each writer writes one file: a command that wants
+a tag file's or a scan's sidecar lists :func:`write_metadata` as a write of
+its own.
 
 All three write through one helper, :func:`_write_bytes`. It opens the path
 without truncating it, writes the new bytes over the old ones and then, if the
@@ -103,16 +105,13 @@ def read_metadata(path: "str | Path") -> dict | None:
 
 
 def write_tags_xtt1(path: "str | Path", stream: TagStream) -> Path:
-    """Write a tag stream as an XTT1 binary file, plus a sidecar when it has metadata."""
+    """Write a tag stream's records as an XTT1 binary file; its metadata goes to :func:`write_metadata`."""
     records = np.empty(stream.n_records, dtype=_RECORD_DTYPE)
     records["channel"] = stream.channels
     if stream.times_ps.size and int(stream.times_ps.min()) < 0:
         raise DataError("tag times must be non-negative to serialize as u64")
     records["time_ps"] = stream.times_ps  # cast to u64 block by block, without a whole-array copy
-    path = _write_bytes(path, XTT1_MAGIC, records.view(np.uint8))
-    if stream.metadata:
-        write_metadata(path, stream.metadata)
-    return path
+    return _write_bytes(path, XTT1_MAGIC, records.view(np.uint8))
 
 
 def read_tags_xtt1(path: "str | Path") -> TagStream:
@@ -178,12 +177,8 @@ def read_tags(path: "str | Path") -> TagStream:
 
 
 def write_scan_csv(path: "str | Path", scan: SpectralScan) -> Path:
-    """Spectral scan as CSV ``lambda_nm,counts`` with a JSON sidecar for dwell etc."""
-    path = write_csv(path, "lambda_nm,counts", "%.6f,%d", (scan.wavelengths_nm, scan.counts))
-    meta = dict(scan.metadata)
-    meta.setdefault("dwell_s", scan.dwell_s)
-    write_metadata(path, meta)
-    return path
+    """Spectral scan as CSV ``lambda_nm,counts``; its dwell and metadata go to :func:`write_metadata`."""
+    return write_csv(path, "lambda_nm,counts", "%.6f,%d", (scan.wavelengths_nm, scan.counts))
 
 
 def read_scan_csv(path: "str | Path", *, dwell_s: float | None = None) -> SpectralScan:

@@ -301,11 +301,15 @@ def test_non_numeric_field_is_input_error(tmp_path, plant_files, capsys, kind, d
     ("source", {}, "source: missing required key 'avg_power_w'"),
     ("source", [], "source: expected a JSON object"),
     ("detector", {"dead_time_ps": True}, "detector.dead_time_ps must be an integer >= 0, got True"),
+    # nothing reads a switch object, so a topology that has one is refused
+    ("topology", {**topology_doc(), "switch": {"n_in": 8}},
+     "topology: unknown key(s) ['switch']; expected ['connectors', 'probe', 'schema_version', 'spans', 'victim']"),
 ])
 def test_document_faults_name_the_element(tmp_path, plant_files, capsys, kind, doc, message):
     topo, source, detector = plant_files
-    files = {"source": source, "detector": detector, kind: write_json(tmp_path / f"bad_{kind}.json", doc)}
-    assert main(["simulate", "--topology", str(topo), "--source", str(files["source"]),
+    files = {"topology": topo, "source": source, "detector": detector,
+             kind: write_json(tmp_path / f"bad_{kind}.json", doc)}
+    assert main(["simulate", "--topology", str(files["topology"]), "--source", str(files["source"]),
                  "--detector", str(files["detector"]), "--duration", "1s", "--seed", "1",
                  "--out", str(tmp_path / "x.xtt1")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -689,9 +693,10 @@ class TestUnitSuffixes:
 def command_runs(tmp_path):
     """Per command: the flags of one run, its seed, the input files its manifest lists, and its outputs.
 
-    Each run gives every optional file its command reads: detector, filter and
-    model documents, analyze's source and detector overrides, and the
-    ``.meta.json`` sidecars of the tags and the scan.
+    The outputs of ``simulate`` and ``scan`` include the ``.meta.json`` sidecar
+    each writes. Each run gives every optional file its command reads:
+    detector, filter and model documents, analyze's source and detector
+    overrides, and the ``.meta.json`` sidecars of the tags and the scan.
     """
     topo = write_json(tmp_path / "topo.json", ANALYZE_TOPOLOGY)
     source = write_json(tmp_path / "source.json", SOURCE)
@@ -710,14 +715,16 @@ def command_runs(tmp_path):
     return {
         "simulate": (["--topology", topo, "--source", source, "--detector", detector, "--duration", "1s",
                       "--seed", "7", "--out", out["run.xtt1"]], 7,
-                     {"topology": topo, "source": source, "detector": detector}, [out["run.xtt1"]]),
+                     {"topology": topo, "source": source, "detector": detector},
+                     [out["run.xtt1"], tagio.metadata_path(out["run.xtt1"])]),
         "analyze": (["--tags", tags, "--topology", topo, "--source", source, "--detector", detector,
                      "--out", out["report.json"], "--hist", out["hist.csv"]], None,
                     {"tags": tags, "topology": topo, "source": source, "detector": detector,
                      "tags_metadata": tags_meta}, [out["report.json"], out["hist.csv"]]),
         "scan": (["--lines", lines, "--filter", filt, "--detector", detector, "--grid", "1300:1310:1",
                   "--dwell", "1s", "--seed", "11", "--out", out["scan_out.csv"]], 11,
-                 {"lines": lines, "filter": filt, "detector": detector}, [out["scan_out.csv"]]),
+                 {"lines": lines, "filter": filt, "detector": detector},
+                 [out["scan_out.csv"], tagio.metadata_path(out["scan_out.csv"])]),
         "scan-analyze": (["--scan", scan, "--out", out["lines_out.json"]],
                          None, {"scan": scan, "scan_metadata": scan_meta}, [out["lines_out.json"]]),
         "switch sweep-config": (["--table", table, "--n-in", "2", "--n-out", "2", "--out", out["sweep.csv"]],
@@ -883,6 +890,21 @@ def test_failed_run_leaves_no_stale_manifest(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_failed_sidecar_write_leaves_no_stale_manifest(tmp_path, capsys):
+    flags = [str(arg) for arg in command_runs(tmp_path)["simulate"][0]]
+    tags, sidecar = tmp_path / "run.xtt1", tmp_path / "run.xtt1.meta.json"
+    manifests = [Path(f"{tags}.manifest.json"), Path(f"{sidecar}.manifest.json")]
+    assert main(["simulate", *flags]) == 0
+    assert all(manifest.is_file() for manifest in manifests)
+    # rewrites run.xtt1, then cannot write the sidecar
+    sidecar.unlink()
+    sidecar.mkdir()
+    assert main(["simulate", *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "E_INPUT"
+    assert not any(manifest.exists() for manifest in manifests)
+
+
 def test_rewritten_outputs_equal_a_fresh_run(tmp_path, capsys):
     flags = [str(arg) for arg in command_runs(tmp_path)["analyze"][0]]
     fresh = [tmp_path / "fresh_report.json", tmp_path / "fresh_hist.csv"]
@@ -1025,6 +1047,7 @@ def large_tags(tmp_path_factory):
     stream = fx.simulate_otdr_tags(
         fx.load_topology(ANALYZE_TOPOLOGY), fx.PulsedSource(**SOURCE), fx.Detector(**DETECTOR), 120.0, 5)
     files = {"xtt1": tagio.write_tags_xtt1(root / "tags.xtt1", stream), "csv": write_tags_csv(root / "tags.csv", stream)}
+    tagio.write_metadata(files["xtt1"], stream.metadata)  # both formats carry the capture's sidecar
     assert min(path.stat().st_size for path in files.values()) >= cli.HASH_THREAD_MIN_BYTES
     return topo, files
 

@@ -86,11 +86,13 @@ class TestLoadTopology:
         with pytest.raises(InputError):
             fx.load_topology(doc)
 
-    def test_unread_keys_still_accepted(self):
-        # a top-level switch object is accepted and checked, though nothing reads it yet
+    def test_unread_keys_are_refused(self):
+        # nothing reads a switch object, so the topology schema has none and rejects it
         doc = topology_doc([connector_doc("mpo1", 10.0)])
         doc["switch"] = {"n_in": 8}
-        assert fx.load_topology(doc).connectors[0].id == "mpo1"
+        with pytest.raises(InputError, match=r"^topology: unknown key\(s\) \['switch'\]"):
+            fx.load_topology(doc)
+        del doc["switch"]
         # no model reads a lane pitch, so the connector schema has none and rejects it
         doc["connectors"][0]["lane_pitch_mm"] = 0.5
         with pytest.raises(InputError, match=r"^topology.connectors\[0\]: unknown key\(s\) \['lane_pitch_mm'\]"):

@@ -32,6 +32,7 @@ class TestXtt1:
         stream = small_stream()
         path = tmp_path / "tags.xtt1"
         tagio.write_tags_xtt1(path, stream)
+        tagio.write_metadata(path, stream.metadata)
         back = tagio.read_tags_xtt1(path)
         assert np.array_equal(back.channels, stream.channels)
         assert np.array_equal(back.times_ps, stream.times_ps)
@@ -40,7 +41,6 @@ class TestXtt1:
     def test_layout_is_stable(self, tmp_path):
         path = tmp_path / "tags.xtt1"
         tagio.write_tags_xtt1(path, dataclasses.replace(small_stream(), metadata={}))
-        assert not tagio.metadata_path(path).exists()  # no metadata, no sidecar
         raw = path.read_bytes()
         assert raw[:8] == b"XTT1\x00\x00\x00\x01"
         assert (len(raw) - 8) % 9 == 0
@@ -234,7 +234,9 @@ class TestCsv:
     def test_same_stream_as_xtt1(self, tmp_path, three_point_topology):
         source = fx.PulsedSource(avg_power_w=power_for_mu_det(0.2, -100.0), rep_rate_hz=1000.0)
         stream = fx.simulate_otdr_tags(three_point_topology, source, fx.Detector(), 2.0, seed=5)
-        xtt = tagio.read_tags_xtt1(tagio.write_tags_xtt1(tmp_path / "tags.xtt1", stream))
+        path = tagio.write_tags_xtt1(tmp_path / "tags.xtt1", stream)
+        tagio.write_metadata(path, stream.metadata)
+        xtt = tagio.read_tags_xtt1(path)
         csv = tagio.read_tags_csv(write_tags_csv(tmp_path / "tags.csv", stream))
         for back in (xtt, csv):
             assert back.channels.dtype == np.uint8 and back.times_ps.dtype == np.int64
@@ -266,7 +268,6 @@ class TestWriterBytes:
                                counts=np.array([5, 0, 12], dtype=np.int64), dwell_s=2.0)
         path = tagio.write_scan_csv(tmp_path / "scan.csv", scan)
         assert path.read_bytes() == b"lambda_nm,counts\n1270.000000,5\n1270.123457,0\n1600.000000,12\n"
-        assert json.loads(tagio.metadata_path(path).read_text()) == {"dwell_s": 2.0}
 
     @pytest.mark.parametrize("bins, counts, expected", [
         ([3, 7], [2, 1], b"bin_start_ps,counts\n300,2\n700,1\n"),
@@ -285,6 +286,22 @@ WRITERS = {
     "csv": lambda path: tagio.write_csv(path, "lambda_nm,counts", "%.6f,%d", ([1310.0, 1310.5], [4, 0])),
     "xtt1": lambda path: tagio.write_tags_xtt1(path, dataclasses.replace(small_stream(), metadata={})),
 }
+
+
+@pytest.mark.parametrize("writer", [
+    lambda path: tagio.write_tags_xtt1(path, small_stream()),
+    lambda path: tagio.write_scan_csv(path, fx.SpectralScan(
+        wavelengths_nm=np.array([1270.0]), counts=np.array([5]), dwell_s=2.0, metadata={"dwell_s": 2.0})),
+    lambda path: tagio.write_histogram_csv(path, fx.Histogram(
+        bins=np.array([3]), counts=np.array([2]), n_bins=10, bin_width_ps=100, period_ps=1000, total_triggers=1,
+        live_time_s=1e-3)),
+    lambda path: tagio.write_metadata(path, {"seed": 7}),
+    *WRITERS.values(),
+], ids=["xtt1-with-metadata", "scan-with-metadata", "histogram", "metadata", *WRITERS])
+def test_each_writer_writes_one_file(tmp_path, writer):
+    # a command that wants a sidecar lists write_metadata as a write of its own
+    written = writer(tmp_path / "out")
+    assert list(tmp_path.iterdir()) == [written]
 
 
 class TestRewriteInPlace:
@@ -333,10 +350,11 @@ class TestScanCsv:
             wavelengths_nm=np.array([1270.0, 1271.0, 1272.0]),
             counts=np.array([5, 100, 4], dtype=np.int64),
             dwell_s=2.0,
-            metadata={"seed": 3},
+            metadata={"seed": 3, "dwell_s": 2.0},
         )
         path = tmp_path / "scan.csv"
         tagio.write_scan_csv(path, scan)
+        tagio.write_metadata(path, scan.metadata)
         back = tagio.read_scan_csv(path)
         assert np.allclose(back.wavelengths_nm, scan.wavelengths_nm)
         assert np.array_equal(back.counts, scan.counts)
