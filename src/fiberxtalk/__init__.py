@@ -37,10 +37,12 @@ from .analysis import (
     LocatedCrosstalk,
     Peak,
     SpectralLine,
+    SpectralReport,
     detect_peaks,
     detect_spectral_lines,
     estimate_baseline,
     estimate_coupling_db,
+    fit_poisson_amplitudes,
     fold_histogram,
     localize,
     run_otdr_analysis,

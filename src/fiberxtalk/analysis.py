@@ -44,11 +44,29 @@ before the bin's centre. The window's count is the number of pulses in which
 the bin opened dead, not an estimate, so σ takes each N_i as binomial over
 the pulses in which its bin is live, through the inverse's slope, plus the
 variance of the median baseline.
+
+A filter-sweep scan sees each leaked line through the scan filter's Gaussian
+transmission, of σ = FWHM · ``_GAUSSIAN_FWHM_TO_SIGMA``, so its mean count at
+grid point i is μ_i = b + Σ_l a_l exp(−(x_i − c_l)²/2σ²): b is the dark count
+per point, c_l the line's detected centre and a_l its count with the filter
+on the line. The counts above the detection threshold miss each line's tails,
+so :func:`detect_spectral_lines` only finds the lines and their centres, and
+:func:`fit_poisson_amplitudes` fits every a_l and b jointly by Poisson
+maximum likelihood (Baker & Cousins, *Nucl. Instrum. Meth.* 221, 437
+(1984)), which deblends lines whose profiles overlap. A line's column is kept
+within ±``FIT_WINDOW_SIGMAS`` σ of its centre, where the profile falls to
+1.3·10⁻¹⁴ of its peak, as a start index and its values. The normal matrix
+gets a term between two lines only where their windows overlap, so a fit
+costs the lines' windows, never grid × lines. A line's ``rate_per_s`` is
+a_l times its column's sum over the dwell, its photon rate before the
+filter a_l over dwell, peak transmission and efficiency, and each σ comes
+from the inverse Fisher information at the optimum.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -63,6 +81,7 @@ from .simulate import (
     PulsedSource,
     SpectralScan,
     TagStream,
+    TunableFilter,
     _timing_sigma_ps,
 )
 from .units import _GAUSSIAN_FWHM_TO_SIGMA, C_M_PER_S, require_int, require_number
@@ -78,6 +97,9 @@ MAX_FOLD_BINS = 100_000_000  # Histogram.dense() of that many bins takes 800 MB
 _MAX_DIVISOR_TRIALS = 1_000_000  # ~0.1 s of trial division in suggest_bin_width
 FOLD_BLOCK_RECORDS = 1 << 16  # records per block of the fold's detector pass
 REGION_SIGMAS = 5.0  # a coupling sums at least +-5 timing sigmas around the centroid; +-3 lost up to 0.2 dB
+FIT_WINDOW_SIGMAS = 8.0  # a spectral line's column spans +-8 filter sigmas of its centre
+_FIT_MAX_STEPS = 200  # at a zero background the fit halves b ~70-100 times before it counts as converged
+_FIT_TOLERANCE = 1e-9  # converged once no step moves a parameter by more than this share of its size or sigma
 
 
 @dataclass
@@ -178,9 +200,36 @@ class CouplingEstimate:
 
 @dataclass(frozen=True)
 class SpectralLine:
+    """One line of a scan: its detected centre, counts per second summed over the grid, and leaked rate."""
+
     wavelength_nm: float
     rate_per_s: float
+    rate_uncertainty_per_s: float
+    line_rate_photons_per_s: float
+    line_rate_uncertainty_photons_per_s: float
     significance_sigma: float
+
+
+@dataclass(frozen=True)
+class SpectralReport:
+    """The lines of one scan and its fitted background; ``len()`` is the number of lines, as perfbench counts."""
+
+    lines: list[SpectralLine]
+    background_counts_per_point: float
+    background_uncertainty_counts_per_point: float
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def to_dict(self, parameters: dict | None = None) -> dict:
+        return {
+            "schema_version": 1,
+            "kind": "scan-analysis",
+            "parameters": parameters or {},
+            "background_counts_per_point": self.background_counts_per_point,
+            "background_uncertainty_counts_per_point": self.background_uncertainty_counts_per_point,
+            "lines": [dict(vars(line)) for line in self.lines],  # asdict deep-copies: 0.5 ms on 48 lines
+        }
 
 
 def suggest_bin_width(period_ps: int, requested_ps: int) -> int | None:
@@ -683,28 +732,154 @@ def estimate_coupling_db(
     )
 
 
-def detect_spectral_lines(scan: SpectralScan, k_sigma: float = DEFAULT_K_SIGMA) -> list[SpectralLine]:
-    """Run peak detection over a spectral scan and convert centroids to nm.
-
-    A scan of fewer than ``MIN_BASELINE_BINS`` points is a :class:`DataError`.
-    """
+def require_scan_points(scan: SpectralScan) -> None:
+    """A :class:`DataError` for a scan of fewer than ``MIN_BASELINE_BINS`` points."""
     if scan.counts.size < MIN_BASELINE_BINS:
         raise DataError(f"baseline estimation needs >= {MIN_BASELINE_BINS} scan points, got {scan.counts.size}")
-    baseline = estimate_baseline(scan.counts)
-    peaks = detect_peaks(scan.counts, baseline, k_sigma)
+
+
+def _flat_ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices ``starts[k] : starts[k] + sizes[k]`` of every k, concatenated."""
+    return np.arange(int(sizes.sum())) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+
+
+def _overlaps(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Rows (a, b, lo, hi): windows ``starts[k]:ends[k]`` a and b share the indices lo:hi."""
+    order = np.argsort(starts, kind="stable").tolist()
+    first, last = starts.tolist(), ends.tolist()
+    found = []
+    for i, a in enumerate(order):
+        for b in itertools.takewhile(lambda b: first[b] < last[a], order[i + 1:]):
+            found.append((a, b, first[b], min(last[a], last[b])))
+    return np.array(found, dtype=np.int64).reshape(-1, 4)
+
+
+def fit_poisson_amplitudes(
+    counts, starts, profiles,
+) -> "tuple[np.ndarray, float, np.ndarray]":
+    """Poisson maximum-likelihood amplitudes of known-shape columns over one constant background.
+
+    Count i is modelled as μ_i = b + Σ_l a_l P_l(i), where column l is
+    ``profiles[l]`` placed at ``starts[l]`` and zero outside that window.
+    Fisher scoring, that is IRLS with weights 1/μ, starts from the median
+    count and each column's least-squares amplitude above it, and halves a
+    step while any μ ≤ 0. It stops once a step moves no parameter by more than
+    ``_FIT_TOLERANCE`` of the larger of its size and its conditional σ.
+    Returns the amplitudes, the background and their covariance, ordered
+    (a_1, ..., a_L, b): the inverse Fisher information at the last step. With
+    no column the background is the mean count, and nothing is fitted.
+
+    A fit that is singular, hits a floating-point fault or takes more than
+    ``_FIT_MAX_STEPS`` steps is a :class:`DataError`.
+    """
+    counts = np.asarray(counts, dtype=float)
+    if counts.size == 0 or not (np.isfinite(counts) & (counts >= 0.0)).all():
+        raise ParameterError("a Poisson fit needs one or more finite counts >= 0")
+    n_cols = len(profiles)
+    if n_cols == 0:
+        background = float(counts.mean())
+        return np.empty(0), background, np.array([[background / counts.size]])
+    starts = np.asarray(starts, dtype=np.int64)
+    sizes = np.array([len(p) for p in profiles], dtype=np.int64)
+    ends = starts + sizes
+    if starts.shape != (n_cols,) or (starts < 0).any() or (ends > counts.size).any() or (sizes == 0).any():
+        raise ParameterError(f"each column needs a start and a window of one or more of the {counts.size} counts")
+    # the windows flattened: the column, count index and value of each entry
+    offsets = np.cumsum(sizes) - sizes
+    col = np.repeat(np.arange(n_cols), sizes)
+    idx = _flat_ranges(starts, sizes)
+    val = np.concatenate(profiles).astype(float, copy=False)
+    # where two windows overlap: the pair, count index and product of the two columns' values
+    pair_a, pair_b, lo, hi = _overlaps(starts, ends).T
+    pair_id = np.repeat(np.arange(pair_a.size), hi - lo)
+    pair_idx = _flat_ranges(lo, hi - lo)
+    left, right = pair_a[pair_id], pair_b[pair_id]
+    pair_val = val[offsets[left] + pair_idx - starts[left]] * val[offsets[right] + pair_idx - starts[right]]
+    diag = np.arange(n_cols)
+
+    def means(theta: np.ndarray) -> np.ndarray:
+        return theta[-1] + np.bincount(idx, val * theta[col], minlength=counts.size)
+
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            theta = np.empty(n_cols + 1)
+            theta[-1] = float(np.median(counts)) or float(counts.mean()) or 1.0
+            theta[:-1] = np.maximum(np.bincount(col, (counts[idx] - theta[-1]) * val, minlength=n_cols), 0.0) / \
+                np.bincount(col, val * val, minlength=n_cols)
+            mu = means(theta)
+            for _ in range(_FIT_MAX_STEPS):
+                weight = 1.0 / mu
+                resid = counts * weight - 1.0
+                w_at = weight[idx]
+                info = np.zeros((n_cols + 1, n_cols + 1))
+                info[diag, diag] = np.bincount(col, val * val * w_at, minlength=n_cols)
+                info[diag, -1] = info[-1, diag] = np.bincount(col, val * w_at, minlength=n_cols)
+                info[-1, -1] = weight.sum()
+                info[pair_a, pair_b] = info[pair_b, pair_a] = np.bincount(
+                    pair_id, pair_val * weight[pair_idx], minlength=pair_a.size)
+                gradient = np.append(np.bincount(col, val * resid[idx], minlength=n_cols), resid.sum())
+                step = np.linalg.solve(info, gradient)
+                for _ in range(64):
+                    trial = theta + step
+                    mu = means(trial)
+                    if (mu > 0.0).all():
+                        break
+                    step = 0.5 * step
+                else:
+                    raise DataError("the line fit found no step that keeps every mean count > 0")
+                theta = trial
+                if (np.abs(step) <= _FIT_TOLERANCE * np.maximum(np.abs(theta), np.diag(info) ** -0.5)).all():
+                    covariance = np.linalg.inv(info)
+                    if not (np.diag(covariance) > 0.0).all():
+                        raise np.linalg.LinAlgError("the information matrix is not positive definite")
+                    return theta[:-1], float(theta[-1]), covariance
+    except np.linalg.LinAlgError as exc:
+        raise DataError(f"the line fit is singular: {exc}") from None
+    except FloatingPointError as exc:
+        raise DataError(f"the line fit failed: {exc}") from None
+    raise DataError(f"the line fit did not converge in {_FIT_MAX_STEPS} steps")
+
+
+def detect_spectral_lines(
+    scan: SpectralScan, filt: TunableFilter, detector: Detector, k_sigma: float = DEFAULT_K_SIGMA,
+) -> SpectralReport:
+    """Find the lines of a scan, then size them all by one Poisson fit of the filter's profile.
+
+    The lines are :func:`detect_peaks` runs over the scan, each centred at its
+    centroid in nm. Each gets a column of ``filt``'s Gaussian profile,
+    ``FIT_WINDOW_SIGMAS`` σ either side of that centre, and
+    :func:`fit_poisson_amplitudes` fits the columns with one constant
+    background. The filter's peak transmission and the detector's efficiency
+    turn a line's fitted amplitude back into its leaked photon rate. A scan of
+    fewer than ``MIN_BASELINE_BINS`` points is a :class:`DataError`, as is a
+    line with no grid point in its window.
+    """
+    require_scan_points(scan)
+    peaks = detect_peaks(scan.counts, estimate_baseline(scan.counts), k_sigma)
     grid = scan.wavelengths_nm
-    indices = np.arange(grid.size, dtype=float)
-    lines = []
-    for peak in peaks:
-        idx = min(max(peak.centroid_bins - 0.5, 0.0), float(grid.size - 1))
-        lines.append(
-            SpectralLine(
-                wavelength_nm=float(np.interp(idx, indices, grid)),
-                rate_per_s=peak.amplitude_counts / scan.dwell_s,
-                significance_sigma=peak.significance_sigma,
-            )
-        )
-    return lines
+    offsets = np.clip([peak.centroid_bins - 0.5 for peak in peaks], 0.0, float(grid.size - 1))
+    centres = np.interp(offsets, np.arange(grid.size, dtype=float), grid)
+    sigma = filt.fwhm_nm * _GAUSSIAN_FWHM_TO_SIGMA
+    starts = np.searchsorted(grid, centres - FIT_WINDOW_SIGMAS * sigma, "left")
+    ends = np.searchsorted(grid, centres + FIT_WINDOW_SIGMAS * sigma, "right")
+    if (starts == ends).any():
+        centre = centres[starts == ends][0]
+        raise DataError(f"no scan point lies within {FIT_WINDOW_SIGMAS:g} filter sigmas of the line at {centre:.4f} nm")
+    # counts at the filter's peak per photon/s leaked
+    per_photon = scan.dwell_s * 10.0 ** (-filt.insertion_loss_db / 10.0) * detector.efficiency
+    if peaks and not per_photon > 0.0:
+        raise ParameterError("the filter and detector pass no photons: a line's leaked rate is unknown")
+    # every window's profile in one pass, then a view of each
+    sizes = ends - starts
+    flat = np.exp(-0.5 * ((grid[_flat_ranges(starts, sizes)] - np.repeat(centres, sizes)) / sigma) ** 2)
+    profiles = [flat[end - size:end] for end, size in zip(np.cumsum(sizes).tolist(), sizes.tolist())]
+    amplitudes, background, covariance = fit_poisson_amplitudes(scan.counts, starts, profiles)
+    errors = np.sqrt(np.diag(covariance))[:-1]
+    areas = np.bincount(np.repeat(np.arange(len(peaks)), sizes), flat, minlength=len(peaks))
+    columns = (centres, amplitudes * areas / scan.dwell_s, errors * areas / scan.dwell_s,
+               amplitudes / per_photon, errors / per_photon, [peak.significance_sigma for peak in peaks])
+    lines = [SpectralLine(*row) for row in zip(*(np.asarray(column).tolist() for column in columns))]
+    return SpectralReport(lines, background, math.sqrt(covariance[-1, -1]))
 
 
 @dataclass

@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import run_otdr_analysis, detect_spectral_lines
+from .analysis import detect_spectral_lines, require_scan_points, run_otdr_analysis
 from .errors import DataError, InputError, ParameterError, ResourceError, XtalkError, read_dataclass, read_json
 from .plant import load_topology
 from .simulate import (
@@ -403,23 +403,31 @@ def cmd_scan(args) -> _Run:
     )
 
 
+def _scan_record(args, scan, name: str, cls):
+    """``cls`` from ``--<name>``, else from the scan's sidecar; with neither, an input error that names the flag."""
+    found = _from_args(args, name, cls, scan.metadata)
+    if found is None:
+        raise InputError(f"{args.scan}: {name} unknown; give --{name} or keep a "
+                         f"{tagio.metadata_path(args.scan).name} sidecar that has it")
+    return found
+
+
 def cmd_scan_analyze(args) -> _Run:
     dwell_s = parse_duration_s(args.dwell, "--dwell") if args.dwell is not None else None
     require_number(args.k_sigma, "k_sigma", minimum=0.0, strict=True)  # before the scan is read
     scan = tagio.read_scan_csv(args.scan, dwell_s=dwell_s)
     try:
-        lines = detect_spectral_lines(scan, k_sigma=args.k_sigma)
+        require_scan_points(scan)  # a short scan is a data error, whether or not its filter is known
+        filt = _scan_record(args, scan, "filter", TunableFilter)
+        detector = _scan_record(args, scan, "detector", Detector)
+        report = detect_spectral_lines(scan, filt, detector, k_sigma=args.k_sigma)
     except DataError as exc:  # a fault of the scan file: name it
         raise DataError(f"{args.scan}: {exc}", code=exc.code) from None
-    parameters = {"scan": str(args.scan), "k_sigma": args.k_sigma, "dwell_s": scan.dwell_s}
-    doc = {
-        "schema_version": 1,
-        "kind": "scan-analysis",
-        "parameters": parameters,
-        "lines": [asdict(line) for line in lines],
-    }
-    inputs = {**_given(args, "scan"), **_sidecar(args.scan, "scan_metadata")}
-    return _Run(parameters, inputs, [(Path(args.out), lambda out: tagio.write_json(out, doc))], f"{len(lines)} line(s)")
+    parameters = {"scan": str(args.scan), "k_sigma": args.k_sigma, "dwell_s": scan.dwell_s,
+                  "filter": asdict(filt), "detector": asdict(detector)}
+    inputs = {**_given(args, "scan", "filter", "detector"), **_sidecar(args.scan, "scan_metadata")}
+    return _Run(parameters, inputs, [(Path(args.out), lambda out: tagio.write_json(out, report.to_dict(parameters)))],
+                f"{len(report.lines)} line(s)")
 
 
 _MODEL_FLAGS = (
@@ -574,8 +582,14 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--out", type=path, required=True)
     scan.set_defaults(func=cmd_scan)
 
-    sana = sub.add_parser("scan-analyze", help="detect spectral lines in a scan CSV")
+    sana = sub.add_parser(
+        "scan-analyze", help="find the lines of a scan CSV and size them by a Poisson fit of the filter profile",
+        description="Find the lines of a filter-sweep scan, then size them all by one Poisson fit of the filter's "
+                    "Gaussian profile, one column per line, plus a constant background. The filter and the "
+                    "detector come from --filter and --detector, else from the scan's .meta.json sidecar.")
     sana.add_argument("--scan", type=path, required=True)
+    sana.add_argument("--filter", type=path, help="JSON file with TunableFilter fields (else the scan's sidecar)")
+    sana.add_argument("--detector", type=path, help="JSON file with Detector fields (else the scan's sidecar)")
     sana.add_argument("--k-sigma", dest="k_sigma", type=float, default=5.0)
     sana.add_argument("--dwell", help="dwell override when no metadata sidecar exists")
     sana.add_argument("--out", type=path, required=True)

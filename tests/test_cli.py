@@ -1,6 +1,7 @@
 """Command-line front end: files in, files out, exit codes, manifests."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -467,9 +468,63 @@ class TestScan:
     def test_scan_of_16_points_runs(self, tmp_path, capsys):
         scan = tmp_path / "short.csv"
         scan.write_bytes(b"\n".join([b"lambda_nm,counts", *SCAN_ROWS[:16]]) + b"\n")
+        models = [str(write_json(tmp_path / "filter.json", {})), str(write_json(tmp_path / "detector.json", {}))]
         out = tmp_path / "r.json"
-        assert main(["scan-analyze", "--scan", str(scan), "--dwell", "1s", "--out", str(out)]) == 0
+        assert main(["scan-analyze", "--scan", str(scan), "--dwell", "1s", "--filter", models[0],
+                     "--detector", models[1], "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["lines"]) == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("given, missing", [([], "filter"), (["--filter"], "detector")])
+    def test_scan_without_filter_or_detector_is_input_error(self, tmp_path, capsys, given, missing):
+        # the lines were once sized without the filter's profile; a default filter would size them silently
+        scan = tmp_path / "scan.csv"
+        scan.write_bytes(b"\n".join([b"lambda_nm,counts", *SCAN_ROWS]) + b"\n")
+        flags = [arg for flag in given for arg in (flag, str(write_json(tmp_path / f"{flag[2:]}.json", {})))]
+        out = tmp_path / "r.json"
+        assert main(["scan-analyze", "--scan", str(scan), "--dwell", "1s", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [{"error": "E_INPUT", "message": (
+            f"{scan}: {missing} unknown; give --{missing} or keep a scan.csv.meta.json sidecar that has it")}]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("filt, detector, code, message", [
+        # two equal points: the line's centre falls between them, 0.25 nm from each, past 8 sigmas of 4 pm
+        ({"fwhm_nm": 0.01}, {}, 3, "no scan point lies within 8 filter sigmas of the line at 1305.2500 nm"),
+        ({}, {"efficiency": 0.0}, 4, "the filter and detector pass no photons: a line's leaked rate is unknown"),
+    ], ids=["filter-narrower-than-the-grid", "no-efficiency"])
+    def test_filter_or_detector_that_cannot_size_a_line(self, tmp_path, capsys, filt, detector, code, message):
+        scan = tmp_path / "scan.csv"
+        rows = [f"{1300 + 0.5 * i},{500 if i in (10, 11) else 3}".encode() for i in range(21)]
+        scan.write_bytes(b"\n".join([b"lambda_nm,counts", *rows]) + b"\n")
+        out = tmp_path / "r.json"
+        assert main(["scan-analyze", "--scan", str(scan), "--dwell", "1s",
+                     "--filter", str(write_json(tmp_path / "filter.json", filt)),
+                     "--detector", str(write_json(tmp_path / "detector.json", detector)), "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = f"{scan}: " if code == 3 else ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"error": {3: "E_DATA", 4: "E_PARAM"}[code], "message": prefix + message}]
+        assert not out.exists()
+
+    def test_sidecar_gives_filter_and_detector_and_its_lines_are_not_read(self, tmp_path, capsys):
+        lines = write_json(tmp_path / "lines.json", [{"wavelength_nm": 1310.0, "rate_photons_per_s": 2e4}])
+        scan = tmp_path / "scan.csv"
+        assert main(["scan", "--lines", str(lines), "--filter", str(write_json(tmp_path / "f.json", {"fwhm_nm": 0.5})),
+                     "--grid", "1300:1320:0.1", "--dwell", "1s", "--seed", "3", "--out", str(scan)]) == 0
+        out, again = tmp_path / "r.json", tmp_path / "again.json"
+        assert main(["scan-analyze", "--scan", str(scan), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["parameters"]["filter"] == {"fwhm_nm": 0.5, "insertion_loss_db": 3.0}
+        assert report["parameters"]["detector"] == dataclasses.asdict(fx.Detector())
+        (line,) = report["lines"]
+        assert abs(line["line_rate_photons_per_s"] - 2e4) <= 3.0 * line["line_rate_uncertainty_photons_per_s"]
+        sidecar = tagio.metadata_path(scan)
+        write_json(sidecar, {**json.loads(sidecar.read_text()), "lines": "not read"})
+        assert main(["scan-analyze", "--scan", str(scan), "--out", str(again)]) == 0
+        assert json.loads(again.read_text()) == report
         capsys.readouterr()
 
 
@@ -695,8 +750,9 @@ def command_runs(tmp_path):
 
     The outputs of ``simulate`` and ``scan`` include the ``.meta.json`` sidecar
     each writes. Each run gives every optional file its command reads:
-    detector, filter and model documents, analyze's source and detector
-    overrides, and the ``.meta.json`` sidecars of the tags and the scan.
+    detector, filter and model documents, the source, detector and filter
+    overrides of analyze and scan-analyze, and the ``.meta.json`` sidecars of
+    the tags and the scan.
     """
     topo = write_json(tmp_path / "topo.json", ANALYZE_TOPOLOGY)
     source = write_json(tmp_path / "source.json", SOURCE)
@@ -725,8 +781,9 @@ def command_runs(tmp_path):
                   "--dwell", "1s", "--seed", "11", "--out", out["scan_out.csv"]], 11,
                  {"lines": lines, "filter": filt, "detector": detector},
                  [out["scan_out.csv"], tagio.metadata_path(out["scan_out.csv"])]),
-        "scan-analyze": (["--scan", scan, "--out", out["lines_out.json"]],
-                         None, {"scan": scan, "scan_metadata": scan_meta}, [out["lines_out.json"]]),
+        "scan-analyze": (["--scan", scan, "--filter", filt, "--detector", detector, "--out", out["lines_out.json"]],
+                         None, {"scan": scan, "filter": filt, "detector": detector, "scan_metadata": scan_meta},
+                         [out["lines_out.json"]]),
         "switch sweep-config": (["--table", table, "--n-in", "2", "--n-out", "2", "--out", out["sweep.csv"]],
                                 None, {"table": table}, [out["sweep.csv"]]),
         "switch sweep-wavelength": (["--model", model, "--aggressor", "1:5", "--victim", "2:6",
@@ -776,6 +833,7 @@ def test_input_that_is_also_an_output_keeps_the_digest_read(tmp_path, capsys, co
 @pytest.mark.parametrize("command, flag, code", [
     ("simulate", "--detector", 2), ("simulate", "--out", 2), ("analyze", "--tags", 2), ("analyze", "--source", 2),
     ("analyze", "--hist", 2), ("analyze", "--window", 4), ("scan", "--filter", 2), ("scan-analyze", "--dwell", 4),
+    ("scan-analyze", "--filter", 2), ("scan-analyze", "--detector", 2),
     ("switch sweep-config", "--wavelength", 4), ("switch sweep-wavelength", "--model", 2),
     ("switch plan", "--table", 2), ("switch plan", "--classical-band", 4), ("switch plan", "--quantum-band", 4),
 ])
@@ -865,8 +923,12 @@ def test_report_key_sets(tmp_path, capsys):
         "dropped_before_first_trigger", "dropped_beyond_period", "dropped_outside_window",
         "period_jitter_ppm", "irregular_period", "notes"}
     lines = json.loads((tmp_path / "lines_out.json").read_text())
-    assert set(lines) == {"schema_version", "kind", "parameters", "lines"}
-    assert [set(line) for line in lines["lines"]] == [{"wavelength_nm", "rate_per_s", "significance_sigma"}]
+    assert set(lines) == {"schema_version", "kind", "parameters", "background_counts_per_point",
+                          "background_uncertainty_counts_per_point", "lines"}
+    assert set(lines["parameters"]) == {"scan", "k_sigma", "dwell_s", "filter", "detector"}
+    assert [set(line) for line in lines["lines"]] == [{
+        "wavelength_nm", "rate_per_s", "rate_uncertainty_per_s", "line_rate_photons_per_s",
+        "line_rate_uncertainty_photons_per_s", "significance_sigma"}]
     plan = json.loads((tmp_path / "plan.json").read_text())
     assert set(plan) == {"schema_version", "kind", "objective_db", "method", "classical", "quantum"}
     placements = plan["classical"] + plan["quantum"]
@@ -1249,8 +1311,9 @@ SCAN_ANALYZE_ARGV = ["scan-analyze", "--scan", "s.csv", "--out", "r.json"]
 
 
 def scan_analyze_case():
+    sidecar = {"dwell_s": 1.0, "filter": {"fwhm_nm": 0.8, "insertion_loss_db": 3.0}, "detector": DETECTOR}
     return st.tuples(
-        csv_body(b"lambda_nm,counts", SCAN_ROWS), mutated({"dwell_s": 1.0}),
+        csv_body(b"lambda_nm,counts", SCAN_ROWS), mutated(sidecar),
         st.one_of(st.just([]), TIMES.map(lambda t: [f"--dwell={t}"])),
     ).map(lambda case: ({"s.csv": case[0], "s.csv.meta.json": case[1]}, [*SCAN_ANALYZE_ARGV, *case[2]]))
 
