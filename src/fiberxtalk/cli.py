@@ -26,6 +26,13 @@ field, an optional sign, then ASCII digits. A flag that reads but lies
 outside its domain, an empty value included, exits 4 (``E_PARAM``); running
 out of memory exits 5 (``E_RESOURCE``).
 
+Without ``--table``, a switch model is the ``--model`` JSON document of
+:class:`~fiberxtalk.switchlab.SwitchModel` keys, each optional (no document is
+the default model). ``--table`` replaces the crosstalk keys with the measured
+table, so a ``--model`` beside it may hold only ``n_in``, ``n_out`` and
+``reference_nm``; any other key exits 2 (``E_INPUT``), naming the keys.
+``--n-in`` and ``--n-out`` override the document's switch size either way.
+
 A switch path flag (``--aggressor``, ``--victim``) is parsed by
 :func:`parse_path` and checked by ``switchlab.switch_xtalk_db``, which every
 sweep point goes through; a path that does not parse, and one whose ports
@@ -171,9 +178,10 @@ def parse_window_ps(text: str, flag: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ParameterError(f"{flag}: expected 'lo:hi', got {text!r}")
-    lo = parse_time_ps(parts[0], flag)
-    hi = parse_time_ps(parts[1], flag)
-    return (int(round(lo)), int(round(hi)))
+    lo, hi = (int(round(parse_time_ps(part, flag))) for part in parts)
+    if not 0 <= lo < hi:  # fold_histogram checks it again for library callers
+        raise ParameterError(f"{flag}: window must satisfy 0 <= lo < hi, got {text!r}")
+    return (lo, hi)
 
 
 def integer(text: str) -> int:
@@ -413,8 +421,11 @@ def _scan_record(args, scan, name: str, cls):
 
 
 def cmd_scan_analyze(args) -> _Run:
+    # the flags are refused before the scan is read; SpectralScan checks the dwell again for library callers
     dwell_s = parse_duration_s(args.dwell, "--dwell") if args.dwell is not None else None
-    require_number(args.k_sigma, "k_sigma", minimum=0.0, strict=True)  # before the scan is read
+    if dwell_s is not None:
+        require_number(dwell_s, "--dwell", minimum=0.0, strict=True)
+    require_number(args.k_sigma, "k_sigma", minimum=0.0, strict=True)
     scan = tagio.read_scan_csv(args.scan, dwell_s=dwell_s)
     try:
         require_scan_points(scan)  # a short scan is a data error, whether or not its filter is known
@@ -430,36 +441,26 @@ def cmd_scan_analyze(args) -> _Run:
                 f"{len(report.lines)} line(s)")
 
 
-_MODEL_FLAGS = (
-    ("n_in", "n_in"),
-    ("n_out", "n_out"),
-    ("c0", "c0_db"),
-    ("beta_in", "beta_in_db_per_port"),
-    ("beta_out", "beta_out_db_per_port"),
-    ("lambda_ref", "reference_nm"),
-    ("slope", "slope_db_per_nm"),
-    ("floor", "floor_db"),
-)
 # A measured table replaces the crosstalk fields, but not the switch size or the default carrier.
 _TABLE_KEEPS = ("n_in", "n_out", "reference_nm")
 
 
 def _model_from_args(args) -> tuple[SwitchModel, dict, dict[str, Path]]:
-    """The ``--model`` document, then the model flags and ``--table`` on top.
+    """The ``--model`` document, then ``--n-in``, ``--n-out`` and ``--table`` on top.
 
     Returns the model, its manifest record and the manifest inputs. A fault in
-    the document is an input error; a flag that puts the model out of its
-    domain is a parameter error.
+    the document is an input error, and so is a key that ``--table`` would
+    drop; a flag that puts the model out of its domain is a parameter error.
     """
     doc = read_json(args.model, "switch model") if args.model is not None else {}
     if isinstance(doc, dict) and "table" in doc:
         raise InputError("switch model: a measured table comes only from --table")
-    overrides = {key: getattr(args, flag) for flag, key in _MODEL_FLAGS if getattr(args, flag) is not None}
+    overrides = {key: getattr(args, key) for key in ("n_in", "n_out") if getattr(args, key) is not None}
     if args.table is not None:
-        ignored = [f"--{flag.replace('_', '-')}" for flag, key in _MODEL_FLAGS
-                   if key in overrides and key not in _TABLE_KEEPS]
-        if ignored:
-            raise InputError(f"--table replaces the parametric model, so {', '.join(ignored)} would be ignored")
+        dropped = [key for key in doc if key not in _TABLE_KEEPS] if isinstance(doc, dict) else []
+        if dropped:
+            raise InputError(f"switch model: --table replaces the parametric model, so {', '.join(dropped)} "
+                             f"would be dropped; beside it the document may hold only {', '.join(_TABLE_KEEPS)}")
         overrides["table"] = load_measured_table(args.table)
     model = replace(read_dataclass(doc, SwitchModel, "switch model"), **overrides)
     record = ({"mode": "measured", **{key: getattr(model, key) for key in _TABLE_KEEPS}}
@@ -514,16 +515,12 @@ def cmd_switch_plan(args) -> _Run:
 
 
 def _add_switch_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", type=path, help="JSON file with SwitchModel fields")
-    parser.add_argument("--table", type=path, help="measured crosstalk CSV (a_in,a_out,v_in,v_out,lambda_nm,xtalk_db)")
-    parser.add_argument("--n-in", dest="n_in", type=integer)
-    parser.add_argument("--n-out", dest="n_out", type=integer)
-    parser.add_argument("--c0", type=float, help="adjacent-path crosstalk in dB")
-    parser.add_argument("--beta-in", dest="beta_in", type=float)
-    parser.add_argument("--beta-out", dest="beta_out", type=float)
-    parser.add_argument("--lambda-ref", dest="lambda_ref", type=float)
-    parser.add_argument("--slope", type=float, help="wavelength slope in dB/nm")
-    parser.add_argument("--floor", type=float)
+    parser.add_argument("--model", type=path, help="JSON file of SwitchModel keys (n_in, n_out, c0_db, "
+                        "beta_in_db_per_port, beta_out_db_per_port, reference_nm, slope_db_per_nm, floor_db)")
+    parser.add_argument("--table", type=path, help="measured crosstalk CSV (a_in,a_out,v_in,v_out,lambda_nm,xtalk_db); "
+                        "it replaces the parametric model, so --model may then hold only n_in, n_out and reference_nm")
+    parser.add_argument("--n-in", dest="n_in", type=integer, help="input ports (overrides the model's n_in)")
+    parser.add_argument("--n-out", dest="n_out", type=integer, help="output ports (overrides the model's n_out)")
 
 
 class _Parser(argparse.ArgumentParser):

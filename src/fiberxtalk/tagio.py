@@ -18,6 +18,13 @@ and counts must be >= 0. Any fault is a :class:`DataError` that names the
 file and row. A tag channel is parsed as int8, so one outside -128..127 fails
 to parse.
 
+A CSV tag file has the XTT1 reader's record budget, ``DEFAULT_MAX_TAGS``,
+checked before it is parsed. A data row takes at least 4 bytes (``0,0\n``),
+so a file of at most 4 · ``DEFAULT_MAX_TAGS`` bytes is within it from its size
+alone. A larger file has its lines after the header counted, blank ones
+included, in ``CSV_COUNT_BLOCK_BYTES`` blocks; more than ``DEFAULT_MAX_TAGS``
+is a :class:`ResourceError` that names the file and the cap.
+
 Every output goes through one of three writers: :func:`write_json` (indented,
 sorted keys, a final newline) for sidecars, reports, plans and manifests,
 :func:`write_csv` (a header line, then one ``%``-formatted line per row) for
@@ -56,6 +63,7 @@ from .units import WAVELENGTH_MAX_NM, WAVELENGTH_MIN_NM, require_number
 XTT1_MAGIC = b"XTT1\x00\x00\x00\x01"
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
 XTT1_BLOCK_RECORDS = 1 << 16  # records per block of the XTT1 decoder
+CSV_COUNT_BLOCK_BYTES = 1 << 16  # bytes per block of the CSV line count
 
 
 def metadata_path(path: "str | Path") -> Path:
@@ -155,7 +163,27 @@ def read_tags_xtt1(path: "str | Path") -> TagStream:
     return TagStream(channels=channels, times_ps=times, metadata=read_metadata(path) or {})
 
 
+def _require_csv_tag_budget(path: "str | Path") -> None:
+    """Refuse a CSV tag file of more than ``DEFAULT_MAX_TAGS`` lines after its header, before it is parsed."""
+    try:
+        size = os.stat(path).st_size
+    except OSError:
+        return  # read_csv_columns reports a file it cannot read
+    if size <= 4 * DEFAULT_MAX_TAGS:  # a data row takes at least 4 bytes, "0,0\n"
+        return
+    newlines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while block := fh.read(CSV_COUNT_BLOCK_BYTES):
+            newlines, last = newlines + block.count(b"\n"), block[-1:]
+            if newlines - 1 > DEFAULT_MAX_TAGS:
+                break
+    rows = newlines - 1 + (last != b"\n")  # the header's line is not a row; a last line may lack its newline
+    if rows > DEFAULT_MAX_TAGS:
+        raise ResourceError(f"{path}: more rows than the cap of {DEFAULT_MAX_TAGS} tags")
+
+
 def read_tags_csv(path: "str | Path") -> TagStream:
+    _require_csv_tag_budget(path)
     # a channel parses as int8: 9 bytes a row for the body, and its uint8 view is > 1 for any bad channel
     channels, times = read_csv_columns(path, ["channel", "time_ps"], ["i1", "i8"])
     reject_rows(path, channels.view(np.uint8) > 1, "channel must be 0 or 1", channels)

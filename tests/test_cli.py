@@ -552,8 +552,9 @@ class TestSwitchCommands:
 
     def test_sweep_wavelength_flat_with_zero_slope(self, tmp_path):
         out = tmp_path / "curve.csv"
+        model = write_json(tmp_path / "model.json", {"slope_db_per_nm": 0})
         assert main([
-            "switch", "sweep-wavelength", "--slope", "0", "--grid", "1260:1560:50",
+            "switch", "sweep-wavelength", "--model", str(model), "--grid", "1260:1560:50",
             "--out", str(out),
         ]) == 0
         rows = out.read_text().strip().splitlines()[1:]
@@ -687,30 +688,49 @@ class TestSwitchCommands:
         table.write_text("a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\n" + "".join(sorted(rows)))
         out = tmp_path / "plan.json"
 
-        def model_of(*flags):
+        def model_of(*flags, doc=None):
+            model = ["--model", str(write_json(tmp_path / "model.json", doc))] if doc is not None else []
             assert main(["switch", "plan", "--table", str(table), "--classical", "1", "--quantum", "1",
-                         *flags, "--out", str(out)]) == 0
+                         *model, *flags, "--out", str(out)]) == 0
             return json.loads((tmp_path / "plan.json.manifest.json").read_text())["parameters"]["model"]
 
         small = model_of("--n-in", "2", "--n-out", "2")
         assert small == {"mode": "measured", "n_in": 2, "n_out": 2, "reference_nm": 1310.0}
         assert model_of("--n-in", "3", "--n-out", "3") != small
-        assert model_of("--n-in", "2", "--n-out", "2", "--lambda-ref", "1550") != small
+        assert model_of(doc={"n_in": 2, "n_out": 2, "reference_nm": 1550}) != small
 
     @pytest.mark.parametrize("command", [
         ["plan", "--classical", "1", "--quantum", "1"], ["sweep-config"],
         ["sweep-wavelength", "--aggressor", "1:4", "--victim", "2:3"],
     ])
-    def test_table_refuses_the_parametric_model_flags(self, tmp_path, capsys, command):
+    def test_table_refuses_the_parametric_model_keys(self, tmp_path, capsys, command):
+        # such a document once ran, and the manifest recorded none of the keys the table dropped
         table = tmp_path / "table.csv"
         table.write_text("a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\n1,4,2,3,1310,-40\n2,3,1,4,1310,-40\n")
+        model = write_json(tmp_path / "model.json", {
+            "n_in": 2, "n_out": 2, "reference_nm": 1310.0, "c0_db": -40.0, "beta_in_db_per_port": 1.0,
+            "beta_out_db_per_port": 1.0, "slope_db_per_nm": 0.0, "floor_db": -90.0})
         out = tmp_path / "out"
-        assert main(["switch", *command, "--table", str(table), "--n-in", "2", "--n-out", "2", "--lambda-ref", "1310",
-                     "--c0=-40", "--beta-in=1", "--beta-out=1", "--slope=0", "--floor=-90", "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert [json.loads(line) for line in err] == [{"error": "E_INPUT", "message": (
-            "--table replaces the parametric model, so --c0, --beta-in, --beta-out, --slope, --floor would be ignored")}]
+        assert main(["switch", *command, "--table", str(table), "--model", str(model), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [{"error": "E_INPUT", "message": (
+            "switch model: --table replaces the parametric model, so c0_db, beta_in_db_per_port, "
+            "beta_out_db_per_port, slope_db_per_nm, floor_db would be dropped; beside it the document may hold "
+            "only n_in, n_out, reference_nm")}]
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--c0", "--beta-in", "--beta-out", "--lambda-ref", "--slope", "--floor"])
+    @pytest.mark.parametrize("command", ["sweep-config", "sweep-wavelength", "plan"])
+    def test_deleted_model_flag_is_refused(self, tmp_path, capsys, command, flag):
+        # each repeated a --model document key, which is now the one place a parametric model is set
+        flags, _, _, outputs = command_runs(tmp_path)[f"switch {command}"]
+        assert main(["switch", command, *map(str, flags), f"{flag}=-40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"error": "E_INPUT", "message": f"xtalk: unrecognized arguments: {flag}=-40"}]
+        assert not any(path.exists() for path in outputs)
 
 
 class TestUnitSuffixes:
@@ -759,6 +779,8 @@ def command_runs(tmp_path):
     detector = write_json(tmp_path / "detector.json", DETECTOR)
     filt = write_json(tmp_path / "filter.json", {"fwhm_nm": 0.5})
     model = write_json(tmp_path / "model.json", {"n_in": 4, "n_out": 4, "c0_db": -45.0})
+    # beside --table a document holds only what the table does not replace
+    table_model = write_json(tmp_path / "table_model.json", {"n_in": 4, "n_out": 4, "reference_nm": 1310.0})
     lines = write_json(tmp_path / "lines.json", [{"wavelength_nm": 1305.0, "rate_photons_per_s": 1e3}])
     tags, scan, table = tmp_path / "tags.csv", tmp_path / "scan.csv", tmp_path / "table.csv"
     tags.write_bytes(b"\n".join([b"channel,time_ps", *TAG_ROWS]) + b"\n")
@@ -789,9 +811,9 @@ def command_runs(tmp_path):
         "switch sweep-wavelength": (["--model", model, "--aggressor", "1:5", "--victim", "2:6",
                                      "--grid", "1260:1560:50", "--out", out["curve.csv"]],
                                     None, {"model": model}, [out["curve.csv"]]),
-        "switch plan": (["--model", model, "--table", table, "--n-in", "2", "--n-out", "2", "--classical", "1",
+        "switch plan": (["--model", table_model, "--table", table, "--n-in", "2", "--n-out", "2", "--classical", "1",
                          "--quantum", "1", "--out", out["plan.json"]], None,
-                        {"model": model, "table": table}, [out["plan.json"]]),
+                        {"model": table_model, "table": table}, [out["plan.json"]]),
     }
 
 
@@ -1031,8 +1053,13 @@ def test_non_finite_k_sigma_is_parameter_error(tmp_path, capsys, command, k_sigm
     ("analyze", ["--k-sigma", "nan"], "k_sigma must be finite, got nan"),
     ("analyze", ["--bin", "abc"], "--bin: cannot parse quantity 'abc'"),
     ("analyze", ["--min-separation", "-1"], "min_separation_bins must be an integer >= 0, got -1"),
+    ("analyze", ["--window", "5:1"], "--window: window must satisfy 0 <= lo < hi, got '5:1'"),
+    ("analyze", ["--window", "0:0"], "--window: window must satisfy 0 <= lo < hi, got '0:0'"),
     ("scan-analyze", ["--k-sigma", "nan"], "k_sigma must be finite, got nan"),
-], ids=["analyze-k-sigma", "analyze-bin", "analyze-min-separation", "scan-analyze-k-sigma"])
+    ("scan-analyze", ["--dwell", "0"], "--dwell must be > 0.0, got 0.0"),
+    ("scan-analyze", ["--dwell=-1s"], "--dwell must be > 0.0, got -1.0"),
+], ids=["analyze-k-sigma", "analyze-bin", "analyze-min-separation", "analyze-window-reversed", "analyze-window-empty",
+        "scan-analyze-k-sigma", "scan-analyze-dwell-zero", "scan-analyze-dwell-negative"])
 def test_bad_flag_is_refused_before_the_input_is_read(tmp_path, capsys, command, flags, message):
     # the input does not exist: a flag checked only after the read would exit 2
     out = tmp_path / "out.json"
@@ -1253,7 +1280,6 @@ SOURCE = {"avg_power_w": power_for_mu_det(0.2, -100.0), "rep_rate_hz": 1000.0,
           "pulse_width_ps": 100.0, "wavelength_nm": 1550.0}
 DETECTOR = {"efficiency": 0.85, "dark_rate_hz": 100.0, "jitter_sigma_ps": 50.0, "dead_time_ps": 50000}
 TIMES = st.sampled_from(["10ms", "1ms", "10", "0", "-1ms", "1e999", "nan", "abc", "", "3 ms", "10 parsecs"])
-FLOATS = st.floats(allow_nan=True, allow_infinity=True).map(repr)
 
 
 def simulate_case():
@@ -1337,17 +1363,23 @@ def analyze_case():
 TABLE_ROWS = [f"{a},{b},{3 - a},{7 - b},{nm},-40".encode() for a in (1, 2) for b in (3, 4) for nm in (1310, 1550)]
 
 
+TABLE_KEEPS = {"n_in": 2, "n_out": 2, "reference_nm": 1310.0}
+
+
 def table_plan_case():
-    return csv_body(b"a_in,a_out,v_in,v_out,lambda_nm,xtalk_db", TABLE_ROWS).map(lambda body: ({"table.csv": body}, [
-        "switch", "plan", "--table", "table.csv", "--n-in=2", "--n-out=2", "--classical=1", "--quantum=1",
-        "--out", "plan.json"]))
+    # a document beside --table: what the table keeps, mutated, or with a key the table would drop
+    models = st.one_of(mutated(TABLE_KEEPS), st.sampled_from(["c0_db", "floor_db", "slope_db_per_nm", "table"]).map(
+        lambda key: {**TABLE_KEEPS, key: -40.0}))
+    return st.tuples(csv_body(b"a_in,a_out,v_in,v_out,lambda_nm,xtalk_db", TABLE_ROWS), models).map(lambda case: (
+        {"table.csv": case[0], "model.json": case[1]},
+        ["switch", "plan", "--table", "table.csv", "--model", "model.json", "--n-in=2", "--n-out=2", "--classical=1",
+         "--quantum=1", "--out", "plan.json"]))
 
 
 def plan_case():
     small = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["1.5", "abc", "1_0", "1000000", str(2**70)]))
     flags = st.lists(st.one_of(
         st.tuples(st.sampled_from(["--n-in", "--n-out", "--classical", "--quantum"]), small),
-        st.tuples(st.sampled_from(["--c0", "--floor", "--lambda-ref", "--slope", "--beta-in"]), FLOATS),
         st.tuples(st.sampled_from(["--classical-band", "--quantum-band"]),
                   st.sampled_from(["O", "C", "X", "1300,1320", "1300,abc", "900,950", "1320,1300"])),
     ), max_size=3)
@@ -1387,6 +1419,9 @@ def test_malformed_inputs_follow_exit_contract(fuzz_dir, case):
     assert code in (0, 2, 3, 4, 5)
     if any(arg in ("--jobs=2", "--jobs=0") for arg in argv):
         assert code == 2  # --jobs accepts only 1, and argparse reads it before any file
+    model = files.get("model.json")
+    if "--table" in argv and isinstance(model, dict) and set(model) - set(TABLE_KEEPS):
+        assert code == 2  # --table refuses a document key it would drop, before the table is read
     lines = stderr.getvalue().splitlines()
     if code:
         assert len(lines) == 1 and json.loads(lines[0])["error"].startswith("E_")

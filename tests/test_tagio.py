@@ -156,6 +156,33 @@ class TestCsv:
         assert np.array_equal(back.channels, stream.channels)
         assert np.array_equal(back.times_ps, stream.times_ps)
 
+    @pytest.mark.parametrize("block", [1 << 16, 5])
+    @pytest.mark.parametrize("end", [b"\n", b""], ids=["final-newline", "no-final-newline"])
+    def test_row_count_above_the_cap_exits_5_before_the_parse(self, tmp_path, monkeypatch, capsys, block, end):
+        # a file above 4 bytes a row of the cap has its lines counted; np.loadtxt never sees one over the cap
+        monkeypatch.setattr(tagio, "DEFAULT_MAX_TAGS", 4)
+        monkeypatch.setattr(tagio, "CSV_COUNT_BLOCK_BYTES", block)
+        rows = [b"0,0", b"1,5", b"0,10", b"1,15", b"0,20"]
+        path = tmp_path / "tags.csv"
+        path.write_bytes(b"\n".join([b"channel,time_ps", *rows]) + end)
+        loadtxt = np.loadtxt
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called on a file over the cap")
+
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        with pytest.raises(ResourceError, match="more rows than the cap of 4 tags"):
+            tagio.read_tags_csv(path)
+        code = main(["analyze", "--tags", str(path), "--topology", str(tmp_path / "topo.json"),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0]) == {
+            "error": "E_RESOURCE", "message": f"{path}: more rows than the cap of 4 tags"}
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        path.write_bytes(b"\n".join([b"channel,time_ps", *rows[:4]]) + b"\n")
+        assert tagio.read_tags_csv(path).n_records == 4
+
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "tags.csv"
         path.write_text("time,chan\n0,0\n")
