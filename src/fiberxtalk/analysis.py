@@ -650,13 +650,15 @@ def estimate_coupling_db(
     (:func:`dead_time_counts`); :func:`_invert_pile_up` turns N_i / T,
     ``1 - D_i / T`` and S_i / T into its photons per pulse mu_i, or a dead time
     shorter than a bin gives ``mu_i = N_i / (T live_i)`` (the module docstring
-    has the model). The peak's baseline per bin b inverts at the period's mean
-    live fraction into mu_bg. The corrected counts ``sum_i T (mu_i - mu_bg)``
-    over T pulses of the source's photons and the detector's efficiency give
-    the coupling, with the outbound and return span losses added back. When
-    the peak matches a connector, losses are evaluated at the connector
-    position: millimeter-level noise in the estimated distance must not flip
-    whether that connector's own insertion loss falls inside the path.
+    has the model; with 100 ps bins that branch is checked unbiased for dead
+    times of 0 and 50 ps, and at 99 ps it reads low). The peak's baseline per
+    bin b inverts at the period's mean live fraction into mu_bg. The corrected
+    counts ``sum_i T (mu_i - mu_bg)`` over T pulses of the source's photons
+    and the detector's efficiency give the coupling, with the outbound and
+    return span losses added back. When the peak matches a connector, losses
+    are evaluated at the connector position: millimeter-level noise in the
+    estimated distance must not flip whether that connector's own insertion
+    loss falls inside the path.
 
     The uncertainty is first order. D_i counts the pulses in which bin i opened
     dead, so N_i is binomial over the T live_i in which it is live, with

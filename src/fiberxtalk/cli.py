@@ -26,6 +26,14 @@ field, an optional sign, then ASCII digits. A flag that reads but lies
 outside its domain, an empty value included, exits 4 (``E_PARAM``); running
 out of memory exits 5 (``E_RESOURCE``).
 
+Every command parses its flags before it reads any file, so a flag's fault
+is reported even when an input is missing: a quantity, grid, window, band or
+path that does not parse, a duration or dwell that is not > 0, and a
+``--k-sigma`` or ``--min-separation`` outside its domain. The library checks
+each again for its own callers. The integer flags (``--seed``,
+``--max-tags``, channel counts and ports) and a grid's wavelength range are
+checked by the library, after the read.
+
 Without ``--table``, a switch model is the ``--model`` JSON document of
 :class:`~fiberxtalk.switchlab.SwitchModel` keys, each optional (no document is
 the default model). ``--table`` replaces the crosstalk keys with the measured
@@ -320,10 +328,10 @@ def _from_args(args, name: str, cls, metadata: dict | None = None):
 
 
 def cmd_simulate(args) -> _Run:
+    duration_s = require_number(parse_duration_s(args.duration, "--duration"), "--duration", minimum=0.0, strict=True)
     topology = load_topology(args.topology)
     source = _from_args(args, "source", PulsedSource)  # argparse requires --source
     detector = _from_args(args, "detector", Detector) or Detector()
-    duration_s = parse_duration_s(args.duration, "--duration")
     stream = simulate_otdr_tags(
         topology, source, detector, duration_s, args.seed, max_tags=args.max_tags,
     )
@@ -344,7 +352,6 @@ def cmd_simulate(args) -> _Run:
 
 
 def cmd_analyze(args) -> _Run:
-    # the flags are refused before the tag file is read; detect_peaks checks them again for library callers
     bin_width = parse_bin_ps(args.bin, "--bin")
     window = parse_window_ps(args.window, "--window") if args.window is not None else None
     require_number(args.k_sigma, "k_sigma", minimum=0.0, strict=True)
@@ -386,14 +393,14 @@ def cmd_analyze(args) -> _Run:
 
 
 def cmd_scan(args) -> _Run:
+    grid = parse_grid_nm(args.grid, "--grid")  # the simulator checks its range
+    dwell_s = require_number(parse_duration_s(args.dwell, "--dwell"), "--dwell", minimum=0.0, strict=True)
     lines_doc = read_json(args.lines, "lines")
     if not isinstance(lines_doc, list):
         raise InputError("lines: expected a JSON array of {wavelength_nm, rate_photons_per_s}")
     lines = [read_dataclass(entry, LeakLine, f"lines[{i}]") for i, entry in enumerate(lines_doc)]
     filt = _from_args(args, "filter", TunableFilter) or TunableFilter()
     detector = _from_args(args, "detector", Detector) or Detector()
-    grid = parse_grid_nm(args.grid, "--grid")  # the simulator checks its range
-    dwell_s = parse_duration_s(args.dwell, "--dwell")
     scan = simulate_spectral_scan(lines, filt, detector, grid, dwell_s, args.seed)
     return _Run(
         {
@@ -421,10 +428,9 @@ def _scan_record(args, scan, name: str, cls):
 
 
 def cmd_scan_analyze(args) -> _Run:
-    # the flags are refused before the scan is read; SpectralScan checks the dwell again for library callers
-    dwell_s = parse_duration_s(args.dwell, "--dwell") if args.dwell is not None else None
-    if dwell_s is not None:
-        require_number(dwell_s, "--dwell", minimum=0.0, strict=True)
+    dwell_s = None
+    if args.dwell is not None:
+        dwell_s = require_number(parse_duration_s(args.dwell, "--dwell"), "--dwell", minimum=0.0, strict=True)
     require_number(args.k_sigma, "k_sigma", minimum=0.0, strict=True)
     scan = tagio.read_scan_csv(args.scan, dwell_s=dwell_s)
     try:
@@ -469,8 +475,8 @@ def _model_from_args(args) -> tuple[SwitchModel, dict, dict[str, Path]]:
 
 
 def cmd_switch_sweep_config(args) -> _Run:
-    model, record, inputs = _model_from_args(args)
     nm = parse_wavelength_nm(args.wavelength, "--wavelength") if args.wavelength is not None else None
+    model, record, inputs = _model_from_args(args)
     points = sweep_configs(model, args.classical_in, args.victim_out, nm)
     columns = ([p.label for p in points], [p.xtalk_db for p in points])
     return _Run(
@@ -481,10 +487,10 @@ def cmd_switch_sweep_config(args) -> _Run:
 
 
 def cmd_switch_sweep_wavelength(args) -> _Run:
-    model, record, inputs = _model_from_args(args)
     aggressor = parse_path(args.aggressor, "--aggressor")
     victim = parse_path(args.victim, "--victim")
     grid = parse_grid_nm(args.grid, "--grid")
+    model, record, inputs = _model_from_args(args)
     curve = sweep_wavelength(model, aggressor, victim, grid)
     columns = list(zip(*curve))
     return _Run(
@@ -496,9 +502,9 @@ def cmd_switch_sweep_wavelength(args) -> _Run:
 
 
 def cmd_switch_plan(args) -> _Run:
-    model, record, inputs = _model_from_args(args)
     wanted = {"classical": args.classical_band, "quantum": args.quantum_band}
     bands = {kind: parse_band(text, f"--{kind}-band") for kind, text in wanted.items() if text is not None} or None
+    model, record, inputs = _model_from_args(args)
     solver = brute_force_assignment if args.oracle else optimize_assignment
     assignment = solver(model, args.classical, args.quantum, bands)
     doc = {"schema_version": 1, "kind": "switch-assignment", **asdict(assignment)}

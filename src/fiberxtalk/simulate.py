@@ -47,6 +47,8 @@ MAX_SEED = 2**64 - 1
 DEFAULT_MAX_TAGS = 50_000_000
 PULSES_PER_CHUNK = 65_536
 MAX_POISSON_MEAN = 1e18  # numpy refuses Poisson means above ~9.2e18
+# A photon is never drawn this many timing sigmas from its point's delay (the odds are below 1e-300).
+TAG_TIME_SIGMAS = 40.0
 # math.exp(-0.5 * z ** 2) is exactly 0.0 beyond this |z| (exp(-746) underflows to 0).
 _EXP_ZERO_Z = math.sqrt(2 * 746.0)
 
@@ -303,7 +305,11 @@ def simulate_otdr_tags(
     ``n_detector_tags``. ``max_tags`` caps the
     records, triggers included, and may not pass ``DEFAULT_MAX_TAGS``, the
     most a tag reader accepts; a run expected to pass it, or whose draw
-    passes it, raises :class:`ResourceError` before returning anything.
+    passes it, raises :class:`ResourceError` before returning anything. Every
+    tag time must stay below 2^63 ps (about 107 days), the int64 limit: a run
+    whose last pulse period, or whose last pulse's start plus the latest point
+    delay plus ``TAG_TIME_SIGMAS`` timing sigmas, reaches it raises
+    :class:`ParameterError` before drawing.
     """
     seed = _validate_seed(seed)
     require_number(duration_s, "duration_s", minimum=0.0, strict=True)
@@ -344,6 +350,14 @@ def simulate_otdr_tags(
         raise ParameterError(
             f"expected {float(chunk_means[first]):.3g} photons from the point at {points[first].position_m} m "
             f"in a chunk of {chunk_pulses} pulses; the limit is {MAX_POISSON_MEAN:.0e}"
+        )
+    # a dark count can fall anywhere in the last period, a photon up to TAG_TIME_SIGMAS after its delay
+    last_start = (n_pulses - 1) * period
+    latest = max(last_start + period, last_start + float(delays.max(initial=0.0)) + TAG_TIME_SIGMAS * sigma_ps)
+    if not latest < 2**63:
+        raise ParameterError(
+            f"tag times would reach {latest:.4g} ps ({n_pulses} pulses {period} ps apart, the latest point delay and "
+            f"{TAG_TIME_SIGMAS:g} timing sigmas of {sigma_ps:.4g} ps); an int64 time must stay below 2^63 ps, ~107 days"
         )
 
     chunk_times, arrived, after_efficiency, darks = zip(*(

@@ -10,12 +10,12 @@ and the victim. The parametric model decays with port-index separation on
 the input and output planes independently and rises linearly with
 wavelength; a measured table can replace it entirely. A measured table is a
 ``MeasuredTable``: sorted numpy columns of path pairs, wavelengths and dB
-values, read as a mapping from path pair to points only by the per-pair
-model. The parametric model depends only on the two port separations and the
-wavelength, so the planner evaluates it once per (input separation, output
-separation, carrier) and gathers its leak table from those values, one
-float64 matrix of rows per input; a measured table is interpolated for every
-path pair at once, one numpy pass per carrier. The planner is one exact
+values, which only the per-pair model reads pair by pair. The parametric
+model depends only on the two port separations and the wavelength, so the
+planner evaluates it once per (input separation, output separation, carrier)
+and gathers its leak table from those values, one float64 matrix of rows per
+input; a measured table is interpolated for every path pair at once, one
+numpy pass per carrier. The planner is one exact
 pruned search over that table that scores all of an input's classical
 children in one numpy pass and visits them in port order; a plan or sweep
 whose work exceeds ``PLAN_WORK_LIMIT`` raises ``ResourceError`` (exit 5).
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,26 +51,23 @@ def _no_points(key: Sequence[int]) -> DataError:
     return DataError(f"no measured crosstalk for paths {key[0]}->{key[1]} / {key[2]}->{key[3]}")
 
 
-class MeasuredTable(Mapping):
+class MeasuredTable:
     """A measured crosstalk table, kept as numpy columns sorted once.
 
     ``ports`` is a ``(4, n)`` int64 array, the ``a_in, a_out, v_in, v_out``
-    columns; ``lambda_nm`` and ``xtalk_db`` are float64. The rows are sorted by
-    the four ports, then by wavelength, and each path pair's wavelengths
-    strictly increase. As an immutable mapping, the key
-    ``(a_in, a_out, v_in, v_out)`` gives that pair's
-    ``[(lambda_nm, xtalk_db), ...]`` in wavelength order; the dict behind that
-    view is built on first use. A crosstalk above 0 dB or NaN, a wavelength
+    columns; ``lambda_nm`` and ``xtalk_db`` are float64. ``source`` is the path
+    or label of the rows as given: a crosstalk above 0 dB or NaN, a wavelength
     that is not finite and positive, or a path pair measured twice at one
-    wavelength (the later row) goes to ``reject(bad, message, values)``, which
-    raises; by default it names the path pair.
+    wavelength (the later row) raises :class:`DataError` naming ``source`` and
+    the data row, as :func:`~fiberxtalk.errors.reject_rows` counts them. The
+    rows are then sorted by the four ports, then by wavelength, so each path
+    pair's wavelengths strictly increase. ``len`` is the number of path pairs.
     """
 
-    def __init__(self, ports: np.ndarray, lambda_nm: np.ndarray, xtalk_db: np.ndarray,
-                 reject: Callable[[np.ndarray, str, np.ndarray], None] | None = None):
+    def __init__(self, ports: np.ndarray, lambda_nm: np.ndarray, xtalk_db: np.ndarray, source: "str | Path"):
         ports = np.asarray(ports, dtype=np.int64)
         nm, db = np.asarray(lambda_nm, dtype=np.float64), np.asarray(xtalk_db, dtype=np.float64)
-        reject = reject or functools.partial(_reject_pair, ports)
+        reject = functools.partial(reject_rows, source)
         reject(~(db <= 0.0), "crosstalk must be <= 0 dB", db)
         reject(~((nm > 0.0) & (nm < math.inf)), "wavelength must be finite and > 0 nm", nm)
         order = np.lexsort((nm, *ports[::-1]))  # the last key sorts first
@@ -85,38 +82,16 @@ class MeasuredTable(Mapping):
             column.flags.writeable = False
         self._starts = np.flatnonzero(new_pair)
 
-    @classmethod
-    def from_mapping(cls, table: Mapping) -> "MeasuredTable":
-        """A table from ``{(a_in, a_out, v_in, v_out): [(lambda_nm, xtalk_db), ...]}``."""
-        items = [(key, point) for key, points in table.items() for point in points]
-        ports = np.array([key for key, _ in items], dtype=np.int64).reshape(-1, 4)
-        points = np.array([point for _, point in items], dtype=np.float64).reshape(-1, 2)
-        return cls(ports.T, points[:, 0], points[:, 1])
-
     @functools.cached_property
     def by_pair(self) -> dict[PairKey, tuple[list[float], list[float]]]:
-        """Path pair -> (wavelengths, dB values), as Python floats."""
+        """Path pair -> (wavelengths, dB values), as Python floats; built on first use."""
         bounds = [*self._starts.tolist(), len(self.lambda_nm)]
         nm, db = self.lambda_nm.tolist(), self.xtalk_db.tolist()
         keys = zip(*self.ports[:, self._starts].tolist())
         return {key: (nm[lo:hi], db[lo:hi]) for key, lo, hi in zip(keys, bounds, bounds[1:])}
 
-    def __getitem__(self, key) -> list[tuple[float, float]]:
-        return list(zip(*self.by_pair[key]))
-
-    def __iter__(self):
-        return iter(self.by_pair)
-
     def __len__(self) -> int:
         return len(self._starts)
-
-
-def _reject_pair(ports: np.ndarray, bad: np.ndarray, message: str, values: np.ndarray) -> None:
-    """Raise :class:`DataError` naming the path pair of the first row where ``bad`` holds."""
-    if bad.any():
-        row = int(bad.argmax())
-        a_in, a_out, v_in, v_out = ports[:, row].tolist()
-        raise DataError(f"paths {a_in}->{a_out} / {v_in}->{v_out}: {message}, got {values[row].item()!r}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +120,7 @@ class SwitchModel:
         require_number(self.reference_nm, "reference_nm")
         require_number(self.slope_db_per_nm, "slope_db_per_nm")
         if self.table is not None and not isinstance(self.table, MeasuredTable):
-            object.__setattr__(self, "table", MeasuredTable.from_mapping(self.table))
+            raise ParameterError(f"table must be a MeasuredTable or None, got {type(self.table).__name__}")
 
     @property
     def input_ports(self) -> range:
@@ -188,7 +163,6 @@ def _interpolate(lams: list[float], vals: list[float], nm: float) -> float:
                 return vals[j] if nm == right else -math.inf
             frac = (nm - left) / (right - left)
             return vals[j - 1] + frac * (vals[j] - vals[j - 1])
-    return vals[-1]
 
 
 def _parametric_db(model: SwitchModel, gap_in: int, gap_out: int, nm: float) -> float:
@@ -236,7 +210,7 @@ def load_measured_table(path: "str | Path") -> MeasuredTable:
     *ports, nm, db = read_csv_columns(
         path, ["a_in", "a_out", "v_in", "v_out", "lambda_nm", "xtalk_db"], ["i8"] * 4 + ["f8"] * 2
     )
-    return MeasuredTable(np.stack(ports), nm, db, functools.partial(reject_rows, path))
+    return MeasuredTable(np.stack(ports), nm, db, path)
 
 
 @dataclass(frozen=True)
@@ -613,7 +587,7 @@ def optimize_assignment(
     ``_leak_rows``): in closed form from one value per port separation and
     carrier, or from a measured table's sorted columns in one numpy
     interpolation pass per carrier. It never calls ``switch_xtalk_db``, which
-    the oracle uses, nor reads the table as a mapping. Channels are placed
+    the oracle uses, nor reads the table pair by pair. Channels are placed
     classical first, each by ascending input, then output, then carrier, so
     leaves arrive in the oracle's tie-break order and replace the incumbent
     only when (worst, total) is strictly smaller. The classical children of one

@@ -722,8 +722,9 @@ def test_pile_up_inversion_converges_where_rounding_dominates():
 
 # (rep rate Hz, dead time ps): 50 ns at 1 kHz; exactly five 10 us periods at 100 kHz; five periods plus
 # 2.37 bins of 100 ps, so the dead window's start falls inside a bin.
+# 0 and 50 ps are shorter than a 100 ps bin, so their couplings take mu = q / live, not the pile-up inverse
 DEAD_TIME_CASES = {"50ns@1kHz": (1000.0, 50_000), "5P@100kHz": (100_000.0, 50_000_000),
-                   "5P+237ps@100kHz": (100_000.0, 50_000_237)}
+                   "5P+237ps@100kHz": (100_000.0, 50_000_237), "0@1kHz": (1000.0, 0), "50ps@1kHz": (1000.0, 50)}
 CALIBRATION_SEEDS = (11, 12, 13)
 
 

@@ -1058,14 +1058,28 @@ def test_non_finite_k_sigma_is_parameter_error(tmp_path, capsys, command, k_sigm
     ("scan-analyze", ["--k-sigma", "nan"], "k_sigma must be finite, got nan"),
     ("scan-analyze", ["--dwell", "0"], "--dwell must be > 0.0, got 0.0"),
     ("scan-analyze", ["--dwell=-1s"], "--dwell must be > 0.0, got -1.0"),
+    ("scan", ["--grid", "1310:1300:1", "--dwell", "1"], "--grid: need start <= stop and step > 0, got '1310:1300:1'"),
+    ("scan", ["--grid", "1300:1310:1", "--dwell", "0"], "--dwell must be > 0.0, got 0.0"),
+    ("simulate", ["--duration", "0x"], "--duration: unknown time unit 'x' in '0x'"),
+    ("simulate", ["--duration", "0"], "--duration must be > 0.0, got 0.0"),
+    ("switch sweep-wavelength", ["--grid", "1310:1300:1"], "--grid: need start <= stop and step > 0, got '1310:1300:1'"),
+    ("switch sweep-config", ["--wavelength", "5q"], "--wavelength: unknown wavelength unit 'q' in '5q'"),
+    ("switch plan", ["--classical", "1", "--quantum", "1", "--classical-band", "X"],
+     "--classical-band: unknown band 'X'; presets are ['C', 'O']"),
 ], ids=["analyze-k-sigma", "analyze-bin", "analyze-min-separation", "analyze-window-reversed", "analyze-window-empty",
-        "scan-analyze-k-sigma", "scan-analyze-dwell-zero", "scan-analyze-dwell-negative"])
+        "scan-analyze-k-sigma", "scan-analyze-dwell-zero", "scan-analyze-dwell-negative", "scan-grid-reversed",
+        "scan-dwell-zero", "simulate-duration-unit", "simulate-duration-zero", "sweep-wavelength-grid-reversed",
+        "sweep-config-wavelength-unit", "plan-band"])
 def test_bad_flag_is_refused_before_the_input_is_read(tmp_path, capsys, command, flags, message):
     # the input does not exist: a flag checked only after the read would exit 2
     out = tmp_path / "out.json"
+    missing = str(tmp_path / "missing.json")
     given = {"analyze": ["--tags", str(tmp_path / "missing.csv"), "--topology", str(tmp_path / "topo.json")],
-             "scan-analyze": ["--scan", str(tmp_path / "missing.csv")]}[command]
-    assert main([command, *given, *flags, "--out", str(out)]) == 4
+             "scan-analyze": ["--scan", str(tmp_path / "missing.csv")],
+             "scan": ["--lines", missing, "--seed", "1"],
+             "simulate": ["--topology", missing, "--source", str(tmp_path / "s.json"), "--seed", "1"]
+             }.get(command, ["--model", missing])
+    assert main([*command.split(), *given, *flags, "--out", str(out)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert [json.loads(line) for line in captured.err.splitlines()] == [{"error": "E_PARAM", "message": message}]
@@ -1390,6 +1404,74 @@ def plan_case():
          *(f"{flag}={value}" for flag, value in case[1]), "--out", "plan.json"]))
 
 
+# runs whose tag times pass 2^63 ps, which once ended in an OverflowError traceback, in wrapped trigger times (exit 3)
+# and in a cast to int64 that warned and dropped every photon as a negative time (exit 0)
+INT64_OVERFLOW_CASES = {"rate-1e-7": ({"rep_rate_hz": 1e-7}, {}, "3e7s"), "rate-2e-7": ({"rep_rate_hz": 2e-7}, {}, "3e7s"),
+                        "jitter-1e300": ({}, {"jitter_sigma_ps": 1e300}, "0.1s")}
+
+
+def int64_overflow_case(name):
+    source, detector, duration = INT64_OVERFLOW_CASES[name]
+    return ({"topo.json": ANALYZE_TOPOLOGY, "source.json": {"avg_power_w": 1e-24, **source},
+             "detector.json": {"dark_rate_hz": 0.0, **detector}},
+            ["simulate", "--topology", "topo.json", "--source", "source.json", "--detector", "detector.json",
+             f"--duration={duration}", "--seed=1", "--out", "run.xtt1"])
+
+
+@pytest.mark.parametrize("name", sorted(INT64_OVERFLOW_CASES))
+def test_tag_times_past_int64_exit_4_before_the_draw(tmp_path, capsys, name):
+    files, argv = int64_overflow_case(name)
+    for file, doc in files.items():
+        write_json(tmp_path / file, doc)
+    argv = [str(tmp_path / arg) if arg.endswith((".json", ".xtt1")) else arg for arg in argv]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "E_PARAM" and "an int64 time must stay below 2^63 ps" in error["message"]
+    assert not (tmp_path / "run.xtt1").exists()
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("topology", {**ANALYZE_TOPOLOGY, "schema_version": 2},
+     "topology.schema_version: unsupported version 2 (expected 1)"),
+    ("topology", {**ANALYZE_TOPOLOGY, "spans": ANALYZE_TOPOLOGY["spans"][0]}, "topology.spans: expected an array"),
+    ("topology", {**ANALYZE_TOPOLOGY, "connectors": ANALYZE_TOPOLOGY["connectors"][0]},
+     "topology.connectors: expected an array"),
+    ("topology", {**ANALYZE_TOPOLOGY, "probe": {"fiber": "agg", "end": "far"}},
+     "topology.probe.end: expected one of ('near',), got 'far'"),
+    ("topology", {**ANALYZE_TOPOLOGY, "connectors": [connector_doc("mpoA", 150.0, lanes=["agg", "vic"])]},
+     "topology.connectors[0].lanes: expected an object of fiber -> lane"),
+    ("lines", {"wavelength_nm": 1310.0, "rate_photons_per_s": 1e3},
+     "lines: expected a JSON array of {wavelength_nm, rate_photons_per_s}"),
+], ids=["schema-version-2", "spans-object", "connectors-object", "probe-end-far", "lanes-list", "lines-object"])
+def test_document_of_the_wrong_shape_exits_2(tmp_path, plant_files, capsys, kind, doc, message):
+    _, source, _ = plant_files
+    bad, out = write_json(tmp_path / f"bad_{kind}.json", doc), tmp_path / "out"
+    if kind == "topology":
+        argv = ["simulate", "--topology", str(bad), "--source", str(source), "--duration", "1s", "--seed", "1"]
+    else:
+        argv = ["scan", "--lines", str(bad), "--grid", "1300:1310:1", "--dwell", "1s", "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [{"error": "E_INPUT", "message": message}]
+    assert list(tmp_path.glob("out*")) == []
+
+
+def test_irregular_trigger_spacing_is_a_report_note(tmp_path, capsys):
+    # 20 triggers 1 us apart but one spacing 5 ps longer: 5 ppm of jitter
+    rows = [row for k in range(20) for row in (f"0,{k * 10**6 + 5 * (k >= 10)}", f"1,{k * 10**6 + 5 * (k >= 10) + 500}")]
+    tags = tmp_path / "tags.csv"
+    tags.write_text("\n".join(["channel,time_ps", *rows]) + "\n")
+    topo, out = write_json(tmp_path / "topo.json", ANALYZE_TOPOLOGY), tmp_path / "report.json"
+    assert main(["analyze", "--tags", str(tags), "--topology", str(topo), "--out", str(out)]) == 0
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    assert diagnostics["irregular_period"] and diagnostics["period_jitter_ppm"] == 5.0
+    assert "trigger spacing jitter 5.0 ppm exceeds 1 ppm; median period used" in diagnostics["notes"]
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -1405,6 +1487,9 @@ def fuzz_dir(tmp_path_factory):
 # an infinite bin width, which once escaped as an OverflowError traceback
 @example(case=({"tags.csv": b"\n".join([b"channel,time_ps", *TAG_ROWS]) + b"\n", "topo.json": ANALYZE_TOPOLOGY},
                [*ANALYZE_ARGV, "--bin=1e999"]))
+@example(case=int64_overflow_case("rate-1e-7"))
+@example(case=int64_overflow_case("rate-2e-7"))
+@example(case=int64_overflow_case("jitter-1e300"))
 def test_malformed_inputs_follow_exit_contract(fuzz_dir, case):
     files, argv = case
     for name, doc in files.items():

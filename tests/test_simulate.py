@@ -212,6 +212,20 @@ class TestStreamInvariants:
             fx.simulate_otdr_tags(lossless_topology(), fx.PulsedSource(avg_power_w=1e-9),
                                   fx.Detector(dark_rate_hz=1.57e17), 100.0, seed=1)
 
+    def test_tag_times_must_fit_int64(self):
+        # one pulse whose period ends just below 2^63 ps runs; with a second one it reaches 2^63 ps
+        topo = lossless_topology([connector_doc("c", 150.0)])
+        src, det = fx.PulsedSource(avg_power_w=1e-24, rep_rate_hz=1e12 / 9e18), fx.Detector(dark_rate_hz=0.0)
+        assert src.period_ps == 9 * 10**18
+        stream = fx.simulate_otdr_tags(topo, src, det, 9e6, seed=1)
+        assert stream.times_ps.tolist() == [0]
+        with pytest.raises(ParameterError, match=r"^tag times would reach 1\.8e\+19 ps \(2 pulses 9000000000000000000 "
+                                                 r"ps apart, .*an int64 time must stay below 2\^63 ps"):
+            fx.simulate_otdr_tags(topo, src, det, 18e6, seed=1)
+        # the timing margin counts too: 40 sigmas of 1e18 ps pass 2^63 ps from the first pulse
+        with pytest.raises(ParameterError, match=r"^tag times would reach 4e\+19 ps"):
+            fx.simulate_otdr_tags(topo, fx.PulsedSource(avg_power_w=1e-24), fx.Detector(jitter_sigma_ps=1e18), 0.1, 1)
+
     @pytest.mark.parametrize("max_tags", [-1, 0, 1.5])
     def test_rejects_max_tags_below_one(self, three_point_topology, max_tags):
         src = fx.PulsedSource(avg_power_w=1e-6)

@@ -21,6 +21,12 @@ from fiberxtalk.switchlab import (
 DEFAULT = fx.SwitchModel()
 
 
+def table_of(rows):
+    """A ``MeasuredTable`` of ``(a_in, a_out, v_in, v_out, lambda_nm, xtalk_db)`` rows, labelled ``rows``."""
+    *ports, nm, db = zip(*rows)
+    return switchlab.MeasuredTable(np.array(ports), nm, db, "rows")
+
+
 class TestSwitchXtalk:
     def test_adjacent_on_both_planes_is_c0(self):
         assert fx.switch_xtalk_db(DEFAULT, (1, 10), (2, 9), 1310.0) == pytest.approx(-50.0)
@@ -93,10 +99,7 @@ class TestSwitchXtalk:
 
 class TestMeasuredMode:
     def table_model(self):
-        table = {
-            (1, 10, 2, 9): [(1310.0, -48.0), (1550.0, -40.0)],
-            (1, 11, 2, 9): [(1310.0, -60.0)],
-        }
+        table = table_of([(1, 10, 2, 9, 1310.0, -48.0), (1, 10, 2, 9, 1550.0, -40.0), (1, 11, 2, 9, 1310.0, -60.0)])
         return fx.SwitchModel(table=table)
 
     def test_exact_and_interpolated_lookup(self):
@@ -121,7 +124,7 @@ class TestMeasuredMode:
         assert switchlab._interpolate(lams, list(vals), 1550.0) == vals[1]
         for nm in (1300.5, 1400.0, 1549.5):
             assert switchlab._interpolate(lams, list(vals), nm) == -math.inf
-        model = fx.SwitchModel(table={(1, 10, 2, 9): list(zip(lams, vals))})
+        model = fx.SwitchModel(table=table_of([(1, 10, 2, 9, lam, val) for lam, val in zip(lams, vals)]))
         assert fx.switch_xtalk_db(model, (1, 10), (2, 9), 1400.0) == -math.inf
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -129,13 +132,12 @@ class TestMeasuredMode:
         # At 1400 nm path 1->4 leaks nothing into 2->5 and every other path -50 dB.
         # A NaN there once made the whole sum read as -inf dB.
         ins, outs = (1, 2, 3), (4, 5, 6)
-        table = {
-            (a_in, a_out, v_in, v_out): [(1400.0, -50.0)]
-            for a_in, a_out, v_in, v_out in itertools.product(ins, outs, ins, outs)
-            if a_in != v_in and a_out != v_out
-        }
-        table[1, 4, 2, 5] = [(1300.0, -math.inf), (1550.0, -40.0)]
-        model = fx.SwitchModel(n_in=3, n_out=3, reference_nm=1400.0, table=table)
+        rows = [
+            (*key, 1400.0, -50.0) for key in itertools.product(ins, outs, ins, outs)
+            if key[0] != key[2] and key[1] != key[3] and key != (1, 4, 2, 5)
+        ]
+        rows += [(1, 4, 2, 5, 1300.0, -math.inf), (1, 4, 2, 5, 1550.0, -40.0)]
+        model = fx.SwitchModel(n_in=3, n_out=3, reference_nm=1400.0, table=table_of(rows))
         oracle = fx.brute_force_assignment(model, 2, 1)
         plan = fx.optimize_assignment(model, 2, 1)
         assert (plan.classical, plan.quantum, plan.objective_db) == (
@@ -157,7 +159,8 @@ class TestMeasuredMode:
             "1,10,2,9,1550.0,-40.0\n"
         )
         table = load_measured_table(path)
-        assert table[(1, 10, 2, 9)] == [(1310.0, -48.0), (1550.0, -40.0)]
+        assert table.ports.tolist() == [[1, 1], [10, 10], [2, 2], [9, 9]]
+        assert (table.lambda_nm.tolist(), table.xtalk_db.tolist(), len(table)) == ([1310.0, 1550.0], [-48.0, -40.0], 1)
 
     def test_csv_loader_accepted_forms(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -168,9 +171,11 @@ class TestMeasuredMode:
             b"3,11,4,12,1.31e3,-inf\r\n"
         )
         table = load_measured_table(path)
-        assert table == {(1, 10, 2, 9): [(1310.0, -48.0), (1550.0, -40.25)], (3, 11, 4, 12): [(1310.0, float("-inf"))]}
-        assert all(type(port) is int for key in table for port in key)
-        assert all(type(x) is float for entries in table.values() for entry in entries for x in entry)
+        assert table.ports.tolist() == [[1, 1, 3], [10, 10, 11], [2, 2, 4], [9, 9, 12]]
+        assert table.lambda_nm.tolist() == [1310.0, 1550.0, 1310.0]
+        assert table.xtalk_db.tolist() == [-48.0, -40.25, -math.inf]
+        assert (table.ports.dtype, table.lambda_nm.dtype, table.xtalk_db.dtype) == (np.int64, np.float64, np.float64)
+        assert len(table) == 2
 
     @pytest.mark.parametrize("row", [
         "1,10,2,9,1310.0", "1,10,2,9.5,1310.0,-48.0", "1,10,2,9,1_310,-48.0",
@@ -196,8 +201,6 @@ class TestMeasuredMode:
         path.write_text(f"a_in,a_out,v_in,v_out,lambda_nm,xtalk_db\n1,10,2,9,1310.0,-48.0\n1,10,2,9,{nm},-40.0\n")
         with pytest.raises(DataError, match=f"data row 2: wavelength must be finite and > 0 nm, got {float(nm)!r}$"):
             load_measured_table(path)
-        with pytest.raises(DataError, match="^paths 1->10 / 2->9: wavelength must be finite and > 0 nm"):
-            fx.SwitchModel(table={(1, 10, 2, 9): [(1310.0, -48.0), (float(nm), -40.0)]})
 
     def test_a_pair_measured_twice_at_one_wavelength_is_a_data_error(self, tmp_path):
         # The lower dB once won at 1310 nm and the higher one between 1310 and 1550 nm.
@@ -212,16 +215,20 @@ class TestMeasuredMode:
         )
         with pytest.raises(DataError, match="data row 4: path pair measured twice at one wavelength, got 1310.0$"):
             load_measured_table(path)
-        with pytest.raises(DataError, match="^paths 1->10 / 2->9: path pair measured twice at one wavelength"):
-            fx.SwitchModel(table={(1, 10, 2, 9): [(1310.0, -48.0), (1550.0, -40.0), (1310.0, -45.0)]})
 
-    def test_a_mapping_table_is_checked_like_a_csv_table(self):
-        with pytest.raises(DataError, match="^paths 3->11 / 4->12: crosstalk must be <= 0 dB, got 5.0$"):
-            fx.SwitchModel(table={(1, 10, 2, 9): [(1310.0, -48.0)], (3, 11, 4, 12): [(1310.0, 5.0)]})
-        table = fx.SwitchModel(table={(1, 10, 2, 9): [(1550.0, -40.0), (1310.0, -48.0)]}).table
-        assert isinstance(table, switchlab.MeasuredTable)
+    def test_a_table_from_arrays_names_its_label_and_data_row(self):
+        with pytest.raises(DataError, match="^rows: data row 2: crosstalk must be <= 0 dB, got 5.0$"):
+            table_of([(1, 10, 2, 9, 1310.0, -48.0), (3, 11, 4, 12, 1310.0, 5.0)])
+        with pytest.raises(DataError, match="^rows: data row 3: path pair measured twice at one wavelength, got 1310.0$"):
+            table_of([(1, 10, 2, 9, 1310.0, -48.0), (1, 10, 2, 9, 1550.0, -40.0), (1, 10, 2, 9, 1310.0, -45.0)])
+        table = table_of([(1, 10, 2, 9, 1550.0, -40.0), (1, 10, 2, 9, 1310.0, -48.0)])
         assert fx.SwitchModel(table=table).table is table
-        assert table[1, 10, 2, 9] == [(1310.0, -48.0), (1550.0, -40.0)] and len(table) == 1
+        assert (table.lambda_nm.tolist(), table.xtalk_db.tolist(), len(table)) == ([1310.0, 1550.0], [-48.0, -40.0], 1)
+
+    def test_a_table_that_is_not_a_measured_table_is_refused(self):
+        with pytest.raises(ParameterError, match="^table must be a MeasuredTable or None, got dict$") as err:
+            fx.SwitchModel(table={(1, 10, 2, 9): [(1310.0, -48.0)]})
+        assert err.value.code == "E_PARAM"
 
 
 class TestSweeps:
@@ -246,11 +253,9 @@ class TestSweeps:
         assert {p.xtalk_db for p in points} == {-50.0}
 
     def test_measured_values_echoed(self):
-        table = {}
-        for agg_out in range(10, 17):
-            for vic_in in range(2, 9):
-                table[(1, agg_out, vic_in, 9)] = [(1310.0, -float(agg_out + vic_in))]
-        model = fx.SwitchModel(table=table)
+        rows = [(1, agg_out, vic_in, 9, 1310.0, -float(agg_out + vic_in))
+                for agg_out in range(10, 17) for vic_in in range(2, 9)]
+        model = fx.SwitchModel(table=table_of(rows))
         points = fx.sweep_configs(model)
         for p in points:
             assert p.xtalk_db == -float(p.aggressor[1] + p.victim[0])
@@ -319,12 +324,12 @@ def hard_model(rng):
         )
     ins = range(1, n_in + 1)
     outs = range(n_in + 1, n_in + n_out + 1)
-    table = {}
-    for a_in, a_out, v_in, v_out in itertools.product(ins, outs, ins, outs):
-        if a_in != v_in and a_out != v_out:
+    rows = []
+    for key in itertools.product(ins, outs, ins, outs):
+        if key[0] != key[2] and key[1] != key[3]:
             lams = (1300.0, 1550.0)[: int(rng.integers(1, 3))]
-            table[a_in, a_out, v_in, v_out] = [(lam, float(rng.integers(-60, -40))) for lam in lams]
-    return fx.SwitchModel(n_in=n_in, n_out=n_out, table=table)
+            rows += [(*key, lam, float(rng.integers(-60, -40))) for lam in lams]
+    return fx.SwitchModel(n_in=n_in, n_out=n_out, table=table_of(rows))
 
 
 class TestAssignment:
@@ -509,18 +514,20 @@ class TestAssignment:
         assert set(inputs) <= set(DEFAULT.input_ports) and set(outputs) <= set(DEFAULT.output_ports)
 
 
-def measured_model(n=5):
-    """A measured table at one or two carriers, whole-dB values and some ``-inf`` entries."""
+def measured_rows(n=5):
+    """The rows of a measured table at one or two carriers, whole-dB values and some ``-inf`` entries."""
     rng = np.random.default_rng(11)
     ins, outs = range(1, n + 1), range(n + 1, 2 * n + 1)
-    table = {}
-    for a_in, a_out, v_in, v_out in itertools.product(ins, outs, ins, outs):
-        if a_in != v_in and a_out != v_out:
+    rows = []
+    for key in itertools.product(ins, outs, ins, outs):
+        if key[0] != key[2] and key[1] != key[3]:
             lams = (1550.0, 1300.0)[: int(rng.integers(1, 3))]
-            table[a_in, a_out, v_in, v_out] = [
-                (lam, -math.inf if rng.random() < 0.1 else float(rng.integers(-70, -40))) for lam in lams
-            ]
-    return fx.SwitchModel(n_in=n, n_out=n, table=table)
+            rows += [(*key, lam, -math.inf if rng.random() < 0.1 else float(rng.integers(-70, -40))) for lam in lams]
+    return rows
+
+
+def measured_model(n=5):
+    return fx.SwitchModel(n_in=n, n_out=n, table=table_of(measured_rows(n)))
 
 
 def first_fault(model, lam_c):
@@ -568,18 +575,18 @@ CARRIER_NM = TABLE_NM + (1290.0, 1355.5, 1475.25, 1000.0, 1260.0, 2000.0)
 
 @st.composite
 def measured_tables(draw):
-    """A full measured table of a 2x2 to 3x3 switch as a dict: 1-3 points per pair in shuffled
+    """The rows of a full measured table of a 2x2 to 3x3 switch: 1-3 points per pair in shuffled
     wavelength order, some of them ``-inf``, plus one or two carriers."""
     n_in, n_out = draw(st.integers(2, 3)), draw(st.integers(2, 3))
     ins, outs = range(1, n_in + 1), range(n_in + 1, n_in + n_out + 1)
     values = st.one_of(st.just(-math.inf), st.integers(-70, -30).map(float), st.floats(-70.0, -30.0))
-    table = {}
-    for a_in, a_out, v_in, v_out in itertools.product(ins, outs, ins, outs):
-        if a_in != v_in and a_out != v_out:
+    rows = []
+    for key in itertools.product(ins, outs, ins, outs):
+        if key[0] != key[2] and key[1] != key[3]:
             lams = draw(st.lists(st.sampled_from(TABLE_NM), min_size=1, max_size=3, unique=True))
-            table[a_in, a_out, v_in, v_out] = [(lam, draw(values)) for lam in lams]
+            rows += [(*key, lam, draw(values)) for lam in lams]
     carriers = draw(st.lists(st.sampled_from(CARRIER_NM), min_size=1, max_size=2, unique=True))
-    return n_in, n_out, table, tuple(sorted(carriers))
+    return n_in, n_out, rows, tuple(sorted(carriers))
 
 
 class TestLeakTable:
@@ -609,9 +616,9 @@ class TestLeakTable:
         (fx.SwitchModel(c0_db=-10.0, beta_in_db_per_port=0.5, slope_db_per_nm=10.0 / 240.0), fx.C_BAND_NM),
         (fx.SwitchModel(reference_nm=900.0), (900.0,)),
         # Three keys missing; 2->8 / 4->7 comes first in port order.
-        (fx.SwitchModel(n_in=5, n_out=5, table={
-            k: v for k, v in measured_model().table.items() if k not in {(3, 6, 1, 7), (2, 8, 5, 6), (2, 8, 4, 7)}
-        }), (1300.0, 1550.0)),
+        (fx.SwitchModel(n_in=5, n_out=5, table=table_of([
+            row for row in measured_rows() if row[:4] not in {(3, 6, 1, 7), (2, 8, 5, 6), (2, 8, 4, 7)}
+        ])), (1300.0, 1550.0)),
     ], ids=["above-0-dB", "reference-out-of-range", "missing-key"])
     def test_first_fault_in_port_order(self, model, lam_c):
         want = first_fault(model, lam_c)
@@ -629,15 +636,16 @@ class TestLeakTable:
     @given(case=measured_tables())
     def test_measured_rows_equal_per_entry_model_and_csv(self, tmp_path_factory, case):
         """Random tables: the vector interpolation equals ``switch_xtalk_db`` bit for bit, and the
-        CSV-loaded table gives the dict-built one's rows and plans."""
-        n_in, n_out, table, lam_c = case
-        model = fx.SwitchModel(n_in=n_in, n_out=n_out, table=table)
+        CSV-loaded table holds the sorted rows and gives the array-built one's rows and plans."""
+        n_in, n_out, rows, lam_c = case
+        model = fx.SwitchModel(n_in=n_in, n_out=n_out, table=table_of(rows))
         got = hex_rows(switchlab._leak_rows(model, lam_c))
         assert got == [([(b, lam) for b, lam, _ in per_input], [[x.hex() for x in row] for _, _, row in per_input])
                        for per_input in per_entry_rows(model, lam_c)]
-        rows = [(*key, lam, db) for key, points in table.items() for lam, db in points]
         loaded = load_measured_table(write_table(tmp_path_factory.mktemp("table") / "table.csv", rows))
-        assert loaded == {key: sorted(points) for key, points in table.items()}
+        assert [*loaded.ports.tolist(), loaded.lambda_nm.tolist(), loaded.xtalk_db.tolist()] == [
+            list(column) for column in zip(*sorted(rows))]
+        assert len(loaded) == len({row[:4] for row in rows})
         from_csv = fx.SwitchModel(n_in=n_in, n_out=n_out, table=loaded)
         assert hex_rows(switchlab._leak_rows(from_csv, lam_c)) == got
         bands = {"classical": (lam_c[0], lam_c[-1])}
