@@ -13,7 +13,9 @@ The median baseline is exact from the number of empty bins and the occupied
 counts, and peak detection scans the occupied bins only: an empty bin is
 below any threshold above a non-negative level. Results equal those of the
 dense form, which :meth:`Histogram.dense` builds for tests and small
-histograms.
+histograms. Every analysis folds, detects and sizes over the whole trigger
+period: a delay window would save no memory on a sparse fold, and would
+leave the baseline and the dead-time inversion blind to the tags it drops.
 
 The fold walks a stream's records in blocks of ``FOLD_BLOCK_RECORDS``: each
 block's detector tags become a sparse histogram of their own, and the block
@@ -108,17 +110,13 @@ class FoldDiagnostics:
 
     dropped_before_first_trigger: int = 0
     dropped_beyond_period: int = 0
-    dropped_outside_window: int = 0
+    dropped_outside_window: int = 0  # always 0: the fold spans the whole period; a report key kept for its readers
     period_jitter_ppm: float = 0.0
     irregular_period: bool = False
 
     @property
     def dropped_total(self) -> int:
-        return (
-            self.dropped_before_first_trigger
-            + self.dropped_beyond_period
-            + self.dropped_outside_window
-        )
+        return self.dropped_before_first_trigger + self.dropped_beyond_period + self.dropped_outside_window
 
 
 @dataclass
@@ -298,18 +296,14 @@ def _merge_counts(parts: "list[tuple[np.ndarray, np.ndarray]]") -> "tuple[np.nda
     return bins, counts.astype(np.int64, copy=False)
 
 
-def fold_histogram(
-    tags: TagStream,
-    bin_width_ps: int = DEFAULT_BIN_WIDTH_PS,
-    window_ps: tuple[int, int] | None = None,
-) -> Histogram:
-    """Fold detector tags into delays relative to the most recent trigger.
+def fold_histogram(tags: TagStream, bin_width_ps: int = DEFAULT_BIN_WIDTH_PS) -> Histogram:
+    """Fold detector tags into delays relative to the most recent trigger, over the whole period.
 
     The trigger period is the median trigger spacing; spacing jitter above
     1 ppm is flagged in the diagnostics but the median is still used. The bin
     width must divide the period exactly, otherwise a nearby divisor is
-    suggested. Tags before the first trigger, beyond one period after their
-    trigger, or outside the optional delay window are dropped and counted.
+    suggested. Tags before the first trigger, or beyond one period after
+    their trigger, are dropped and counted.
     A period of more than ``MAX_FOLD_BINS`` bins is a :class:`ResourceError`.
 
     The triggers are taken out whole; the detector tags are folded
@@ -368,13 +362,6 @@ def fold_histogram(
         )
     n_bins = period // bin_width_ps
 
-    if window_ps is not None:
-        lo, hi = int(window_ps[0]), int(window_ps[1])
-        if not 0 <= lo < hi:
-            raise ParameterError(f"window must satisfy 0 <= lo < hi, got {window_ps!r}")
-    else:
-        lo = hi = None
-
     parts = []
     for det in _channel_blocks(tags, DETECTOR_CHANNEL):
         if not det.size:
@@ -392,10 +379,6 @@ def fold_histogram(
         diagnostics.dropped_beyond_period += n_beyond
         if n_beyond:
             delays = delays.take(np.flatnonzero(~beyond))
-        if lo is not None:
-            inside = (delays >= lo) & (delays < hi)
-            diagnostics.dropped_outside_window += int(delays.size - int(inside.sum()))
-            delays = delays[inside]
         if delays.size:
             parts.append(np.unique(delays // bin_width_ps, return_counts=True))
     bins, counts = _merge_counts(parts)
@@ -597,7 +580,7 @@ def dead_time_counts(
     while the bin is read, so that counts passed early weigh more.
     """
     w, n = histogram.bin_width_ps, len(bins)
-    total = float(histogram.counts.sum() + histogram.diagnostics.dropped_outside_window)
+    total = float(histogram.counts.sum())
     end = bins[0] * float(w) + (0.0 if dead_time_ps >= w else 0.5 * w)
     closed, _, own = _counts_below(histogram, total, end, n)
     opened, share, held = _counts_below(histogram, total, end - dead_time_ps, n + 1)
@@ -688,7 +671,7 @@ def estimate_coupling_db(
 
     pile_up = tau >= w
     saturated = f"the peak at bin {peak.bin_index} saturates the detector: no live fraction inverts its counts"
-    total = float(histogram.counts.sum() + histogram.diagnostics.dropped_outside_window)
+    total = float(histogram.counts.sum())
     live_bg = 1.0 - total * tau / (histogram.period_ps * triggers)  # the period's mean live fraction
     x_bg = level / (triggers * live_bg) if live_bg > 0.0 else math.inf
     if not x_bg < (1.0 if pile_up else math.inf):
@@ -914,22 +897,6 @@ class OtdrReport:
         }
 
 
-def _reaches_outside(histogram: Histogram, region: "tuple[int, int]", detector: Detector, window_ps) -> bool:
-    """Whether a region bin's dead window reads histogram counts from outside the delay window.
-
-    Its whole periods count the dropped tags too. The rest of it, from its
-    start to the bin and, for a dead time of a bin or more, the bin its start
-    passes, is read from the histogram, which holds none outside the window.
-    """
-    w, tau, (lo, hi) = histogram.bin_width_ps, detector.dead_time_ps, window_ps
-    for b in range(region[0], region[1] + 1):
-        end = b * w + (0.0 if tau >= w else 0.5 * w)
-        start = (end - tau) % histogram.period_ps
-        if start < lo or start > end or (tau >= w and start + w > hi):
-            return True
-    return False
-
-
 def run_otdr_analysis(
     tags: TagStream,
     topology: Topology,
@@ -937,12 +904,11 @@ def run_otdr_analysis(
     bin_width_ps: int = DEFAULT_BIN_WIDTH_PS,
     k_sigma: float = DEFAULT_K_SIGMA,
     min_separation_bins: int = DEFAULT_MIN_SEPARATION_BINS,
-    window_ps: tuple[int, int] | None = None,
     source: PulsedSource | None = None,
     detector: Detector | None = None,
 ) -> OtdrReport:
     """Fold, detect, localize, and (when source/detector are known) estimate coupling."""
-    histogram = fold_histogram(tags, bin_width_ps, window_ps)
+    histogram = fold_histogram(tags, bin_width_ps)
     baseline = estimate_baseline(histogram)
     peaks = detect_peaks(histogram, baseline, k_sigma, min_separation_bins)
     notes: list[str] = []
@@ -955,7 +921,7 @@ def run_otdr_analysis(
     if topology.detector_end == "near":
         located = localize(peaks, topology)
         if source is not None and detector is not None:
-            enriched, reaching = [], []
+            enriched = []
             for peak, loc in zip(peaks, located):
                 try:
                     est = estimate_coupling_db(peak, histogram, topology, source, detector)
@@ -968,15 +934,7 @@ def run_otdr_analysis(
                     raw_counts=est.raw_counts, corrected_counts=est.corrected_counts,
                     min_live_fraction=est.min_live_fraction, region_bins=est.region_bins,
                 ))
-                if window_ps is not None and _reaches_outside(histogram, est.region_bins, detector, window_ps):
-                    reaching.append(f"{loc.distance_m:.1f} m")
             located = enriched
-            if reaching and histogram.diagnostics.dropped_outside_window:
-                notes.append(
-                    f"the dead-time windows of the peak(s) at {', '.join(reaching)} reach outside the delay "
-                    f"window, whose {histogram.diagnostics.dropped_outside_window} dropped tag(s) they miss "
-                    "there: those couplings may be corrected too little"
-                )
         else:
             notes.append("source/detector parameters unavailable; couplings not estimated")
     else:

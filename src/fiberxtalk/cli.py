@@ -20,19 +20,21 @@ error. Failures print a one-line machine-readable JSON object on stderr. A
 fault in any input file or document, a flag that argparse or
 :func:`parse_band` cannot read, an empty file or output path (see
 :func:`path`), or a path that cannot be read or written (an output into a
-missing directory, say) exits 2 (``E_INPUT``). Integer flags are read by
-:func:`integer`, with the grammar of the CSV readers: spaces around the
-field, an optional sign, then ASCII digits. A flag that reads but lies
-outside its domain, an empty value included, exits 4 (``E_PARAM``); running
-out of memory exits 5 (``E_RESOURCE``).
+missing directory, say) exits 2 (``E_INPUT``). Number flags are read with
+the grammar of the CSV readers: integers by :func:`integer` (spaces around
+the field, an optional sign, then ASCII digits), and ``--k-sigma`` and a
+band's edges by :func:`number` (what ``float()`` reads, in ASCII and without
+``_``). A flag that reads but lies outside its domain, an empty value
+included, exits 4 (``E_PARAM``); running out of memory exits 5
+(``E_RESOURCE``).
 
-Every command parses its flags before it reads any file, so a flag's fault
-is reported even when an input is missing: a quantity, grid, window, band or
-path that does not parse, a duration or dwell that is not > 0, and a
-``--k-sigma`` or ``--min-separation`` outside its domain. The library checks
-each again for its own callers. The integer flags (``--seed``,
-``--max-tags``, channel counts and ports) and a grid's wavelength range are
-checked by the library, after the read.
+Every command checks its flags before it reads any file, with the library's
+own checkers and messages, so a flag's fault is reported even when an input
+is missing: a quantity, grid, band or path that does not parse, and a
+duration, dwell, wavelength, grid, band, seed, ``--max-tags``, channel count,
+switch size, ``--k-sigma`` or ``--min-separation`` outside its domain. Only
+what depends on the model file waits for the read: the ports' range, and
+whether the channels fit the switch.
 
 Without ``--table``, a switch model is the ``--model`` JSON document of
 :class:`~fiberxtalk.switchlab.SwitchModel` keys, each optional (no document is
@@ -75,12 +77,15 @@ from .simulate import (
     LeakLine,
     PulsedSource,
     TunableFilter,
+    _validate_max_tags,
+    _validate_seed,
     simulate_otdr_tags,
     simulate_spectral_scan,
 )
 from .switchlab import (
     BAND_PRESETS,
     SwitchModel,
+    _resolve_band,
     brute_force_assignment,
     load_measured_table,
     optimize_assignment,
@@ -88,8 +93,7 @@ from .switchlab import (
     sweep_wavelength,
 )
 from . import tagio
-# validate_wavelength_nm is unused here, but perfbench/spans.py traces the units layer through it.
-from .units import require_int, require_number, validate_wavelength_nm  # noqa: F401
+from .units import require_int, require_number, validate_grid_nm, validate_wavelength_nm
 
 MANIFEST_SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 1_000_000  # the benchmark's spectral scan has 3601
@@ -148,7 +152,7 @@ def parse_wavelength_nm(text: str, flag: str) -> float:
 
 
 def parse_grid_nm(text: str, flag: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive endpoints, nm) of at most ``MAX_GRID_POINTS`` points."""
+    """Parse 'start:stop:step' (inclusive endpoints, nm) of at most ``MAX_GRID_POINTS`` points, each in range."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ParameterError(f"{flag}: expected 'start:stop:step', got {text!r}")
@@ -162,34 +166,25 @@ def parse_grid_nm(text: str, flag: str) -> list[float]:
     grid = [start + i * step for i in range(n + 1)]
     if grid[-1] > stop + 1e-9:
         grid.pop()
+    validate_grid_nm(grid)
     return grid
 
 
 def parse_band(text: str, flag: str) -> "str | tuple[float, float]":
-    """A band preset name, as given, or 'min,max' in nm.
+    """A band preset name, as given, or 'min,max' in nm, checked as the planner checks it.
 
-    A preset is checked as the planner reads it, whatever its case, and kept as
-    typed, so the manifest records the flag's own text.
+    A preset is checked whatever its case, and kept as typed, so the manifest
+    records the flag's own text.
     """
     if "," not in text:
         if text.upper() not in BAND_PRESETS:
             raise ParameterError(f"{flag}: unknown band {text!r}; presets are {sorted(BAND_PRESETS)}")
         return text
     try:
-        lo, hi = (float(part) for part in text.split(","))
+        lo, hi = (number(part) for part in text.split(","))
     except ValueError:
         raise InputError(f"{flag}: expected a preset or 'min,max' in nm, got {text!r}") from None
-    return (lo, hi)
-
-
-def parse_window_ps(text: str, flag: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ParameterError(f"{flag}: expected 'lo:hi', got {text!r}")
-    lo, hi = (int(round(parse_time_ps(part, flag))) for part in parts)
-    if not 0 <= lo < hi:  # fold_histogram checks it again for library callers
-        raise ParameterError(f"{flag}: window must satisfy 0 <= lo < hi, got {text!r}")
-    return (lo, hi)
+    return _resolve_band((lo, hi))
 
 
 def integer(text: str) -> int:
@@ -201,6 +196,17 @@ def integer(text: str) -> int:
     if not _INT_RE.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def number(text: str) -> float:
+    """A float as the CSV readers read one: what ``float()`` reads, in ASCII and without ``_``.
+
+    ``float()`` also takes ``1_0`` and non-ASCII digits. Raises ``ValueError``, so
+    argparse reports a bad flag value as an input error.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
 
 
 def path(text: str) -> str:
@@ -329,6 +335,8 @@ def _from_args(args, name: str, cls, metadata: dict | None = None):
 
 def cmd_simulate(args) -> _Run:
     duration_s = require_number(parse_duration_s(args.duration, "--duration"), "--duration", minimum=0.0, strict=True)
+    _validate_seed(args.seed)
+    _validate_max_tags(args.max_tags)
     topology = load_topology(args.topology)
     source = _from_args(args, "source", PulsedSource)  # argparse requires --source
     detector = _from_args(args, "detector", Detector) or Detector()
@@ -353,7 +361,6 @@ def cmd_simulate(args) -> _Run:
 
 def cmd_analyze(args) -> _Run:
     bin_width = parse_bin_ps(args.bin, "--bin")
-    window = parse_window_ps(args.window, "--window") if args.window is not None else None
     require_number(args.k_sigma, "k_sigma", minimum=0.0, strict=True)
     require_int(args.min_separation, "min_separation_bins", 0)
     tags = tagio.read_tags(args.tags)
@@ -370,7 +377,6 @@ def cmd_analyze(args) -> _Run:
             bin_width_ps=bin_width,
             k_sigma=args.k_sigma,
             min_separation_bins=args.min_separation,
-            window_ps=window,
             source=source,
             detector=detector,
         )
@@ -381,7 +387,6 @@ def cmd_analyze(args) -> _Run:
         "bin_width_ps": bin_width,
         "k_sigma": args.k_sigma,
         "min_separation_bins": args.min_separation,
-        "window_ps": list(window) if window else None,
     }
     # built as it is written: a report document built here outlived the tag arrays, and glibc's heap then
     # kept capture-analyze's peak RSS ~4 MB higher
@@ -393,8 +398,9 @@ def cmd_analyze(args) -> _Run:
 
 
 def cmd_scan(args) -> _Run:
-    grid = parse_grid_nm(args.grid, "--grid")  # the simulator checks its range
+    grid = parse_grid_nm(args.grid, "--grid")
     dwell_s = require_number(parse_duration_s(args.dwell, "--dwell"), "--dwell", minimum=0.0, strict=True)
+    _validate_seed(args.seed)
     lines_doc = read_json(args.lines, "lines")
     if not isinstance(lines_doc, list):
         raise InputError("lines: expected a JSON array of {wavelength_nm, rate_photons_per_s}")
@@ -458,10 +464,11 @@ def _model_from_args(args) -> tuple[SwitchModel, dict, dict[str, Path]]:
     the document is an input error, and so is a key that ``--table`` would
     drop; a flag that puts the model out of its domain is a parameter error.
     """
+    overrides = {key: require_int(getattr(args, key), key, 1) for key in ("n_in", "n_out")
+                 if getattr(args, key) is not None}
     doc = read_json(args.model, "switch model") if args.model is not None else {}
     if isinstance(doc, dict) and "table" in doc:
         raise InputError("switch model: a measured table comes only from --table")
-    overrides = {key: getattr(args, key) for key in ("n_in", "n_out") if getattr(args, key) is not None}
     if args.table is not None:
         dropped = [key for key in doc if key not in _TABLE_KEEPS] if isinstance(doc, dict) else []
         if dropped:
@@ -475,7 +482,9 @@ def _model_from_args(args) -> tuple[SwitchModel, dict, dict[str, Path]]:
 
 
 def cmd_switch_sweep_config(args) -> _Run:
-    nm = parse_wavelength_nm(args.wavelength, "--wavelength") if args.wavelength is not None else None
+    nm = None
+    if args.wavelength is not None:
+        nm = validate_wavelength_nm(parse_wavelength_nm(args.wavelength, "--wavelength"))
     model, record, inputs = _model_from_args(args)
     points = sweep_configs(model, args.classical_in, args.victim_out, nm)
     columns = ([p.label for p in points], [p.xtalk_db for p in points])
@@ -504,6 +513,8 @@ def cmd_switch_sweep_wavelength(args) -> _Run:
 def cmd_switch_plan(args) -> _Run:
     wanted = {"classical": args.classical_band, "quantum": args.quantum_band}
     bands = {kind: parse_band(text, f"--{kind}-band") for kind, text in wanted.items() if text is not None} or None
+    require_int(args.classical, "k_classical", 0)
+    require_int(args.quantum, "k_quantum", 0)
     model, record, inputs = _model_from_args(args)
     solver = brute_force_assignment if args.oracle else optimize_assignment
     assignment = solver(model, args.classical, args.quantum, bands)
@@ -566,9 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--tags", type=path, required=True)
     ana.add_argument("--topology", type=path, required=True)
     ana.add_argument("--bin", default="100ps", help="histogram bin width (default 100ps)")
-    ana.add_argument("--k-sigma", dest="k_sigma", type=float, default=5.0)
+    ana.add_argument("--k-sigma", dest="k_sigma", type=number, default=5.0)
     ana.add_argument("--min-separation", dest="min_separation", type=integer, default=3)
-    ana.add_argument("--window", help="delay window 'lo:hi' (ps units by default)")
     ana.add_argument("--source", type=path, help="override source JSON (else tag metadata)")
     ana.add_argument("--detector", type=path, help="override detector JSON (else tag metadata)")
     ana.add_argument("--out", type=path, required=True, help="analysis report JSON")
@@ -593,8 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     sana.add_argument("--scan", type=path, required=True)
     sana.add_argument("--filter", type=path, help="JSON file with TunableFilter fields (else the scan's sidecar)")
     sana.add_argument("--detector", type=path, help="JSON file with Detector fields (else the scan's sidecar)")
-    sana.add_argument("--k-sigma", dest="k_sigma", type=float, default=5.0)
-    sana.add_argument("--dwell", help="dwell override when no metadata sidecar exists")
+    sana.add_argument("--k-sigma", dest="k_sigma", type=number, default=5.0)
+    sana.add_argument("--dwell", help="dwell time per point; replaces the sidecar's dwell")
     sana.add_argument("--out", type=path, required=True)
     sana.set_defaults(func=cmd_scan_analyze)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -128,16 +128,11 @@ class MpoConnector:
 
 @dataclass(frozen=True)
 class CrosstalkPoint:
-    """A location where light leaks from the aggressor into the victim fiber."""
+    """A location where light leaks from the aggressor into the victim fiber, at one wavelength."""
 
     position_m: float
-    coupling: float | Callable[[float], float]
+    coupling_db: float
     source_element: str | None = None
-
-    def coupling_db(self, wavelength_nm: float) -> float:
-        if callable(self.coupling):
-            return float(self.coupling(wavelength_nm))
-        return float(self.coupling)
 
 
 @dataclass(frozen=True)
@@ -232,29 +227,18 @@ def mpo_coupling_db(
     return max(value, COUPLING_FLOOR_DB)
 
 
-def crosstalk_points(topology: Topology) -> tuple[CrosstalkPoint, ...]:
-    """Crosstalk points implied by connectors where both strands have lanes.
+def crosstalk_points(topology: Topology, wavelength_nm: float) -> tuple[CrosstalkPoint, ...]:
+    """Crosstalk points implied by connectors where both strands have lanes, with their couplings at ``wavelength_nm``.
 
     Ordered by position (connector positions are strictly increasing by
     construction).
     """
     agg, vic = topology.fiber_ids
-    points = []
-    for conn in topology.connectors:
-        if agg in conn.lanes and vic in conn.lanes:
-            lane_a, lane_v = conn.lanes[agg], conn.lanes[vic]
-
-            def coupling(nm, _c=conn, _a=lane_a, _v=lane_v):
-                return mpo_coupling_db(_c, _a, _v, nm)
-
-            points.append(
-                CrosstalkPoint(
-                    position_m=conn.position_m,
-                    coupling=coupling,
-                    source_element=conn.id,
-                )
-            )
-    return tuple(points)
+    return tuple(
+        CrosstalkPoint(conn.position_m, mpo_coupling_db(conn, conn.lanes[agg], conn.lanes[vic], wavelength_nm), conn.id)
+        for conn in topology.connectors
+        if agg in conn.lanes and vic in conn.lanes
+    )
 
 
 def path_loss_db(

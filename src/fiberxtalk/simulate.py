@@ -159,6 +159,13 @@ def _validate_seed(seed) -> int:
     raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
+def _validate_max_tags(max_tags) -> int:
+    """``max_tags`` as an int in [1, ``DEFAULT_MAX_TAGS``]: the tag readers refuse a larger file."""
+    if (value := require_int(max_tags, "max_tags", 1)) > DEFAULT_MAX_TAGS:
+        raise ParameterError(f"max_tags must be at most {DEFAULT_MAX_TAGS}, got {value}")
+    return value
+
+
 def _substream(seed: int, index: int) -> np.random.Generator:
     """Generator on the Philox stream keyed ``[seed, index]``.
 
@@ -183,7 +190,7 @@ def point_mu_optical(topology: Topology, source: PulsedSource, point: CrosstalkP
         victim_leg = path_loss_db(topology, topology.victim_fiber_id, position, total, nm)
     loss_db = (
         path_loss_db(topology, topology.aggressor_fiber_id, 0.0, position, nm)
-        + abs(point.coupling_db(nm))
+        + abs(point.coupling_db)
         + victim_leg
     )
     return source.photons_per_pulse * 10.0 ** (-loss_db / 10.0)
@@ -313,14 +320,12 @@ def simulate_otdr_tags(
     """
     seed = _validate_seed(seed)
     require_number(duration_s, "duration_s", minimum=0.0, strict=True)
-    max_tags = require_int(max_tags, "max_tags", 1)
-    if max_tags > DEFAULT_MAX_TAGS:  # the tag readers refuse a larger file
-        raise ParameterError(f"max_tags must be at most {DEFAULT_MAX_TAGS}, got {max_tags}")
+    max_tags = _validate_max_tags(max_tags)
     hint = "shorten the run"
     if max_tags < DEFAULT_MAX_TAGS:
         hint += f" or raise max_tags up to {DEFAULT_MAX_TAGS}"
 
-    points = crosstalk_points(topology)
+    points = crosstalk_points(topology, source.wavelength_nm)
     period = source.period_ps
     n_pulses = int(round(duration_s * source.rep_rate_hz))
     if n_pulses < 1:
@@ -401,7 +406,7 @@ def simulate_otdr_tags(
             {
                 "position_m": p.position_m,
                 "source_element": p.source_element,
-                "coupling_db": p.coupling_db(source.wavelength_nm),
+                "coupling_db": p.coupling_db,
                 "delay_ps": float(d),
                 "mu_optical_per_pulse": float(m),
                 "photons_arrived": int(a),

@@ -47,18 +47,14 @@ def shuffled_stream(triggers, detectors, rng):
     return fx.TagStream(channels=channels, times_ps=times)
 
 
-def searched_fold(triggers, detectors, period, bin_width, window):
+def searched_fold(triggers, detectors, period, bin_width):
     """Bins, counts and drop counters of a fold by one plain binary search per detector tag."""
     idx = np.searchsorted(triggers, detectors, side="right") - 1
     before = idx < 0
     delays = detectors[~before] - triggers[idx[~before]]
     beyond = delays >= period
-    delays = delays[~beyond]
-    outside = np.zeros(delays.size, dtype=bool)
-    if window is not None:
-        outside = (delays < window[0]) | (delays >= window[1])
-    bins, counts = np.unique(delays[~outside] // bin_width, return_counts=True)
-    return bins, counts, (int(before.sum()), int(beyond.sum()), int(outside.sum()))
+    bins, counts = np.unique(delays[~beyond] // bin_width, return_counts=True)
+    return bins, counts, (int(before.sum()), int(beyond.sum()), 0)
 
 
 class TestFoldHistogram:
@@ -175,12 +171,6 @@ class TestFoldHistogram:
         assert np.array_equal(a.bins, b.bins)
         assert np.array_equal(a.counts, b.counts)
 
-    def test_window_filters_and_counts(self):
-        stream = stream_from([0, PERIOD], [100, 200_000, 900_000_000])
-        hist = fold_histogram(stream, bin_width_ps=100, window_ps=(100_000, 1_000_000))
-        assert int(hist.counts.sum()) == 1
-        assert hist.diagnostics.dropped_outside_window == 2
-
     def test_irregular_trigger_spacing_warns_and_uses_median(self):
         triggers = [0, PERIOD, 2 * PERIOD + 5_000, 3 * PERIOD + 5_000]
         stream = stream_from(triggers, [50])
@@ -205,13 +195,12 @@ class TestFoldHistogram:
         n_triggers=st.integers(1, 40),
         spacing=st.sampled_from(["regular", "jittered", "gapped", "irregular"]),
         requested_bin=st.integers(1, 40),
-        windowed=st.booleans(),
         block=st.sampled_from([analysis.FOLD_BLOCK_RECORDS, 1, 7]),
     )
-    @example(seed=0, n_triggers=1, spacing="regular", requested_bin=1, windowed=False, block=1)
-    @example(seed=1, n_triggers=1, spacing="regular", requested_bin=7, windowed=True, block=7)
-    @example(seed=2, n_triggers=2, spacing="regular", requested_bin=1, windowed=True, block=7)
-    def test_matches_a_binary_search_for_every_tag(self, seed, n_triggers, spacing, requested_bin, windowed, block):
+    @example(seed=0, n_triggers=1, spacing="regular", requested_bin=1, block=1)
+    @example(seed=1, n_triggers=1, spacing="regular", requested_bin=7, block=7)
+    @example(seed=2, n_triggers=2, spacing="regular", requested_bin=1, block=7)
+    def test_matches_a_binary_search_for_every_tag(self, seed, n_triggers, spacing, requested_bin, block):
         rng = np.random.default_rng(seed)
         period = int(rng.integers(1, 2000))
         spacings = {
@@ -226,16 +215,12 @@ class TestFoldHistogram:
         detectors = rng.permutation(np.concatenate((near, spread))).astype(np.int64)
         stream = shuffled_stream(triggers, detectors, rng)
 
-        window = None
-        if windowed:
-            lo = int(rng.integers(0, 2 * period))
-            window = (lo, lo + int(rng.integers(1, 2 * period)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analysis, "FOLD_BLOCK_RECORDS", block)
             bin_width = suggest_bin_width(fold_histogram(stream, bin_width_ps=1).period_ps, requested_bin)
-            hist = fold_histogram(stream, bin_width_ps=bin_width, window_ps=window)
+            hist = fold_histogram(stream, bin_width_ps=bin_width)
 
-        bins, counts, dropped = searched_fold(triggers, detectors, hist.period_ps, bin_width, window)
+        bins, counts, dropped = searched_fold(triggers, detectors, hist.period_ps, bin_width)
         assert hist.bins.tolist() == bins.tolist()
         assert hist.counts.tolist() == counts.tolist()
         diagnostics = hist.diagnostics
@@ -246,8 +231,7 @@ class TestFoldHistogram:
         ) == dropped
 
     @pytest.mark.parametrize("block", [1, 8, 13])
-    @pytest.mark.parametrize("window", [None, (1_000, 600_000_000)])
-    def test_blocks_fold_as_one_search_over_all_tags(self, monkeypatch, block, window):
+    def test_blocks_fold_as_one_search_over_all_tags(self, monkeypatch, block):
         # Drops of each kind sit in blocks of their own, among shuffled detector tags,
         # over more than three blocks plus a remainder.
         monkeypatch.setattr(analysis, "FOLD_BLOCK_RECORDS", block)
@@ -273,10 +257,10 @@ class TestFoldHistogram:
         if block > 1:
             assert not blocks_of[1] & blocks_of[3] and not blocks_of[3] & blocks_of[5]
 
-        hist = fold_histogram(stream, bin_width_ps=100, window_ps=window)
+        hist = fold_histogram(stream, bin_width_ps=100)
         spacings = np.diff(triggers)
         median = float(np.median(spacings))
-        bins, counts, dropped = searched_fold(triggers, detectors, PERIOD, 100, window)
+        bins, counts, dropped = searched_fold(triggers, detectors, PERIOD, 100)
         assert hist.period_ps == PERIOD
         assert hist.bins.dtype == hist.counts.dtype == np.int64
         assert (hist.bins.tolist(), hist.counts.tolist()) == (bins.tolist(), counts.tolist())
@@ -287,7 +271,7 @@ class TestFoldHistogram:
             diagnostics.dropped_beyond_period,
             diagnostics.dropped_outside_window,
         ) == dropped
-        assert dropped[:2] == (6, 5) and dropped[2] == (0 if window is None else 5)
+        assert dropped == (6, 5, 0)
         assert diagnostics.dropped_total == sum(dropped)
         jitter = float(max(spacings.max() - median, median - spacings.min()) / median * 1e6)
         assert diagnostics.period_jitter_ppm == jitter
@@ -661,33 +645,30 @@ class TestCouplingEstimate:
         assert report.located[0].matched_element == "mpo1"
 
 
-def small_histogram(dropped_outside_window=0):
+def small_histogram():
     """A 1000 ps period of 100 bins of 10 ps, holding 20 counts in bins 2, 50, 51 and 98."""
     return analysis.Histogram(
         bins=np.array([2, 50, 51, 98]), counts=np.array([3, 4, 8, 5]), n_bins=100, bin_width_ps=10,
         period_ps=1000, total_triggers=100, live_time_s=1e-7,
-        diagnostics=analysis.FoldDiagnostics(dropped_outside_window=dropped_outside_window),
     )
 
 
-@pytest.mark.parametrize("bin_index, dead_time_ps, dropped, expected", [
+@pytest.mark.parametrize("bin_index, dead_time_ps, expected", [
     # (500, 600): bins 50 and 51; the start passes bin 50 as bin 60 is read
-    (60, 100, 0, (12.0, 4.0)),
+    (60, 100, (12.0, 4.0)),
     # two whole periods end where bin 51 opens: its own counts of two periods back leave as it is read
-    (51, 2000, 0, (40.0, 8.0)),
-    # whole periods count the tags a delay window dropped, too
-    (51, 2000, 7, (54.0, 8.0)),
+    (51, 2000, (40.0, 8.0)),
     # one period and 25 ps, (495 - 1000, 520): the whole period, then half of bin 50 and bin 51;
     # the start passes bin 50's second half and bin 51's first, 2.5 counts on average
-    (52, 1015, 0, (30.0, 5.0)),
+    (52, 1015, (30.0, 5.0)),
     # (-20, 30) wraps past the period's end: bin 98, then bin 2
-    (3, 50, 0, (8.0, 5.0)),
+    (3, 50, (8.0, 5.0)),
     # a dead time shorter than a bin: the 5 ps before bin 50's centre hold half of it, and none leave
-    (50, 5, 0, (2.0, 0.0)),
-], ids=["below-period", "whole-periods", "whole-periods-dropped", "remainder-inside-bins", "wraps", "below-bin"])
-def test_dead_time_counts_on_a_hand_built_histogram(bin_index, dead_time_ps, dropped, expected):
+    (50, 5, (2.0, 0.0)),
+], ids=["below-period", "whole-periods", "remainder-inside-bins", "wraps", "below-bin"])
+def test_dead_time_counts_on_a_hand_built_histogram(bin_index, dead_time_ps, expected):
     bins = range(bin_index, bin_index + 1)
-    own, dead, leaving = analysis.dead_time_counts(small_histogram(dropped), bins, dead_time_ps)
+    own, dead, leaving = analysis.dead_time_counts(small_histogram(), bins, dead_time_ps)
     assert own == [{50: 4, 51: 8}.get(bin_index, 0)]
     assert (dead[0], leaving[0]) == expected
 
@@ -695,7 +676,7 @@ def test_dead_time_counts_on_a_hand_built_histogram(bin_index, dead_time_ps, dro
 @pytest.mark.parametrize("bins, dead_time_ps", [(range(0, 6), 50), (range(45, 56), 1015), (range(96, 100), 2000)])
 def test_dead_time_counts_of_a_run_of_bins_are_those_of_each_bin(bins, dead_time_ps):
     # a run's windows are read one bin after another, and wrap at the period's end partway
-    histogram = small_histogram(dropped_outside_window=3)
+    histogram = small_histogram()
     singles = [analysis.dead_time_counts(histogram, range(b, b + 1), dead_time_ps) for b in bins]
     assert analysis.dead_time_counts(histogram, bins, dead_time_ps) == tuple(
         [part[0] for part in column] for column in zip(*singles))
@@ -934,21 +915,6 @@ class TestRunOtdrAnalysis:
         report = fx.run_otdr_analysis(stream, topo, source=src, detector=det)
         assert report.located == []
         assert any("localization impossible" in note for note in report.notes)
-
-    @pytest.mark.parametrize("window, reaches", [((1_450_000, 5_000_000), True), ((0, 60_000_000), False)])
-    def test_a_dead_window_outside_the_delay_window_is_noted(self, three_point_topology, window, reaches):
-        # the 150 m peak sits ~19 ns into the first window, and its 50 ns dead windows reach out of it
-        src = fx.PulsedSource(avg_power_w=power_for_mu_det(0.2, -100.0))
-        det = fx.Detector()
-        stream = fx.simulate_otdr_tags(three_point_topology, src, det, 3.0, seed=1)
-        report = fx.run_otdr_analysis(stream, three_point_topology, source=src, detector=det, window_ps=window)
-        assert report.histogram.diagnostics.dropped_outside_window > 0
-        assert [loc.matched_element for loc in report.located] == (["mpoA"] if reaches else ["mpoA", "mpoB", "mpoC"])
-        notes = [note for note in report.notes if "delay window" in note]
-        assert notes == ([
-            f"the dead-time windows of the peak(s) at {report.located[0].distance_m:.1f} m reach outside the "
-            f"delay window, whose {report.histogram.diagnostics.dropped_outside_window} dropped tag(s) they miss "
-            "there: those couplings may be corrected too little"] if reaches else [])
 
     def test_a_saturated_peak_is_noted_without_a_coupling(self):
         # a detection in the same bin of every pulse: no live fraction explains it

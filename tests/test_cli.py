@@ -355,11 +355,12 @@ def test_in_process_calls_share_no_state(tmp_path, plant_files, capsys):
         "--detector", str(detector), "--duration", "1s", "--seed", "3", "--out", str(tags),
     ]) == 0
     analyze = ["analyze", "--tags", str(tags), "--topology", str(topo), "--out", str(tmp_path / "r.json")]
-    windows = []
-    for argv in (analyze + ["--window", "0:60us"], analyze):
+    separations = []
+    for argv in (analyze + ["--min-separation", "5"], analyze):
         assert main(argv) == 0
-        windows.append(json.loads((tmp_path / "r.json.manifest.json").read_text())["parameters"]["window_ps"])
-    assert windows == [[0, 60_000_000], None]
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        separations.append(manifest["parameters"]["min_separation_bins"])
+    assert separations == [5, 3]
 
     plan = tmp_path / "plan.json"
     methods = []
@@ -610,7 +611,7 @@ class TestSwitchCommands:
         assert plan["classical"][0]["wavelength_nm"] == 1260.0
         assert plan["quantum"][0]["wavelength_nm"] == 1530.0
 
-    @pytest.mark.parametrize("band", ["1500,abc", "1500,1550,1600", ","])
+    @pytest.mark.parametrize("band", ["1500,abc", "1500,1550,1600", ",", "1300,1_500", "\u0661\u0663\u0660\u0660,1500"])
     def test_malformed_band_is_input_error(self, tmp_path, capsys, band):
         code = main([
             "switch", "plan", "--classical", "1", "--quantum", "1",
@@ -746,7 +747,7 @@ class TestUnitSuffixes:
             ]) == 0
         assert sha256(out_a) == sha256(out_b)
 
-    @pytest.mark.parametrize("flag, value", [("--bin", "1e999"), ("--window", "0:1e999"), ("--duration", "1e999")])
+    @pytest.mark.parametrize("flag, value", [("--bin", "1e999"), ("--duration", "1e999")])
     def test_infinite_time_is_parameter_error(self, tmp_path, plant_files, capsys, flag, value):
         topo, source, detector = plant_files
         if flag == "--duration":
@@ -854,13 +855,13 @@ def test_input_that_is_also_an_output_keeps_the_digest_read(tmp_path, capsys, co
 
 @pytest.mark.parametrize("command, flag, code", [
     ("simulate", "--detector", 2), ("simulate", "--out", 2), ("analyze", "--tags", 2), ("analyze", "--source", 2),
-    ("analyze", "--hist", 2), ("analyze", "--window", 4), ("scan", "--filter", 2), ("scan-analyze", "--dwell", 4),
+    ("analyze", "--hist", 2), ("scan", "--filter", 2), ("scan-analyze", "--dwell", 4),
     ("scan-analyze", "--filter", 2), ("scan-analyze", "--detector", 2),
     ("switch sweep-config", "--wavelength", 4), ("switch sweep-wavelength", "--model", 2),
     ("switch plan", "--table", 2), ("switch plan", "--classical-band", 4), ("switch plan", "--quantum-band", 4),
 ])
 def test_empty_flag_value_is_refused(tmp_path, capsys, command, flag, code):
-    # an empty flag once counted as not given: the default detector, no histogram, the default window
+    # an empty flag once counted as not given: the default detector, no histogram, the default dwell
     flags, _, _, outputs = command_runs(tmp_path)[command]
     flags = [str(arg) for arg in flags]
     flags = flags[:flags.index(flag)] + flags[flags.index(flag) + 2:] if flag in flags else flags
@@ -932,7 +933,7 @@ def test_report_key_sets(tmp_path, capsys):
     assert set(report) == {
         "schema_version", "kind", "parameters", "histogram", "baseline", "peaks", "located", "diagnostics"}
     assert set(report["parameters"]) == {
-        "tags", "topology", "bin_width_ps", "k_sigma", "min_separation_bins", "window_ps"}
+        "tags", "topology", "bin_width_ps", "k_sigma", "min_separation_bins"}
     assert set(report["histogram"]) == {
         "bin_width_ps", "period_ps", "n_bins", "total_counts", "total_triggers", "live_time_s"}
     assert set(report["baseline"]) == {"level", "noise_scale"}
@@ -1022,6 +1023,7 @@ def test_manifests_and_sidecars_name_the_numpy(tmp_path, capsys, command, sideca
     ("simulate", ["--jobs", "0"], "--jobs"),
     ("simulate", ["--lax"], "--lax"),
     ("analyze", ["--lax"], "--lax"),
+    ("analyze", ["--window", "0:1us"], "--window"),
 ])
 def test_removed_options_are_input_errors(tmp_path, capsys, command, extra, flag):
     flags, _, _, outputs = command_runs(tmp_path)[command]
@@ -1053,8 +1055,6 @@ def test_non_finite_k_sigma_is_parameter_error(tmp_path, capsys, command, k_sigm
     ("analyze", ["--k-sigma", "nan"], "k_sigma must be finite, got nan"),
     ("analyze", ["--bin", "abc"], "--bin: cannot parse quantity 'abc'"),
     ("analyze", ["--min-separation", "-1"], "min_separation_bins must be an integer >= 0, got -1"),
-    ("analyze", ["--window", "5:1"], "--window: window must satisfy 0 <= lo < hi, got '5:1'"),
-    ("analyze", ["--window", "0:0"], "--window: window must satisfy 0 <= lo < hi, got '0:0'"),
     ("scan-analyze", ["--k-sigma", "nan"], "k_sigma must be finite, got nan"),
     ("scan-analyze", ["--dwell", "0"], "--dwell must be > 0.0, got 0.0"),
     ("scan-analyze", ["--dwell=-1s"], "--dwell must be > 0.0, got -1.0"),
@@ -1066,10 +1066,29 @@ def test_non_finite_k_sigma_is_parameter_error(tmp_path, capsys, command, k_sigm
     ("switch sweep-config", ["--wavelength", "5q"], "--wavelength: unknown wavelength unit 'q' in '5q'"),
     ("switch plan", ["--classical", "1", "--quantum", "1", "--classical-band", "X"],
      "--classical-band: unknown band 'X'; presets are ['C', 'O']"),
-], ids=["analyze-k-sigma", "analyze-bin", "analyze-min-separation", "analyze-window-reversed", "analyze-window-empty",
+    ("simulate", ["--duration", "1s", "--seed", str(2**64)], f"seed must be an integer in [0, 2^64), got {2**64}"),
+    ("simulate", ["--duration", "1s", "--seed=-1"], "seed must be an integer in [0, 2^64), got -1"),
+    ("scan", ["--grid", "1300:1310:1", "--dwell", "1", "--seed", str(2**64)],
+     f"seed must be an integer in [0, 2^64), got {2**64}"),
+    ("scan", ["--grid", "1300:1310:1", "--dwell", "1", "--seed=-1"], "seed must be an integer in [0, 2^64), got -1"),
+    ("simulate", ["--duration", "1s", "--max-tags", "0"], "max_tags must be an integer >= 1, got 0"),
+    ("simulate", ["--duration", "1s", "--max-tags", "50000001"], "max_tags must be at most 50000000, got 50000001"),
+    ("switch plan", ["--classical=-1", "--quantum", "1"], "k_classical must be an integer >= 0, got -1"),
+    ("switch plan", ["--classical", "1", "--quantum=-1"], "k_quantum must be an integer >= 0, got -1"),
+    ("switch plan", ["--classical", "1", "--quantum", "1", "--n-in", "0"], "n_in must be an integer >= 1, got 0"),
+    ("switch plan", ["--classical", "1", "--quantum", "1", "--n-out", "0"], "n_out must be an integer >= 1, got 0"),
+    ("scan", ["--grid", "900:950:10", "--dwell", "1"], "wavelength 900.0 nm outside validated range [1000, 2000] nm"),
+    ("switch sweep-wavelength", ["--grid", "900:950:10"], "wavelength 900.0 nm outside validated range [1000, 2000] nm"),
+    ("switch sweep-config", ["--wavelength", "900"], "wavelength 900.0 nm outside validated range [1000, 2000] nm"),
+    ("switch plan", ["--classical", "1", "--quantum", "1", "--quantum-band", "900,950"],
+     "wavelength 900.0 nm outside validated range [1000, 2000] nm"),
+], ids=["analyze-k-sigma", "analyze-bin", "analyze-min-separation",
         "scan-analyze-k-sigma", "scan-analyze-dwell-zero", "scan-analyze-dwell-negative", "scan-grid-reversed",
         "scan-dwell-zero", "simulate-duration-unit", "simulate-duration-zero", "sweep-wavelength-grid-reversed",
-        "sweep-config-wavelength-unit", "plan-band"])
+        "sweep-config-wavelength-unit", "plan-band", "simulate-seed-2^64", "simulate-seed-negative", "scan-seed-2^64",
+        "scan-seed-negative", "simulate-max-tags-zero", "simulate-max-tags-over-cap", "plan-classical-negative",
+        "plan-quantum-negative", "plan-n-in-zero", "plan-n-out-zero", "scan-grid-range",
+        "sweep-wavelength-grid-range", "sweep-config-wavelength-range", "plan-band-range"])
 def test_bad_flag_is_refused_before_the_input_is_read(tmp_path, capsys, command, flags, message):
     # the input does not exist: a flag checked only after the read would exit 2
     out = tmp_path / "out.json"
@@ -1128,6 +1147,19 @@ def test_integer_flag_outside_the_csv_grammar_is_input_error(tmp_path, capsys, c
     assert captured.out == ""
     assert [json.loads(line) for line in captured.err.splitlines()] == [
         {"error": "E_INPUT", "message": f"xtalk {command}: argument {flag}: invalid integer value: {value!r}"}]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"])
+@pytest.mark.parametrize("command", ["analyze", "scan-analyze"])
+def test_float_flag_outside_the_csv_grammar_is_input_error(tmp_path, capsys, command, value):
+    # float() reads both as 10.0
+    out = tmp_path / "out"
+    assert main([command, "--k-sigma", value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": "E_INPUT", "message": f"xtalk {command}: argument --k-sigma: invalid number value: {value!r}"}]
     assert not out.exists()
 
 
@@ -1368,9 +1400,8 @@ ANALYZE_ARGV = ["analyze", "--tags", "tags.csv", "--topology", "topo.json", "--o
 
 def analyze_case():
     bins = st.one_of(st.just([]), TIMES.map(lambda t: [f"--bin={t}"]))
-    windows = st.one_of(st.just([]), st.tuples(TIMES, TIMES).map(lambda w: [f"--window={w[0]}:{w[1]}"]))
-    return st.tuples(csv_body(b"channel,time_ps", TAG_ROWS), bins, windows).map(lambda case: (
-        {"tags.csv": case[0], "topo.json": ANALYZE_TOPOLOGY}, [*ANALYZE_ARGV, *case[1], *case[2]]))
+    return st.tuples(csv_body(b"channel,time_ps", TAG_ROWS), bins).map(lambda case: (
+        {"tags.csv": case[0], "topo.json": ANALYZE_TOPOLOGY}, [*ANALYZE_ARGV, *case[1]]))
 
 
 # a measured entry for every (aggressor, victim) path pair of a 2x2 switch, at two wavelengths

@@ -31,14 +31,14 @@ class TestLoadTopology:
     def test_minimal_document(self):
         topo = fx.load_topology(topology_doc())
         assert topo.total_length_m == 5000.0
-        assert fx.crosstalk_points(topo) == ()
+        assert fx.crosstalk_points(topo, 1550.0) == ()
 
     def test_connector_read_back(self):
         topo = fx.load_topology(topology_doc([connector_doc("mpo1", 1021.0)]))
-        points = fx.crosstalk_points(topo)
+        points = fx.crosstalk_points(topo, 1550.0)
         assert len(points) == 1
         assert points[0].position_m == 1021.0
-        assert points[0].coupling_db(1550.0) == pytest.approx(-100.0)
+        assert points[0].coupling_db == pytest.approx(-100.0)
         assert points[0].source_element == "mpo1"
 
     def test_connector_beyond_route_rejected(self):
@@ -151,12 +151,12 @@ class TestLoadTopology:
         path = tmp_path / "topo.json"
         path.write_text(json.dumps(topology_doc([connector_doc("mpo1", 42.0)])))
         topo = fx.load_topology(path)
-        assert fx.crosstalk_points(topo)[0].position_m == 42.0
+        assert fx.crosstalk_points(topo, 1550.0)[0].position_m == 42.0
 
 
 class TestCrosstalkPoints:
     def test_three_connectors_three_points(self, three_point_topology):
-        points = fx.crosstalk_points(three_point_topology)
+        points = fx.crosstalk_points(three_point_topology, 1550.0)
         assert [p.position_m for p in points] == [150.0, 800.0, 2300.0]
         assert [p.source_element for p in points] == ["mpoA", "mpoB", "mpoC"]
 
@@ -164,7 +164,7 @@ class TestCrosstalkPoints:
         solo = connector_doc("other", 10.0)
         solo["lanes"] = {"agg": 1, "unrelated": 2}
         topo = fx.load_topology(topology_doc([solo]))
-        assert fx.crosstalk_points(topo) == ()
+        assert fx.crosstalk_points(topo, 1550.0) == ()
 
 
 class TestMpoCoupling:

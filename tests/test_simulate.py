@@ -31,7 +31,7 @@ class TestExpectedPeakRate:
         topo = lossless_topology()
         src = fx.PulsedSource(avg_power_w=1e-6)
         det = fx.Detector()
-        point = CrosstalkPoint(position_m=0.0, coupling=-100.0)
+        point = CrosstalkPoint(position_m=0.0, coupling_db=-100.0)
         photons_per_pulse = (1e-6 / 1000.0) / E_PHOTON_1550_J
         assert photons_per_pulse == pytest.approx(7.80e9, rel=1e-3)
         expected = 1000.0 * photons_per_pulse * 1e-10 * 0.85
@@ -42,7 +42,7 @@ class TestExpectedPeakRate:
     def test_linear_in_efficiency(self):
         topo = lossless_topology()
         src = fx.PulsedSource(avg_power_w=1e-6)
-        point = CrosstalkPoint(position_m=0.0, coupling=-100.0)
+        point = CrosstalkPoint(position_m=0.0, coupling_db=-100.0)
         full = fx.expected_peak_rate(topo, src, fx.Detector(efficiency=0.85), point)
         half = fx.expected_peak_rate(topo, src, fx.Detector(efficiency=0.425), point)
         assert half == pytest.approx(full / 2.0, rel=1e-12)
@@ -50,13 +50,13 @@ class TestExpectedPeakRate:
     def test_absent_point_rate_is_zero(self):
         topo = lossless_topology()
         src = fx.PulsedSource(avg_power_w=1e-6)
-        point = CrosstalkPoint(position_m=0.0, coupling=float("-inf"))
+        point = CrosstalkPoint(position_m=0.0, coupling_db=float("-inf"))
         assert fx.expected_peak_rate(topo, src, fx.Detector(), point) == 0.0
 
     def test_span_loss_included(self):
         topo = fx.load_topology(topology_doc([connector_doc("c", 1000.0)]))
         src = fx.PulsedSource(avg_power_w=1e-6)
-        point = fx.crosstalk_points(topo)[0]
+        point = fx.crosstalk_points(topo, src.wavelength_nm)[0]
         # 0.2 dB/km over 1 km, out and back
         expected = 1000.0 * src.photons_per_pulse * 10 ** (-(0.2 + 100.0 + 0.2) / 10.0) * 0.85
         assert fx.expected_peak_rate(topo, src, fx.Detector(), point) == pytest.approx(
@@ -202,7 +202,8 @@ class TestStreamInvariants:
         # with no efficiency the cap counts no detections, but 1000 pulses of
         # a 1 TW probe bring ~1e21 photons from the first point
         src, det = fx.PulsedSource(avg_power_w=1e12), fx.Detector(efficiency=0.0)
-        mean = 1000 * point_mu_optical(three_point_topology, src, fx.crosstalk_points(three_point_topology)[0])
+        point = fx.crosstalk_points(three_point_topology, src.wavelength_nm)[0]
+        mean = 1000 * point_mu_optical(three_point_topology, src, point)
         with pytest.raises(ParameterError) as err:
             fx.simulate_otdr_tags(three_point_topology, src, det, 1.0, seed=1)
         assert str(err.value) == (
@@ -241,7 +242,7 @@ class TestCountingStatistics:
         mu_det = 0.05
         src = fx.PulsedSource(avg_power_w=power_for_mu_det(mu_det, -100.0))
         det = fx.Detector(dead_time_ps=0, dark_rate_hz=50.0)
-        point = fx.crosstalk_points(topo)[0]
+        point = fx.crosstalk_points(topo, src.wavelength_nm)[0]
         rate = fx.expected_peak_rate(topo, src, det, point)
         duration = 4.0
         lam_per_run = (rate + det.dark_rate_hz) * duration
@@ -263,7 +264,7 @@ class TestCountingStatistics:
             (fx.PulsedSource(avg_power_w=base_power), fx.Detector(efficiency=0.425, dead_time_ps=0, dark_rate_hz=0.0)),
         ]
         for src, det in configs:
-            point = fx.crosstalk_points(topo)[0]
+            point = fx.crosstalk_points(topo, src.wavelength_nm)[0]
             lam = fx.expected_peak_rate(topo, src, det, point) * duration * n_runs
             total = sum(
                 channel_times(fx.simulate_otdr_tags(topo, src, det, duration, seed=seed), 1).size
@@ -280,14 +281,14 @@ class TestCountingStatistics:
         det = fx.Detector()
         stream = fx.simulate_otdr_tags(topo, src, det, 60.0, seed=11)
         n_pulses = 60_000
-        mu_det = point_mu_optical(topo, src, fx.crosstalk_points(topo)[0]) * det.efficiency
+        mu_det = point_mu_optical(topo, src, fx.crosstalk_points(topo, src.wavelength_nm)[0]) * det.efficiency
         signal = n_pulses * (1.0 - np.exp(-mu_det))
         blocked_fraction = (signal / 60.0) * det.dead_time_ps * 1e-12
         darks = det.dark_rate_hz * 60.0 * (1.0 - blocked_fraction)
         expected = signal + darks
         got = channel_times(stream, 1).size
         assert abs(got - expected) <= 5.0 * np.sqrt(expected)
-        naive = fx.expected_peak_rate(topo, src, det, fx.crosstalk_points(topo)[0]) * 60.0
+        naive = fx.expected_peak_rate(topo, src, det, fx.crosstalk_points(topo, src.wavelength_nm)[0]) * 60.0
         assert got < naive  # dead-time losses are visible at this occupancy
 
     def test_per_pulse_detections_are_poisson(self):
