@@ -70,7 +70,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -184,16 +184,6 @@ class LocatedCrosstalk:
     corrected_counts: float | None = None
     min_live_fraction: float | None = None
     region_bins: "tuple[int, int] | None" = None
-
-
-@dataclass(frozen=True)
-class CouplingEstimate:
-    coupling_db: float
-    uncertainty_db: float
-    raw_counts: float
-    corrected_counts: float
-    min_live_fraction: float
-    region_bins: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -520,18 +510,11 @@ def _peak_location(peak: Peak, topology: Topology):
 
 
 def localize(peaks: "list[Peak]", topology: Topology) -> list[LocatedCrosstalk]:
-    """Convert peak delays to distances along the plant.
+    """Convert peak delays, each a round trip from the near end, to distances along the plant.
 
-    Only a near-end (co-located) detector sees a distance-dependent delay; a
-    far-end detector yields one constant delay for every crosstalk point.
     The nearest connector within three distance uncertainties is reported as
     the matched element.
     """
-    if topology.detector_end != "near":
-        raise ParameterError(
-            "localization impossible: with a far-end detector the delay is "
-            "position-independent"
-        )
     located = []
     for peak in peaks:
         distance, uncertainty, matched = _peak_location(peak, topology)
@@ -623,7 +606,7 @@ def estimate_coupling_db(
     topology: Topology,
     source: PulsedSource,
     detector: Detector,
-) -> CouplingEstimate:
+) -> LocatedCrosstalk:
     """Invert a peak's counts, through pile-up and dead time, into a coupling level in dB.
 
     The region is the peak's detected run widened to at least ``REGION_SIGMAS``
@@ -649,8 +632,9 @@ def estimate_coupling_db(
     ``Var(N_i) = N_i (1 - N_i / (T live_i))``, carried through the inverse by
     dq/dmu. The baseline adds its median's variance, pi b / (2 n_bins), times
     the region's width. A bin whose counts no live fraction explains is a
-    :class:`DataError`. The estimate keeps the region's raw and corrected
-    counts, its bins and its lowest live_i.
+    :class:`DataError`. Returns the peak's :func:`localize` record with its
+    coupling fields set: the coupling, its uncertainty, the region's raw and
+    corrected counts, its bins and its lowest live_i.
     """
     if peak.amplitude_counts <= 0.0:
         raise ParameterError("coupling undefined for a peak with non-positive amplitude")
@@ -698,7 +682,7 @@ def estimate_coupling_db(
         raise DataError(f"the peak at bin {peak.bin_index} has no counts above its background once corrected")
     variance += (len(region) * gain_bg / live_bg) ** 2 * math.pi * level / (2.0 * histogram.n_bins)
 
-    raw_distance, _, matched = _peak_location(peak, topology)
+    raw_distance, uncertainty, matched = _peak_location(peak, topology)
     distance = matched.position_m if matched else min(raw_distance, topology.total_length_m)
     nm = source.wavelength_nm
     fraction = corrected / (triggers * source.photons_per_pulse * detector.efficiency)
@@ -707,9 +691,12 @@ def estimate_coupling_db(
         + path_loss_db(topology, topology.aggressor_fiber_id, 0.0, distance, nm)
         + path_loss_db(topology, topology.victim_fiber_id, 0.0, distance, nm)
     )
-    return CouplingEstimate(
+    return LocatedCrosstalk(
+        distance_m=raw_distance,
+        distance_uncertainty_m=uncertainty,
         coupling_db=coupling,
-        uncertainty_db=_DB_PER_NEPER * math.sqrt(variance) / corrected,
+        coupling_uncertainty_db=_DB_PER_NEPER * math.sqrt(variance) / corrected,
+        matched_element=matched.id if matched else None,
         raw_counts=float(sum(counts) - len(region) * level),
         corrected_counts=corrected,
         min_live_fraction=lowest,
@@ -907,7 +894,10 @@ def run_otdr_analysis(
     source: PulsedSource | None = None,
     detector: Detector | None = None,
 ) -> OtdrReport:
-    """Fold, detect, localize, and (when source/detector are known) estimate coupling."""
+    """Fold, detect, localize, and estimate each peak's coupling when the source and detector are known.
+
+    A peak whose counts do not invert keeps its location, and a note says why.
+    """
     histogram = fold_histogram(tags, bin_width_ps)
     baseline = estimate_baseline(histogram)
     peaks = detect_peaks(histogram, baseline, k_sigma, min_separation_bins)
@@ -917,26 +907,13 @@ def run_otdr_analysis(
             f"trigger spacing jitter {histogram.diagnostics.period_jitter_ppm:.1f} ppm "
             "exceeds 1 ppm; median period used"
         )
-    located: list[LocatedCrosstalk] = []
-    if topology.detector_end == "near":
-        located = localize(peaks, topology)
-        if source is not None and detector is not None:
-            enriched = []
-            for peak, loc in zip(peaks, located):
-                try:
-                    est = estimate_coupling_db(peak, histogram, topology, source, detector)
-                except DataError as exc:
-                    notes.append(f"{exc}; its coupling is not estimated")
-                    enriched.append(loc)
-                    continue
-                enriched.append(replace(
-                    loc, coupling_db=est.coupling_db, coupling_uncertainty_db=est.uncertainty_db,
-                    raw_counts=est.raw_counts, corrected_counts=est.corrected_counts,
-                    min_live_fraction=est.min_live_fraction, region_bins=est.region_bins,
-                ))
-            located = enriched
-        else:
-            notes.append("source/detector parameters unavailable; couplings not estimated")
+    located = localize(peaks, topology)
+    if source is None or detector is None:
+        notes.append("source/detector parameters unavailable; couplings not estimated")
     else:
-        notes.append("localization impossible: delay is position-independent for a far-end detector")
+        for i, peak in enumerate(peaks):
+            try:
+                located[i] = estimate_coupling_db(peak, histogram, topology, source, detector)
+            except DataError as exc:
+                notes.append(f"{exc}; its coupling is not estimated")
     return OtdrReport(histogram=histogram, baseline=baseline, peaks=peaks, located=located, notes=notes)

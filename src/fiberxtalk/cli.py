@@ -519,7 +519,9 @@ def cmd_switch_plan(args) -> _Run:
     solver = brute_force_assignment if args.oracle else optimize_assignment
     assignment = solver(model, args.classical, args.quantum, bands)
     doc = {"schema_version": 1, "kind": "switch-assignment", **asdict(assignment)}
-    objective = "-inf" if assignment.objective_db == float("-inf") else f"{assignment.objective_db:.2f} dB"
+    objective = f"{assignment.objective_db:.2f} dB"
+    if not np.isfinite(assignment.objective_db):  # -inf when nothing can leak; JSON has no -Infinity
+        objective, doc["objective_db"] = str(assignment.objective_db), None
     return _Run(
         {"model": record, "k_classical": args.classical, "k_quantum": args.quantum, "bands": bands,
          "oracle": bool(args.oracle)},

@@ -140,15 +140,14 @@ class Topology:
     """Immutable plant description, fully checked when built.
 
     Construction checks that there is a span, that span and connector ids are
-    unique, that connector positions strictly increase within the route, that
-    the probe and victim differ, and that the detector end is "near" or "far".
+    unique, that connector positions strictly increase within the route, and
+    that the probe and victim differ. The detector sits at the near end.
     """
 
     spans: tuple[FiberSpan, ...]
     connectors: tuple[MpoConnector, ...] = ()
     aggressor_fiber_id: str = "aggressor"
     victim_fiber_id: str = "victim"
-    detector_end: str = "near"
 
     def __post_init__(self):
         if not self.spans:
@@ -175,8 +174,6 @@ class Topology:
             raise ParameterError(
                 f"probe and victim must be different fibers, both are {self.aggressor_fiber_id!r}"
             )
-        if self.detector_end not in ("near", "far"):
-            raise ParameterError(f"detector_end: expected one of ('near', 'far'), got {self.detector_end!r}")
 
     @property
     def total_length_m(self) -> float:
@@ -337,15 +334,15 @@ class _Document:
 
 @dataclass(frozen=True)
 class _Endpoint:
-    """Where a strand meets the instrument: ``{"fiber": ..., "end": "near" | "far"}``."""
+    """Where a strand meets the instrument: ``{"fiber": ..., "end": "near"}``, the probe's injection end."""
 
     fiber: str
     end: str = "near"
 
     def __post_init__(self):
         _require_name(self.fiber, "fiber")
-        if self.end not in ("near", "far"):
-            raise ParameterError(f"end: expected one of ('near', 'far'), got {self.end!r}")
+        if self.end != "near":
+            raise ParameterError(f"end: expected one of ('near',), got {self.end!r}")
 
 
 def _parse_attenuation(value, path: str) -> tuple:
@@ -391,9 +388,7 @@ def load_topology(source: "str | Path | Mapping") -> Topology:
     )
     probe = read_dataclass(top.probe, _Endpoint, "topology.probe")
     victim = read_dataclass(top.victim, _Endpoint, "topology.victim")
-    if probe.end != "near":  # positions are defined from the probe-injection (near) end
-        raise InputError(f"topology.probe.end: expected one of ('near',), got {probe.end!r}")
     return read_dataclass(
         {}, Topology, "topology", spans=spans, connectors=connectors,
-        aggressor_fiber_id=probe.fiber, victim_fiber_id=victim.fiber, detector_end=victim.end,
+        aggressor_fiber_id=probe.fiber, victim_fiber_id=victim.fiber,
     )

@@ -177,35 +177,18 @@ def _substream(seed: int, index: int) -> np.random.Generator:
 def point_mu_optical(topology: Topology, source: PulsedSource, point: CrosstalkPoint) -> float:
     """Mean photons per pulse arriving at the detector from one point.
 
-    Detector efficiency excluded; covers outbound span loss, the coupling at
-    the point, and the victim-strand leg back to the near end (or onward to
-    the far end when the detector sits there).
+    Detector efficiency excluded; covers the outbound span loss on the
+    aggressor, the coupling at the point, and the victim-strand leg back to
+    the near end.
     """
     nm = source.wavelength_nm
-    total = topology.total_length_m
-    position = min(point.position_m, total)
-    if topology.detector_end == "near":
-        victim_leg = path_loss_db(topology, topology.victim_fiber_id, 0.0, position, nm)
-    else:
-        victim_leg = path_loss_db(topology, topology.victim_fiber_id, position, total, nm)
+    position = min(point.position_m, topology.total_length_m)
     loss_db = (
         path_loss_db(topology, topology.aggressor_fiber_id, 0.0, position, nm)
         + abs(point.coupling_db)
-        + victim_leg
+        + path_loss_db(topology, topology.victim_fiber_id, 0.0, position, nm)
     )
     return source.photons_per_pulse * 10.0 ** (-loss_db / 10.0)
-
-
-def point_delay_ps(topology: Topology, point: CrosstalkPoint) -> float:
-    """Arrival delay of a point's photons relative to their pulse.
-
-    Near-end detection is a round trip (out on the aggressor, back on the
-    victim), so the delay grows with position; far-end detection always
-    traverses the full route, so every point shares one constant delay.
-    """
-    if topology.detector_end == "near":
-        return delay_ps_for_distance(topology, point.position_m)
-    return delay_ps_for_distance(topology, topology.total_length_m) / 2.0
 
 
 def expected_peak_rate(
@@ -334,7 +317,7 @@ def simulate_otdr_tags(
         )
 
     mus = np.array([point_mu_optical(topology, source, p) for p in points], dtype=float)
-    delays = np.array([point_delay_ps(topology, p) for p in points], dtype=float)
+    delays = np.array([delay_ps_for_distance(topology, p.position_m) for p in points], dtype=float)
     sigma_ps = _timing_sigma_ps(source, detector)
     dark_mu = detector.dark_rate_hz * period * 1e-12
 
@@ -401,7 +384,6 @@ def simulate_otdr_tags(
         "detector": asdict(detector),
         "aggressor_fiber": topology.aggressor_fiber_id,
         "victim_fiber": topology.victim_fiber_id,
-        "detector_end": topology.detector_end,
         "points": [
             {
                 "position_m": p.position_m,

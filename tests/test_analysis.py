@@ -539,16 +539,6 @@ class TestLocalize:
         )
         assert fx.localize([peak], three_point_topology)[0].distance_m == 0.0
 
-    def test_far_end_detector_cannot_localize(self):
-        topo = fx.load_topology(topology_doc(victim_end="far"))
-        peak = Peak(
-            bin_index=0, centroid_bins=0.0, delay_ps=0.0,
-            amplitude_counts=10.0, background_counts=0.0,
-            significance_sigma=10.0, fwhm_ps=100.0,
-        )
-        with pytest.raises(ParameterError, match="position-independent"):
-            fx.localize([peak], topo)
-
     def test_matching_rule(self):
         # peak at 1021.09 m vs a connector modeled at 1021 m: the 9 cm gap is
         # inside 3x the distance uncertainty of a 1 ns FWHM peak
@@ -602,6 +592,9 @@ class TestCouplingEstimate:
         assert est.coupling_db == pytest.approx(
             10 * math.log10(corrected / (self.TRIGGERS * src.photons_per_pulse * det.efficiency)), abs=1e-12)
         assert est.raw_counts == counts
+        (loc,) = fx.localize([peak], topo)  # the estimate is the peak's located record, its coupling set
+        assert (est.distance_m, est.distance_uncertainty_m, est.matched_element) == (
+            loc.distance_m, loc.distance_uncertainty_m, "c")
         assert est.min_live_fraction == pytest.approx(1.0 - counts / self.TRIGGERS, rel=1e-12)
         half = analysis.REGION_SIGMAS * simulate._timing_sigma_ps(src, det) / 100
         assert est.region_bins == (math.floor(peak.centroid_bins - half), math.floor(peak.centroid_bins + half))
@@ -621,7 +614,7 @@ class TestCouplingEstimate:
         peak, hist, topo, src, det = self.make_fixture(counts)
         est = fx.estimate_coupling_db(peak, hist, topo, src, det)
         x = counts / self.TRIGGERS
-        assert est.uncertainty_db == pytest.approx(
+        assert est.coupling_uncertainty_db == pytest.approx(
             10 / np.log(10) * math.sqrt(counts / (1.0 - x)) / est.corrected_counts, rel=1e-12)
 
     def test_rejects_nonpositive_amplitude(self):
@@ -904,17 +897,6 @@ class TestRunOtdrAnalysis:
         for got, want in zip(distances, (150.0, 800.0, 2300.0)):
             assert got == pytest.approx(want, abs=0.2)
         assert [loc.matched_element for loc in report.located] == ["mpoA", "mpoB", "mpoC"]
-
-    def test_far_end_reports_without_locations(self):
-        topo = fx.load_topology(
-            topology_doc([connector_doc("mpo1", 800.0)], victim_end="far")
-        )
-        src = fx.PulsedSource(avg_power_w=power_for_mu_det(0.1, -100.0))
-        det = fx.Detector()
-        stream = fx.simulate_otdr_tags(topo, src, det, 5.0, seed=4)
-        report = fx.run_otdr_analysis(stream, topo, source=src, detector=det)
-        assert report.located == []
-        assert any("localization impossible" in note for note in report.notes)
 
     def test_a_saturated_peak_is_noted_without_a_coupling(self):
         # a detection in the same bin of every pulse: no live fraction explains it

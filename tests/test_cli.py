@@ -31,6 +31,13 @@ def write_json(path, doc):
     return path
 
 
+def strict_json(text):
+    """``text`` read as RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -575,6 +582,20 @@ class TestSwitchCommands:
             (p.input, p.output, p.wavelength_nm) for p in oracle.classical
         ]
 
+    @pytest.mark.parametrize("flags", [
+        ["--classical", "1", "--quantum", "0"], ["--classical", "0", "--quantum", "1"],
+        ["--classical", "1", "--quantum", "1", "--table", "table.csv"]], ids=["no-quantum", "no-classical", "no-leak"])
+    def test_plan_with_nothing_to_leak_writes_a_null_objective(self, tmp_path, capsys, flags):
+        # the objective is -inf dB, which JSON cannot hold; the summary line still reads it
+        table = tmp_path / "table.csv"
+        table.write_bytes(b"\n".join([b"a_in,a_out,v_in,v_out,lambda_nm,xtalk_db",
+                                      *(row.replace(b",-40", b",-inf") for row in TABLE_ROWS)]) + b"\n")
+        plan_path = tmp_path / "plan.json"
+        flags = [str(tmp_path / flag) if flag.endswith(".csv") else flag for flag in flags]
+        assert main(["switch", "plan", "--n-in", "2", "--n-out", "2", *flags, "--out", str(plan_path)]) == 0
+        assert capsys.readouterr().out == f"wrote {plan_path} (objective -inf, exhaustive)\n"
+        assert strict_json(plan_path.read_text())["objective_db"] is None
+
     @pytest.mark.parametrize("flags, message", [
         (["sweep-config", "--classical-in", "9"], "classical input 9 outside 1..8"),
         (["sweep-config", "--victim-out", "8"], "victim output 8 outside 9..16"),
@@ -926,10 +947,22 @@ def test_switch_sweep_csv_bytes(tmp_path, capsys, flags, expected):
 
 def test_report_key_sets(tmp_path, capsys):
     runs = command_runs(tmp_path)
-    for command in ("analyze", "scan-analyze", "switch plan"):
+    for command in ("simulate", "analyze", "scan", "scan-analyze", "switch plan"):
         assert main([*command.split(), *map(str, runs[command][0])]) == 0
     capsys.readouterr()
-    report = json.loads((tmp_path / "report.json").read_text())
+    tags = strict_json(tagio.metadata_path(tmp_path / "run.xtt1").read_text())
+    assert set(tags) == {
+        "schema_version", "kind", "generator", "numpy_version", "pulses_per_chunk", "seed", "duration_s", "n_pulses",
+        "period_ps", "timing_sigma_ps", "source", "detector", "aggressor_fiber", "victim_fiber", "points",
+        "n_triggers", "n_darks", "n_detector_tags", "dropped_negative_time", "dropped_dead_time"}
+    assert [set(point) for point in tags["points"]] == [{
+        "position_m", "source_element", "coupling_db", "delay_ps", "mu_optical_per_pulse", "photons_arrived",
+        "photons_after_efficiency"}]
+    scan = strict_json(tagio.metadata_path(tmp_path / "scan_out.csv").read_text())
+    assert set(scan) == {
+        "schema_version", "kind", "generator", "numpy_version", "seed", "dwell_s", "filter", "detector", "lines"}
+    assert [set(line) for line in scan["lines"]] == [{"wavelength_nm", "rate_photons_per_s"}]
+    report = strict_json((tmp_path / "report.json").read_text())
     assert set(report) == {
         "schema_version", "kind", "parameters", "histogram", "baseline", "peaks", "located", "diagnostics"}
     assert set(report["parameters"]) == {
@@ -945,14 +978,14 @@ def test_report_key_sets(tmp_path, capsys):
     assert set(report["diagnostics"]) == {
         "dropped_before_first_trigger", "dropped_beyond_period", "dropped_outside_window",
         "period_jitter_ppm", "irregular_period", "notes"}
-    lines = json.loads((tmp_path / "lines_out.json").read_text())
+    lines = strict_json((tmp_path / "lines_out.json").read_text())
     assert set(lines) == {"schema_version", "kind", "parameters", "background_counts_per_point",
                           "background_uncertainty_counts_per_point", "lines"}
     assert set(lines["parameters"]) == {"scan", "k_sigma", "dwell_s", "filter", "detector"}
     assert [set(line) for line in lines["lines"]] == [{
         "wavelength_nm", "rate_per_s", "rate_uncertainty_per_s", "line_rate_photons_per_s",
         "line_rate_uncertainty_photons_per_s", "significance_sigma"}]
-    plan = json.loads((tmp_path / "plan.json").read_text())
+    plan = strict_json((tmp_path / "plan.json").read_text())
     assert set(plan) == {"schema_version", "kind", "objective_db", "method", "classical", "quantum"}
     placements = plan["classical"] + plan["quantum"]
     assert [set(p) for p in placements] == [{"input", "output", "wavelength_nm"}] * 2
@@ -1472,11 +1505,14 @@ def test_tag_times_past_int64_exit_4_before_the_draw(tmp_path, capsys, name):
      "topology.connectors: expected an array"),
     ("topology", {**ANALYZE_TOPOLOGY, "probe": {"fiber": "agg", "end": "far"}},
      "topology.probe.end: expected one of ('near',), got 'far'"),
+    ("topology", {**ANALYZE_TOPOLOGY, "victim": {"fiber": "vic", "end": "far"}},
+     "topology.victim.end: expected one of ('near',), got 'far'"),
     ("topology", {**ANALYZE_TOPOLOGY, "connectors": [connector_doc("mpoA", 150.0, lanes=["agg", "vic"])]},
      "topology.connectors[0].lanes: expected an object of fiber -> lane"),
     ("lines", {"wavelength_nm": 1310.0, "rate_photons_per_s": 1e3},
      "lines: expected a JSON array of {wavelength_nm, rate_photons_per_s}"),
-], ids=["schema-version-2", "spans-object", "connectors-object", "probe-end-far", "lanes-list", "lines-object"])
+], ids=["schema-version-2", "spans-object", "connectors-object", "probe-end-far", "victim-end-far", "lanes-list",
+        "lines-object"])
 def test_document_of_the_wrong_shape_exits_2(tmp_path, plant_files, capsys, kind, doc, message):
     _, source, _ = plant_files
     bad, out = write_json(tmp_path / f"bad_{kind}.json", doc), tmp_path / "out"

@@ -127,7 +127,6 @@ class TestLoadTopology:
         (lambda: plant.Topology(spans=(SPAN,), connectors=(plant.MpoConnector("c", 5.0), plant.MpoConnector("c", 6.0))),
          r"^connectors\[1\]: duplicate connector id 'c'$"),
         (lambda: plant.Topology(spans=(SPAN,), aggressor_fiber_id="a", victim_fiber_id="a"), "different fibers"),
-        (lambda: plant.Topology(spans=(SPAN,), detector_end="Near"), r"^detector_end: expected one of \('near', 'far'\)"),
     ])
     def test_direct_construction_is_checked(self, build, message):
         with pytest.raises(ParameterError, match=message):
@@ -139,11 +138,10 @@ class TestLoadTopology:
         with pytest.raises(InputError, match="more than one fiber"):
             fx.load_topology(topology_doc([bad]))
 
-    def test_detector_end_roundtrip(self):
-        topo = fx.load_topology(topology_doc(victim_end="far"))
-        assert topo.detector_end == "far"
-        with pytest.raises(InputError, match=r"^topology.victim.end: expected one of \('near', 'far'\), got 'Near'$"):
-            fx.load_topology(topology_doc(victim_end="Near"))
+    @pytest.mark.parametrize("end", ["far", "Near"])
+    def test_victim_end_must_be_near(self, end):
+        with pytest.raises(InputError, match=rf"^topology.victim.end: expected one of \('near',\), got '{end}'$"):
+            fx.load_topology(topology_doc(victim_end=end))
 
     def test_json_file_round_trip(self, tmp_path):
         import json
