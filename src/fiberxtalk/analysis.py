@@ -163,7 +163,7 @@ class Peak:
     background_counts: float
     significance_sigma: float
     fwhm_ps: float
-    run_bins: "tuple[int, int] | None" = None  # first and last index of the detected run, when known
+    run_bins: "tuple[int, int]"  # first and last index of the detected run
 
 
 @dataclass(frozen=True)
@@ -251,8 +251,8 @@ def _preceding_trigger(edges: np.ndarray, det: np.ndarray, period: int) -> np.nd
     never a wrong index.
     """
     trig = edges[1:-1]
-    # Updated in place: a fresh array per step costs as much as the arithmetic. A single
-    # trigger's period can exceed int64, and any divisor will do for a guess that is checked.
+    # Updated in place: a fresh array per step costs as much as the arithmetic. The median
+    # spacing rounds to a period that can exceed int64, and any divisor will do for a guess that is checked.
     idx = det - trig[0]
     idx //= min(period, np.iinfo(np.int64).max)
     np.clip(idx, -1, trig.size - 1, out=idx)
@@ -289,12 +289,13 @@ def _merge_counts(parts: "list[tuple[np.ndarray, np.ndarray]]") -> "tuple[np.nda
 def fold_histogram(tags: TagStream, bin_width_ps: int = DEFAULT_BIN_WIDTH_PS) -> Histogram:
     """Fold detector tags into delays relative to the most recent trigger, over the whole period.
 
-    The trigger period is the median trigger spacing; spacing jitter above
-    1 ppm is flagged in the diagnostics but the median is still used. The bin
-    width must divide the period exactly, otherwise a nearby divisor is
-    suggested. Tags before the first trigger, or beyond one period after
-    their trigger, are dropped and counted.
-    A period of more than ``MAX_FOLD_BINS`` bins is a :class:`ResourceError`.
+    The trigger period is the median trigger spacing, so a stream with fewer
+    than two triggers is a :class:`DataError` coded ``E_NO_TRIGGER``. Spacing
+    jitter above 1 ppm is flagged in the diagnostics but the median is still
+    used. The bin width must divide the period exactly, otherwise a nearby
+    divisor is suggested. Tags before the first trigger, or beyond one period
+    after their trigger, are dropped and counted. A period of more than
+    ``MAX_FOLD_BINS`` bins is a :class:`ResourceError`.
 
     The triggers are taken out whole; the detector tags are folded
     ``FOLD_BLOCK_RECORDS`` records at a time, each block into a sparse
@@ -314,32 +315,21 @@ def fold_histogram(tags: TagStream, bin_width_ps: int = DEFAULT_BIN_WIDTH_PS) ->
         ([np.iinfo(np.int64).min], *_channel_blocks(tags, TRIGGER_CHANNEL), [np.iinfo(np.int64).max])
     )
     trig = edges[1:-1]
-    if trig.size == 0:
-        raise DataError("stream contains no trigger events", code="E_NO_TRIGGER")
+    if trig.size < 2:
+        raise DataError(f"a period needs two or more trigger events, the stream has {trig.size}", code="E_NO_TRIGGER")
 
-    diagnostics = FoldDiagnostics()
-    if trig.size > 1:
-        spacings = np.diff(trig)
-        shortest, longest = spacings.min(), spacings.max()
-        if shortest <= 0:
-            raise DataError("trigger timestamps are not strictly increasing")
-        median = float(np.median(spacings, overwrite_input=True))
-        del spacings
-        period = int(round(median))
-        if period < 1:
-            raise DataError("trigger period collapsed to zero")
-        # max |spacing - median| from the extremes, without a float array per spacing
-        jitter_ppm = float(max(longest - median, median - shortest) / median * 1e6)
-        diagnostics.period_jitter_ppm = jitter_ppm
-        diagnostics.irregular_period = jitter_ppm > PERIOD_JITTER_WARN_PPM
-    else:
-        # A single trigger cannot define a period; span all following tags.
-        last = max((det.max() for det in _channel_blocks(tags, DETECTOR_CHANNEL) if det.size), default=None)
-        if last is not None:
-            max_delay = int(max(last - trig[0], 0)) + 1
-        else:
-            max_delay = bin_width_ps
-        period = ((max_delay + bin_width_ps - 1) // bin_width_ps) * bin_width_ps
+    spacings = np.diff(trig)
+    shortest, longest = spacings.min(), spacings.max()
+    if shortest <= 0:
+        raise DataError("trigger timestamps are not strictly increasing")
+    median = float(np.median(spacings, overwrite_input=True))
+    del spacings
+    period = int(round(median))
+    if period < 1:
+        raise DataError("trigger period collapsed to zero")
+    # max |spacing - median| from the extremes, without a float array per spacing
+    jitter_ppm = float(max(longest - median, median - shortest) / median * 1e6)
+    diagnostics = FoldDiagnostics(period_jitter_ppm=jitter_ppm, irregular_period=jitter_ppm > PERIOD_JITTER_WARN_PPM)
 
     if period > MAX_FOLD_BINS * bin_width_ps:
         raise ResourceError(f"a {period} ps period needs over {MAX_FOLD_BINS} histogram bins of {bin_width_ps} ps")
@@ -646,7 +636,7 @@ def estimate_coupling_db(
     w, tau = histogram.bin_width_ps, detector.dead_time_ps
 
     half_bins = REGION_SIGMAS * _timing_sigma_ps(source, detector) / w
-    first, last = peak.run_bins or (peak.bin_index, peak.bin_index)
+    first, last = peak.run_bins
     level = peak.background_counts / (last - first + 1)  # the baseline under the run, per bin
     lo = max(min(first, math.floor(peak.centroid_bins - half_bins)), 0)
     hi = min(max(last, math.floor(peak.centroid_bins + half_bins)), histogram.n_bins - 1)
@@ -684,13 +674,9 @@ def estimate_coupling_db(
 
     raw_distance, uncertainty, matched = _peak_location(peak, topology)
     distance = matched.position_m if matched else min(raw_distance, topology.total_length_m)
-    nm = source.wavelength_nm
     fraction = corrected / (triggers * source.photons_per_pulse * detector.efficiency)
-    coupling = (
-        10.0 * math.log10(fraction)
-        + path_loss_db(topology, topology.aggressor_fiber_id, 0.0, distance, nm)
-        + path_loss_db(topology, topology.victim_fiber_id, 0.0, distance, nm)
-    )
+    one_way = path_loss_db(topology, 0.0, distance, source.wavelength_nm)
+    coupling = 10.0 * math.log10(fraction) + one_way + one_way
     return LocatedCrosstalk(
         distance_m=raw_distance,
         distance_uncertainty_m=uncertainty,

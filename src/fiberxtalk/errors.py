@@ -74,31 +74,31 @@ def read_json(path: "str | Path", what: str):
         raise InputError(f"{path}: invalid JSON: {exc}") from None
 
 
-def read_dataclass(doc, cls, what: str, **given):
-    """``cls`` built from the JSON object ``doc`` and the already-read fields ``given``.
+def read_dataclass(doc, cls, what: str):
+    """``cls`` built from the JSON object ``doc``, whose keys are ``cls``'s fields.
 
-    ``doc``'s keys are ``cls``'s other fields. An unknown key is always an
-    error, as is a missing required key, and both are named. ``cls`` checks
-    its own values, and any fault is an :class:`InputError` whose message starts
-    with the element path ``what``: ``what.field ...`` when the fault names one
-    of ``cls``'s fields, ``what: ...`` otherwise. A dataclass assembled from
-    parts read elsewhere passes an empty ``doc`` and every field in ``given``.
+    An unknown key is always an error, as is a missing required key, and both
+    are named. ``cls`` checks its own values, and any fault is an
+    :class:`InputError` whose message starts with the element path ``what``:
+    ``what.field ...`` when the fault names one of ``cls``'s fields,
+    ``what: ...`` otherwise. A dataclass assembled from parts read elsewhere
+    is read from a mapping of those parts.
     """
     if not isinstance(doc, Mapping):
         raise InputError(f"{what}: expected a JSON object")
-    own = [f for f in fields(cls) if f.name not in given]
-    names = [f.name for f in own]
+    declared = fields(cls)
+    names = [f.name for f in declared]
     unknown = sorted(set(doc) - set(names))
     if unknown:
         raise InputError(f"{what}: unknown key(s) {unknown}; expected {sorted(names)}")
-    for f in own:
+    for f in declared:
         if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
             raise InputError(f"{what}: missing required key {f.name!r}")
     try:
-        return cls(**{name: doc[name] for name in names if name in doc}, **given)
+        return cls(**{name: doc[name] for name in names if name in doc})
     except (TypeError, ValueError, OverflowError) as exc:
         message = str(exc)
-        named = re.match(r"\w*", message)[0] in {*names, *given}
+        named = re.match(r"\w*", message)[0] in names
         raise InputError(f"{what}{'.' if named else ': '}{message}") from None
 
 

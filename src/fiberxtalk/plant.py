@@ -3,22 +3,27 @@
 A topology describes one bundle route built from consecutive spans, with
 multi-fiber connectors at fixed positions along the route. Two named fiber
 strands run through the bundle: the aggressor (probe-injection) fiber and the
-victim fiber. Every connector where both strands occupy lanes is a potential
+victim fiber. Both cross the same spans and connectors, so they share one
+loss profile. Every connector where both strands occupy lanes is a potential
 inter-fiber crosstalk point. Positions are measured in meters from the probe
 injection end ("near" end).
+
+Each key of a topology document is the field of the dataclass that holds it,
+so :func:`load_topology` hands every element to :func:`read_dataclass` as it
+stands, and each dataclass checks its own values.
 """
 
 from __future__ import annotations
 
 import math
-import re
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, ParameterError, read_dataclass, read_json
+from .errors import ParameterError, read_dataclass, read_json
 from .units import (
     C_M_PER_S,
     DEFAULT_ATTENUATION_TABLE,
@@ -51,36 +56,42 @@ def _number(obj, name: str, **bounds) -> float:
 
 @dataclass(frozen=True)
 class FiberSpan:
-    """One cable section of the bundle route."""
+    """One cable section of the bundle route.
+
+    ``attenuation_db_per_km`` is a number, the same at every wavelength, or a
+    table of ``(nm, dB/km)`` pairs with strictly increasing wavelengths. It is
+    stored as the table, a number as the one pair ``(1550.0, number)``.
+    """
 
     id: str
     length_m: float
-    attenuation: tuple[tuple[float, float], ...] = DEFAULT_ATTENUATION_TABLE
+    attenuation_db_per_km: "float | tuple[tuple[float, float], ...]" = DEFAULT_ATTENUATION_TABLE
     group_index: float = DEFAULT_GROUP_INDEX
 
     def __post_init__(self):
         _require_name(self.id, "id")
         _number(self, "length_m", minimum=0.0, strict=True)
         _number(self, "group_index", minimum=1.0, strict=True)
-        table = self.attenuation
-        if not isinstance(table, (tuple, list)) or not table:
-            raise ParameterError("attenuation: expected a non-empty sequence of (nm, dB/km) pairs")
+        name, table = "attenuation_db_per_km", self.attenuation_db_per_km
+        if isinstance(table, numbers.Real) and not isinstance(table, bool):
+            table = ((1550.0, table),)
+        elif not isinstance(table, (tuple, list)):
+            raise ParameterError(f"{name}: expected a number or a sequence of (nm, dB/km) pairs")
+        if not table:
+            raise ParameterError(f"{name}: expected a non-empty sequence of (nm, dB/km) pairs")
         checked = []
         for i, entry in enumerate(table):
             if not isinstance(entry, (tuple, list)) or len(entry) != 2:
-                raise ParameterError(f"attenuation[{i}]: expected an (nm, dB/km) pair")
-            nm = require_number(entry[0], f"attenuation[{i}][0]", minimum=0.0, strict=True)
+                raise ParameterError(f"{name}[{i}]: expected an (nm, dB/km) pair")
+            nm = require_number(entry[0], f"{name}[{i}][0]", minimum=0.0, strict=True)
             if checked and nm <= checked[-1][0]:
-                raise ParameterError(f"attenuation[{i}]: wavelengths must be strictly increasing")
-            checked.append((nm, require_number(entry[1], f"attenuation[{i}][1]", minimum=0.0)))
-        object.__setattr__(self, "attenuation", tuple(checked))
+                raise ParameterError(f"{name}[{i}]: wavelengths must be strictly increasing")
+            checked.append((nm, require_number(entry[1], f"{name}[{i}][1]", minimum=0.0)))
+        object.__setattr__(self, name, tuple(checked))
 
-    def attenuation_db_per_km(self, wavelength_nm: float) -> float:
-        """Piecewise-linear attenuation lookup, flat beyond the table ends."""
-        nms = [p[0] for p in self.attenuation]
-        alphas = [p[1] for p in self.attenuation]
-        if len(nms) == 1:
-            return alphas[0]
+    def attenuation_at(self, wavelength_nm: float) -> float:
+        """Attenuation in dB/km, piecewise linear in the table and flat beyond its ends."""
+        nms, alphas = zip(*self.attenuation_db_per_km)
         return float(np.interp(wavelength_nm, nms, alphas))
 
 
@@ -179,10 +190,6 @@ class Topology:
     def total_length_m(self) -> float:
         return sum(s.length_m for s in self.spans)
 
-    @property
-    def fiber_ids(self) -> tuple[str, str]:
-        return (self.aggressor_fiber_id, self.victim_fiber_id)
-
     def span_edges_m(self) -> tuple[float, ...]:
         """Cumulative span boundaries, starting at 0."""
         edges = [0.0]
@@ -230,7 +237,7 @@ def crosstalk_points(topology: Topology, wavelength_nm: float) -> tuple[Crosstal
     Ordered by position (connector positions are strictly increasing by
     construction).
     """
-    agg, vic = topology.fiber_ids
+    agg, vic = topology.aggressor_fiber_id, topology.victim_fiber_id
     return tuple(
         CrosstalkPoint(conn.position_m, mpo_coupling_db(conn, conn.lanes[agg], conn.lanes[vic], wavelength_nm), conn.id)
         for conn in topology.connectors
@@ -238,24 +245,14 @@ def crosstalk_points(topology: Topology, wavelength_nm: float) -> tuple[Crosstal
     )
 
 
-def path_loss_db(
-    topology: Topology,
-    fiber_id: str,
-    from_m: float,
-    to_m: float,
-    wavelength_nm: float,
-) -> float:
-    """One-way loss between two positions on a strand, in dB.
+def path_loss_db(topology: Topology, from_m: float, to_m: float, wavelength_nm: float) -> float:
+    """One-way loss between two positions along the route, in dB, the same on either strand.
 
     Span attenuation is integrated piecewise over the interval; each connector
     with ``from_m <= position < to_m`` adds its insertion loss (a connector
     exactly at an interval boundary counts in the later interval, which keeps
     losses additive under interval concatenation).
     """
-    if fiber_id not in topology.fiber_ids:
-        raise ParameterError(
-            f"unknown fiber {fiber_id!r}; topology defines {topology.fiber_ids}"
-        )
     nm = validate_wavelength_nm(wavelength_nm)
     total = topology.total_length_m
     if not 0.0 <= from_m <= to_m <= total:
@@ -268,7 +265,7 @@ def path_loss_db(
     for span, start, end in zip(topology.spans, edges[:-1], edges[1:]):
         overlap = min(to_m, end) - max(from_m, start)
         if overlap > 0.0:
-            loss += span.attenuation_db_per_km(nm) * overlap / 1000.0
+            loss += span.attenuation_at(nm) * overlap / 1000.0
     for conn in topology.connectors:
         if from_m <= conn.position_m < to_m:
             loss += conn.insertion_loss_db
@@ -345,50 +342,27 @@ class _Endpoint:
             raise ParameterError(f"end: expected one of ('near',), got {self.end!r}")
 
 
-def _parse_attenuation(value, path: str) -> tuple:
-    """The document's attenuation as a span's table: a number is flat, a list holds [nm, dB/km] pairs."""
-    if value is None:
-        return DEFAULT_ATTENUATION_TABLE
-    if isinstance(value, list):
-        return tuple(tuple(entry) if isinstance(entry, list) else entry for entry in value)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return ((1550.0, value),)
-    raise InputError(f"{path}: expected a number or a list of [nm, dB/km] pairs")
-
-
-def _parse_span(obj, path: str) -> FiberSpan:
-    """A span whose ``attenuation`` is read from the document key ``attenuation_db_per_km``."""
-    if not isinstance(obj, Mapping):
-        raise InputError(f"{path}: expected a JSON object")
-    key = f"{path}.attenuation_db_per_km"
-    attenuation = _parse_attenuation(obj.get("attenuation_db_per_km"), key)
-    doc = {name: value for name, value in obj.items() if name != "attenuation_db_per_km"}
-    try:
-        return read_dataclass(doc, FiberSpan, path, attenuation=attenuation)
-    except InputError as exc:  # the span calls its table attenuation; name the document's key
-        raise InputError(re.sub(rf"^{re.escape(path)}\.attenuation\b", key, str(exc))) from None
-
-
 def load_topology(source: "str | Path | Mapping") -> Topology:
     """Load and fully validate a topology document.
 
     ``source`` may be a mapping already parsed from JSON, or a path to a JSON
     file. Each element reaches its dataclass through :func:`read_dataclass`,
-    which rejects every unknown key, and each dataclass checks its own
-    values, so the rest of the package can trust the object. Any fault, an
-    out-of-range value included, is an :class:`InputError` whose message
-    starts with the element's path, such as
-    ``topology.connectors[0].lane_count``.
+    whose fields are the element's keys, so it rejects every unknown key and
+    each dataclass checks its own values: the rest of the package can trust
+    the object. The :class:`Topology` itself is read the same way, from its
+    fields as assembled from the elements. Any fault, an out-of-range value
+    included, is an :class:`InputError` whose message starts with the
+    element's path, such as ``topology.connectors[0].lane_count``.
     """
     doc = source if isinstance(source, Mapping) else read_json(source, "topology")
     top = read_dataclass(doc, _Document, "topology")
-    spans = tuple(_parse_span(s, f"topology.spans[{i}]") for i, s in enumerate(top.spans))
+    spans = tuple(read_dataclass(s, FiberSpan, f"topology.spans[{i}]") for i, s in enumerate(top.spans))
     connectors = tuple(
         read_dataclass(c, MpoConnector, f"topology.connectors[{i}]") for i, c in enumerate(top.connectors)
     )
     probe = read_dataclass(top.probe, _Endpoint, "topology.probe")
     victim = read_dataclass(top.victim, _Endpoint, "topology.victim")
     return read_dataclass(
-        {}, Topology, "topology", spans=spans, connectors=connectors,
-        aggressor_fiber_id=probe.fiber, victim_fiber_id=victim.fiber,
+        {"spans": spans, "connectors": connectors, "aggressor_fiber_id": probe.fiber, "victim_fiber_id": victim.fiber},
+        Topology, "topology",
     )

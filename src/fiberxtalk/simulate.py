@@ -177,17 +177,12 @@ def _substream(seed: int, index: int) -> np.random.Generator:
 def point_mu_optical(topology: Topology, source: PulsedSource, point: CrosstalkPoint) -> float:
     """Mean photons per pulse arriving at the detector from one point.
 
-    Detector efficiency excluded; covers the outbound span loss on the
-    aggressor, the coupling at the point, and the victim-strand leg back to
-    the near end.
+    Detector efficiency excluded; covers the route's one-way loss out on the
+    aggressor, the coupling at the point, and the same loss back on the
+    victim to the near end.
     """
-    nm = source.wavelength_nm
-    position = min(point.position_m, topology.total_length_m)
-    loss_db = (
-        path_loss_db(topology, topology.aggressor_fiber_id, 0.0, position, nm)
-        + abs(point.coupling_db)
-        + path_loss_db(topology, topology.victim_fiber_id, 0.0, position, nm)
-    )
+    one_way = path_loss_db(topology, 0.0, min(point.position_m, topology.total_length_m), source.wavelength_nm)
+    loss_db = one_way + abs(point.coupling_db) + one_way
     return source.photons_per_pulse * 10.0 ** (-loss_db / 10.0)
 
 

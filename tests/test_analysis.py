@@ -87,6 +87,12 @@ class TestFoldHistogram:
             fold_histogram(stream, bin_width_ps=100)
         assert err.value.code == "E_NO_TRIGGER"
 
+    def test_single_trigger_stream(self):
+        # the period is the median trigger spacing, so one trigger defines none
+        with pytest.raises(DataError, match="^a period needs two or more trigger events, the stream has 1$") as err:
+            fold_histogram(stream_from([0], [123, 456]), bin_width_ps=100)
+        assert err.value.code == "E_NO_TRIGGER"
+
     def test_non_divisor_bin_width_suggests_a_divisor(self):
         stream = stream_from([0, PERIOD], [5])
         with pytest.raises(ParameterError) as err:
@@ -96,7 +102,7 @@ class TestFoldHistogram:
 
     @pytest.mark.parametrize("triggers, detectors", [
         ([0, 9 * 10**18], [5]),  # 9e16 bins of 100 ps
-        ([0], [2**63 - 1]),  # one trigger: the period spans the last tag
+        ([0, 2**63 - 1], [5]),  # the median spacing rounds to a 2^63 ps period
         ([0, (analysis.MAX_FOLD_BINS + 1) * 100], []),
     ])
     def test_period_beyond_bin_cap_is_resource_error(self, triggers, detectors):
@@ -139,8 +145,11 @@ class TestFoldHistogram:
         assert suggest_bin_width(10**15 + 37, 10**7) is None
 
     def test_bin_width_beyond_int64_is_parameter_error(self):
-        stream = stream_from([0], [5])  # one trigger: the period is one bin of any width
-        assert fold_histogram(stream, bin_width_ps=2**63 - 1).n_bins == 1
+        # the median spacing rounds to a 2^63 ps period, which fits no int64 but folds into int64 bins
+        stream = stream_from([0, 2**63 - 1], [5, 2**63 - 2])
+        hist = fold_histogram(stream, bin_width_ps=2**40)
+        assert (hist.period_ps, hist.n_bins) == (2**63, 2**23)
+        assert (hist.bins.tolist(), hist.counts.tolist()) == ([0, 2**23 - 1], [1, 1])
         with pytest.raises(ParameterError, match="at most 9223372036854775807 ps"):
             fold_histogram(stream, bin_width_ps=2**63)
 
@@ -178,27 +187,14 @@ class TestFoldHistogram:
         assert hist.diagnostics.irregular_period
         assert hist.period_ps == PERIOD
 
-    def test_single_trigger_stream(self):
-        stream = stream_from([0], [12_345])
-        hist = fold_histogram(stream, bin_width_ps=100)
-        assert hist.dense()[123] == 1
-
-    def test_single_trigger_period_beyond_int64(self):
-        # two bins of 2^62 ps span a tag at the largest time; the 2^63 ps period fits no int64
-        hist = fold_histogram(stream_from([0], [5, 2**63 - 1]), bin_width_ps=2**62)
-        assert hist.period_ps == 2**63
-        assert (hist.bins.tolist(), hist.counts.tolist()) == ([0, 1], [1, 1])
-
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_triggers=st.integers(1, 40),
+        n_triggers=st.integers(2, 40),
         spacing=st.sampled_from(["regular", "jittered", "gapped", "irregular"]),
         requested_bin=st.integers(1, 40),
         block=st.sampled_from([analysis.FOLD_BLOCK_RECORDS, 1, 7]),
     )
-    @example(seed=0, n_triggers=1, spacing="regular", requested_bin=1, block=1)
-    @example(seed=1, n_triggers=1, spacing="regular", requested_bin=7, block=7)
     @example(seed=2, n_triggers=2, spacing="regular", requested_bin=1, block=7)
     def test_matches_a_binary_search_for_every_tag(self, seed, n_triggers, spacing, requested_bin, block):
         rng = np.random.default_rng(seed)
@@ -504,7 +500,7 @@ class TestLocalize:
         peak = Peak(
             bin_index=100000, centroid_bins=100000.5, delay_ps=1e7,
             amplitude_counts=100.0, background_counts=0.0,
-            significance_sigma=50.0, fwhm_ps=150.0,
+            significance_sigma=50.0, fwhm_ps=150.0, run_bins=(100000, 100000),
         )
         located = fx.localize([peak], three_point_topology)
         assert located[0].distance_m == pytest.approx(1021.0914782016348, rel=1e-9)
@@ -525,7 +521,7 @@ class TestLocalize:
         peak = Peak(
             bin_index=0, centroid_bins=0.0, delay_ps=plant.delay_ps_for_distance(topo, distance_m),
             amplitude_counts=100.0, background_counts=0.0,
-            significance_sigma=50.0, fwhm_ps=150.0,
+            significance_sigma=50.0, fwhm_ps=150.0, run_bins=(0, 0),
         )
         # oracle: sigma_t * c / (2 n), with the Gaussian sigma = FWHM / 2.355
         expected = (150.0 / 2.355) * 299792458.0 * 1e-12 / (2.0 * index)
@@ -535,7 +531,7 @@ class TestLocalize:
         peak = Peak(
             bin_index=0, centroid_bins=0.0, delay_ps=0.0,
             amplitude_counts=10.0, background_counts=0.0,
-            significance_sigma=10.0, fwhm_ps=100.0,
+            significance_sigma=10.0, fwhm_ps=100.0, run_bins=(0, 0),
         )
         assert fx.localize([peak], three_point_topology)[0].distance_m == 0.0
 
@@ -546,7 +542,7 @@ class TestLocalize:
         peak = Peak(
             bin_index=100000, centroid_bins=100000.5, delay_ps=1e7,
             amplitude_counts=100.0, background_counts=0.0,
-            significance_sigma=50.0, fwhm_ps=1000.0,
+            significance_sigma=50.0, fwhm_ps=1000.0, run_bins=(100000, 100000),
         )
         located = fx.localize([peak], topo)
         assert located[0].matched_element == "mpoX"
@@ -554,7 +550,7 @@ class TestLocalize:
         sharp = Peak(
             bin_index=100000, centroid_bins=100000.5, delay_ps=1e7,
             amplitude_counts=100.0, background_counts=0.0,
-            significance_sigma=50.0, fwhm_ps=150.0,
+            significance_sigma=50.0, fwhm_ps=150.0, run_bins=(100000, 100000),
         )
         assert fx.localize([sharp], topo)[0].matched_element is None
 
@@ -897,6 +893,17 @@ class TestRunOtdrAnalysis:
         for got, want in zip(distances, (150.0, 800.0, 2300.0)):
             assert got == pytest.approx(want, abs=0.2)
         assert [loc.matched_element for loc in report.located] == ["mpoA", "mpoB", "mpoC"]
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_three_point_couplings_through_loss(self, three_point_topology, seed):
+        # 0.35 dB/km at 1310 nm and 0.3 dB a connector lie on each way to every point; the inversion adds them back
+        src = fx.PulsedSource(avg_power_w=power_for_mu_det(0.3, -100.0), wavelength_nm=1310.0)
+        det = fx.Detector()
+        stream = fx.simulate_otdr_tags(three_point_topology, src, det, 20.0, seed=seed)
+        report = fx.run_otdr_analysis(stream, three_point_topology, source=src, detector=det)
+        assert [loc.matched_element for loc in report.located] == ["mpoA", "mpoB", "mpoC"]
+        for loc in report.located:
+            assert abs(loc.coupling_db + 100.0) < 3.0 * loc.coupling_uncertainty_db, loc
 
     def test_a_saturated_peak_is_noted_without_a_coupling(self):
         # a detection in the same bin of every pulse: no live fraction explains it

@@ -132,6 +132,18 @@ class TestSimulateAnalyze:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "E_NO_TRIGGER"
 
+    def test_one_trigger_file_is_data_error(self, tmp_path, plant_files, capsys):
+        # one trigger has no spacing, so it defines no period to fold over
+        topo, _, _ = plant_files
+        tags = tmp_path / "one_trigger.csv"
+        tags.write_text("channel,time_ps\n0,0\n1,100\n1,200\n")
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--tags", str(tags), "--topology", str(topo), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert [json.loads(line) for line in captured.err.splitlines()] == [{
+            "error": "E_NO_TRIGGER", "message": "a period needs two or more trigger events, the stream has 1"}]
+        assert not out.exists()
+
     def test_bad_bin_width_is_parameter_error(self, tmp_path, plant_files, capsys):
         topo, source, detector = plant_files
         out = tmp_path / "run.xtt1"
@@ -1509,10 +1521,12 @@ def test_tag_times_past_int64_exit_4_before_the_draw(tmp_path, capsys, name):
      "topology.victim.end: expected one of ('near',), got 'far'"),
     ("topology", {**ANALYZE_TOPOLOGY, "connectors": [connector_doc("mpoA", 150.0, lanes=["agg", "vic"])]},
      "topology.connectors[0].lanes: expected an object of fiber -> lane"),
+    ("topology", {**ANALYZE_TOPOLOGY, "spans": [{**ANALYZE_TOPOLOGY["spans"][0], "attenuation_db_per_km": None}]},
+     "topology.spans[0].attenuation_db_per_km: expected a number or a sequence of (nm, dB/km) pairs"),
     ("lines", {"wavelength_nm": 1310.0, "rate_photons_per_s": 1e3},
      "lines: expected a JSON array of {wavelength_nm, rate_photons_per_s}"),
 ], ids=["schema-version-2", "spans-object", "connectors-object", "probe-end-far", "victim-end-far", "lanes-list",
-        "lines-object"])
+        "attenuation-null", "lines-object"])
 def test_document_of_the_wrong_shape_exits_2(tmp_path, plant_files, capsys, kind, doc, message):
     _, source, _ = plant_files
     bad, out = write_json(tmp_path / f"bad_{kind}.json", doc), tmp_path / "out"

@@ -102,16 +102,16 @@ class TestLoadTopology:
         (lambda: plant.FiberSpan(id="s", length_m=-1.0), r"^length_m must be > 0.0, got -1.0$"),
         (lambda: plant.FiberSpan(id="s", length_m=10.0, group_index=0.5), "^group_index must be > 1.0"),
         (lambda: plant.FiberSpan(id="", length_m=10.0), "^id: expected a non-empty string$"),
-        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation=((1550.0, -5.0),)),
-         r"^attenuation\[0\]\[1\] must be >= 0.0, got -5.0$"),
-        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation=()),
-         r"^attenuation: expected a non-empty sequence of \(nm, dB/km\) pairs$"),
-        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation=((1550.0, 0.2), (1310.0, 0.35))),
-         r"^attenuation\[1\]: wavelengths must be strictly increasing$"),
-        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation=((1550.0,),)),
-         r"^attenuation\[0\]: expected an \(nm, dB/km\) pair$"),
-        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation=((float("inf"), 0.2),)),
-         r"^attenuation\[0\]\[0\] must be finite"),
+        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation_db_per_km=((1550.0, -5.0),)),
+         r"^attenuation_db_per_km\[0\]\[1\] must be >= 0.0, got -5.0$"),
+        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation_db_per_km=()),
+         r"^attenuation_db_per_km: expected a non-empty sequence of \(nm, dB/km\) pairs$"),
+        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation_db_per_km=((1550.0, 0.2), (1310.0, 0.35))),
+         r"^attenuation_db_per_km\[1\]: wavelengths must be strictly increasing$"),
+        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation_db_per_km=((1550.0,),)),
+         r"^attenuation_db_per_km\[0\]: expected an \(nm, dB/km\) pair$"),
+        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation_db_per_km=((float("inf"), 0.2),)),
+         r"^attenuation_db_per_km\[0\]\[0\] must be finite"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, base_coupling_db=5.0), "coupling must be <= 0 dB"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, lane_count=7), r"^lane_count: 7 not one of"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, lanes={"a": 99}), r"^lanes.a: lane 99 outside 1..12$"),
@@ -212,35 +212,37 @@ class TestMpoCoupling:
 
 class TestPathLoss:
     def test_empty_interval(self, three_point_topology):
-        assert fx.path_loss_db(three_point_topology, "agg", 321.0, 321.0, 1550.0) == 0.0
+        assert fx.path_loss_db(three_point_topology, 321.0, 321.0, 1550.0) == 0.0
 
     def test_plain_kilometer(self):
         topo = fx.load_topology(topology_doc())
-        assert fx.path_loss_db(topo, "agg", 0.0, 1000.0, 1550.0) == pytest.approx(0.2, rel=1e-9)
+        assert fx.path_loss_db(topo, 0.0, 1000.0, 1550.0) == pytest.approx(0.2, rel=1e-9)
 
     def test_crossing_one_connector(self):
         topo = fx.load_topology(topology_doc([connector_doc("mpo1", 900.0)]))
-        got = fx.path_loss_db(topo, "agg", 0.0, 2000.0, 1550.0)
+        got = fx.path_loss_db(topo, 0.0, 2000.0, 1550.0)
         assert got == pytest.approx(0.2 * 2 + 0.3, rel=1e-9)
 
     def test_connector_at_upper_boundary_excluded(self):
         topo = fx.load_topology(topology_doc([connector_doc("mpo1", 2000.0)]))
-        assert fx.path_loss_db(topo, "agg", 0.0, 2000.0, 1550.0) == pytest.approx(0.4, rel=1e-9)
-        assert fx.path_loss_db(topo, "agg", 2000.0, 2500.0, 1550.0) == pytest.approx(
+        assert fx.path_loss_db(topo, 0.0, 2000.0, 1550.0) == pytest.approx(0.4, rel=1e-9)
+        assert fx.path_loss_db(topo, 2000.0, 2500.0, 1550.0) == pytest.approx(
             0.1 + 0.3, rel=1e-9
         )
 
     def test_out_of_range_positions(self, three_point_topology):
         with pytest.raises(ParameterError):
-            fx.path_loss_db(three_point_topology, "agg", -1.0, 10.0, 1550.0)
+            fx.path_loss_db(three_point_topology, -1.0, 10.0, 1550.0)
         with pytest.raises(ParameterError):
-            fx.path_loss_db(three_point_topology, "agg", 10.0, 5.0, 1550.0)
+            fx.path_loss_db(three_point_topology, 10.0, 5.0, 1550.0)
         with pytest.raises(ParameterError):
-            fx.path_loss_db(three_point_topology, "agg", 0.0, 5001.0, 1550.0)
+            fx.path_loss_db(three_point_topology, 0.0, 5001.0, 1550.0)
 
-    def test_unknown_fiber(self, three_point_topology):
-        with pytest.raises(ParameterError, match="unknown fiber"):
-            fx.path_loss_db(three_point_topology, "nope", 0.0, 10.0, 1550.0)
+    def test_takes_no_strand(self, three_point_topology):
+        # both strands cross the same spans and connectors: the route has one loss
+        assert fx.path_loss_db(three_point_topology, 0.0, 1000.0, 1550.0) == pytest.approx(0.2 + 2 * 0.3, rel=1e-9)
+        with pytest.raises(TypeError):
+            fx.path_loss_db(three_point_topology, "agg", 0.0, 10.0, 1550.0)
 
     @given(
         a=st.floats(min_value=0.0, max_value=5000.0, allow_nan=False),
@@ -250,39 +252,47 @@ class TestPathLoss:
     def test_additive_over_concatenation(self, a, b, c):
         topo = _additivity_topology()
         lo, mid, hi = sorted((a, b, c))
-        combined = fx.path_loss_db(topo, "agg", lo, mid, 1550.0) + fx.path_loss_db(
-            topo, "agg", mid, hi, 1550.0
-        )
-        direct = fx.path_loss_db(topo, "agg", lo, hi, 1550.0)
+        combined = fx.path_loss_db(topo, lo, mid, 1550.0) + fx.path_loss_db(topo, mid, hi, 1550.0)
+        direct = fx.path_loss_db(topo, lo, hi, 1550.0)
         assert combined == pytest.approx(direct, abs=1e-9)
 
     def test_additivity_with_split_exactly_at_connector(self, three_point_topology):
-        left = fx.path_loss_db(three_point_topology, "agg", 0.0, 800.0, 1550.0)
-        right = fx.path_loss_db(three_point_topology, "agg", 800.0, 2300.0, 1550.0)
-        direct = fx.path_loss_db(three_point_topology, "agg", 0.0, 2300.0, 1550.0)
+        left = fx.path_loss_db(three_point_topology, 0.0, 800.0, 1550.0)
+        right = fx.path_loss_db(three_point_topology, 800.0, 2300.0, 1550.0)
+        direct = fx.path_loss_db(three_point_topology, 0.0, 2300.0, 1550.0)
         assert left + right == pytest.approx(direct, abs=1e-12)
 
 
 class TestAttenuationTable:
     def test_interpolation_between_anchors(self):
         span = plant.FiberSpan(id="s", length_m=1.0)
-        assert span.attenuation_db_per_km(1430.0) == pytest.approx(0.275, rel=1e-9)
+        assert span.attenuation_at(1430.0) == pytest.approx(0.275, rel=1e-9)
 
     def test_flat_extrapolation(self):
         span = plant.FiberSpan(id="s", length_m=1.0)
-        assert span.attenuation_db_per_km(1260.0) == pytest.approx(0.35)
-        assert span.attenuation_db_per_km(1650.0) == pytest.approx(0.20)
+        assert span.attenuation_at(1260.0) == pytest.approx(0.35)
+        assert span.attenuation_at(1650.0) == pytest.approx(0.20)
 
     def test_scalar_table_from_document(self):
         topo = fx.load_topology(topology_doc(span_extra={"attenuation_db_per_km": 0.5}))
-        assert topo.spans[0].attenuation_db_per_km(1310.0) == 0.5
+        assert topo.spans[0].attenuation_at(1310.0) == 0.5
+        assert topo.spans[0].attenuation_db_per_km == ((1550.0, 0.5),)
+
+    @pytest.mark.parametrize("nm", [1310.0, 1625.0])
+    def test_scalar_is_the_one_pair_table(self, nm):
+        doc = topology_doc([connector_doc("mpo1", 900.0)])
+        scalar = fx.load_topology(doc | {"spans": [{"id": "s", "length_m": 2000.0, "attenuation_db_per_km": 0.3}]})
+        table = fx.load_topology(doc | {"spans": [{"id": "s", "length_m": 2000.0, "attenuation_db_per_km": [[1550, 0.3]]}]})
+        assert fx.path_loss_db(scalar, 0.0, 1500.0, nm) == fx.path_loss_db(table, 0.0, 1500.0, nm)
+        assert fx.path_loss_db(scalar, 0.0, 1500.0, nm) == pytest.approx(0.3 * 1.5 + 0.3, rel=1e-12)
 
     @pytest.mark.parametrize("table, message", [
         (-5.0, r"\[0\]\[1\] must be >= 0.0, got -5.0$"),
         ([], ": expected a non-empty sequence"),
         ([[1550.0, 0.2], [1310.0, 0.35]], r"\[1\]: wavelengths must be strictly increasing$"),
         ([[1550.0, 0.2, 0.1]], r"\[0\]: expected an \(nm, dB/km\) pair$"),
-        ("0.2", r": expected a number or a list of \[nm, dB/km\] pairs$"),
+        ("0.2", r": expected a number or a sequence of \(nm, dB/km\) pairs$"),
+        (None, r": expected a number or a sequence of \(nm, dB/km\) pairs$"),  # a span without the key takes the default
     ])
     def test_document_faults_name_the_key(self, table, message):
         with pytest.raises(InputError, match=r"^topology.spans\[0\].attenuation_db_per_km" + message):
