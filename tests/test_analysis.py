@@ -93,6 +93,12 @@ class TestFoldHistogram:
             fold_histogram(stream_from([0], [123, 456]), bin_width_ps=100)
         assert err.value.code == "E_NO_TRIGGER"
 
+    def test_single_trigger_period_beyond_int64(self):
+        # a tag at the largest time and 2^62 ps bins: one trigger is refused before any period arithmetic
+        with pytest.raises(DataError, match="^a period needs two or more trigger events, the stream has 1$") as err:
+            fold_histogram(stream_from([0], [5, 2**63 - 1]), bin_width_ps=2**62)
+        assert err.value.code == "E_NO_TRIGGER"
+
     def test_non_divisor_bin_width_suggests_a_divisor(self):
         stream = stream_from([0, PERIOD], [5])
         with pytest.raises(ParameterError) as err:

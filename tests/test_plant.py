@@ -27,6 +27,18 @@ def _additivity_topology():
     )
 
 
+def _attenuation_case(table, message):
+    """A span built with a faulty attenuation table, and the message it must raise.
+
+    The case id keeps the short field name, attenuation, that these ids have always carried.
+    """
+    return pytest.param(
+        lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation_db_per_km=table),
+        "^attenuation_db_per_km" + message,
+        id="<lambda>-^attenuation" + message,
+    )
+
+
 class TestLoadTopology:
     def test_minimal_document(self):
         topo = fx.load_topology(topology_doc())
@@ -102,16 +114,11 @@ class TestLoadTopology:
         (lambda: plant.FiberSpan(id="s", length_m=-1.0), r"^length_m must be > 0.0, got -1.0$"),
         (lambda: plant.FiberSpan(id="s", length_m=10.0, group_index=0.5), "^group_index must be > 1.0"),
         (lambda: plant.FiberSpan(id="", length_m=10.0), "^id: expected a non-empty string$"),
-        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation_db_per_km=((1550.0, -5.0),)),
-         r"^attenuation_db_per_km\[0\]\[1\] must be >= 0.0, got -5.0$"),
-        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation_db_per_km=()),
-         r"^attenuation_db_per_km: expected a non-empty sequence of \(nm, dB/km\) pairs$"),
-        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation_db_per_km=((1550.0, 0.2), (1310.0, 0.35))),
-         r"^attenuation_db_per_km\[1\]: wavelengths must be strictly increasing$"),
-        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation_db_per_km=((1550.0,),)),
-         r"^attenuation_db_per_km\[0\]: expected an \(nm, dB/km\) pair$"),
-        (lambda: plant.FiberSpan(id="s", length_m=1000.0, attenuation_db_per_km=((float("inf"), 0.2),)),
-         r"^attenuation_db_per_km\[0\]\[0\] must be finite"),
+        _attenuation_case(((1550.0, -5.0),), r"\[0\]\[1\] must be >= 0.0, got -5.0$"),
+        _attenuation_case((), r": expected a non-empty sequence of \(nm, dB/km\) pairs$"),
+        _attenuation_case(((1550.0, 0.2), (1310.0, 0.35)), r"\[1\]: wavelengths must be strictly increasing$"),
+        _attenuation_case(((1550.0,),), r"\[0\]: expected an \(nm, dB/km\) pair$"),
+        _attenuation_case(((float("inf"), 0.2),), r"\[0\]\[0\] must be finite"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, base_coupling_db=5.0), "coupling must be <= 0 dB"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, lane_count=7), r"^lane_count: 7 not one of"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, lanes={"a": 99}), r"^lanes.a: lane 99 outside 1..12$"),
