@@ -1,10 +1,11 @@
 """Analysis pipeline: fold tag streams, detect peaks, localize, estimate coupling.
 
 The chain mirrors a time-correlated single-photon counting workflow: delays
-relative to the most recent trigger are folded into a fixed-period histogram,
-peaks are picked against a robust median baseline, converted to distances via
-the plant's group-index profile, and inverted into coupling levels using the
-recorded source/detector parameters.
+relative to the most recent trigger are folded into a histogram over one
+trigger period, in bins of one width but the last, which the period may cut
+short; peaks are picked against a robust median baseline, converted to
+distances via the plant's group-index profile, and inverted into coupling
+levels using the recorded source/detector parameters.
 
 A folded histogram is sparse: one period at 1 kHz and 100 ps bins is 10^7
 bins, of which a capture occupies a few percent, so :class:`Histogram` keeps
@@ -12,10 +13,10 @@ only the occupied bins (ascending indices and their counts) plus ``n_bins``.
 The median baseline is exact from the number of empty bins and the occupied
 counts, and peak detection scans the occupied bins only: an empty bin is
 below any threshold above a non-negative level. Results equal those of the
-dense form, which :meth:`Histogram.dense` builds for tests and small
-histograms. Every analysis folds, detects and sizes over the whole trigger
-period: a delay window would save no memory on a sparse fold, and would
-leave the baseline and the dead-time inversion blind to the tags it drops.
+same counts given as a dense array. Every analysis folds, detects and sizes
+over the whole trigger period: a delay window would save no memory on a
+sparse fold, and would leave the baseline and the dead-time inversion blind
+to the tags it drops.
 
 The fold walks a stream's records in blocks of ``FOLD_BLOCK_RECORDS``: each
 block's detector tags become a sparse histogram of their own, and the block
@@ -32,9 +33,10 @@ bin by bin, through the non-paralyzable live fraction of Coates (*J. Phys. E*
 count in the τ before a bin opens, over the T triggers, is the share of
 pulses in which the bin opens dead. That window is ⌊τ/P⌋ whole periods of all
 N folded counts plus a remainder that wraps at the period, each bin at its
-ends counted by the share of it inside; :func:`dead_time_counts` reads it
-with a binary search and one partial sum, never a dense period. While the bin
-is read, the window's start moves on by one bin and releases what it passes.
+ends counted by the share of its own width inside; :func:`dead_time_counts`
+reads it with a binary search and one partial sum, never a dense period.
+While the bin is read, the window's start moves on by the bin's width and
+releases what it passes.
 With τ of a bin or more, a bin holds one detection per pulse at most, and its
 photons per pulse m solve q = opening (1 − e^−m) + leaving (1 − (1 − e^−m)/m),
 with q = N_i/T its detections per pulse, ``opening`` the share of pulses in
@@ -67,14 +69,13 @@ from the inverse Fisher information at the optimum.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ResourceError
+from .errors import DataError, ParameterError
 from .plant import Topology, distance_for_delay_ps, path_loss_db
 from .simulate import (
     DETECTOR_CHANNEL,
@@ -95,8 +96,6 @@ DEFAULT_K_SIGMA = 5.0
 DEFAULT_MIN_SEPARATION_BINS = 3
 MIN_BASELINE_BINS = 16  # the fewest bins, or scan points, a median baseline is taken over
 PERIOD_JITTER_WARN_PPM = 1.0
-MAX_FOLD_BINS = 100_000_000  # Histogram.dense() of that many bins takes 800 MB
-_MAX_DIVISOR_TRIALS = 1_000_000  # ~0.1 s of trial division in suggest_bin_width
 FOLD_BLOCK_RECORDS = 1 << 16  # records per block of the fold's detector pass
 REGION_SIGMAS = 5.0  # a coupling sums at least +-5 timing sigmas around the centroid; +-3 lost up to 0.2 dB
 FIT_WINDOW_SIGMAS = 8.0  # a spectral line's column spans +-8 filter sigmas of its centre
@@ -125,7 +124,8 @@ class Histogram:
 
     ``bins`` are the ascending int64 indices of the bins with counts, and
     ``counts`` their int64 counts, each >= 1; every other of the ``n_bins``
-    bins is empty.
+    bins is empty. Bin i starts at ``i * bin_width_ps``; the last bin ends
+    at ``period_ps``, so it is short when the width does not divide the period.
     """
 
     bins: np.ndarray
@@ -137,11 +137,9 @@ class Histogram:
     live_time_s: float
     diagnostics: FoldDiagnostics = field(default_factory=FoldDiagnostics)
 
-    def dense(self) -> np.ndarray:
-        """All ``n_bins`` counts as one int64 array."""
-        out = np.zeros(self.n_bins, dtype=np.int64)
-        out[self.bins] = self.counts
-        return out
+    @property
+    def last_bin_width_ps(self) -> int:
+        return self.period_ps - (self.n_bins - 1) * self.bin_width_ps
 
 
 @dataclass(frozen=True)
@@ -220,26 +218,6 @@ class SpectralReport:
         }
 
 
-def suggest_bin_width(period_ps: int, requested_ps: int) -> int | None:
-    """Divisor of the period nearest to a requested width >= 1 ps (ties go small).
-
-    1 always divides, so no divisor of 2 * requested or more can win: trial
-    division up to min(sqrt(period), 2 * requested) finds every one that can,
-    each small divisor d together with period // d. None when that takes more
-    than ``_MAX_DIVISOR_TRIALS`` divisions.
-    """
-    limit = min(math.isqrt(period_ps), 2 * requested_ps)
-    if limit > _MAX_DIVISOR_TRIALS:
-        return None
-    small = [d for d in range(1, limit + 1) if period_ps % d == 0]
-    divisors = sorted({*small, *(period_ps // d for d in small)})
-    i = bisect.bisect_right(divisors, requested_ps)
-    below = divisors[i - 1]
-    if i == len(divisors) or requested_ps - below <= divisors[i] - requested_ps:
-        return below
-    return divisors[i]
-
-
 def _preceding_trigger(edges: np.ndarray, det: np.ndarray, period: int) -> np.ndarray:
     """``np.searchsorted(trig, det, side="right") - 1`` for strictly increasing ``trig``.
 
@@ -292,10 +270,11 @@ def fold_histogram(tags: TagStream, bin_width_ps: int = DEFAULT_BIN_WIDTH_PS) ->
     The trigger period is the median trigger spacing, so a stream with fewer
     than two triggers is a :class:`DataError` coded ``E_NO_TRIGGER``. Spacing
     jitter above 1 ppm is flagged in the diagnostics but the median is still
-    used. The bin width must divide the period exactly, otherwise a nearby
-    divisor is suggested. Tags before the first trigger, or beyond one period
-    after their trigger, are dropped and counted. A period of more than
-    ``MAX_FOLD_BINS`` bins is a :class:`ResourceError`.
+    used. The period is cut into ``ceil(period / bin_width_ps)`` bins, the
+    last one short when the width does not divide the period; a period of
+    more bins than an int64 index reaches is a :class:`ParameterError`. Tags
+    before the first trigger, or beyond one period after their trigger, are
+    dropped and counted.
 
     The triggers are taken out whole; the detector tags are folded
     ``FOLD_BLOCK_RECORDS`` records at a time, each block into a sparse
@@ -331,16 +310,9 @@ def fold_histogram(tags: TagStream, bin_width_ps: int = DEFAULT_BIN_WIDTH_PS) ->
     jitter_ppm = float(max(longest - median, median - shortest) / median * 1e6)
     diagnostics = FoldDiagnostics(period_jitter_ppm=jitter_ppm, irregular_period=jitter_ppm > PERIOD_JITTER_WARN_PPM)
 
-    if period > MAX_FOLD_BINS * bin_width_ps:
-        raise ResourceError(f"a {period} ps period needs over {MAX_FOLD_BINS} histogram bins of {bin_width_ps} ps")
-    if period % bin_width_ps:
-        suggestion = suggest_bin_width(period, bin_width_ps)
-        raise ParameterError(
-            f"bin width {bin_width_ps} ps does not divide the {period} ps trigger period"
-            + ("" if suggestion is None else f"; nearest divisor is {suggestion} ps"),
-            code="E_BIN_WIDTH",
-        )
-    n_bins = period // bin_width_ps
+    n_bins = -(-period // bin_width_ps)
+    if n_bins > np.iinfo(np.int64).max:  # bin indices are int64
+        raise ParameterError(f"a {period} ps period needs {n_bins} bins of {bin_width_ps} ps, beyond an int64 index")
 
     parts = []
     for det in _channel_blocks(tags, DETECTOR_CHANNEL):
@@ -376,7 +348,7 @@ def fold_histogram(tags: TagStream, bin_width_ps: int = DEFAULT_BIN_WIDTH_PS) ->
 
 
 def _histogram_median(histogram: Histogram) -> float:
-    """``np.median(histogram.dense())`` without the dense array.
+    """The median count of all ``n_bins`` bins, empty or short ones included, without a dense array.
 
     Sorted, the bins are ``n_bins - counts.size`` zeros followed by the sorted
     occupied counts; the median is the mean of the one or two middle values.
@@ -518,28 +490,31 @@ def localize(peaks: "list[Peak]", topology: Topology) -> list[LocatedCrosstalk]:
     return located
 
 
-def _counts_below(histogram: Histogram, total: float, x0: float, n: int) -> "tuple[list[float], float, list[int]]":
-    """The counts folded below each of n phases one bin apart from ``x0`` ps, unwrapped over periods of ``total``.
+def _counts_below(histogram: Histogram, positions: "list[float]"):
+    """The counts folded below each of ``positions`` ps, each whole period below it adding all of them.
 
-    A bin counts by the share of it below. Also returns that share, the same
-    for every phase, and each phase's bin count. One partial sum gives the
-    counts below the first bin; the rest follow bin by bin.
+    A bin counts by the share of its own width below. Also returns each
+    position's share, the counts and the width of its bin, and the bin's
+    place in the unwrapped sequence of bins, ``turn * n_bins + bin``.
+    Positions at one offset into full bins take the share of the first of
+    them, so that a run of positions one bin apart reads one share.
     """
     w, n_bins, bins, counts = histogram.bin_width_ps, histogram.n_bins, histogram.bins, histogram.counts
-    turn, phase = divmod(x0, histogram.period_ps)
-    first = int(phase // w)
-    share = phase / w - first
-    wanted = np.arange(first, first + n) % n_bins
-    pos = np.searchsorted(bins, wanted)
+    last = histogram.last_bin_width_ps
+    turns, phases = zip(*[divmod(x, histogram.period_ps) for x in positions])
+    found = [int(phase // w) for phase in phases]
+    widths = [last if b == n_bins - 1 else w for b in found]
+    pos = np.searchsorted(bins, found)
     nearest = np.minimum(pos, max(bins.size - 1, 0))  # a bin past the last occupied one is empty
-    held = np.where(bins[nearest] == wanted, counts[nearest], 0) if bins.size else np.zeros(n, dtype=np.int64)
-    below, values = float(counts[: pos[0]].sum()), []
-    for j, count in zip(wanted.tolist(), held.tolist()):
-        if j == 0 and values:  # past the period's end
-            turn, below = turn + 1, 0.0
-        values.append(turn * total + below + share * count)
-        below += count
-    return values, share, held.tolist()
+    held = (np.where(bins[nearest] == found, counts[nearest], 0) if bins.size else np.zeros(len(found), int)).tolist()
+    below = np.concatenate(([0], np.cumsum(counts)))
+    full_shares = {}
+    shares = [(phase - b * w) / width if width < w else full_shares.setdefault(phase - b * w, phase / w - b)
+              for phase, b, width in zip(phases, found, widths)]
+    total = float(below[-1])
+    values = [turn * total + before + share * count
+              for turn, before, share, count in zip(turns, below.take(pos).tolist(), shares, held)]
+    return values, shares, held, widths, [int(turn) * n_bins + b for turn, b in zip(turns, found)]
 
 
 def dead_time_counts(
@@ -553,19 +528,28 @@ def dead_time_counts(
     while the bin is read, so that counts passed early weigh more.
     """
     w, n = histogram.bin_width_ps, len(bins)
-    total = float(histogram.counts.sum())
-    end = bins[0] * float(w) + (0.0 if dead_time_ps >= w else 0.5 * w)
-    closed, _, own = _counts_below(histogram, total, end, n)
-    opened, share, held = _counts_below(histogram, total, end - dead_time_ps, n + 1)
-    dead = [c - o for c, o in zip(closed, opened)]
+    edges = [float(min(b * w, histogram.period_ps)) for b in range(bins[0], bins[-1] + 2)]
+    ends = [(a + b) / 2.0 for a, b in zip(edges, edges[1:])] if dead_time_ps < w else edges  # of the windows
+    values, shares, held, widths, cells = _counts_below(histogram, ends[:n] + [e - dead_time_ps for e in ends])
+    own, opened = held[:n], values[n:]
+    dead = [c - o for c, o in zip(values[:n], opened)]
     if dead_time_ps < w:
         return own, dead, [0.0] * n
     leaving = []
-    for k in range(n):
-        # the start passes the rest of its bin, then a share of the next one
-        at_edge, passed = opened[k + 1] - share * held[k + 1], opened[k + 1]
-        mean = ((opened[k] + at_edge) * (1.0 - share) + (at_edge + passed) * share) / 2.0
-        leaving.append(2.0 * (mean - opened[k]))
+    for j, k in enumerate(range(n, 2 * n)):  # bin j's window starts at position k
+        # While the bin is read, the start sweeps its width: the rest of the bin it starts in, the short last
+        # bin if it passes that whole, and a share of the bin it ends in; the count below it is linear in each.
+        sweep, start, end = edges[j + 1] - edges[j], values[k], values[k + 1]
+        if cells[k + 1] == cells[k]:
+            mean = (start + end) / 2.0
+        else:
+            at_edge = end - shares[k + 1] * held[k + 1]  # the count where the start enters its last bin
+            whole = (cells[k + 1] - cells[k] - 1) * histogram.last_bin_width_ps
+            left = start + (1.0 - shares[k]) * held[k] if whole else at_edge  # where it leaves its first bin
+            mean = ((start + left) * ((1.0 - shares[k]) * (widths[k] / sweep))
+                    + (left + at_edge) * (whole / sweep)
+                    + (at_edge + end) * (shares[k + 1] * (widths[k + 1] / sweep))) / 2.0
+        leaving.append(2.0 * (mean - start))
     return own, dead, leaving
 
 
@@ -893,6 +877,10 @@ def run_otdr_analysis(
             f"trigger spacing jitter {histogram.diagnostics.period_jitter_ppm:.1f} ppm "
             "exceeds 1 ppm; median period used"
         )
+    if histogram.last_bin_width_ps < histogram.bin_width_ps:
+        notes.append(f"the {histogram.period_ps} ps period ends in a bin of {histogram.last_bin_width_ps} ps, not "
+                     f"{histogram.bin_width_ps} ps: it holds less background, and a peak that reaches it is centred "
+                     "on full-width bin centres")
     located = localize(peaks, topology)
     if source is None or detector is None:
         notes.append("source/detector parameters unavailable; couplings not estimated")

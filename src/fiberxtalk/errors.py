@@ -5,7 +5,7 @@ to the dataclass that checks it.
 
 Exit codes follow the CLI contract: 2 input, 3 data, 4 parameter, 5 resource.
 Each error carries a short machine-readable code (``E_INPUT``, ``E_NO_TRIGGER``,
-``E_BIN_WIDTH``, ...) that the CLI emits on stderr. A fault in any input file or
+``E_PARAM``, ...) that the CLI emits on stderr. A fault in any input file or
 document, and a path the system refuses to read or write (the CLI turns that
 ``OSError`` into an :class:`InputError` naming the path), exits 2
 (``E_INPUT``); an out-of-domain flag or library argument exits 4 (``E_PARAM``).

@@ -429,20 +429,28 @@ def _scan_rates(
 
     Bit for bit the scalar sum: the dark rate plus, line by line in list
     order, ``rate * (peak * math.exp(-0.5 * z ** 2)) * efficiency`` with
-    ``z`` the line's offset in filter sigmas. A term is skipped only beyond
-    ``_EXP_ZERO_Z``, where it is exactly +0.0. The kept terms use Python
-    floats, as ``np.exp`` and numpy's ``z ** 2`` differ in the last bit on
-    some inputs.
+    ``z`` the line's offset in filter sigmas. A term is skipped only where
+    it leaves the sum as it is: beyond ``_EXP_ZERO_Z``, where it is +0.0, or
+    below half an ulp of the dark rate, from which every rate only grows
+    (|z| > sqrt(2 (ln(s / half_ulp) + 1)) at scale s = rate peak efficiency,
+    an e-fold margin). The kept terms use Python floats, as ``np.exp`` and
+    numpy's ``z ** 2`` differ in the last bit on some inputs.
     """
     sigma = filt.fwhm_nm * _GAUSSIAN_FWHM_TO_SIGMA
     peak = 10.0 ** (-filt.insertion_loss_db / 10.0)
-    rates = np.full(centers_nm.shape, float(detector.dark_rate_hz))
+    dark, efficiency = float(detector.dark_rate_hz), detector.efficiency
+    half_ulp = math.ulp(dark) / 2.0
+    rates = np.full(centers_nm.shape, dark)
     # Rates may overflow to inf, as the scalar sum would; the caller rejects them.
     with np.errstate(over="ignore"):
         for line in lines:
+            rate, reach = line.rate_photons_per_s, _EXP_ZERO_Z
+            # no cut where a term's subnormal roundings, each up to ulp(0) times rate * efficiency, could add up
+            if min(rate, efficiency, peak) > 0 and (rate * efficiency + 1.0) * math.ulp(0.0) < half_ulp / 2:
+                exponent = math.log(rate) + math.log(peak) + math.log(efficiency) - math.log(half_ulp) + 1.0
+                reach = min(reach, math.sqrt(2.0 * max(exponent, 0.0)))
             z = (line.wavelength_nm - centers_nm) / sigma
-            near = np.flatnonzero(np.abs(z) <= _EXP_ZERO_Z)
-            rate, efficiency = line.rate_photons_per_s, detector.efficiency
+            near = np.flatnonzero(np.abs(z) <= reach)
             rates[near] += [rate * (peak * math.exp(-0.5 * x ** 2)) * efficiency for x in z[near].tolist()]
     return rates
 

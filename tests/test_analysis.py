@@ -17,9 +17,8 @@ from fiberxtalk.analysis import (
     detect_peaks,
     estimate_baseline,
     fold_histogram,
-    suggest_bin_width,
 )
-from fiberxtalk.errors import DataError, ParameterError, ResourceError
+from fiberxtalk.errors import DataError, ParameterError
 
 from conftest import connector_doc, lossless_topology, power_for_mu_det, topology_doc
 
@@ -47,6 +46,13 @@ def shuffled_stream(triggers, detectors, rng):
     return fx.TagStream(channels=channels, times_ps=times)
 
 
+def dense(histogram):
+    """All ``n_bins`` counts of a histogram as one int64 array."""
+    out = np.zeros(histogram.n_bins, dtype=np.int64)
+    out[histogram.bins] = histogram.counts
+    return out
+
+
 def searched_fold(triggers, detectors, period, bin_width):
     """Bins, counts and drop counters of a fold by one plain binary search per detector tag."""
     idx = np.searchsorted(triggers, detectors, side="right") - 1
@@ -62,13 +68,13 @@ class TestFoldHistogram:
         stream = stream_from([0, PERIOD], [12_345])
         hist = fold_histogram(stream, bin_width_ps=100)
         assert hist.period_ps == PERIOD
-        assert hist.dense()[123] == 1
+        assert dense(hist)[123] == 1
         assert int(hist.counts.sum()) == 1
 
     @pytest.mark.parametrize("bin_width", [np.int64(100), np.int32(100)])
     def test_numpy_integer_bin_width_is_accepted(self, bin_width):
         stream = stream_from([0, PERIOD], [12_345])
-        assert fold_histogram(stream, bin_width_ps=bin_width).dense()[123] == 1
+        assert dense(fold_histogram(stream, bin_width_ps=bin_width))[123] == 1
 
     @pytest.mark.parametrize("bin_width", [True, 100.0, 0])
     def test_bin_width_must_be_an_integer_of_at_least_1(self, bin_width):
@@ -100,55 +106,40 @@ class TestFoldHistogram:
         assert err.value.code == "E_NO_TRIGGER"
 
     def test_non_divisor_bin_width_suggests_a_divisor(self):
-        stream = stream_from([0, PERIOD], [5])
-        with pytest.raises(ParameterError) as err:
-            fold_histogram(stream, bin_width_ps=300)
-        assert err.value.code == "E_BIN_WIDTH"
-        assert "320" in str(err.value)  # nearest divisor of 1e9 to 300
+        # no divisor is needed: 300 ps bins cut the 1 ms period into 3333333 full bins and a last one of 100 ps
+        stream = stream_from([0, PERIOD], [5, 600, PERIOD - 1])
+        hist = fold_histogram(stream, bin_width_ps=300)
+        assert (hist.period_ps, hist.n_bins, hist.last_bin_width_ps) == (PERIOD, 3_333_334, 100)
+        assert (hist.bins.tolist(), hist.counts.tolist()) == ([0, 2, 3_333_333], [1, 1, 1])
 
     @pytest.mark.parametrize("triggers, detectors", [
         ([0, 9 * 10**18], [5]),  # 9e16 bins of 100 ps
-        ([0, 2**63 - 1], [5]),  # the median spacing rounds to a 2^63 ps period
-        ([0, (analysis.MAX_FOLD_BINS + 1) * 100], []),
+        ([0, 2**63 - 1], [5]),  # the median spacing rounds to a 2^63 ps period, whose last bin is 8 ps
+        ([0, (10**8 + 1) * 100], []),
     ])
     def test_period_beyond_bin_cap_is_resource_error(self, triggers, detectors):
-        with pytest.raises(ResourceError, match="histogram bins"):
-            fold_histogram(stream_from(triggers, detectors), bin_width_ps=100)
-
-    def test_suggest_bin_width(self):
-        assert suggest_bin_width(PERIOD, 300) == 320
-        assert suggest_bin_width(PERIOD, 100) == 100
-        assert suggest_bin_width(10, 7) == 5  # tie 5 vs 10 resolved small
-
-    def test_suggest_bin_width_matches_a_scan_of_every_width(self):
-        # the rule of a scan over every width 1..period: the nearest divisor,
-        # ties to the smaller (argmin returns the first of equal distances)
-        widths = np.arange(1, 201)
-        for period in range(1, 3001):
-            cand = np.arange(1, period + 1)
-            divisors = cand[period % cand == 0]
-            want = divisors[np.argmin(np.abs(divisors[None, :] - widths[:, None]), axis=1)]
-            assert [suggest_bin_width(period, int(w)) for w in widths] == want.tolist(), period
+        # no cap on the bins: a fold of any number of them holds only the occupied ones
+        hist = fold_histogram(stream_from(triggers, detectors), bin_width_ps=100)
+        assert (hist.n_bins - 1) * 100 < hist.period_ps <= hist.n_bins * 100
+        assert (hist.bins.tolist(), hist.counts.tolist()) == ([0] * len(detectors), [1] * len(detectors))
 
     def test_bin_width_error_on_a_large_prime_period_is_fast(self):
-        stream = stream_from([0, 10**8 + 7], [5])  # 10^8 + 7 is prime
+        # a prime period takes no divisor search: at 100 ps it folds at once, into a last bin of 7 ps
+        stream = stream_from([0, 10**8 + 7], [5, 10**8 + 6])  # 10^8 + 7 is prime
         started = time.perf_counter()
-        with pytest.raises(ParameterError, match="nearest divisor is 1 ps") as err:
-            fold_histogram(stream, bin_width_ps=100)
+        hist = fold_histogram(stream, bin_width_ps=100)
         assert time.perf_counter() - started < 1.0
-        assert err.value.code == "E_BIN_WIDTH"
+        assert (hist.n_bins, hist.last_bin_width_ps) == (1_000_001, 7)
+        assert hist.bins.tolist() == [0, 1_000_000]
 
     def test_bin_width_error_past_the_divisor_cap_is_fast(self):
-        # 10^7 + 1 ps is the least width that folds this period within MAX_FOLD_BINS;
-        # a full search for the nearest divisor would take 2 * 10^7 trial divisions.
-        stream = stream_from([0, 10**15 + 37], [5])
+        # 10^15 + 37 ps has no divisor near 10^7 + 1 ps, and needs none: its last bin is 47 ps
+        stream = stream_from([0, 10**15 + 37], [5, 10**15 + 36])
         started = time.perf_counter()
-        with pytest.raises(ParameterError, match="does not divide the 1000000000000037 ps") as err:
-            fold_histogram(stream, bin_width_ps=10**7 + 1)
+        hist = fold_histogram(stream, bin_width_ps=10**7 + 1)
         assert time.perf_counter() - started < 0.5
-        assert err.value.code == "E_BIN_WIDTH"
-        assert "nearest divisor" not in str(err.value)
-        assert suggest_bin_width(10**15 + 37, 10**7) is None
+        assert (hist.n_bins, hist.last_bin_width_ps) == (99_999_991, 47)
+        assert hist.bins.tolist() == [0, 99_999_990]
 
     def test_bin_width_beyond_int64_is_parameter_error(self):
         # the median spacing rounds to a 2^63 ps period, which fits no int64 but folds into int64 bins
@@ -158,13 +149,18 @@ class TestFoldHistogram:
         assert (hist.bins.tolist(), hist.counts.tolist()) == ([0, 2**23 - 1], [1, 1])
         with pytest.raises(ParameterError, match="at most 9223372036854775807 ps"):
             fold_histogram(stream, bin_width_ps=2**63)
+        # 2^63 bins of 1 ps: the last index would pass int64; 2 ps bins take 2^62
+        with pytest.raises(ParameterError, match="^a 9223372036854775808 ps period needs 9223372036854775808 bins "
+                                                 "of 1 ps, beyond an int64 index$"):
+            fold_histogram(stream, bin_width_ps=1)
+        assert fold_histogram(stream, bin_width_ps=2).bins.tolist() == [2, 2**62 - 1]
 
     def test_tags_before_first_trigger_are_dropped_and_counted(self):
         stream = stream_from([1000, 1000 + PERIOD], [5, 999, 1100])
         hist = fold_histogram(stream, bin_width_ps=100)
         assert hist.diagnostics.dropped_before_first_trigger == 2
         assert int(hist.counts.sum()) == 1
-        assert hist.dense()[1] == 1  # delay 100 ps
+        assert dense(hist)[1] == 1  # delay 100 ps
 
     def test_count_conservation_is_exact(self):
         rng = np.random.default_rng(0)
@@ -219,10 +215,10 @@ class TestFoldHistogram:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analysis, "FOLD_BLOCK_RECORDS", block)
-            bin_width = suggest_bin_width(fold_histogram(stream, bin_width_ps=1).period_ps, requested_bin)
-            hist = fold_histogram(stream, bin_width_ps=bin_width)
+            hist = fold_histogram(stream, bin_width_ps=requested_bin)
 
-        bins, counts, dropped = searched_fold(triggers, detectors, hist.period_ps, bin_width)
+        bins, counts, dropped = searched_fold(triggers, detectors, hist.period_ps, requested_bin)
+        assert hist.n_bins == math.ceil(hist.period_ps / requested_bin)
         assert hist.bins.tolist() == bins.tolist()
         assert hist.counts.tolist() == counts.tolist()
         diagnostics = hist.diagnostics
@@ -374,15 +370,15 @@ class TestSparseMatchesDense:
     @example(counts=[1, 0] * 20, k_sigma=1e-3, min_separation=1)  # every occupied bin crosses
     def test_baseline_and_peaks(self, counts, k_sigma, min_separation):
         hist = sparse_from(counts)
-        dense = hist.dense()
-        assert dense.tolist() == counts
+        full = dense(hist)
+        assert full.tolist() == counts
         base = estimate_baseline(hist)
-        assert np.float64(base.level).tobytes() == np.float64(np.median(dense)).tobytes()
-        assert base == estimate_baseline(dense)
+        assert np.float64(base.level).tobytes() == np.float64(np.median(full)).tobytes()
+        assert base == estimate_baseline(full)
         width = hist.bin_width_ps
         assert detect_peaks(hist, base, k_sigma, min_separation) == [
             dataclasses.replace(p, delay_ps=p.delay_ps * width, fwhm_ps=p.fwhm_ps * width)
-            for p in detect_peaks(dense, base, k_sigma, min_separation)
+            for p in detect_peaks(full, base, k_sigma, min_separation)
         ]
 
     def test_histogram_peaks_are_in_ps(self):
@@ -677,6 +673,54 @@ def test_dead_time_counts_of_a_run_of_bins_are_those_of_each_bin(bins, dead_time
         [part[0] for part in column] for column in zip(*singles))
 
 
+def short_bin_histogram():
+    """A 1003 ps period of 100 bins of 10 ps and a last one of 3 ps, holding 35 counts in seven bins."""
+    return analysis.Histogram(
+        bins=np.array([0, 2, 50, 51, 98, 99, 100]), counts=np.array([2, 3, 4, 8, 5, 6, 7]), n_bins=101,
+        bin_width_ps=10, period_ps=1003, total_triggers=100, live_time_s=1.003e-7,
+    )
+
+
+def spread_dead_time_counts(histogram, bins, dead_time_ps):
+    """``dead_time_counts`` from the 1 ps expansion of ``histogram``, each bin's counts spread evenly over its width."""
+    period = histogram.period_ps
+    edges = np.minimum(np.arange(histogram.n_bins + 1) * histogram.bin_width_ps, period)
+    per_ps = np.repeat(dense(histogram) / np.diff(edges), np.diff(edges))
+    cumulative = np.concatenate(([0.0], np.cumsum(per_ps)))
+
+    def below(x):  # the counts below x ps, unwrapped over periods
+        turn, phase = divmod(x, period)
+        ps = int(phase)
+        return turn * cumulative[-1] + cumulative[ps] + (phase - ps) * per_ps[ps]
+
+    own, dead, leaving = [], [], []
+    for b in bins:
+        own.append(int(dense(histogram)[b]))
+        if dead_time_ps < histogram.bin_width_ps:
+            centre = (edges[b] + edges[b + 1]) / 2
+            dead.append(below(centre) - below(centre - dead_time_ps))
+            leaving.append(0.0)
+            continue
+        start, end = int(edges[b]) - dead_time_ps, int(edges[b + 1]) - dead_time_ps
+        dead.append(below(edges[b]) - below(start))
+        # the count below the window's start is linear within each ps, so its mean over the sweep is exact
+        mean = sum(below(y) + below(y + 1) for y in range(start, end)) / (2 * (end - start))
+        leaving.append(2.0 * (mean - below(start)))
+    return own, dead, leaving
+
+
+@pytest.mark.parametrize("bins", [range(0, 5), range(48, 53), range(96, 101)], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("dead_time_ps", [5, 18, 250, 2 * 1003 + 17],
+                         ids=["below-bin", "passes-the-short-bin", "bins", "periods-and-rest"])
+def test_dead_time_counts_on_a_short_last_bin_match_the_spread_counts(bins, dead_time_ps):
+    # 18 ps: the window's start sweeps from 995 ps past the 3 ps bin into the next period
+    own, dead, leaving = analysis.dead_time_counts(short_bin_histogram(), bins, dead_time_ps)
+    want_own, want_dead, want_leaving = spread_dead_time_counts(short_bin_histogram(), bins, dead_time_ps)
+    assert own == want_own
+    assert dead == pytest.approx(want_dead, rel=1e-12, abs=1e-12)
+    assert leaving == pytest.approx(want_leaving, rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("q, opening", [(0.0, 1.0), (1e-9, 0.7), (0.3, 0.9), (0.6, 0.61)])
 def test_pile_up_inversion_limits(q, opening):
     # nothing leaving: -ln(1 - q / opening); a bin's own detections leaving as they arrive: q / opening
@@ -910,6 +954,28 @@ class TestRunOtdrAnalysis:
         assert [loc.matched_element for loc in report.located] == ["mpoA", "mpoB", "mpoC"]
         for loc in report.located:
             assert abs(loc.coupling_db + 100.0) < 3.0 * loc.coupling_uncertainty_db, loc
+
+    @pytest.mark.parametrize("period_ps, length_m, position_m, coupling_db, seed", [
+        (1_000_003, 90.0, 40.0, -70.0, 41),
+        (999_999_937, 5000.0, 800.0, -100.0, 42),
+    ], ids=["1MHz", "1kHz"])
+    def test_prime_period_closed_loop(self, period_ps, length_m, position_m, coupling_db, seed):
+        # a prime period at 100 ps bins: every bin is full but the last
+        rate = 1e12 / period_ps
+        topo = fx.load_topology(topology_doc([connector_doc("mpo1", position_m, coupling_db)], length_m=length_m))
+        src = fx.PulsedSource(avg_power_w=power_for_mu_det(0.3, coupling_db, rep_rate_hz=rate), rep_rate_hz=rate)
+        det = fx.Detector()
+        stream = fx.simulate_otdr_tags(topo, src, det, 20_000 / rate, seed=seed)
+        report = fx.run_otdr_analysis(stream, topo, source=src, detector=det)
+        hist = report.histogram
+        last = period_ps % 100
+        assert (hist.period_ps, hist.n_bins, hist.last_bin_width_ps) == (period_ps, period_ps // 100 + 1, last)
+        assert report.notes == [f"the {period_ps} ps period ends in a bin of {last} ps, not 100 ps: it holds less "
+                                "background, and a peak that reaches it is centred on full-width bin centres"]
+        (loc,) = report.located
+        assert loc.matched_element == "mpo1"
+        assert abs(loc.distance_m - position_m) < 3.0 * loc.distance_uncertainty_m, loc
+        assert abs(loc.coupling_db - coupling_db) < 3.0 * loc.coupling_uncertainty_db, loc
 
     def test_a_saturated_peak_is_noted_without_a_coupling(self):
         # a detection in the same bin of every pulse: no live fraction explains it

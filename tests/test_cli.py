@@ -145,6 +145,7 @@ class TestSimulateAnalyze:
         assert not out.exists()
 
     def test_bad_bin_width_is_parameter_error(self, tmp_path, plant_files, capsys):
+        # 300 ps does not divide the 1 ms period and folds all the same; a width below 1 ps is refused
         topo, source, detector = plant_files
         out = tmp_path / "run.xtt1"
         main([
@@ -152,21 +153,26 @@ class TestSimulateAnalyze:
             "--detector", str(detector), "--duration", "1s", "--seed", "3",
             "--out", str(out),
         ])
-        code = main([
-            "analyze", "--tags", str(out), "--topology", str(topo),
-            "--bin", "300ps", "--out", str(tmp_path / "r.json"),
-        ])
-        assert code == 4
+        report_path = tmp_path / "r.json"
+        analyze = ["analyze", "--tags", str(out), "--topology", str(topo), "--out", str(report_path)]
+        assert main([*analyze, "--bin", "300ps"]) == 0
+        report = json.loads(report_path.read_text())
+        assert (report["histogram"]["n_bins"], report["histogram"]["bin_width_ps"]) == (3_333_334, 300)
+        assert report["diagnostics"]["notes"] == [
+            "the 1000000000 ps period ends in a bin of 100 ps, not 300 ps: it holds less background, "
+            "and a peak that reaches it is centred on full-width bin centres"]
+        assert [loc["matched_element"] for loc in report["located"]] == ["mpoA", "mpoB", "mpoC"]
+        capsys.readouterr()
+        assert main([*analyze, "--bin", "0.5ps"]) == 4
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "E_BIN_WIDTH"
-        assert "320" in err["message"]
+        assert err == {"error": "E_PARAM", "message": "--bin: bin width must be a positive integer in ps, got '0.5ps'"}
 
     @pytest.mark.parametrize("rows, bin_width, message", [
         # one trigger: a bin beyond int64 cannot divide int64 delays
         ("0,0\n1,5\n", "1e19ps", "bin width must be at most 9223372036854775807 ps"),
-        # the nearest divisor of this period is past the divisor search's cap
-        ("0,0\n0,1000000000000037\n1,5\n", "10000001ps", "does not divide the 1000000000000037 ps trigger period"),
-    ], ids=["beyond-int64", "divisor-search-cap"])
+        # a 2^63 ps period needs 2^63 bins of 1 ps, one more than an int64 index reaches
+        ("0,0\n0,9223372036854775807\n1,5\n", "1ps", "9223372036854775808 bins of 1 ps, beyond an int64 index"),
+    ], ids=["beyond-int64", "bins-beyond-int64"])
     def test_extreme_bin_width_exits_4(self, tmp_path, plant_files, capsys, rows, bin_width, message):
         topo, _, _ = plant_files
         tags = tmp_path / "t.csv"
@@ -180,7 +186,6 @@ class TestSimulateAnalyze:
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert message in err["message"]
-        assert "nearest divisor" not in err["message"]
 
     def test_resource_cap_exit_code(self, tmp_path, plant_files, capsys):
         topo, source, detector = plant_files

@@ -463,6 +463,12 @@ class TestSpectralScan:
     # Here numpy's z * z and Python's z ** 2 differ in the last bit, and so does the rate.
     @example(case=([fx.LeakLine(1310.071, 470.0)], fx.TunableFilter(), fx.Detector(dark_rate_hz=0.0),
                    [1300.0 + 73 * 0.1], 1.0, 7))
+    # A 1e15 Hz dark rate has an ulp of 0.125: of the 24 points only those within ~5.8 sigmas keep their term.
+    @example(case=([fx.LeakLine(1310.0, 1e6), fx.LeakLine(1303.0, 3e4)], fx.TunableFilter(),
+                   fx.Detector(dark_rate_hz=1e15), [1300.0 + 0.5 * i for i in range(24)], 1.0, 11))
+    # The line's scale is half an ulp of the dark rate, so it keeps |z| <= sqrt(2); at z = 0 its term ties.
+    @example(case=([fx.LeakLine(1310.0, 2.0**-53)], fx.TunableFilter(insertion_loss_db=0.0),
+                   fx.Detector(efficiency=1.0, dark_rate_hz=1.0), [1309.5 + 0.0625 * i for i in range(17)], 1.0, 5))
     def test_matches_the_per_point_loop(self, case):
         lines, filt, det, grid, dwell, seed = case
         try:
