@@ -27,7 +27,6 @@ from .simulate import (
     SpectralScan,
     TagStream,
     TunableFilter,
-    expected_peak_rate,
     simulate_otdr_tags,
     simulate_spectral_scan,
 )

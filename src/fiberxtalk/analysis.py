@@ -304,8 +304,6 @@ def fold_histogram(tags: TagStream, bin_width_ps: int = DEFAULT_BIN_WIDTH_PS) ->
     median = float(np.median(spacings, overwrite_input=True))
     del spacings
     period = int(round(median))
-    if period < 1:
-        raise DataError("trigger period collapsed to zero")
     # max |spacing - median| from the extremes, without a float array per spacing
     jitter_ppm = float(max(longest - median, median - shortest) / median * 1e6)
     diagnostics = FoldDiagnostics(period_jitter_ppm=jitter_ppm, irregular_period=jitter_ppm > PERIOD_JITTER_WARN_PPM)

@@ -24,7 +24,9 @@ missing directory, say) exits 2 (``E_INPUT``). Number flags are read with
 the grammar of the CSV readers: integers by :func:`integer` (spaces around
 the field, an optional sign, then ASCII digits), and ``--k-sigma`` and a
 band's edges by :func:`number` (what ``float()`` reads, in ASCII and without
-``_``). A flag that reads but lies outside its domain, an empty value
+``_``). A flag may have ASCII spaces around it, but not the other Unicode
+spaces a CSV field may have: a quantity with a no-break space around its
+number exits 4. A flag that reads but lies outside its domain, an empty value
 included, exits 4 (``E_PARAM``); running out of memory exits 5
 (``E_RESOURCE``).
 
@@ -42,6 +44,8 @@ the default model). ``--table`` replaces the crosstalk keys with the measured
 table, so a ``--model`` beside it may hold only ``n_in``, ``n_out`` and
 ``reference_nm``; any other key exits 2 (``E_INPUT``), naming the keys.
 ``--n-in`` and ``--n-out`` override the document's switch size either way.
+``switch plan`` runs ``optimize_assignment``; no command runs the exhaustive
+``brute_force_assignment``, the library's reference for it.
 
 A switch path flag (``--aggressor``, ``--victim``) is parsed by
 :func:`parse_path` and checked by ``switchlab.switch_xtalk_db``, which every
@@ -86,13 +90,13 @@ from .switchlab import (
     BAND_PRESETS,
     SwitchModel,
     _resolve_band,
-    brute_force_assignment,
+    brute_force_assignment,  # no command calls it: perfbench/spans.py wraps cli.brute_force_assignment
     load_measured_table,
     optimize_assignment,
     sweep_configs,
     sweep_wavelength,
 )
-from . import tagio
+from . import analysis, tagio
 from .units import require_int, require_number, validate_grid_nm, validate_wavelength_nm
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -102,7 +106,7 @@ HASH_THREAD_MIN_BYTES = 1 << 20
 
 _INT_RE = re.compile(r"\s*[-+]?[0-9]+\s*", re.ASCII)
 
-_QUANTITY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Zµ]*)\s*$")
+_QUANTITY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Zµ]*)\s*$", re.ASCII)
 _TIME_UNITS_PS = {
     "ps": 1.0,
     "ns": 1e3,
@@ -133,8 +137,8 @@ def parse_time_ps(text: str, flag: str, default_unit: str = "ps") -> float:
 
 
 def parse_duration_s(text: str, flag: str) -> float:
-    # Bare numbers are seconds; suffixes down to ps are accepted.
-    return parse_time_ps(text, flag, default_unit="s") * 1e-12
+    """A duration in seconds, > 0: bare numbers are seconds; suffixes down to ps are accepted."""
+    return require_number(parse_time_ps(text, flag, default_unit="s") * 1e-12, flag, minimum=0.0, strict=True)
 
 
 def parse_bin_ps(text: str, flag: str) -> int:
@@ -334,7 +338,7 @@ def _from_args(args, name: str, cls, metadata: dict | None = None):
 
 
 def cmd_simulate(args) -> _Run:
-    duration_s = require_number(parse_duration_s(args.duration, "--duration"), "--duration", minimum=0.0, strict=True)
+    duration_s = parse_duration_s(args.duration, "--duration")
     _validate_seed(args.seed)
     _validate_max_tags(args.max_tags)
     topology = load_topology(args.topology)
@@ -399,7 +403,7 @@ def cmd_analyze(args) -> _Run:
 
 def cmd_scan(args) -> _Run:
     grid = parse_grid_nm(args.grid, "--grid")
-    dwell_s = require_number(parse_duration_s(args.dwell, "--dwell"), "--dwell", minimum=0.0, strict=True)
+    dwell_s = parse_duration_s(args.dwell, "--dwell")
     _validate_seed(args.seed)
     lines_doc = read_json(args.lines, "lines")
     if not isinstance(lines_doc, list):
@@ -434,9 +438,7 @@ def _scan_record(args, scan, name: str, cls):
 
 
 def cmd_scan_analyze(args) -> _Run:
-    dwell_s = None
-    if args.dwell is not None:
-        dwell_s = require_number(parse_duration_s(args.dwell, "--dwell"), "--dwell", minimum=0.0, strict=True)
+    dwell_s = parse_duration_s(args.dwell, "--dwell") if args.dwell is not None else None
     require_number(args.k_sigma, "k_sigma", minimum=0.0, strict=True)
     scan = tagio.read_scan_csv(args.scan, dwell_s=dwell_s)
     try:
@@ -516,15 +518,13 @@ def cmd_switch_plan(args) -> _Run:
     require_int(args.classical, "k_classical", 0)
     require_int(args.quantum, "k_quantum", 0)
     model, record, inputs = _model_from_args(args)
-    solver = brute_force_assignment if args.oracle else optimize_assignment
-    assignment = solver(model, args.classical, args.quantum, bands)
+    assignment = optimize_assignment(model, args.classical, args.quantum, bands)
     doc = {"schema_version": 1, "kind": "switch-assignment", **asdict(assignment)}
     objective = f"{assignment.objective_db:.2f} dB"
     if not np.isfinite(assignment.objective_db):  # -inf when nothing can leak; JSON has no -Infinity
         objective, doc["objective_db"] = str(assignment.objective_db), None
     return _Run(
-        {"model": record, "k_classical": args.classical, "k_quantum": args.quantum, "bands": bands,
-         "oracle": bool(args.oracle)},
+        {"model": record, "k_classical": args.classical, "k_quantum": args.quantum, "bands": bands},
         inputs, [(Path(args.out), lambda out: tagio.write_json(out, doc))],
         f"objective {objective}, {assignment.method}",
     )
@@ -578,9 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="fold a tag file and report peaks/locations/couplings")
     ana.add_argument("--tags", type=path, required=True)
     ana.add_argument("--topology", type=path, required=True)
-    ana.add_argument("--bin", default="100ps", help="histogram bin width (default 100ps)")
-    ana.add_argument("--k-sigma", dest="k_sigma", type=number, default=5.0)
-    ana.add_argument("--min-separation", dest="min_separation", type=integer, default=3)
+    bin_ps = f"{analysis.DEFAULT_BIN_WIDTH_PS}ps"
+    ana.add_argument("--bin", default=bin_ps, help=f"histogram bin width (default {bin_ps})")
+    ana.add_argument("--k-sigma", dest="k_sigma", type=number, default=analysis.DEFAULT_K_SIGMA)
+    ana.add_argument("--min-separation", dest="min_separation", type=integer,
+                     default=analysis.DEFAULT_MIN_SEPARATION_BINS)
     ana.add_argument("--source", type=path, help="override source JSON (else tag metadata)")
     ana.add_argument("--detector", type=path, help="override detector JSON (else tag metadata)")
     ana.add_argument("--out", type=path, required=True, help="analysis report JSON")
@@ -605,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     sana.add_argument("--scan", type=path, required=True)
     sana.add_argument("--filter", type=path, help="JSON file with TunableFilter fields (else the scan's sidecar)")
     sana.add_argument("--detector", type=path, help="JSON file with Detector fields (else the scan's sidecar)")
-    sana.add_argument("--k-sigma", dest="k_sigma", type=number, default=5.0)
+    sana.add_argument("--k-sigma", dest="k_sigma", type=number, default=analysis.DEFAULT_K_SIGMA)
     sana.add_argument("--dwell", help="dwell time per point; replaces the sidecar's dwell")
     sana.add_argument("--out", type=path, required=True)
     sana.set_defaults(func=cmd_scan_analyze)
@@ -635,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--quantum", required=True, type=integer, help="number of quantum channels")
     plan.add_argument("--classical-band", dest="classical_band", help="'O', 'C', or 'min,max' nm")
     plan.add_argument("--quantum-band", dest="quantum_band")
-    plan.add_argument("--oracle", action="store_true", help="use the exhaustive oracle directly")
     plan.add_argument("--out", type=path, required=True)
     plan.set_defaults(func=cmd_switch_plan)
 

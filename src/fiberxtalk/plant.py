@@ -117,7 +117,7 @@ class MpoConnector:
     def __post_init__(self):
         _require_name(self.id, "id")
         _number(self, "position_m", minimum=0.0)
-        if self.lane_count not in SUPPORTED_LANE_COUNTS:
+        if require_int(self.lane_count, "lane_count", 1) not in SUPPORTED_LANE_COUNTS:
             raise ParameterError(f"lane_count: {self.lane_count!r} not one of {SUPPORTED_LANE_COUNTS}")
         if not isinstance(self.lanes, Mapping):
             raise ParameterError("lanes: expected an object of fiber -> lane")
@@ -320,7 +320,7 @@ class _Document:
     connectors: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.schema_version != TOPOLOGY_SCHEMA_VERSION:
+        if require_int(self.schema_version, "schema_version", 1) != TOPOLOGY_SCHEMA_VERSION:
             raise ParameterError(
                 f"schema_version: unsupported version {self.schema_version!r} (expected {TOPOLOGY_SCHEMA_VERSION})"
             )

@@ -186,13 +186,6 @@ def point_mu_optical(topology: Topology, source: PulsedSource, point: CrosstalkP
     return source.photons_per_pulse * 10.0 ** (-loss_db / 10.0)
 
 
-def expected_peak_rate(
-    topology: Topology, source: PulsedSource, detector: Detector, point: CrosstalkPoint
-) -> float:
-    """Analytic detected count rate (counts/s) for one crosstalk point."""
-    return source.rep_rate_hz * point_mu_optical(topology, source, point) * detector.efficiency
-
-
 def _timing_sigma_ps(source: PulsedSource, detector: Detector) -> float:
     pulse_sigma = source.pulse_width_ps * _GAUSSIAN_FWHM_TO_SIGMA
     return math.hypot(pulse_sigma, detector.jitter_sigma_ps)

@@ -10,9 +10,10 @@ CSV files (tags ``channel,time_ps``, scans ``lambda_nm,counts``) are UTF-8: a
 header row, exact up to spaces around each name, then comma-separated rows of
 integers (an optional sign and ASCII digits) and floats (what ``float()``
 reads, in ASCII). Blank lines, CRLF, ``"``-quoted fields, spaces around
-fields and extra trailing columns are accepted; ``#`` starts no comment, a
-row of only spaces is an error, and underscored digits such as ``5_0``, which
-``int()`` used to accept, are rejected. Channels must be 0 or 1 and times
+fields (any Unicode whitespace, which numpy strips, such as U+00A0) and extra
+trailing columns are accepted; ``#`` starts no comment, a row of only spaces
+is an error, and underscored digits such as ``5_0``, which ``int()`` used to
+accept, are rejected. Channels must be 0 or 1 and times
 0..2^63-1 ps. Scan wavelengths must rise strictly within the validated range
 and counts must be >= 0. Any fault is a :class:`DataError` that names the
 file and row. A tag channel is parsed as int8, so one outside -128..127 fails
@@ -102,10 +103,11 @@ def write_metadata(path: "str | Path", metadata: dict) -> Path:
     return write_json(metadata_path(path), metadata)
 
 
-def read_metadata(path: "str | Path") -> dict | None:
+def read_metadata(path: "str | Path") -> dict:
+    """The ``<path>.meta.json`` sidecar, ``{}`` when there is none."""
     side = metadata_path(path)
     if not side.is_file():
-        return None
+        return {}
     metadata = read_json(side, "metadata")
     if not isinstance(metadata, dict):
         raise InputError(f"{side}: expected a JSON object")
@@ -160,7 +162,7 @@ def read_tags_xtt1(path: "str | Path") -> TagStream:
         raise DataError(f"{path}: timestamp overflows the signed 64-bit range")
     if n and channels.max() > 1:
         raise DataError(f"{path}: channel values must be 0 (trigger) or 1 (detector)")
-    return TagStream(channels=channels, times_ps=times, metadata=read_metadata(path) or {})
+    return TagStream(channels=channels, times_ps=times, metadata=read_metadata(path))
 
 
 def _require_csv_tag_budget(path: "str | Path") -> None:
@@ -188,7 +190,7 @@ def read_tags_csv(path: "str | Path") -> TagStream:
     channels, times = read_csv_columns(path, ["channel", "time_ps"], ["i1", "i8"])
     reject_rows(path, channels.view(np.uint8) > 1, "channel must be 0 or 1", channels)
     reject_rows(path, times < 0, "time must be >= 0 ps", times)
-    metadata = read_metadata(path) or {}
+    metadata = read_metadata(path)
     return TagStream(channels=channels.astype(np.uint8), times_ps=np.ascontiguousarray(times), metadata=metadata)
 
 
@@ -217,7 +219,7 @@ def read_scan_csv(path: "str | Path", *, dwell_s: float | None = None) -> Spectr
     reject_rows(path, np.diff(wavelengths, prepend=-np.inf) <= 0, "wavelength must be above the previous row's",
                 wavelengths)
     reject_rows(path, counts < 0, "counts must be >= 0", counts)
-    metadata = read_metadata(path) or {}
+    metadata = read_metadata(path)
     if dwell_s is None:
         try:
             dwell_s = require_number(metadata.get("dwell_s"), "dwell_s", minimum=0.0, strict=True)

@@ -387,14 +387,14 @@ def test_in_process_calls_share_no_state(tmp_path, plant_files, capsys):
     assert separations == [5, 3]
 
     plan = tmp_path / "plan.json"
-    methods = []
-    for flags in (["--oracle"], []):
+    carriers = []
+    for flags in (["--classical-band", "C"], []):
         assert main([
             "switch", "plan", "--n-in", "4", "--n-out", "4", "--classical", "1", "--quantum", "1",
             *flags, "--out", str(plan),
         ]) == 0
-        methods.append(json.loads(plan.read_text())["method"])
-    assert methods == ["brute-force", "exhaustive"]
+        carriers.append(json.loads(plan.read_text())["classical"][0]["wavelength_nm"])
+    assert carriers == [1530.0, 1310.0]
 
     capsys.readouterr()
     assert main(["switch", "plan", "--classical", "1", "--out", str(plan)]) == 2
@@ -1074,10 +1074,11 @@ def test_manifests_and_sidecars_name_the_numpy(tmp_path, capsys, command, sideca
     ("simulate", ["--lax"], "--lax"),
     ("analyze", ["--lax"], "--lax"),
     ("analyze", ["--window", "0:1us"], "--window"),
+    ("switch plan", ["--oracle"], "--oracle"),
 ])
 def test_removed_options_are_input_errors(tmp_path, capsys, command, extra, flag):
     flags, _, _, outputs = command_runs(tmp_path)[command]
-    assert main([command, *map(str, flags), *extra]) == 2
+    assert main([*command.split(), *map(str, flags), *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
@@ -1112,6 +1113,15 @@ def test_non_finite_k_sigma_is_parameter_error(tmp_path, capsys, command, k_sigm
     ("scan", ["--grid", "1300:1310:1", "--dwell", "0"], "--dwell must be > 0.0, got 0.0"),
     ("simulate", ["--duration", "0x"], "--duration: unknown time unit 'x' in '0x'"),
     ("simulate", ["--duration", "0"], "--duration must be > 0.0, got 0.0"),
+    ("simulate", ["--duration", "1.2.3s"], "--duration: cannot parse number in '1.2.3s'"),
+    # a quantity may have ASCII spaces around it only, though the CSV readers strip any Unicode space
+    ("simulate", ["--duration", "\u00a05s"], "--duration: cannot parse quantity " + repr("\u00a05s")),
+    ("scan", ["--grid", "1300:1310:1", "--dwell", "1s\u3000"], "--dwell: cannot parse quantity " + repr("1s\u3000")),
+    ("scan", ["--grid", "1300:1310:\u00a01", "--dwell", "1"], "--grid: cannot parse quantity " + repr("\u00a01")),
+    ("scan-analyze", ["--dwell", "\u30001"], "--dwell: cannot parse quantity " + repr("\u30001")),
+    ("analyze", ["--bin", "100ps\u00a0"], "--bin: cannot parse quantity " + repr("100ps\u00a0")),
+    ("switch sweep-config", ["--wavelength", "\u00a01310"], "--wavelength: cannot parse quantity " + repr("\u00a01310")),
+    ("switch sweep-wavelength", ["--grid", "1300\u3000:1310:1"], "--grid: cannot parse quantity " + repr("1300\u3000")),
     ("switch sweep-wavelength", ["--grid", "1310:1300:1"], "--grid: need start <= stop and step > 0, got '1310:1300:1'"),
     ("switch sweep-config", ["--wavelength", "5q"], "--wavelength: unknown wavelength unit 'q' in '5q'"),
     ("switch plan", ["--classical", "1", "--quantum", "1", "--classical-band", "X"],
@@ -1134,7 +1144,10 @@ def test_non_finite_k_sigma_is_parameter_error(tmp_path, capsys, command, k_sigm
      "wavelength 900.0 nm outside validated range [1000, 2000] nm"),
 ], ids=["analyze-k-sigma", "analyze-bin", "analyze-min-separation",
         "scan-analyze-k-sigma", "scan-analyze-dwell-zero", "scan-analyze-dwell-negative", "scan-grid-reversed",
-        "scan-dwell-zero", "simulate-duration-unit", "simulate-duration-zero", "sweep-wavelength-grid-reversed",
+        "scan-dwell-zero", "simulate-duration-unit", "simulate-duration-zero", "simulate-duration-two-points",
+        "simulate-duration-nbsp", "scan-dwell-ideographic-space", "scan-grid-nbsp",
+        "scan-analyze-dwell-ideographic-space", "analyze-bin-nbsp", "sweep-config-wavelength-nbsp",
+        "sweep-wavelength-grid-ideographic-space", "sweep-wavelength-grid-reversed",
         "sweep-config-wavelength-unit", "plan-band", "simulate-seed-2^64", "simulate-seed-negative", "scan-seed-2^64",
         "scan-seed-negative", "simulate-max-tags-zero", "simulate-max-tags-over-cap", "plan-classical-negative",
         "plan-quantum-negative", "plan-n-in-zero", "plan-n-out-zero", "scan-grid-range",
@@ -1530,8 +1543,15 @@ def test_tag_times_past_int64_exit_4_before_the_draw(tmp_path, capsys, name):
      "topology.spans[0].attenuation_db_per_km: expected a number or a sequence of (nm, dB/km) pairs"),
     ("lines", {"wavelength_nm": 1310.0, "rate_photons_per_s": 1e3},
      "lines: expected a JSON array of {wavelength_nm, rate_photons_per_s}"),
+    # an integer field follows units.is_int: a float or a boolean is not an integer, though it equals one
+    ("topology", {**ANALYZE_TOPOLOGY, "connectors": [connector_doc("mpoA", 150.0, lane_count=12.0)]},
+     "topology.connectors[0].lane_count must be an integer >= 1, got 12.0"),
+    ("topology", {**ANALYZE_TOPOLOGY, "schema_version": True},
+     "topology.schema_version must be an integer >= 1, got True"),
+    ("topology", {**ANALYZE_TOPOLOGY, "schema_version": 1.0},
+     "topology.schema_version must be an integer >= 1, got 1.0"),
 ], ids=["schema-version-2", "spans-object", "connectors-object", "probe-end-far", "victim-end-far", "lanes-list",
-        "attenuation-null", "lines-object"])
+        "attenuation-null", "lines-object", "lane-count-float", "schema-version-true", "schema-version-float"])
 def test_document_of_the_wrong_shape_exits_2(tmp_path, plant_files, capsys, kind, doc, message):
     _, source, _ = plant_files
     bad, out = write_json(tmp_path / f"bad_{kind}.json", doc), tmp_path / "out"
@@ -1544,6 +1564,35 @@ def test_document_of_the_wrong_shape_exits_2(tmp_path, plant_files, capsys, kind
     assert captured.out == ""
     assert [json.loads(line) for line in captured.err.splitlines()] == [{"error": "E_INPUT", "message": message}]
     assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("topology-not-json", 2,
+     "{topology}: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("tag-sidecar-array", 2, "{tags}.meta.json: expected a JSON object"),
+    ("tags-missing", 2, "tag file not found: {missing}"),
+    ("no-pulses", 4, "duration 1e-09 s yields no pulses at 1000.0 Hz"),
+])
+def test_documented_input_fault_exit(tmp_path, capsys, case, code, message):
+    runs = command_runs(tmp_path)
+    command = "simulate" if case in ("topology-not-json", "no-pulses") else "analyze"
+    flags, _, _, outputs = runs[command]
+    flags = [str(arg) for arg in flags]
+    paths = {"topology": tmp_path / "topo.json", "tags": tmp_path / "tags.csv", "missing": tmp_path / "missing.csv"}
+    if case == "topology-not-json":
+        paths["topology"].write_text("{")
+    elif case == "tag-sidecar-array":
+        write_json(tmp_path / "tags.csv.meta.json", [])
+    elif case == "tags-missing":
+        flags[flags.index("--tags") + 1] = str(paths["missing"])
+    else:  # 1 ns at 1 kHz rounds to 0 pulses
+        flags[flags.index("--duration") + 1] = "1ns"
+    assert main([command, *flags]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": {2: "E_INPUT", 4: "E_PARAM"}[code], "message": message.format(**paths)}]
+    assert not any(path.exists() for path in outputs)
 
 
 def test_irregular_trigger_spacing_is_a_report_note(tmp_path, capsys):

@@ -121,6 +121,8 @@ class TestLoadTopology:
         _attenuation_case(((float("inf"), 0.2),), r"\[0\]\[0\] must be finite"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, base_coupling_db=5.0), "coupling must be <= 0 dB"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, lane_count=7), r"^lane_count: 7 not one of"),
+        (lambda: plant.MpoConnector(id="c", position_m=1.0, lane_count=12.0),
+         r"^lane_count must be an integer >= 1, got 12\.0$"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, lanes={"a": 99}), r"^lanes.a: lane 99 outside 1..12$"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, lanes={"a": True}), "^lanes.a must be an integer >= 1"),
         (lambda: plant.MpoConnector(id="c", position_m=1.0, lanes={"a": 3, "b": 3}), "more than one fiber"),

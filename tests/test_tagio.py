@@ -200,8 +200,10 @@ class TestCsv:
         (b"channel,time_ps", [], []),
         (b"channel,time_ps\n0,+5\n1,9223372036854775807\n", [0, 1], [5, 2**63 - 1]),
         (b"channel,time_ps\n-0,5\n+1,7\n", [0, 1], [5, 7]),
+        # numpy strips any Unicode whitespace around a field, a no-break and an ideographic space included
+        ("channel,time_ps\n\u00a00,5\u3000\n1,\u30007\u00a0\n".encode(), [0, 1], [5, 7]),
     ], ids=["blank-lines", "crlf", "quoted", "spaces", "extra-columns", "header-only",
-            "header-only-no-newline", "int64-max", "signed-channels"])
+            "header-only-no-newline", "int64-max", "signed-channels", "unicode-spaces"])
     def test_accepted_forms(self, tmp_path, text, channels, times):
         path = tmp_path / "tags.csv"
         path.write_bytes(text)
@@ -393,6 +395,7 @@ class TestScanCsv:
         with pytest.raises(InputError, match="dwell"):
             tagio.read_scan_csv(path)
         assert tagio.read_scan_csv(path, dwell_s=1.5).dwell_s == 1.5
+        assert tagio.read_metadata(path) == {}
 
 
     def test_floats_match_python_float(self, tmp_path):
