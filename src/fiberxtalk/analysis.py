@@ -264,6 +264,14 @@ def _merge_counts(parts: "list[tuple[np.ndarray, np.ndarray]]") -> "tuple[np.nda
     return bins, counts.astype(np.int64, copy=False)
 
 
+def require_bin_width(bin_width_ps) -> int:
+    """Return a fold's bin width as an int in [1, 2^63 - 1] ps, or raise :class:`ParameterError`: delays are int64."""
+    bin_width_ps = require_int(bin_width_ps, "bin_width_ps", 1)
+    if bin_width_ps > np.iinfo(np.int64).max:
+        raise ParameterError(f"bin width must be at most {np.iinfo(np.int64).max} ps, got {bin_width_ps}")
+    return bin_width_ps
+
+
 def fold_histogram(tags: TagStream, bin_width_ps: int = DEFAULT_BIN_WIDTH_PS) -> Histogram:
     """Fold detector tags into delays relative to the most recent trigger, over the whole period.
 
@@ -286,9 +294,7 @@ def fold_histogram(tags: TagStream, bin_width_ps: int = DEFAULT_BIN_WIDTH_PS) ->
     every tag, so it is exact for detector tags in any order, and jittered or
     gapped triggers only cost more searches.
     """
-    bin_width_ps = require_int(bin_width_ps, "bin_width_ps", 1)
-    if bin_width_ps > np.iinfo(np.int64).max:  # delays are int64
-        raise ParameterError(f"bin width must be at most {np.iinfo(np.int64).max} ps, got {bin_width_ps}")
+    bin_width_ps = require_bin_width(bin_width_ps)
     # the triggers between the int64 extremes, as _preceding_trigger takes them
     edges = np.concatenate(
         ([np.iinfo(np.int64).min], *_channel_blocks(tags, TRIGGER_CHANNEL), [np.iinfo(np.int64).max])
@@ -373,11 +379,11 @@ def estimate_baseline(histogram_or_counts) -> BaselineEstimate:
     return BaselineEstimate(level=level, noise_scale=max(math.sqrt(max(level, 0.0)), 1.0))
 
 
-def _runs(hits: np.ndarray) -> list[tuple[int, int]]:
-    """Inclusive (start, end) pairs of the runs of consecutive ascending indices."""
+def _runs(hits: np.ndarray, max_step: int) -> list[tuple[int, int]]:
+    """Inclusive (start, end) pairs of the runs of ascending indices that step by at most ``max_step``."""
     if hits.size == 0:
         return []
-    breaks = np.flatnonzero(np.diff(hits) > 1)
+    breaks = np.flatnonzero(np.diff(hits) > max_step)
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks, [hits.size - 1]))
     return [(int(hits[s]), int(hits[e])) for s, e in zip(starts, ends)]
@@ -410,20 +416,9 @@ def detect_peaks(
     else:
         values = np.asarray(series)
         bins, bin_width_ps = np.arange(values.size), 1
-    runs = _runs(bins[values >= threshold])
-    if not runs:
-        return []
-
-    merged: list[list[int]] = [list(runs[0])]
-    for start, end in runs[1:]:
-        gap = start - merged[-1][1] - 1
-        if gap < min_separation_bins:
-            merged[-1][1] = end
-        else:
-            merged.append([start, end])
-
+    # hits s bins apart have s - 1 below-threshold bins between them, so they merge when s <= min_separation_bins
     peaks: list[Peak] = []
-    for start, end in merged:
+    for start, end in _runs(bins[values >= threshold], max(min_separation_bins, 1)):
         # the region rebuilt densely, so its sums run over the same elements in
         # the same order whatever form the series came in
         lo, hi = np.searchsorted(bins, [start, end + 1])
@@ -865,6 +860,7 @@ def run_otdr_analysis(
     """Fold, detect, localize, and estimate each peak's coupling when the source and detector are known.
 
     A peak whose counts do not invert keeps its location, and a note says why.
+    So does a route that the period does not outreach: its farther points fold back.
     """
     histogram = fold_histogram(tags, bin_width_ps)
     baseline = estimate_baseline(histogram)
@@ -879,6 +875,10 @@ def run_otdr_analysis(
         notes.append(f"the {histogram.period_ps} ps period ends in a bin of {histogram.last_bin_width_ps} ps, not "
                      f"{histogram.bin_width_ps} ps: it holds less background, and a peak that reaches it is centred "
                      "on full-width bin centres")
+    reach = distance_for_delay_ps(topology, histogram.period_ps)
+    if reach <= topology.total_length_m:
+        notes.append(f"the {histogram.period_ps} ps period reaches {reach:.1f} m of the {topology.total_length_m:.1f} m "
+                     "route: a point farther out folds back by whole periods and is reported nearer than it lies")
     located = localize(peaks, topology)
     if source is None or detector is None:
         notes.append("source/detector parameters unavailable; couplings not estimated")

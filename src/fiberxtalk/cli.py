@@ -12,8 +12,9 @@ line ``wrote <first output> (...)``. As no input is hashed after the first
 write, an input that is also an output keeps the digest of the bytes read.
 Outputs are rewritten in place (see :mod:`fiberxtalk.tagio`), and a run that
 fails removes the manifest of every output it began to write. An ``analyze``
-tag file of at least ``HASH_THREAD_MIN_BYTES`` is hashed on one helper
-thread, started once the file is read, while the command folds and analyses.
+tag file of at least ``HASH_THREAD_MIN_BYTES`` is hashed by one
+:mod:`concurrent.futures` worker, imported only then and started once the
+file is read, while the command folds and analyses.
 
 Exit codes: 0 ok, 2 input error, 3 data error, 4 parameter error, 5 resource
 error. Failures print a one-line machine-readable JSON object on stderr. A
@@ -62,7 +63,6 @@ import hashlib
 import json
 import re
 import sys
-import threading
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
@@ -232,7 +232,7 @@ def parse_path(text: str, flag: str) -> tuple[int, int]:
 def _sha256(path: Path) -> str:
     """The file's SHA-256, read through one reused 64 KiB buffer; hashlib releases the GIL per block.
 
-    On the helper thread the buffer is alive while the command computes: a
+    On the hash worker the buffer is alive while the command computes: a
     1 MiB one added 1.1 MB to the capture analyzes' peak RSS, at the same speed.
     """
     digest, block = hashlib.sha256(), bytearray(1 << 16)
@@ -241,39 +241,6 @@ def _sha256(path: Path) -> str:
         while size := fh.readinto(block):
             digest.update(view[:size])
     return digest.hexdigest()
-
-
-class _Sha256Thread(threading.Thread):
-    """The SHA-256 of one file, taken on a helper thread while the caller computes.
-
-    Entering the ``with`` block starts the thread and leaving it joins it.
-    :meth:`hexdigest` joins it and raises, in the caller's thread, what the
-    hash raised.
-    """
-
-    def __init__(self, path: Path):
-        super().__init__(name=f"sha256 {path}")
-        self.path = path
-        self._result: "str | Exception | None" = None
-
-    def run(self) -> None:
-        try:
-            self._result = _sha256(self.path)
-        except Exception as exc:  # raised again by hexdigest
-            self._result = exc
-
-    def __enter__(self) -> "_Sha256Thread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.join()
-
-    def hexdigest(self) -> str:
-        self.join()
-        if isinstance(self._result, Exception):
-            raise self._result
-        return self._result
 
 
 @dataclass(frozen=True)
@@ -364,14 +331,18 @@ def cmd_simulate(args) -> _Run:
 
 
 def cmd_analyze(args) -> _Run:
-    bin_width = parse_bin_ps(args.bin, "--bin")
+    bin_width = analysis.require_bin_width(parse_bin_ps(args.bin, "--bin"))
     require_number(args.k_sigma, "k_sigma", minimum=0.0, strict=True)
     require_int(args.min_separation, "min_separation_bins", 0)
     tags = tagio.read_tags(args.tags)
     tags_path = Path(args.tags)
-    # started after the read (np.loadtxt holds the GIL) and joined before the command returns
-    helper = _Sha256Thread(tags_path) if tags_path.stat().st_size >= HASH_THREAD_MIN_BYTES else None
-    with helper or contextlib.nullcontext():
+    with contextlib.ExitStack() as stack:
+        tags_hash = None
+        # started after the read (np.loadtxt holds the GIL); leaving the block joins it, before the command returns
+        if tags_path.stat().st_size >= HASH_THREAD_MIN_BYTES:
+            from concurrent.futures import ThreadPoolExecutor  # only here: a smaller run never imports it
+
+            tags_hash = stack.enter_context(ThreadPoolExecutor(1, "sha256")).submit(_sha256, tags_path)
         topology = load_topology(args.topology)
         source = _from_args(args, "source", PulsedSource, tags.metadata)
         detector = _from_args(args, "detector", Detector, tags.metadata)
@@ -384,7 +355,7 @@ def cmd_analyze(args) -> _Run:
             source=source,
             detector=detector,
         )
-        digests = {"tags": helper.hexdigest()} if helper else {}
+        digests = {"tags": tags_hash.result()} if tags_hash else {}
     parameters = {
         "tags": str(args.tags),
         "topology": str(args.topology),

@@ -459,6 +459,18 @@ class TestDetectPeaks:
         peaks = detect_peaks(series, base, k_sigma=5.0, min_separation_bins=3)
         assert len(peaks) == 2
 
+    @pytest.mark.parametrize("form", ["dense", "histogram"])
+    @pytest.mark.parametrize("min_separation, empty, merged", [
+        (0, 0, True), (0, 1, False), (1, 0, True), (1, 1, False), (3, 2, True), (3, 3, False),
+    ])
+    def test_merge_boundary(self, form, min_separation, empty, merged):
+        # two spikes merge exactly when fewer than min_separation_bins empty bins lie between them; adjacent is one run
+        counts = gapped([empty])  # spikes at bins 5 and 6 + empty
+        series = sparse_from(counts) if form == "histogram" else np.asarray(counts, dtype=float)
+        peaks = detect_peaks(series, BaselineEstimate(level=0.0, noise_scale=1.0), 5.0, min_separation)
+        second = 6 + empty
+        assert [p.run_bins for p in peaks] == ([(5, second)] if merged else [(5, 5), (second, second)])
+
     def test_plateau_nominal_bin_is_leftmost(self):
         base = BaselineEstimate(level=0.0, noise_scale=1.0)
         series = np.zeros(64)
@@ -989,6 +1001,22 @@ class TestRunOtdrAnalysis:
         assert loc.matched_element == "c" and loc.coupling_db is None and loc.corrected_counts is None
         assert report.notes == [f"the peak at bin {delay // 100} saturates the detector: no live fraction inverts "
                                 "its counts; its coupling is not estimated"]
+
+    def test_a_route_beyond_the_period_is_noted(self):
+        # a 1 us period reaches ~102 m of a 1 km route: the connector at 150 m folds back to ~48 m, unmatched
+        rate = 1e6
+        topo = fx.load_topology(topology_doc([connector_doc("mpo1", 150.0, -70.0)], length_m=1000.0))
+        src = fx.PulsedSource(avg_power_w=power_for_mu_det(0.3, -70.0, rep_rate_hz=rate), rep_rate_hz=rate)
+        det = fx.Detector()
+        stream = fx.simulate_otdr_tags(topo, src, det, 20_000 / rate, seed=41)
+        report = fx.run_otdr_analysis(stream, topo, source=src, detector=det)
+        reach = plant.distance_for_delay_ps(topo, 1_000_000)
+        assert 100.0 < reach < 105.0
+        assert report.notes == [f"the 1000000 ps period reaches {reach:.1f} m of the 1000.0 m route: a point farther "
+                                "out folds back by whole periods and is reported nearer than it lies"]
+        (loc,) = report.located
+        assert loc.matched_element is None
+        assert loc.distance_m == pytest.approx(150.0 - reach, abs=1.0)
 
     def test_report_dict_shape(self, three_point_topology):
         src = fx.PulsedSource(avg_power_w=power_for_mu_det(0.1, -100.0))

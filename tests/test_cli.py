@@ -1120,6 +1120,7 @@ def test_non_finite_k_sigma_is_parameter_error(tmp_path, capsys, command, k_sigm
     ("scan", ["--grid", "1300:1310:\u00a01", "--dwell", "1"], "--grid: cannot parse quantity " + repr("\u00a01")),
     ("scan-analyze", ["--dwell", "\u30001"], "--dwell: cannot parse quantity " + repr("\u30001")),
     ("analyze", ["--bin", "100ps\u00a0"], "--bin: cannot parse quantity " + repr("100ps\u00a0")),
+    ("analyze", ["--bin", "1e19ps"], "bin width must be at most 9223372036854775807 ps, got 10000000000000000000"),
     ("switch sweep-config", ["--wavelength", "\u00a01310"], "--wavelength: cannot parse quantity " + repr("\u00a01310")),
     ("switch sweep-wavelength", ["--grid", "1300\u3000:1310:1"], "--grid: cannot parse quantity " + repr("1300\u3000")),
     ("switch sweep-wavelength", ["--grid", "1310:1300:1"], "--grid: need start <= stop and step > 0, got '1310:1300:1'"),
@@ -1146,7 +1147,8 @@ def test_non_finite_k_sigma_is_parameter_error(tmp_path, capsys, command, k_sigm
         "scan-analyze-k-sigma", "scan-analyze-dwell-zero", "scan-analyze-dwell-negative", "scan-grid-reversed",
         "scan-dwell-zero", "simulate-duration-unit", "simulate-duration-zero", "simulate-duration-two-points",
         "simulate-duration-nbsp", "scan-dwell-ideographic-space", "scan-grid-nbsp",
-        "scan-analyze-dwell-ideographic-space", "analyze-bin-nbsp", "sweep-config-wavelength-nbsp",
+        "scan-analyze-dwell-ideographic-space", "analyze-bin-nbsp", "analyze-bin-beyond-int64",
+        "sweep-config-wavelength-nbsp",
         "sweep-wavelength-grid-ideographic-space", "sweep-wavelength-grid-reversed",
         "sweep-config-wavelength-unit", "plan-band", "simulate-seed-2^64", "simulate-seed-negative", "scan-seed-2^64",
         "scan-seed-negative", "simulate-max-tags-zero", "simulate-max-tags-over-cap", "plan-classical-negative",
@@ -1250,18 +1252,41 @@ def large_tags(tmp_path_factory):
     return topo, files
 
 
+def off_the_main_thread() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
 @pytest.fixture
 def helper_hashes(monkeypatch):
-    """The files hashed on a helper thread, in the order the helpers started."""
+    """The files hashed off the main thread, in the order their hashes started."""
     hashed = []
-    run = cli._Sha256Thread.run
+    sha256_file = cli._sha256
 
-    def spy(self):
-        hashed.append(self.path)
-        run(self)
+    def spy(path):
+        if off_the_main_thread():
+            hashed.append(path)
+        return sha256_file(path)
 
-    monkeypatch.setattr(cli._Sha256Thread, "run", spy)
+    monkeypatch.setattr(cli, "_sha256", spy)
     return hashed
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_only_a_large_tag_file_loads_the_thread_pool(tmp_path, large_tags, size):
+    # the pool is imported in the branch that hashes a large tag file, not when cmd_analyze starts
+    topo, files = large_tags
+    tags = files["xtt1"]
+    if size == "small":
+        tags = tmp_path / "tags.csv"
+        tags.write_bytes(b"\n".join([b"channel,time_ps", *TAG_ROWS]) + b"\n")
+    code = ("import sys; from fiberxtalk.cli import main; code = main(sys.argv[1:]); "
+            "print('concurrent.futures' in sys.modules); sys.exit(code)")
+    argv = ["analyze", "--tags", str(tags), "--topology", str(topo), "--out", str(tmp_path / "report.json")]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == str(size == "large")
 
 
 @pytest.mark.parametrize("fmt", ["xtt1", "csv"])
@@ -1320,21 +1345,22 @@ def test_tag_file_removed_after_the_read_is_input_error(tmp_path, capsys, monkey
     topo, files = large_tags
     tags, out = tmp_path / "tags.xtt1", tmp_path / "report.json"
     tags.write_bytes(files["xtt1"].read_bytes())
-    read_tags, run = tagio.read_tags, cli._Sha256Thread.run
+    read_tags, sha256_file = tagio.read_tags, cli._sha256
 
     def read_then_remove(path):
         stream = read_tags(path)
         Path(path).unlink()
         return stream
 
-    def remove_then_hash(self):
-        self.path.unlink()
-        run(self)
+    def remove_then_hash(path):
+        if off_the_main_thread():
+            path.unlink()
+        return sha256_file(path)
 
     if when == "before-the-helper":
         monkeypatch.setattr(tagio, "read_tags", read_then_remove)
     else:
-        monkeypatch.setattr(cli._Sha256Thread, "run", remove_then_hash)
+        monkeypatch.setattr(cli, "_sha256", remove_then_hash)
     before = threading.active_count()
     assert main(["analyze", "--tags", str(tags), "--topology", str(topo), "--out", str(out)]) == 2
     assert threading.active_count() == before
